@@ -178,15 +178,14 @@ def _cmd_corrclust(args) -> int:
                                  seed=args.seed)
         cost = corr_cluster_cost(edges, partition)
     lp = build_lp(HccInstance(d.labels, (1.0,), (edges,)))
-    bound = solve_lp(lp, args.lp_tol).objective
+    sol = solve_lp(lp, args.lp_tol)
     wall_ms = int(round((time.perf_counter() - t0) * 1000))
     for part in partition.parts:
         print("cluster:", " ".join(sorted(part)))
     if args.dump_lp is not None:
-        sol = solve_lp(lp, args.lp_tol)
         args.dump_lp.write_text(lp.dump_text(sol.x.reshape(-1), sol.objective))
     _emit(args, _report(args, n=d.n, mode="corrclust", l1_error=float(cost),
-                        lp_lower_bound=bound, num_levels=1, tree_newick=None,
+                        lp_lower_bound=sol.objective, num_levels=1, tree_newick=None,
                         wall_ms=wall_ms))
     return EXIT_OK
 

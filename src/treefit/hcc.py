@@ -61,6 +61,20 @@ def _clique_hierarchy(inst: HccInstance) -> HierarchySequence | None:
     return HierarchySequence(tuple(parts))
 
 
+def lp_lower_bound(inst: HccInstance, *, backend: str = "auto",
+                   feas_tol: float = 1e-7,
+                   fast_path: bool = True) -> tuple[float, LpSolution | None]:
+    """Optimum of the instance's LP relaxation, and the point reaching it.
+
+    With fast_path, nested disjoint cliques skip the solve: their integral
+    point costs 0, so the bound is 0 and no point is returned.
+    """
+    if fast_path and _clique_hierarchy(inst) is not None:
+        return 0.0, None
+    solution = solve_lp(build_lp(inst), feas_tol, backend=backend)
+    return solution.objective, solution
+
+
 def fit_hcc(inst: HccInstance, *, strategy: str = "pivot-sweep",
             seed: int | None = None, backend: str = "auto",
             feas_tol: float = 1e-7, fast_path: bool = True,
@@ -78,11 +92,8 @@ def fit_hcc(inst: HccInstance, *, strategy: str = "pivot-sweep",
     lp_solution = None
     bound = 0.0
     if lower_bound:
-        if fast_path and _clique_hierarchy(inst) is not None:
-            bound = 0.0  # integral zero-cost point is LP-optimal
-        else:
-            lp_solution = solve_lp(build_lp(inst), feas_tol, backend=backend)
-            bound = lp_solution.objective
+        bound, lp_solution = lp_lower_bound(inst, backend=backend,
+                                            feas_tol=feas_tol, fast_path=fast_path)
     return HccResult(hierarchy=hca.hierarchy, cost=cost, lp_lower_bound=bound,
                      lp_solution=lp_solution, partitions=partitions,
                      level_costs=level_costs, hca=hca, instance=inst)

@@ -7,13 +7,13 @@ level.
 """
 from __future__ import annotations
 
-import itertools
+import functools
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import EdgeSet, HierarchySequence, Pair, all_pairs, canon_pair, clique_edges
+from .core import EdgeSet, HierarchySequence, Pair, all_pairs, clique_edges
 from .simplex import SimplexStall, SimplexTooLarge, solve_dense
 
 DEFAULT_FEAS_TOL = 1e-7
@@ -70,16 +70,50 @@ class HccInstance:
         return tuple(all_pairs(self.labels))
 
 
+def _condensed(n: int, i, j):
+    """Index of pair (i, j), i < j, in `all_pairs` order (scipy's squareform)."""
+    return n * i - i * (i + 1) // 2 + (j - i - 1)
+
+
+@functools.lru_cache(maxsize=16)
+def _level_triangles(n: int) -> np.ndarray:
+    """Pair indices of one level's triangle rows, shape (3 C(n,3), 3).
+
+    Triples (i, j, k) run in `itertools.combinations` order; each gives the
+    rows ij <= ik + jk, ik <= ij + jk and jk <= ij + ik, the left side first.
+    """
+    i, j = np.triu_indices(n, 1)
+    counts = n - 1 - j
+    ii, jj = np.repeat(i, counts), np.repeat(j, counts)
+    starts = np.repeat(np.cumsum(counts) - counts, counts)
+    kk = jj + 1 + (np.arange(ii.size) - starts)
+    ij, ik, jk = _condensed(n, ii, jj), _condensed(n, ii, kk), _condensed(n, jj, kk)
+    rows = np.stack([np.stack([ij, ik, jk], axis=1),
+                     np.stack([ik, ij, jk], axis=1),
+                     np.stack([jk, ij, ik], axis=1)], axis=1).reshape(-1, 3)
+    rows.flags.writeable = False
+    return rows
+
+
+def _row_count(n: int, n_levels: int) -> int:
+    """Rows of the full LP: 3 C(n,3) triangle rows per level, C(n,2) per step."""
+    return n_levels * n * (n - 1) * (n - 2) // 2 + (n_levels - 1) * n * (n - 1) // 2
+
+
 @dataclass
 class LinearProgram:
-    """Explicit formulation: rows are `coeffs . x <= rhs`, x in [0,1]."""
+    """Explicit formulation: rows are `coeffs . x <= 0`, x in [0,1].
+
+    All triangle rows come first, then all monotonicity rows. Row r < n_tri
+    reads x[tri[r, 0]] - x[tri[r, 1]] - x[tri[r, 2]] <= 0; monotonicity row
+    n_tri + m reads x[mono[m, 0]] - x[mono[m, 1]] <= 0.
+    """
 
     labels: tuple[str, ...]
     n_levels: int
     pairs: tuple[Pair, ...]
-    rows: list[tuple[tuple[int, ...], tuple[float, ...]]]
-    row_kinds: list[str]
-    rhs: np.ndarray
+    tri: np.ndarray  # (n_tri, 3) variable indices
+    mono: np.ndarray  # (n_mono, 2) variable indices
     c: np.ndarray
     const: float
 
@@ -89,7 +123,20 @@ class LinearProgram:
 
     @property
     def n_rows(self) -> int:
-        return len(self.rows)
+        return len(self.tri) + len(self.mono)
+
+    @property
+    def rhs(self) -> np.ndarray:
+        return np.zeros(self.n_rows)
+
+    @property
+    def rows(self) -> list[tuple[tuple[int, ...], tuple[float, ...]]]:
+        return ([(tuple(cols), (1.0, -1.0, -1.0)) for cols in self.tri.tolist()]
+                + [(tuple(cols), (1.0, -1.0)) for cols in self.mono.tolist()])
+
+    @property
+    def row_kinds(self) -> list[str]:
+        return ["triangle"] * len(self.tri) + ["monotone"] * len(self.mono)
 
     def var_index(self, t: int, pair_idx: int) -> int:
         return t * len(self.pairs) + pair_idx
@@ -99,23 +146,33 @@ class LinearProgram:
         i, j = self.pairs[p]
         return f"x_t{t + 1}_{i}_{j}"
 
+    def _coo(self, rows: np.ndarray | None = None):
+        """Row, column and coefficient arrays of the given rows, in row order."""
+        tri, mono = self.tri, self.mono
+        if rows is not None:
+            n_tri = len(tri)
+            tri = tri[rows[rows < n_tri]]
+            mono = mono[rows[rows >= n_tri] - n_tri]
+        r_tri = np.repeat(np.arange(len(tri)), 3)
+        r_mono = np.repeat(np.arange(len(tri), len(tri) + len(mono)), 2)
+        return (np.concatenate([r_tri, r_mono]),
+                np.concatenate([tri.ravel(), mono.ravel()]),
+                np.concatenate([np.tile([1.0, -1.0, -1.0], len(tri)),
+                                np.tile([1.0, -1.0], len(mono))]))
+
     def dense_matrix(self) -> np.ndarray:
         a = np.zeros((self.n_rows, self.n_vars))
-        for r, (cols, coefs) in enumerate(self.rows):
-            a[r, list(cols)] = coefs
+        r, cols, data = self._coo()
+        a[r, cols] = data
         return a
 
-    def sparse_matrix(self):
+    def sparse_matrix(self, rows: np.ndarray | None = None):
+        """CSR matrix of all rows, or of the given sorted row indices only."""
         from scipy.sparse import csr_matrix
 
-        data, rows_ix, cols_ix = [], [], []
-        for r, (cols, coefs) in enumerate(self.rows):
-            for col, coef in zip(cols, coefs):
-                rows_ix.append(r)
-                cols_ix.append(col)
-                data.append(coef)
-        return csr_matrix((data, (rows_ix, cols_ix)),
-                          shape=(self.n_rows, self.n_vars))
+        r, cols, data = self._coo(rows)
+        n = self.n_rows if rows is None else len(rows)
+        return csr_matrix((data, (r, cols)), shape=(n, self.n_vars))
 
     def objective_value(self, x: np.ndarray) -> float:
         return float(self.c @ x + self.const)
@@ -142,17 +199,26 @@ class LinearProgram:
 
 @dataclass
 class LpSolution:
-    """Fractional distances per level and pair, clamped into [0,1]."""
+    """Fractional distances per level and pair, clamped into [0,1].
+
+    `pairs` must be `all_pairs(labels)`, in that order. `rounds` counts the
+    solves behind the point and `rows_used` the rows of the last one; both
+    describe the full LP (1 and every row) unless a lazy solve set them.
+    """
 
     labels: tuple[str, ...]
     pairs: tuple[Pair, ...]
     x: np.ndarray  # shape (n_levels, n_pairs)
     objective: float
     backend: str = "simplex"
+    rounds: int = 1
+    rows_used: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "_pair_index",
-                           {p: k for k, p in enumerate(self.pairs)})
+        if self.pairs != tuple(all_pairs(self.labels)):
+            raise ValueError("pairs must follow all_pairs order of the labels")
+        if self.rows_used is None:
+            self.rows_used = _row_count(len(self.labels), self.n_levels)
         object.__setattr__(self, "_label_index",
                            {lab: k for k, lab in enumerate(self.labels)})
 
@@ -164,8 +230,11 @@ class LpSolution:
         """x^(t)_{i,j} with level t 0-based; x_{i,i} is 0 by convention."""
         if i == j:
             return 0.0
-        pair = canon_pair(self._label_index, i, j)  # type: ignore[attr-defined]
-        return float(self.x[t, self._pair_index[pair]])  # type: ignore[attr-defined]
+        a = self._label_index[i]  # type: ignore[attr-defined]
+        b = self._label_index[j]  # type: ignore[attr-defined]
+        if a > b:
+            a, b = b, a
+        return float(self.x[t, _condensed(len(self.labels), a, b)])
 
     def level_map(self, t: int) -> dict[Pair, float]:
         return {p: float(self.x[t, k]) for k, p in enumerate(self.pairs)}
@@ -173,13 +242,11 @@ class LpSolution:
     def max_violation(self) -> dict[str, float]:
         """Largest triangle / monotonicity / box violations of this point."""
         tri = 0.0
-        labels = self.labels
-        for t in range(self.n_levels):
-            for i, j, k in itertools.combinations(labels, 3):
-                xij = self.value(t, i, j)
-                xik = self.value(t, i, k)
-                xjk = self.value(t, j, k)
-                tri = max(tri, xij - xik - xjk, xik - xij - xjk, xjk - xij - xik)
+        rows = _level_triangles(len(self.labels))
+        if len(rows):
+            x = self.x
+            lhs = x[:, rows[:, 0]] - x[:, rows[:, 1]] - x[:, rows[:, 2]]
+            tri = max(tri, float(lhs.max()))
         mono = 0.0
         for t in range(self.n_levels - 1):
             mono = max(mono, float(np.max(self.x[t + 1] - self.x[t])))
@@ -190,29 +257,13 @@ class LpSolution:
 def build_lp(inst: HccInstance) -> LinearProgram:
     """Variables, triangle and monotonicity rows, and the level-weighted objective."""
     pairs = inst.pair_list()
-    pair_index = {p: k for k, p in enumerate(pairs)}
     n_pairs = len(pairs)
     n_levels = inst.n_levels
-    labels = inst.labels
-    idx = {lab: k for k, lab in enumerate(labels)}
-
-    rows: list[tuple[tuple[int, ...], tuple[float, ...]]] = []
-    kinds: list[str] = []
-    for t in range(n_levels):
-        base = t * n_pairs
-        for i, j, k in itertools.combinations(labels, 3):
-            vij = base + pair_index[canon_pair(idx, i, j)]
-            vik = base + pair_index[canon_pair(idx, i, k)]
-            vjk = base + pair_index[canon_pair(idx, j, k)]
-            rows.append(((vij, vik, vjk), (1.0, -1.0, -1.0)))
-            rows.append(((vik, vij, vjk), (1.0, -1.0, -1.0)))
-            rows.append(((vjk, vij, vik), (1.0, -1.0, -1.0)))
-            kinds.extend(["triangle"] * 3)
-    for t in range(n_levels - 1):
-        for p in range(n_pairs):
-            rows.append(((0 + (t + 1) * n_pairs + p, t * n_pairs + p),
-                         (1.0, -1.0)))
-            kinds.append("monotone")
+    level_rows = _level_triangles(inst.n)
+    offsets = np.arange(n_levels) * n_pairs
+    tri = (offsets[:, None, None] + level_rows[None]).reshape(-1, 3)
+    lower = np.arange((n_levels - 1) * n_pairs)
+    mono = np.stack([lower + n_pairs, lower], axis=1)
 
     c = np.zeros(n_levels * n_pairs)
     const = 0.0
@@ -225,17 +276,24 @@ def build_lp(inst: HccInstance) -> LinearProgram:
             else:
                 c[t * n_pairs + p] = -delta
                 const += delta
-    rhs = np.zeros(len(rows))
-    return LinearProgram(labels=labels, n_levels=n_levels, pairs=pairs,
-                         rows=rows, row_kinds=kinds, rhs=rhs, c=c, const=const)
+    return LinearProgram(labels=inst.labels, n_levels=n_levels, pairs=pairs,
+                         tri=tri, mono=mono, c=c, const=const)
 
 
 def solve_lp(lp: LinearProgram, feas_tol: float = DEFAULT_FEAS_TOL, *,
              backend: str = "auto", iteration_cap: int | None = None) -> LpSolution:
     """Solve to optimality; the result is clamped into [0,1] and re-checked.
 
-    backend "auto" uses the built-in dense simplex while the tableau fits the
-    memory budget and scipy's HiGHS beyond that; both are deterministic.
+    backend "auto" uses the built-in dense simplex while the tableau of the
+    full LP fits the memory budget and scipy's HiGHS beyond that; both are
+    deterministic. The simplex solves the full LP at once. HiGHS starts from
+    the monotonicity rows alone and adds the violated triangle rows after
+    each solve until none is left; the final point is still checked against
+    every row, so the objective is the optimum of the full LP.
+
+    The solution's `rounds` is the number of solves (1 on the simplex) and
+    its `rows_used` the number of rows in the last one (`lp.n_rows` on the
+    simplex).
     """
     if backend not in ("auto", "simplex", "highs"):
         raise ValueError(f"unknown backend {backend!r}")
@@ -254,28 +312,47 @@ def solve_lp(lp: LinearProgram, feas_tol: float = DEFAULT_FEAS_TOL, *,
         except SimplexStall as exc:
             best = _finish(lp, exc.x, "simplex", feas_tol, check=False)
             raise SolverError("simplex hit its iteration cap", best) from exc
-        x = res.x
-    else:
-        x = _solve_highs(lp)
-    return _finish(lp, x, chosen, feas_tol)
+        return _finish(lp, res.x, chosen, feas_tol)
+    x, rounds, rows_used = _solve_highs(lp, feas_tol)
+    return _finish(lp, x, chosen, feas_tol, rounds=rounds, rows_used=rows_used)
 
 
-def _solve_highs(lp: LinearProgram) -> np.ndarray:
+def _solve_highs(lp: LinearProgram, feas_tol: float) -> tuple[np.ndarray, int, int]:
+    """Solve with lazily added triangle rows; returns x, rounds and rows used.
+
+    A row joins once the last point violates it by more than a hundredth of
+    feas_tol, so the final check against all rows has room to spare.
+    """
     from scipy.optimize import linprog
 
-    res = linprog(lp.c, A_ub=lp.sparse_matrix(), b_ub=lp.rhs,
-                  bounds=(0.0, 1.0), method="highs")
-    if not res.success:
-        raise SolverError(f"highs failed: {res.message}")
-    return np.asarray(res.x)
+    tri = lp.tri
+    active = np.arange(len(tri), lp.n_rows)
+    rounds = 0
+    while True:
+        rounds += 1
+        res = linprog(lp.c, A_ub=lp.sparse_matrix(active),
+                      b_ub=np.zeros(len(active)), bounds=(0.0, 1.0),
+                      method="highs")
+        if not res.success:
+            raise SolverError(f"highs failed: {res.message}")
+        x = np.asarray(res.x)
+        xc = np.clip(x, 0.0, 1.0)
+        lhs = xc[tri[:, 0]] - xc[tri[:, 1]] - xc[tri[:, 2]]
+        new = np.setdiff1d(np.flatnonzero(lhs > feas_tol / 100), active,
+                           assume_unique=True)
+        if not len(new):
+            return x, rounds, len(active)
+        active = np.union1d(active, new)
 
 
 def _finish(lp: LinearProgram, x: np.ndarray, backend: str, feas_tol: float,
-            check: bool = True) -> LpSolution:
+            check: bool = True, rounds: int = 1,
+            rows_used: int | None = None) -> LpSolution:
     x = np.clip(x, 0.0, 1.0)
     sol = LpSolution(labels=lp.labels, pairs=lp.pairs,
                      x=x.reshape(lp.n_levels, len(lp.pairs)).copy(),
-                     objective=lp.objective_value(x), backend=backend)
+                     objective=lp.objective_value(x), backend=backend,
+                     rounds=rounds, rows_used=rows_used)
     if check:
         worst = max(sol.max_violation().values())
         if worst > feas_tol:

@@ -25,6 +25,7 @@ from .core import (
     lookup_pair,
     lp_norm_error,
 )
+from .hcc import lp_lower_bound
 from .ultrametric import fit_ultrametric
 
 RESTRICTION_TOL = 1e-6
@@ -237,7 +238,8 @@ def fit_tree_metric(d: DistanceMatrix, *, pivot_mode: str = "all",
         r = gromov_transform(d, a)
         squeezed = squeeze(r.transformed, r)
         sub = fit_ultrametric(squeezed, strategy=strategy, seed=seed,
-                              backend=backend, feas_tol=feas_tol)
+                              backend=backend, feas_tol=feas_tol,
+                              lower_bound=False)
         assert isinstance(sub.tree, UltrametricTree)
         clamped = clamp_to_restricted(sub.tree.distance_map(), r)
         candidate = restricted_to_tree(clamped, r, d)
@@ -247,10 +249,16 @@ def fit_tree_metric(d: DistanceMatrix, *, pivot_mode: str = "all",
             best = (err, a, candidate, sub)
     assert best is not None
     err, chosen, tree, sub = best
+    # only the winning pivot's bound is reported, so only its LP is solved
+    bound = 0.0
+    hcc_result = sub.details.get("hcc")
+    if hcc_result is not None:
+        bound, _ = lp_lower_bound(hcc_result.instance, backend=backend,
+                                  feas_tol=feas_tol)
     fixed = pseudometric_to_metric(tree, d, 1.0 / len(d.labels))
     final_err = lp_norm_error(fixed, d, 1)
     return FittedTree(kind="tree", tree=fixed, l1_error=final_err,
-                      lp_lower_bound=sub.lp_lower_bound,
+                      lp_lower_bound=bound,
                       num_levels=sub.num_levels,
                       details={"pivot": chosen, "per_pivot_error": per_pivot,
                                "pre_fix_error": err})

@@ -80,6 +80,22 @@ class TestOtherCommands:
         assert report["mode"] == "corrclust"
         assert report["num_levels"] == 1
 
+    def test_corrclust_dump_matches_reported_bound(self, tmp_path, capsys):
+        labels = tuple("abcde")
+        values = {("a", "b"): 1.0, ("b", "c"): 1.0, ("c", "d"): 1.0,
+                  ("d", "e"): 1.0}
+        d = DistanceMatrix.from_pairs(labels, {
+            (i, j): values.get((i, j), 2.0)
+            for k, i in enumerate(labels) for j in labels[k + 1:]})
+        src, out, dump = tmp_path / "m.csv", tmp_path / "r.json", tmp_path / "lp.txt"
+        write_matrix_csv(d, src)
+        assert run_cli("corrclust", src, "--json-out", out, "--dump-lp", dump) == 0
+        report = json.loads(out.read_text())
+        assert report["lp_lower_bound"] > 0
+        stated = [line for line in dump.read_text().splitlines()
+                  if line.startswith("objective_value:")]
+        assert stated == [f"objective_value: {report['lp_lower_bound']!r}"]
+
     def test_corrclust_exact_no_worse(self, fix123, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         assert run_cli("corrclust", fix123, "--threshold", "2", "--json-out", a) == 0

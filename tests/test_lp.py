@@ -1,11 +1,18 @@
+import itertools
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
+from scipy.sparse import csr_matrix
 
-from treefit.core import EdgeSet, HierarchySequence, Partition, all_pairs
+from treefit.core import EdgeSet, HierarchySequence, Partition, all_pairs, canon_pair
 from treefit.lp import (
     HccInstance,
+    LpSolution,
     SolverError,
     build_lp,
     cost_edges,
@@ -16,7 +23,8 @@ from treefit.lp import (
 )
 from treefit.oracle import exact_hcc
 from treefit.simplex import SimplexStall, solve_dense
-from conftest import feasible_lp_maps, random_partition
+from treefit.ultrametric import hcc_instance_from_distances
+from conftest import feasible_lp_maps, random_matrix, random_partition
 
 LABELS3 = ("a", "b", "c")
 
@@ -224,3 +232,207 @@ class TestDump:
         text = lp.dump_text(sol.x.reshape(-1), sol.objective)
         assert "min:" in text and "subject_to[triangle]" in text
         assert f"objective_value: {sol.objective!r}" in text
+
+
+# ---------------------------------------------------------------------------
+# Reference formulation: the per-entry loops the array builder replaced
+# ---------------------------------------------------------------------------
+
+def reference_rows(inst: HccInstance):
+    pairs = inst.pair_list()
+    pair_index = {p: k for k, p in enumerate(pairs)}
+    n_pairs = len(pairs)
+    idx = {lab: k for k, lab in enumerate(inst.labels)}
+    rows, kinds = [], []
+    for t in range(inst.n_levels):
+        base = t * n_pairs
+        for i, j, k in itertools.combinations(inst.labels, 3):
+            vij = base + pair_index[canon_pair(idx, i, j)]
+            vik = base + pair_index[canon_pair(idx, i, k)]
+            vjk = base + pair_index[canon_pair(idx, j, k)]
+            rows.append(((vij, vik, vjk), (1.0, -1.0, -1.0)))
+            rows.append(((vik, vij, vjk), (1.0, -1.0, -1.0)))
+            rows.append(((vjk, vij, vik), (1.0, -1.0, -1.0)))
+            kinds.extend(["triangle"] * 3)
+    for t in range(inst.n_levels - 1):
+        for p in range(n_pairs):
+            rows.append((((t + 1) * n_pairs + p, t * n_pairs + p), (1.0, -1.0)))
+            kinds.append("monotone")
+    return rows, kinds
+
+
+def reference_sparse(rows, n_vars):
+    data, rows_ix, cols_ix = [], [], []
+    for r, (cols, coefs) in enumerate(rows):
+        for col, coef in zip(cols, coefs):
+            rows_ix.append(r)
+            cols_ix.append(col)
+            data.append(coef)
+    return csr_matrix((data, (rows_ix, cols_ix)), shape=(len(rows), n_vars))
+
+
+def reference_dump(lp, rows, kinds, x=None, objective=None):
+    lines = ["# lp-dump v1", f"# vars {lp.n_vars} rows {len(rows)}"]
+    if x is not None:
+        for v in range(lp.n_vars):
+            lines.append(f"var {lp.var_name(v)} = {float(x[v])!r}")
+    terms = " + ".join(
+        f"{float(lp.c[v])!r}*{lp.var_name(v)}" for v in range(lp.n_vars))
+    lines.append(f"min: {terms} + {float(lp.const)!r}")
+    for (cols, coefs), kind in zip(rows, kinds):
+        lhs = " + ".join(f"{float(coef)!r}*{lp.var_name(col)}"
+                         for col, coef in zip(cols, coefs))
+        lines.append(f"subject_to[{kind}]: {lhs} <= 0.0")
+    lines.append("bounds: 0 <= all_vars <= 1")
+    if objective is not None:
+        lines.append(f"objective_value: {float(objective)!r}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_max_violation(labels, pairs, x):
+    pair_index = {p: k for k, p in enumerate(pairs)}
+    idx = {lab: k for k, lab in enumerate(labels)}
+
+    def value(t, i, j):
+        return float(x[t, pair_index[canon_pair(idx, i, j)]])
+
+    tri = 0.0
+    for t in range(x.shape[0]):
+        for i, j, k in itertools.combinations(labels, 3):
+            xij, xik, xjk = value(t, i, j), value(t, i, k), value(t, j, k)
+            tri = max(tri, xij - xik - xjk, xik - xij - xjk, xjk - xij - xik)
+    mono = 0.0
+    for t in range(x.shape[0] - 1):
+        mono = max(mono, float(np.max(x[t + 1] - x[t])))
+    box = max(0.0, float(np.max(x - 1.0)), float(np.max(-x)))
+    return {"triangle": tri, "monotone": mono, "box": box}
+
+
+class TestArrayBuilderMatchesReference:
+    def test_rows_matrices_objective_and_dump(self, rng):
+        for _ in range(40):
+            inst = random_instance(rng, rng.randint(2, 8), rng.randint(1, 4))
+            lp = build_lp(inst)
+            rows, kinds = reference_rows(inst)
+            assert lp.rows == rows
+            assert lp.row_kinds == kinds
+            assert lp.n_rows == len(rows)
+
+            dense = np.zeros((len(rows), lp.n_vars))
+            for r, (cols, coefs) in enumerate(rows):
+                dense[r, list(cols)] = coefs
+            assert np.array_equal(lp.dense_matrix(), dense)
+            got, want = lp.sparse_matrix(), reference_sparse(rows, lp.n_vars)
+            assert got.shape == want.shape
+            for attr in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(got, attr), getattr(want, attr))
+
+            c, const = np.zeros(lp.n_vars), 0.0
+            for t in range(inst.n_levels):
+                for p, pair in enumerate(inst.pair_list()):
+                    if pair in inst.edge_sets[t].edges:
+                        c[t * len(lp.pairs) + p] = inst.deltas[t]
+                    else:
+                        c[t * len(lp.pairs) + p] = -inst.deltas[t]
+                        const += inst.deltas[t]
+            assert np.array_equal(lp.c, c) and lp.const == const
+
+            x = np.array([rng.random() for _ in range(lp.n_vars)])
+            assert lp.dump_text(x, 1.25) == reference_dump(lp, rows, kinds, x, 1.25)
+            assert lp.dump_text() == reference_dump(lp, rows, kinds)
+
+    def test_max_violation_identical_floats(self, rng):
+        for _ in range(40):
+            n, n_levels = rng.randint(2, 8), rng.randint(1, 4)
+            labels = tuple(f"s{k}" for k in range(n))
+            pairs = tuple(all_pairs(labels))
+            x = np.array([[rng.uniform(-0.2, 1.2) for _ in pairs]
+                          for _ in range(n_levels)])
+            sol = LpSolution(labels=labels, pairs=pairs, x=x, objective=0.0)
+            assert sol.max_violation() == reference_max_violation(labels, pairs, x)
+
+    def test_row_subset_matrix(self, rng):
+        inst = random_instance(rng, 6, 3)
+        lp = build_lp(inst)
+        chosen = np.sort(rng.sample(range(lp.n_rows), 40))
+        full = lp.sparse_matrix().toarray()
+        assert np.array_equal(lp.sparse_matrix(chosen).toarray(), full[chosen])
+
+
+# ---------------------------------------------------------------------------
+# Lazy triangle rows on HiGHS
+# ---------------------------------------------------------------------------
+
+def table_instance(rng, n, continuous):
+    labels = tuple(f"s{k}" for k in range(n))
+    if continuous:
+        d = random_matrix(rng, labels, [round(rng.uniform(1.0, 9.0), 3)
+                                        for _ in range(n * n)])
+    else:
+        d = random_matrix(rng, labels, range(1, 5))
+    inst, _ = hcc_instance_from_distances(d)
+    return inst
+
+
+def full_row_objective(lp) -> float:
+    res = linprog(lp.c, A_ub=lp.sparse_matrix(), b_ub=lp.rhs,
+                  bounds=(0.0, 1.0), method="highs")
+    assert res.success
+    return float(res.fun + lp.const)
+
+
+class TestLazyRows:
+    def test_objective_matches_full_row_solve(self, rng):
+        for n in range(3, 13):
+            for continuous in (False, True):
+                inst = table_instance(rng, n, continuous)
+                lp = build_lp(inst)
+                sol = solve_lp(lp, backend="highs")
+                assert sol.objective == pytest.approx(full_row_objective(lp),
+                                                      rel=1e-9, abs=1e-12)
+                assert max(sol.max_violation().values()) <= 1e-7
+
+    def test_rounds_and_rows_used(self, rng):
+        rounds = []
+        for _ in range(12):
+            inst = table_instance(rng, rng.randint(4, 10), rng.random() < 0.3)
+            lp = build_lp(inst)
+            for backend in ("highs", "simplex"):
+                if backend == "simplex" and lp.n_rows > 400:
+                    continue
+                sol = solve_lp(lp, backend=backend)
+                assert sol.rounds >= 1
+                assert 0 <= sol.rows_used <= lp.n_rows
+                if inst.n_levels > 1:  # the monotonicity rows are always used
+                    assert sol.rows_used >= 1
+                if backend == "simplex":
+                    assert (sol.rounds, sol.rows_used) == (1, lp.n_rows)
+                else:
+                    rounds.append(sol.rounds)
+        assert max(rounds) >= 2
+
+    def test_no_rows_needed_for_one_clique_level(self):
+        q = Partition.from_parts("abcdef", [{"a", "b", "c"}, {"d", "e"}, {"f"}])
+        inst = HccInstance.from_partitions("abcdef", (2.0,), [q])
+        lp = build_lp(inst)
+        sol = solve_lp(lp, backend="highs")
+        assert (sol.rounds, sol.rows_used) == (1, 0)
+        assert sol.objective == pytest.approx(0.0, abs=1e-12)
+
+    def test_integral_point_describes_full_lp(self):
+        q = Partition.from_parts("abcd", [{"a", "b"}, {"c", "d"}])
+        inst = HccInstance.from_partitions("abcd", (3.0, 1.0), [q, q])
+        sol = integral_solution(inst, HierarchySequence((q, q)))
+        assert (sol.rounds, sol.rows_used) == (1, build_lp(inst).n_rows)
+
+    def test_lazy_dump_accepted_by_external_checker(self, rng, tmp_path):
+        inst = table_instance(rng, 9, False)
+        lp = build_lp(inst)
+        sol = solve_lp(lp, backend="highs")
+        assert sol.rows_used < lp.n_rows
+        dump = tmp_path / "lp.txt"
+        dump.write_text(lp.dump_text(sol.x.reshape(-1), sol.objective))
+        script = Path(__file__).resolve().parents[1] / "scripts" / "check_lp_dump.py"
+        proc = subprocess.run([sys.executable, str(script), str(dump)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stdout

@@ -21,7 +21,7 @@ from treefit.treemetric import (
     squeeze,
 )
 from treefit.ultrametric import fit_ultrametric
-from conftest import random_tree_metric, random_ultrametric_map
+from conftest import random_matrix, random_tree_metric, random_ultrametric_map
 
 STAR = DistanceMatrix.from_pairs(
     "abc", {("a", "b"): 2.0, ("a", "c"): 3.0, ("b", "c"): 3.0})
@@ -250,6 +250,39 @@ class TestFitTreeMetric:
                 abs(tree.distance(*p) - d.d[p]) for p in d.d if pivot in p)
             assert pivot_err <= 1e-9
             assert tree_err == pytest.approx(2.0 * ultra_err + pivot_err, abs=1e-9)
+
+
+def per_pivot_route(d, pivots):
+    """Every pivot's sub-fit with its own bound, as each pivot was once fitted."""
+    best, per_pivot = None, {}
+    for a in pivots:
+        r = gromov_transform(d, a)
+        sub = fit_ultrametric(squeeze(r.transformed, r))
+        clamped = clamp_to_restricted(sub.tree.distance_map(), r)
+        err = lp_norm_error(restricted_to_tree(clamped, r, d), d, 1)
+        per_pivot[a] = err
+        if best is None or err < best[0]:
+            best = (err, a, sub.lp_lower_bound)
+    return best[1], best[2], per_pivot
+
+
+class TestTreeModeBound:
+    def test_winner_bound_matches_per_pivot_route(self, rng):
+        bounds = []
+        for _ in range(4):
+            labels = tuple(f"s{k}" for k in range(rng.randint(4, 9)))
+            d = random_matrix(rng, labels, range(1, 5))
+            for mode in ("all", "fixed"):
+                pivot = rng.choice(labels)
+                fitted = fit_tree_metric(d, pivot_mode=mode, pivot=pivot)
+                pivots = labels if mode == "all" else (pivot,)
+                winner, bound, per_pivot = per_pivot_route(d, pivots)
+                assert fitted.lp_lower_bound == bound
+                assert fitted.details["pivot"] == winner
+                assert fitted.details["per_pivot_error"] == per_pivot
+                assert fitted.lp_lower_bound <= fitted.l1_error + 1e-9
+                bounds.append(bound)
+        assert max(bounds) > 0
 
 
 class TestEdgeCases:
