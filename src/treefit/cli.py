@@ -125,19 +125,27 @@ def _edges_from_threshold(d: DistanceMatrix, threshold: float | None):
     return EdgeSet.from_pairs(d.labels, pairs)
 
 
-def _dump_requested_lp(args, d: DistanceMatrix, mode: str, pivot: str | None) -> None:
-    """Solve and dump the level LP of the instance actually being fitted."""
+def _dump_requested_lp(args, d: DistanceMatrix, mode: str, fitted) -> None:
+    """Dump the level LP of the instance actually being fitted.
+
+    The point is the one behind the fit's reported bound; the LP is solved
+    here only when the fit took the clique shortcut and has no point.
+    """
     if mode == "tree":
-        assert pivot is not None
-        r = gromov_transform(d, pivot)
+        r = gromov_transform(d, fitted.details["pivot"])
         d = squeeze(r.transformed, r)
+        sol = fitted.details["lp_solution"]
+    else:
+        hcc_result = fitted.details.get("hcc")
+        sol = hcc_result.lp_solution if hcc_result is not None else None
     try:
         inst, _ = hcc_instance_from_distances(d)
     except TrivialInstance:
         args.dump_lp.write_text("# lp-dump v1\n# no LP: single distinct distance\n")
         return
     lp = build_lp(inst)
-    sol = solve_lp(lp, args.lp_tol)
+    if sol is None:
+        sol = solve_lp(lp, args.lp_tol)
     args.dump_lp.write_text(lp.dump_text(sol.x.reshape(-1), sol.objective))
 
 
@@ -158,8 +166,7 @@ def _cmd_fit(args) -> int:
     if args.tree_out is not None:
         write_newick(fitted, args.tree_out)
     if args.dump_lp is not None:
-        _dump_requested_lp(args, d, args.mode,
-                           fitted.details.get("pivot") if args.mode == "tree" else None)
+        _dump_requested_lp(args, d, args.mode, fitted)
     _emit(args, _report(args, n=d.n, mode=args.mode, l1_error=fitted.l1_error,
                         lp_lower_bound=fitted.lp_lower_bound,
                         num_levels=fitted.num_levels, tree_newick=newick,

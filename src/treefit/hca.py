@@ -234,8 +234,8 @@ def is_hierarchical(partitions: Sequence[Partition]) -> bool:
 
 
 def fit_hca_report(universe: Sequence[str], partitions: Sequence[Partition],
-                   deltas: Sequence[float], *, backend: str = "auto",
-                   feas_tol: float = 1e-7, fast_path: bool = True) -> HcaResult:
+                   deltas: Sequence[float], *, feas_tol: float = 1e-7,
+                   fast_path: bool = True) -> HcaResult:
     """Solve LP, clean, derive; returns the hierarchy with diagnostics.
 
     Already-hierarchical inputs short-circuit: the LP optimum is then the
@@ -251,7 +251,7 @@ def fit_hca_report(universe: Sequence[str], partitions: Sequence[Partition],
         return HcaResult(hierarchy=hierarchy, cost=0.0, instance=inst,
                          partitions=partitions, lp=None, families=None,
                          forest=None, fast_path=True)
-    sol = solve_lp(build_lp(inst), feas_tol, backend=backend)
+    sol = solve_lp(build_lp(inst), feas_tol)
     families = lp_cleaning(partitions, sol)
     hierarchy, forest = derive_hierarchy(universe, families)
     cost = hierarchy_cost(inst, hierarchy)

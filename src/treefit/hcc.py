@@ -61,8 +61,7 @@ def _clique_hierarchy(inst: HccInstance) -> HierarchySequence | None:
     return HierarchySequence(tuple(parts))
 
 
-def lp_lower_bound(inst: HccInstance, *, backend: str = "auto",
-                   feas_tol: float = 1e-7,
+def lp_lower_bound(inst: HccInstance, *, feas_tol: float = 1e-7,
                    fast_path: bool = True) -> tuple[float, LpSolution | None]:
     """Optimum of the instance's LP relaxation, and the point reaching it.
 
@@ -71,14 +70,13 @@ def lp_lower_bound(inst: HccInstance, *, backend: str = "auto",
     """
     if fast_path and _clique_hierarchy(inst) is not None:
         return 0.0, None
-    solution = solve_lp(build_lp(inst), feas_tol, backend=backend)
+    solution = solve_lp(build_lp(inst), feas_tol)
     return solution.objective, solution
 
 
 def fit_hcc(inst: HccInstance, *, strategy: str = "pivot-sweep",
-            seed: int | None = None, backend: str = "auto",
-            feas_tol: float = 1e-7, fast_path: bool = True,
-            lower_bound: bool = True) -> HccResult:
+            seed: int | None = None, feas_tol: float = 1e-7,
+            fast_path: bool = True, lower_bound: bool = True) -> HccResult:
     """Cluster each level, then reconcile the levels into a hierarchy."""
     partitions = tuple(
         corr_cluster(inst.labels, es, strategy=strategy, seed=seed)
@@ -86,14 +84,14 @@ def fit_hcc(inst: HccInstance, *, strategy: str = "pivot-sweep",
     level_costs = tuple(
         corr_cluster_cost(es, q) for es, q in zip(inst.edge_sets, partitions))
     hca = fit_hca_report(inst.labels, partitions, inst.deltas,
-                         backend=backend, feas_tol=feas_tol, fast_path=fast_path)
+                         feas_tol=feas_tol, fast_path=fast_path)
     cost = hierarchy_cost(inst, hca.hierarchy)
 
     lp_solution = None
     bound = 0.0
     if lower_bound:
-        bound, lp_solution = lp_lower_bound(inst, backend=backend,
-                                            feas_tol=feas_tol, fast_path=fast_path)
+        bound, lp_solution = lp_lower_bound(inst, feas_tol=feas_tol,
+                                            fast_path=fast_path)
     return HccResult(hierarchy=hca.hierarchy, cost=cost, lp_lower_bound=bound,
                      lp_solution=lp_solution, partitions=partitions,
                      level_costs=level_costs, hca=hca, instance=inst)

@@ -24,7 +24,7 @@ DENSE_TABLEAU_BUDGET = 1_200_000
 
 
 class SolverError(RuntimeError):
-    """LP solve failed; may carry the best feasible point found."""
+    """LP solve failed; `best` is a point feasible for the full LP, or None."""
 
     def __init__(self, message: str, best: "LpSolution | None" = None):
         super().__init__(message)
@@ -160,9 +160,10 @@ class LinearProgram:
                 np.concatenate([np.tile([1.0, -1.0, -1.0], len(tri)),
                                 np.tile([1.0, -1.0], len(mono))]))
 
-    def dense_matrix(self) -> np.ndarray:
-        a = np.zeros((self.n_rows, self.n_vars))
-        r, cols, data = self._coo()
+    def dense_matrix(self, rows: np.ndarray | None = None) -> np.ndarray:
+        """Dense matrix of all rows, or of the given sorted row indices only."""
+        r, cols, data = self._coo(rows)
+        a = np.zeros((self.n_rows if rows is None else len(rows), self.n_vars))
         a[r, cols] = data
         return a
 
@@ -202,8 +203,9 @@ class LpSolution:
     """Fractional distances per level and pair, clamped into [0,1].
 
     `pairs` must be `all_pairs(labels)`, in that order. `rounds` counts the
-    solves behind the point and `rows_used` the rows of the last one; both
-    describe the full LP (1 and every row) unless a lazy solve set them.
+    lazy solves behind the point and `rows_used` the rows of the last one, on
+    either backend; a point not found by a solve, such as the `integral`
+    one, reports 1 round and every row of the full LP.
     """
 
     labels: tuple[str, ...]
@@ -286,14 +288,15 @@ def solve_lp(lp: LinearProgram, feas_tol: float = DEFAULT_FEAS_TOL, *,
 
     backend "auto" uses the built-in dense simplex while the tableau of the
     full LP fits the memory budget and scipy's HiGHS beyond that; both are
-    deterministic. The simplex solves the full LP at once. HiGHS starts from
-    the monotonicity rows alone and adds the violated triangle rows after
-    each solve until none is left; the final point is still checked against
-    every row, so the objective is the optimum of the full LP.
+    deterministic, and the simplex path never imports scipy. Either backend
+    starts from the monotonicity rows alone and adds the violated triangle
+    rows after each solve until none is left; the final point is still
+    checked against every row, so the objective is the optimum of the full
+    LP. iteration_cap bounds the simplex pivots of each solve.
 
-    The solution's `rounds` is the number of solves (1 on the simplex) and
-    its `rows_used` the number of rows in the last one (`lp.n_rows` on the
-    simplex).
+    The solution's `rounds` is the number of solves and its `rows_used` the
+    number of rows in the last one. A SolverError carries a `best` point only
+    if that point satisfies every row of the full LP.
     """
     if backend not in ("auto", "simplex", "highs"):
         raise ValueError(f"unknown backend {backend!r}")
@@ -304,38 +307,53 @@ def solve_lp(lp: LinearProgram, feas_tol: float = DEFAULT_FEAS_TOL, *,
         chosen = "simplex" if entries <= DENSE_TABLEAU_BUDGET else "highs"
 
     if chosen == "simplex":
-        try:
-            res = solve_dense(lp.c, lp.dense_matrix(), lp.rhs,
-                              iteration_cap=iteration_cap)
-        except SimplexTooLarge as exc:
-            raise SolverError(str(exc)) from exc
-        except SimplexStall as exc:
-            best = _finish(lp, exc.x, "simplex", feas_tol, check=False)
-            raise SolverError("simplex hit its iteration cap", best) from exc
-        return _finish(lp, res.x, chosen, feas_tol)
-    x, rounds, rows_used = _solve_highs(lp, feas_tol)
-    return _finish(lp, x, chosen, feas_tol, rounds=rounds, rows_used=rows_used)
+        def solve_rows(active: np.ndarray) -> np.ndarray:
+            return solve_dense(lp.c, lp.dense_matrix(active), np.zeros(len(active)),
+                               iteration_cap=iteration_cap).x
+    else:
+        from scipy.optimize import linprog
+
+        def solve_rows(active: np.ndarray) -> np.ndarray:
+            res = linprog(lp.c, A_ub=lp.sparse_matrix(active),
+                          b_ub=np.zeros(len(active)), bounds=(0.0, 1.0),
+                          method="highs")
+            if not res.success:
+                raise SolverError(f"highs failed: {res.message}")
+            return np.asarray(res.x)
+
+    try:
+        x, rounds, rows_used = _solve_lazily(lp, solve_rows, feas_tol)
+    except SimplexTooLarge as exc:
+        raise SolverError(str(exc)) from exc
+    except SimplexStall as exc:
+        # the stalled point satisfies the rows of its own round, not
+        # necessarily the triangle rows not yet added
+        best = _solution(lp, exc.x, chosen)
+        if max(best.max_violation().values()) > feas_tol:
+            best = None
+        raise SolverError("simplex hit its iteration cap", best) from exc
+    sol = _solution(lp, x, chosen, rounds, rows_used)
+    worst = max(sol.max_violation().values())
+    if worst > feas_tol:
+        raise SolverError(f"solution infeasible by {worst:.3e}")
+    return sol
 
 
-def _solve_highs(lp: LinearProgram, feas_tol: float) -> tuple[np.ndarray, int, int]:
-    """Solve with lazily added triangle rows; returns x, rounds and rows used.
+def _solve_lazily(lp: LinearProgram, solve_rows, feas_tol: float
+                  ) -> tuple[np.ndarray, int, int]:
+    """Cutting-plane loop over the triangle rows; returns x, rounds and rows used.
 
-    A row joins once the last point violates it by more than a hundredth of
-    feas_tol, so the final check against all rows has room to spare.
+    solve_rows(active) solves the LP restricted to the sorted row indices
+    `active`. A row joins once the last point violates it by more than a
+    hundredth of feas_tol, so the final check against all rows has room to
+    spare.
     """
-    from scipy.optimize import linprog
-
     tri = lp.tri
     active = np.arange(len(tri), lp.n_rows)
     rounds = 0
     while True:
         rounds += 1
-        res = linprog(lp.c, A_ub=lp.sparse_matrix(active),
-                      b_ub=np.zeros(len(active)), bounds=(0.0, 1.0),
-                      method="highs")
-        if not res.success:
-            raise SolverError(f"highs failed: {res.message}")
-        x = np.asarray(res.x)
+        x = solve_rows(active)
         xc = np.clip(x, 0.0, 1.0)
         lhs = xc[tri[:, 0]] - xc[tri[:, 1]] - xc[tri[:, 2]]
         new = np.setdiff1d(np.flatnonzero(lhs > feas_tol / 100), active,
@@ -345,19 +363,13 @@ def _solve_highs(lp: LinearProgram, feas_tol: float) -> tuple[np.ndarray, int, i
         active = np.union1d(active, new)
 
 
-def _finish(lp: LinearProgram, x: np.ndarray, backend: str, feas_tol: float,
-            check: bool = True, rounds: int = 1,
-            rows_used: int | None = None) -> LpSolution:
+def _solution(lp: LinearProgram, x: np.ndarray, backend: str, rounds: int = 1,
+              rows_used: int | None = None) -> LpSolution:
     x = np.clip(x, 0.0, 1.0)
-    sol = LpSolution(labels=lp.labels, pairs=lp.pairs,
-                     x=x.reshape(lp.n_levels, len(lp.pairs)).copy(),
-                     objective=lp.objective_value(x), backend=backend,
-                     rounds=rounds, rows_used=rows_used)
-    if check:
-        worst = max(sol.max_violation().values())
-        if worst > feas_tol:
-            raise SolverError(f"solution infeasible by {worst:.3e}", sol)
-    return sol
+    return LpSolution(labels=lp.labels, pairs=lp.pairs,
+                      x=x.reshape(lp.n_levels, len(lp.pairs)).copy(),
+                      objective=lp.objective_value(x), backend=backend,
+                      rounds=rounds, rows_used=rows_used)
 
 
 # ---------------------------------------------------------------------------

@@ -209,8 +209,7 @@ def pseudometric_to_metric(tree: WeightedTree, d: DistanceMatrix,
 
 def fit_tree_metric(d: DistanceMatrix, *, pivot_mode: str = "all",
                     pivot: str | None = None, strategy: str = "pivot-sweep",
-                    seed: int | None = None, backend: str = "auto",
-                    feas_tol: float = 1e-7) -> FittedTree:
+                    seed: int | None = None, feas_tol: float = 1e-7) -> FittedTree:
     """Fit a weighted tree spanning the labels, minimizing total error.
 
     pivot_mode "all" tries every label as the pivot and keeps the best
@@ -224,7 +223,7 @@ def fit_tree_metric(d: DistanceMatrix, *, pivot_mode: str = "all",
         return FittedTree(kind="tree", tree=tree, l1_error=0.0,
                           lp_lower_bound=0.0, num_levels=0,
                           details={"pivot": d.labels[0], "per_pivot_error": {},
-                                   "pre_fix_error": 0.0})
+                                   "pre_fix_error": 0.0, "lp_solution": None})
     if pivot_mode == "fixed":
         if pivot is None or pivot not in d.labels:
             raise ValueError("fixed pivot_mode needs a valid pivot label")
@@ -238,8 +237,7 @@ def fit_tree_metric(d: DistanceMatrix, *, pivot_mode: str = "all",
         r = gromov_transform(d, a)
         squeezed = squeeze(r.transformed, r)
         sub = fit_ultrametric(squeezed, strategy=strategy, seed=seed,
-                              backend=backend, feas_tol=feas_tol,
-                              lower_bound=False)
+                              feas_tol=feas_tol, lower_bound=False)
         assert isinstance(sub.tree, UltrametricTree)
         clamped = clamp_to_restricted(sub.tree.distance_map(), r)
         candidate = restricted_to_tree(clamped, r, d)
@@ -250,15 +248,14 @@ def fit_tree_metric(d: DistanceMatrix, *, pivot_mode: str = "all",
     assert best is not None
     err, chosen, tree, sub = best
     # only the winning pivot's bound is reported, so only its LP is solved
-    bound = 0.0
+    bound, lp_solution = 0.0, None
     hcc_result = sub.details.get("hcc")
     if hcc_result is not None:
-        bound, _ = lp_lower_bound(hcc_result.instance, backend=backend,
-                                  feas_tol=feas_tol)
+        bound, lp_solution = lp_lower_bound(hcc_result.instance, feas_tol=feas_tol)
     fixed = pseudometric_to_metric(tree, d, 1.0 / len(d.labels))
     final_err = lp_norm_error(fixed, d, 1)
     return FittedTree(kind="tree", tree=fixed, l1_error=final_err,
                       lp_lower_bound=bound,
                       num_levels=sub.num_levels,
                       details={"pivot": chosen, "per_pivot_error": per_pivot,
-                               "pre_fix_error": err})
+                               "pre_fix_error": err, "lp_solution": lp_solution})

@@ -156,9 +156,8 @@ def ultrametric_to_hierarchy(tree: UltrametricTree,
 
 
 def fit_ultrametric(d: DistanceMatrix, *, strategy: str = "pivot-sweep",
-                    seed: int | None = None, backend: str = "auto",
-                    feas_tol: float = 1e-7, fast_path: bool = True,
-                    lower_bound: bool = True) -> FittedTree:
+                    seed: int | None = None, feas_tol: float = 1e-7,
+                    fast_path: bool = True, lower_bound: bool = True) -> FittedTree:
     """Fit an ultrametric minimizing total error, reporting the LP lower bound."""
     if d.n == 1:
         return FittedTree(kind="ultrametric", tree=star_tree(d.labels, 0.0),
@@ -172,8 +171,8 @@ def fit_ultrametric(d: DistanceMatrix, *, strategy: str = "pivot-sweep",
                           lp_lower_bound=0.0, num_levels=0,
                           details={"fast_path": True, "hcc_cost": 0.0})
     result: HccResult = fit_hcc(inst, strategy=strategy, seed=seed,
-                                backend=backend, feas_tol=feas_tol,
-                                fast_path=fast_path, lower_bound=lower_bound)
+                                feas_tol=feas_tol, fast_path=fast_path,
+                                lower_bound=lower_bound)
     tree = hierarchy_to_ultrametric(result.hierarchy, levels)
     error = lp_norm_error(tree, d, 1)
     return FittedTree(kind="ultrametric", tree=tree, l1_error=error,

@@ -8,7 +8,7 @@ import pytest
 from treefit.cli import main
 from treefit.core import DistanceMatrix
 from treefit.io import write_matrix_csv
-from conftest import planted_ultrametric
+from conftest import planted_ultrametric, random_matrix
 
 REPORT_KEYS = ["n", "mode", "l1_error", "lp_lower_bound", "num_levels",
                "ratio_to_lp", "tree_newick", "wall_ms"]
@@ -162,6 +162,37 @@ class TestTreeDump:
         proc = subprocess.run([sys.executable, str(script), str(dump)],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stdout + proc.stderr
+
+    @pytest.mark.parametrize("mode", ["ultrametric", "tree"])
+    def test_dump_reuses_the_bound_solve(self, mode, rng, tmp_path, capsys,
+                                         monkeypatch):
+        import treefit.cli
+        import treefit.hcc
+
+        solves = {"fit": 0, "dump": 0}
+
+        def counted(where, solve):
+            def wrapped(*args, **kwargs):
+                solves[where] += 1
+                return solve(*args, **kwargs)
+            return wrapped
+
+        # the bound LP is solved through hcc.lp_lower_bound; the CLI solves
+        # on its own only when the fit took the clique shortcut
+        monkeypatch.setattr(treefit.hcc, "solve_lp",
+                            counted("fit", treefit.hcc.solve_lp))
+        monkeypatch.setattr(treefit.cli, "solve_lp",
+                            counted("dump", treefit.cli.solve_lp))
+        d = random_matrix(rng, [f"s{k}" for k in range(6)], range(1, 5))
+        src, out, dump = tmp_path / "m.csv", tmp_path / "r.json", tmp_path / "lp.txt"
+        write_matrix_csv(d, src)
+        assert run_cli("fit", mode, src, "--json-out", out, "--dump-lp", dump) == 0
+        report = json.loads(out.read_text())
+        assert report["lp_lower_bound"] > 0
+        stated = [line for line in dump.read_text().splitlines()
+                  if line.startswith("objective_value:")]
+        assert stated == [f"objective_value: {report['lp_lower_bound']!r}"]
+        assert solves == {"fit": 1, "dump": 0}
 
     def test_trivial_dump_notes_no_lp(self, tmp_path, capsys):
         d = DistanceMatrix.from_pairs("ab", {("a", "b"): 2.0})

@@ -10,7 +10,9 @@ from scipy.optimize import linprog
 from scipy.sparse import csr_matrix
 
 from treefit.core import EdgeSet, HierarchySequence, Partition, all_pairs, canon_pair
+import treefit.lp as lp_module
 from treefit.lp import (
+    DENSE_TABLEAU_BUDGET,
     HccInstance,
     LpSolution,
     SolverError,
@@ -136,6 +138,42 @@ class TestSolveLp:
             solve_lp(lp, iteration_cap=0)
         assert err.value.best is not None
         assert max(err.value.best.max_violation().values()) <= 1e-7
+
+    def test_later_round_stall_keeps_only_a_feasible_best(self, rng, monkeypatch):
+        # a cap that lets round 1 finish stalls a later round, whose point
+        # meets only the rows added so far; it may be handed back only if it
+        # meets every row
+        iterations = []
+
+        def recording_solve_dense(*args, **kwargs):
+            res = solve_dense(*args, **kwargs)
+            iterations.append(res.iterations)
+            return res
+
+        monkeypatch.setattr(lp_module, "solve_dense", recording_solve_dense)
+        seen = set()
+        for _ in range(20):
+            lp = build_lp(table_instance(rng, rng.randint(5, 8), False))
+            iterations.clear()
+            solve_lp(lp, backend="simplex")
+            per_round = list(iterations)
+            for cap in range(per_round[0], max(per_round[1:], default=0)):
+                iterations.clear()
+                with pytest.raises(SolverError) as err:
+                    solve_lp(lp, backend="simplex", iteration_cap=cap)
+                assert len(iterations) >= 1  # round 1 finished
+                stalled = np.clip(err.value.__cause__.x, 0.0, 1.0)
+                point = LpSolution(labels=lp.labels, pairs=lp.pairs,
+                                   x=stalled.reshape(lp.n_levels, -1), objective=0.0)
+                feasible = max(point.max_violation().values()) <= 1e-7
+                if feasible:
+                    assert np.array_equal(err.value.best.x, point.x)
+                else:
+                    assert err.value.best is None
+                seen.add(feasible)
+            if seen == {True, False}:
+                break
+        assert seen == {True, False}
 
     def test_xii_is_zero_by_convention(self):
         inst = HccInstance(LABELS3, (1.0,), (es(LABELS3, []),))
@@ -358,9 +396,17 @@ class TestArrayBuilderMatchesReference:
         full = lp.sparse_matrix().toarray()
         assert np.array_equal(lp.sparse_matrix(chosen).toarray(), full[chosen])
 
+    def test_dense_row_subset_matches_sparse(self, rng):
+        for _ in range(20):
+            lp = build_lp(random_instance(rng, rng.randint(3, 7), rng.randint(1, 3)))
+            for size in (0, rng.randint(1, lp.n_rows), lp.n_rows):
+                chosen = np.array(sorted(rng.sample(range(lp.n_rows), size)), dtype=int)
+                assert np.array_equal(lp.dense_matrix(chosen),
+                                      lp.sparse_matrix(chosen).toarray())
+
 
 # ---------------------------------------------------------------------------
-# Lazy triangle rows on HiGHS
+# Lazy triangle rows, on both backends
 # ---------------------------------------------------------------------------
 
 def table_instance(rng, n, continuous):
@@ -381,6 +427,11 @@ def full_row_objective(lp) -> float:
     return float(res.fun + lp.const)
 
 
+def fits_dense_budget(lp) -> bool:
+    m = lp.n_rows + lp.n_vars
+    return (m + 1) * (lp.n_vars + m + 1) <= DENSE_TABLEAU_BUDGET
+
+
 class TestLazyRows:
     def test_objective_matches_full_row_solve(self, rng):
         for n in range(3, 13):
@@ -391,9 +442,15 @@ class TestLazyRows:
                 assert sol.objective == pytest.approx(full_row_objective(lp),
                                                       rel=1e-9, abs=1e-12)
                 assert max(sol.max_violation().values()) <= 1e-7
+                if fits_dense_budget(lp):
+                    sol = solve_lp(lp, backend="simplex")
+                    full = solve_dense(lp.c, lp.dense_matrix(), lp.rhs)
+                    assert sol.objective == pytest.approx(full.objective + lp.const,
+                                                          rel=1e-9, abs=1e-12)
+                    assert max(sol.max_violation().values()) <= 1e-7
 
     def test_rounds_and_rows_used(self, rng):
-        rounds = []
+        rounds = {"highs": [], "simplex": []}
         for _ in range(12):
             inst = table_instance(rng, rng.randint(4, 10), rng.random() < 0.3)
             lp = build_lp(inst)
@@ -405,11 +462,9 @@ class TestLazyRows:
                 assert 0 <= sol.rows_used <= lp.n_rows
                 if inst.n_levels > 1:  # the monotonicity rows are always used
                     assert sol.rows_used >= 1
-                if backend == "simplex":
-                    assert (sol.rounds, sol.rows_used) == (1, lp.n_rows)
-                else:
-                    rounds.append(sol.rounds)
-        assert max(rounds) >= 2
+                rounds[backend].append(sol.rounds)
+        assert max(rounds["highs"]) >= 2
+        assert max(rounds["simplex"]) >= 2
 
     def test_no_rows_needed_for_one_clique_level(self):
         q = Partition.from_parts("abcdef", [{"a", "b", "c"}, {"d", "e"}, {"f"}])

@@ -280,6 +280,8 @@ class TestTreeModeBound:
                 assert fitted.lp_lower_bound == bound
                 assert fitted.details["pivot"] == winner
                 assert fitted.details["per_pivot_error"] == per_pivot
+                point = fitted.details["lp_solution"]  # None on the clique shortcut
+                assert (0.0 if point is None else point.objective) == bound
                 assert fitted.lp_lower_bound <= fitted.l1_error + 1e-9
                 bounds.append(bound)
         assert max(bounds) > 0
