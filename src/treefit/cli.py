@@ -13,11 +13,11 @@ import time
 from pathlib import Path
 
 from .core import DistanceMatrix
-from .corrclust import corr_cluster, corr_cluster_cost
+from .corrclust import corr_cluster, corr_cluster_cost, exact_corr_cluster
 from .io import DataError, newick_string, parse_matrix, parse_newick, write_newick
 from .lp import HccInstance, SolverError, build_lp, solve_lp
-from .oracle import exact_corr_cluster, exact_hca, exact_ultrametric_l1
-from .treemetric import fit_tree_metric, gromov_transform, squeeze
+from .oracle import exact_hca, exact_ultrametric_l1
+from .treemetric import clamp_to_restricted, fit_tree_metric, gromov_transform
 from .ultrametric import TrivialInstance, fit_ultrametric, hcc_instance_from_distances
 
 EXIT_OK = 0
@@ -58,8 +58,6 @@ def _build_parser() -> _Parser:
     fit.add_argument("matrix", type=Path)
     fit.add_argument("--format", choices=["auto", "csv", "phylip"], default="auto")
     fit.add_argument("--pivot", default=None, help="fixed pivot label (tree mode)")
-    fit.add_argument("--all-pivots", action="store_true",
-                     help="try every pivot (tree mode default)")
     fit.add_argument("--strategy", choices=["pivot-sweep", "kwik", "exact"],
                      default="pivot-sweep", help="per-level clustering strategy")
     fit.add_argument("--tree-out", type=Path, default=None,
@@ -131,9 +129,12 @@ def _dump_requested_lp(args, d: DistanceMatrix, mode: str, fitted) -> None:
     The point is the one behind the fit's reported bound; the LP is solved
     here only when the fit took the clique shortcut and has no point.
     """
+    if d.n == 1:
+        args.dump_lp.write_text("# lp-dump v1\n# no LP: single label\n")
+        return
     if mode == "tree":
         r = gromov_transform(d, fitted.details["pivot"])
-        d = squeeze(r.transformed, r)
+        d = DistanceMatrix(d.labels, clamp_to_restricted(r.transformed.d, r))
         sol = fitted.details["lp_solution"]
     else:
         hcc_result = fitted.details.get("hcc")
@@ -157,7 +158,7 @@ def _cmd_fit(args) -> int:
         fitted = fit_ultrametric(d, strategy=args.strategy, seed=seed,
                                  feas_tol=args.lp_tol)
     else:
-        mode = "fixed" if args.pivot is not None and not args.all_pivots else "all"
+        mode = "fixed" if args.pivot is not None else "all"
         fitted = fit_tree_metric(d, pivot_mode=mode, pivot=args.pivot,
                                  strategy=args.strategy, seed=seed,
                                  feas_tol=args.lp_tol)

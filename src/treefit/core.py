@@ -76,14 +76,6 @@ class DistanceMatrix:
             d[canon_pair(idx, i, j)] = float(v)
         return cls(labels, d)
 
-    @classmethod
-    def from_array(cls, labels: Sequence[str], array) -> "DistanceMatrix":
-        labels = tuple(labels)
-        d = {}
-        for a, b in all_pairs(range(len(labels))):
-            d[(labels[a], labels[b])] = float(array[a][b])
-        return cls(labels, d)
-
     @property
     def n(self) -> int:
         return len(self.labels)
@@ -100,13 +92,19 @@ class DistanceMatrix:
         for i, j in all_pairs(self.labels):
             yield i, j, self.d[(i, j)]
 
-    def distinct_values(self, merge_tol: float = VALUE_MERGE_TOL) -> tuple[float, ...]:
-        """Sorted distinct distances; values closer than merge_tol collapse."""
-        out: list[float] = []
-        for v in sorted(self.d.values()):
-            if not out or v - out[-1] > merge_tol:
-                out.append(v)
-        return tuple(out)
+    def distinct_values(self) -> tuple[float, ...]:
+        """Sorted distinct distances, with near ties merged (see merge_ties)."""
+        return merge_ties(self.d.values())
+
+
+def merge_ties(values: Iterable[float]) -> tuple[float, ...]:
+    """Sorted distinct values; a value within VALUE_MERGE_TOL of the last kept
+    value merges into it."""
+    out: list[float] = []
+    for v in sorted(values):
+        if not out or v - out[-1] > VALUE_MERGE_TOL:
+            out.append(v)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -179,12 +177,6 @@ class Partition:
     def singletons(cls, universe: Sequence[str]) -> "Partition":
         return cls(tuple(universe), tuple(frozenset([x]) for x in universe))
 
-    def part_of(self, label: str) -> frozenset[str]:
-        for part in self.parts:
-            if label in part:
-                return part
-        raise KeyError(label)
-
     def refines(self, other: "Partition") -> bool:
         """True if every part of self is contained in some part of other."""
         if self.universe != other.universe:
@@ -215,6 +207,26 @@ class HierarchySequence:
 
     def __len__(self) -> int:
         return len(self.levels)
+
+
+def components(universe: Sequence[str], pairs: Iterable[Pair]) -> Partition:
+    """Connected components of the pairs, as a partition of the universe."""
+    parent = {lab: lab for lab in universe}
+
+    def find(x: str) -> str:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i, j in pairs:
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[rj] = ri
+    groups: dict[str, set[str]] = {}
+    for lab in universe:
+        groups.setdefault(find(lab), set()).add(lab)
+    return Partition.from_parts(universe, groups.values())
 
 
 def iter_partitions(items: Sequence[str]) -> Iterator[tuple[frozenset[str], ...]]:
@@ -321,81 +333,58 @@ class UltrametricTree:
             UltrametricTree._check_heights(child)
 
     @classmethod
+    def from_partitions(cls, levels: HierarchySequence,
+                        values: Sequence[float]) -> "UltrametricTree":
+        """The tree of nested partitions: pairs first together at level t sit
+        at distance values[t].
+
+        One pass over the levels. A part of level t that joins several parts
+        of the level below becomes a node at height values[t] / 2, with its
+        children in the order of their first labels in the universe. The top
+        level must be a single part.
+        """
+        if len(values) != len(levels):
+            raise ValueError("need one value per level")
+        if len(levels.levels[-1].parts) != 1:
+            raise ValueError("top level must be a single part")
+        # the nodes of the level below, each with one of its labels, in the
+        # order of their first labels in the universe, as Partition.parts is
+        below = [(lab, UltraNode(0.0, (), lab)) for lab in levels.universe]
+        for level, value in zip(levels.levels, values):
+            owner = {lab: k for k, part in enumerate(level.parts) for lab in part}
+            children: list[list[UltraNode]] = [[] for _ in level.parts]
+            for lab, node in below:
+                children[owner[lab]].append(node)
+            below = [(next(iter(part)),
+                      kids[0] if len(kids) == 1 else UltraNode(value / 2.0, tuple(kids)))
+                     for part, kids in zip(level.parts, children)]
+        return cls(levels.universe, below[0][1])
+
+    @classmethod
     def from_map(cls, labels: Sequence[str], mapping: Mapping, *,
-                 strict: bool = True, tol: float = DEFAULT_TOL) -> "UltrametricTree":
+                 tol: float = DEFAULT_TOL) -> "UltrametricTree":
         """Build the canonical tree realizing an ultrametric pair map.
 
-        Single-linkage merge over ascending distance values; with strict=True
-        the realized distances are verified against the input within tol.
+        Level v of the tree holds the components of the pairs at distance
+        <= v, for each distinct (tie-merged) value v; the realized distances
+        are then verified against the input within tol.
         """
         labels = tuple(labels)
-        idx = {lab: k for k, lab in enumerate(labels)}
         if len(labels) == 1:
             return cls(labels, UltraNode(0.0, (), labels[0]))
-        values = sorted({lookup_pair(mapping, i, j) for i, j in all_pairs(labels)})
-        merged: list[float] = []
-        for v in values:
-            if not merged or v - merged[-1] > VALUE_MERGE_TOL:
-                merged.append(v)
-        parent = list(range(len(labels)))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        node_of: dict[int, UltraNode] = {
-            k: UltraNode(0.0, (), lab) for k, lab in enumerate(labels)
-        }
-        min_leaf: dict[int, int] = {k: k for k in range(len(labels))}
-        for v in merged:
-            if v <= 0:
-                raise ValueError("ultrametric distances must be positive")
-            # adjacency among current roots induced by pairs at value <= v
-            root_adj: dict[int, set[int]] = {}
-            for i, j in all_pairs(labels):
-                if lookup_pair(mapping, i, j) <= v + VALUE_MERGE_TOL:
-                    a, b = find(idx[i]), find(idx[j])
-                    if a != b:
-                        root_adj.setdefault(a, set()).add(b)
-                        root_adj.setdefault(b, set()).add(a)
-            visited: set[int] = set()
-            for start in sorted(root_adj, key=min_leaf.__getitem__):
-                if start in visited:
-                    continue
-                comp = {start}
-                stack = [start]
-                while stack:
-                    cur = stack.pop()
-                    for nxt in root_adj.get(cur, ()):
-                        if nxt not in comp:
-                            comp.add(nxt)
-                            stack.append(nxt)
-                visited |= comp
-                roots = sorted(comp, key=min_leaf.__getitem__)
-                child_nodes = tuple(node_of[r] for r in roots)
-                new_node = UltraNode(v / 2.0, child_nodes)
-                keep = roots[0]
-                for r in roots[1:]:
-                    parent[r] = keep
-                node_of[keep] = new_node
-                min_leaf[keep] = min(min_leaf[r] for r in roots)
-        roots = sorted({find(k) for k in range(len(labels))})
-        if len(roots) != 1:
-            raise ValueError("pair map does not connect all labels")
-        tree = cls(labels, node_of[roots[0]])
-        if strict:
-            realized = tree.distance_map()
-            for i, j in all_pairs(labels):
-                if abs(realized[(i, j)] - lookup_pair(mapping, i, j)) > tol:
-                    raise ValueError(
-                        f"map is not an ultrametric: pair ({i},{j}) realized "
-                        f"{realized[(i, j)]} vs {lookup_pair(mapping, i, j)}")
+        pairs = [(i, j, lookup_pair(mapping, i, j)) for i, j in all_pairs(labels)]
+        values = merge_ties(v for _, _, v in pairs)
+        levels = HierarchySequence(tuple(
+            components(labels, ((i, j) for i, j, w in pairs if w <= v + VALUE_MERGE_TOL))
+            for v in values))
+        tree = cls.from_partitions(levels, values)
+        realized = tree.distance_map()
+        for i, j, v in pairs:
+            if abs(realized[(i, j)] - v) > tol:
+                raise ValueError(
+                    f"map is not an ultrametric: pair ({i},{j}) realized "
+                    f"{realized[(i, j)]} vs {v}")
         return tree
-
-    def leaves(self) -> tuple[str, ...]:
-        return tuple(self._iter_leaves(self.root))
 
     def distance_map(self) -> dict[Pair, float]:
         cached = self._dist  # type: ignore[attr-defined]
@@ -472,10 +461,6 @@ class WeightedTree:
                 raise ValueError("tree is not connected")
         object.__setattr__(self, "_adj", adj)
         object.__setattr__(self, "_dist", None)
-
-    @property
-    def nodes(self) -> tuple[str, ...]:
-        return tuple(sorted(self._adj))  # type: ignore[attr-defined]
 
     def has_zero_weight(self) -> bool:
         return any(w == 0.0 for _, _, w in self.edges)

@@ -44,31 +44,38 @@ def _neighbor_map(universe: Sequence[str], edges: EdgeSet) -> dict[str, set[str]
     return nbrs
 
 
+def exact_corr_cluster(universe: Sequence[str], edges: EdgeSet) -> tuple[Partition, int]:
+    """Minimum-disagreement partition by full enumeration; ties by first found."""
+    universe = tuple(universe)
+    if len(universe) > EXACT_CAP:
+        raise ValueError(f"exact correlation clustering capped at n={EXACT_CAP}")
+    if edges.universe != universe:
+        raise ValueError("edge set universe does not match")
+    best: Partition | None = None
+    best_cost: int | None = None
+    for parts in iter_partitions(universe):
+        p = Partition(universe, parts)
+        cost = corr_cluster_cost(edges, p)
+        if best_cost is None or cost < best_cost:
+            best, best_cost = p, cost
+    assert best is not None and best_cost is not None
+    return best, best_cost
+
+
 def corr_cluster(universe: Sequence[str], edges: EdgeSet, *,
-                 strategy: str = "pivot-sweep", seed: int | None = None,
-                 exact_cap: int = EXACT_CAP) -> Partition:
+                 strategy: str = "pivot-sweep", seed: int | None = None) -> Partition:
     """Cluster the universe against the edge set.
 
     strategy:
       pivot-sweep  deterministic; best of n pivot runs (one per first pivot)
       kwik         randomized pivots drawn from the given seed
-      exact        full enumeration, n <= exact_cap
+      exact        exact_corr_cluster, n <= EXACT_CAP
     """
     universe = tuple(universe)
     if edges.universe != universe:
         raise ValueError("edge set universe does not match")
     if strategy == "exact":
-        if len(universe) > exact_cap:
-            raise ValueError(f"exact strategy capped at n={exact_cap}")
-        best_parts = None
-        best_cost = None
-        for parts in iter_partitions(universe):
-            p = Partition(universe, parts)
-            cost = corr_cluster_cost(edges, p)
-            if best_cost is None or cost < best_cost:
-                best_parts, best_cost = p, cost
-        assert best_parts is not None
-        return best_parts
+        return exact_corr_cluster(universe, edges)[0]
 
     nbrs = _neighbor_map(universe, edges)
     if strategy == "kwik":

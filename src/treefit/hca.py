@@ -130,9 +130,6 @@ class ClusterForest:
     def roots(self) -> list[ForestNode]:
         return [nd for nd in self.nodes if nd.parent is None]
 
-    def leaves(self) -> list[ForestNode]:
-        return [nd for nd in self.nodes if nd.level == 0]
-
     def internal(self) -> list[ForestNode]:
         return [nd for nd in self.nodes if nd.level > 0]
 

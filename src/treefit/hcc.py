@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import EdgeSet, HierarchySequence, Partition, clique_edges, sym_diff_size
+from .core import HierarchySequence, Partition, clique_edges, components, sym_diff_size
 from .corrclust import corr_cluster, corr_cluster_cost
 from .hca import HcaResult, fit_hca_report, is_hierarchical
 from .lp import HccInstance, LpSolution, build_lp, hierarchy_cost, solve_lp
@@ -28,31 +28,11 @@ class HccResult:
     instance: HccInstance
 
 
-def components_partition(edges: EdgeSet) -> Partition:
-    """Connected components of the edge set, as a partition."""
-    parent = {lab: lab for lab in edges.universe}
-
-    def find(x: str) -> str:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, j in edges.edges:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[rj] = ri
-    groups: dict[str, set[str]] = {}
-    for lab in edges.universe:
-        groups.setdefault(find(lab), set()).add(lab)
-    return Partition.from_parts(edges.universe, groups.values())
-
-
 def _clique_hierarchy(inst: HccInstance) -> HierarchySequence | None:
     """If every E^(t) is a disjoint clique set and the levels nest, return it."""
     parts = []
     for es in inst.edge_sets:
-        p = components_partition(es)
+        p = components(es.universe, es.edges)
         if clique_edges(p).edges != es.edges:
             return None
         parts.append(p)

@@ -10,7 +10,6 @@ from typing import Sequence
 
 from .core import (
     DistanceMatrix,
-    EdgeSet,
     HierarchySequence,
     Partition,
     UltrametricTree,
@@ -20,6 +19,7 @@ from .core import (
     lp_norm_error,
     sym_diff_size,
 )
+from .corrclust import exact_corr_cluster  # noqa: F401 (re-exported)
 from .lp import HccInstance
 from .ultrametric import (
     TrivialInstance,
@@ -28,28 +28,9 @@ from .ultrametric import (
     star_tree,
 )
 
-CORR_CLUSTER_CAP = 9
 ULTRAMETRIC_CAP = 7
 HCA_CAP_N = 6
 HCA_CAP_LEVELS = 3
-
-
-def exact_corr_cluster(universe: Sequence[str], edges: EdgeSet) -> tuple[Partition, int]:
-    """Minimum-disagreement partition by full enumeration; ties by first found."""
-    universe = tuple(universe)
-    if len(universe) > CORR_CLUSTER_CAP:
-        raise ValueError(f"exact correlation clustering capped at n={CORR_CLUSTER_CAP}")
-    if edges.universe != universe:
-        raise ValueError("edge set universe does not match")
-    best: Partition | None = None
-    best_cost: int | None = None
-    for parts in iter_partitions(universe):
-        p = Partition(universe, parts)
-        cost = sym_diff_size(edges, clique_edges(p))
-        if best_cost is None or cost < best_cost:
-            best, best_cost = p, cost
-    assert best is not None and best_cost is not None
-    return best, best_cost
 
 
 def _refinement_table(partitions: list[Partition]) -> list[list[bool]]:

@@ -22,6 +22,7 @@ from .core import (
     WeightedTree,
     all_pairs,
     canon_pair,
+    components,
     lookup_pair,
     lp_norm_error,
 )
@@ -67,16 +68,6 @@ def gromov_transform(d: DistanceMatrix, pivot: str) -> RestrictedInstance:
         canon_pair(idx, i, j): v for (i, j), v in out.items()})
     return RestrictedInstance(pivot=pivot, gamma=m, betas=betas,
                               heights=heights, transformed=transformed)
-
-
-def squeeze(d_in: DistanceMatrix, r: RestrictedInstance) -> DistanceMatrix:
-    """Clip every value into [max(beta_i, beta_j), gamma]."""
-    if d_in.labels != r.transformed.labels:
-        raise ValueError("matrix labels do not match the instance")
-    out = {}
-    for i, j, v in d_in.pairs():
-        out[(i, j)] = min(r.gamma, max(v, r.betas[i], r.betas[j]))
-    return DistanceMatrix(d_in.labels, out)
 
 
 def clamp_to_restricted(u: Mapping[Pair, float],
@@ -152,33 +143,16 @@ def pseudometric_to_metric(tree: WeightedTree, d: DistanceMatrix,
     """
     if not 0 < alpha <= 1:
         raise ValueError("alpha must be in (0, 1]")
-    # union nodes across zero-weight edges
-    parent: dict[str, str] = {}
-
-    def find(x: str) -> str:
-        parent.setdefault(x, x)
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b, w in tree.edges:
-        find(a), find(b)
-        if w == 0.0:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[rb] = ra
-    # contract: single-species groups keep the species name; groups hosting
-    # several species become fresh hubs and every species gets its own stem
-    groups: dict[str, list[str]] = {}
-    for node in parent:
-        groups.setdefault(find(node), []).append(node)
+    # contract zero-weight edges: single-species groups keep the species
+    # name; groups hosting several species become fresh hubs and every
+    # species gets its own stem
+    taken = set(tree.adjacency())
+    groups = components(sorted(taken), ((a, b) for a, b, w in tree.edges if w == 0.0))
     label_set = set(tree.labels)
-    taken = {node for a, b, _ in tree.edges for node in (a, b)} | label_set
     fresh = (f"hub{k}" for k in itertools.count())
     rep: dict[str, str] = {}
     pending: dict[str, list[str]] = {}
-    for root, members in sorted(groups.items()):
+    for members in groups.parts:
         species = sorted(m for m in members if m in label_set)
         if len(species) == 1:
             name = species[0]
@@ -186,7 +160,7 @@ def pseudometric_to_metric(tree: WeightedTree, d: DistanceMatrix,
             name = next(n for n in fresh if n not in taken)
             pending[name] = species
         else:
-            name = sorted(members)[0]
+            name = min(members)
         for m in members:
             rep[m] = name
 
@@ -235,8 +209,9 @@ def fit_tree_metric(d: DistanceMatrix, *, pivot_mode: str = "all",
     per_pivot: dict[str, float] = {}
     for a in pivots:
         r = gromov_transform(d, a)
-        squeezed = squeeze(r.transformed, r)
-        sub = fit_ultrametric(squeezed, strategy=strategy, seed=seed,
+        clamped_input = DistanceMatrix(r.transformed.labels,
+                                       clamp_to_restricted(r.transformed.d, r))
+        sub = fit_ultrametric(clamped_input, strategy=strategy, seed=seed,
                               feas_tol=feas_tol, lower_bound=False)
         assert isinstance(sub.tree, UltrametricTree)
         clamped = clamp_to_restricted(sub.tree.distance_map(), r)

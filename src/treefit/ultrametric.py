@@ -17,10 +17,8 @@ from .core import (
     FittedTree,
     HierarchySequence,
     Partition,
-    UltraNode,
     UltrametricTree,
-    all_pairs,
-    canon_pair,
+    components,
     lp_norm_error,
 )
 from .hcc import HccResult, fit_hcc
@@ -99,26 +97,14 @@ def hierarchy_to_ultrametric(hierarchy: HierarchySequence,
     """
     if len(hierarchy) != levels.n_levels:
         raise ValueError("hierarchy level count does not match the values")
-    labels = hierarchy.universe
-    idx = {lab: k for k, lab in enumerate(labels)}
-    mapping = {}
-    for i, j in all_pairs(labels):
-        together = None
-        for t, part in enumerate(hierarchy.levels):
-            if part.same_part(i, j):
-                together = t
-                break
-        value = levels.values[together] if together is not None else levels.values[-1]
-        mapping[canon_pair(idx, i, j)] = value
-    return UltrametricTree.from_map(labels, mapping)
+    whole = Partition.from_parts(hierarchy.universe, [hierarchy.universe])
+    return UltrametricTree.from_partitions(
+        HierarchySequence(hierarchy.levels + (whole,)), levels.values)
 
 
 def star_tree(labels: Sequence[str], height_distance: float) -> UltrametricTree:
-    labels = tuple(labels)
-    if len(labels) == 1:
-        return UltrametricTree(labels, UltraNode(0.0, (), labels[0]))
-    leaves = tuple(UltraNode(0.0, (), lab) for lab in labels)
-    return UltrametricTree(labels, UltraNode(height_distance / 2.0, leaves))
+    whole = Partition.from_parts(labels, [labels])
+    return UltrametricTree.from_partitions(HierarchySequence((whole,)), (height_distance,))
 
 
 def ultrametric_to_hierarchy(tree: UltrametricTree,
@@ -133,31 +119,14 @@ def ultrametric_to_hierarchy(tree: UltrametricTree,
         except ValueError:
             raise ValueError(
                 f"tree distance {v} for {pair} is not an input value") from None
-    out = []
-    for t in range(levels.n_levels):
-        parent = {lab: lab for lab in labels}
-
-        def find(x: str) -> str:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for (i, j), k in index.items():
-            if k <= t:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
-        groups: dict[str, set[str]] = {}
-        for lab in labels:
-            groups.setdefault(find(lab), set()).add(lab)
-        out.append(Partition.from_parts(labels, groups.values()))
-    return HierarchySequence(tuple(out))
+    return HierarchySequence(tuple(
+        components(labels, (pair for pair, k in index.items() if k <= t))
+        for t in range(levels.n_levels)))
 
 
 def fit_ultrametric(d: DistanceMatrix, *, strategy: str = "pivot-sweep",
                     seed: int | None = None, feas_tol: float = 1e-7,
-                    fast_path: bool = True, lower_bound: bool = True) -> FittedTree:
+                    lower_bound: bool = True) -> FittedTree:
     """Fit an ultrametric minimizing total error, reporting the LP lower bound."""
     if d.n == 1:
         return FittedTree(kind="ultrametric", tree=star_tree(d.labels, 0.0),
@@ -171,8 +140,7 @@ def fit_ultrametric(d: DistanceMatrix, *, strategy: str = "pivot-sweep",
                           lp_lower_bound=0.0, num_levels=0,
                           details={"fast_path": True, "hcc_cost": 0.0})
     result: HccResult = fit_hcc(inst, strategy=strategy, seed=seed,
-                                feas_tol=feas_tol, fast_path=fast_path,
-                                lower_bound=lower_bound)
+                                feas_tol=feas_tol, lower_bound=lower_bound)
     tree = hierarchy_to_ultrametric(result.hierarchy, levels)
     error = lp_norm_error(tree, d, 1)
     return FittedTree(kind="ultrametric", tree=tree, l1_error=error,

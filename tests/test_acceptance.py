@@ -42,7 +42,6 @@ from treefit.treemetric import (
     fit_tree_metric,
     gromov_transform,
     pseudometric_to_metric,
-    squeeze,
 )
 from treefit.ultrametric import fit_ultrametric, hcc_instance_from_distances
 from conftest import (
@@ -222,7 +221,7 @@ def test_criterion_6_lifting():
         base = random_matrix(rng, labels, [round(rng.uniform(0.5, 5.0), 2)
                                            for _ in range(4)])
         r = gromov_transform(base, rng.choice(labels))
-        squeezed = squeeze(r.transformed, r)
+        squeezed = DistanceMatrix(labels, clamp_to_restricted(r.transformed.d, r))
         raw = random_ultrametric_map(rng, labels)
         scale = r.gamma / max(raw.values()) * rng.uniform(0.4, 1.3)
         candidate = {p: v * scale for p, v in raw.items()}

@@ -194,6 +194,14 @@ class TestTreeDump:
         assert stated == [f"objective_value: {report['lp_lower_bound']!r}"]
         assert solves == {"fit": 1, "dump": 0}
 
+    @pytest.mark.parametrize("mode", ["ultrametric", "tree"])
+    def test_one_label_dump_notes_no_lp(self, mode, tmp_path, capsys):
+        src, dump = tmp_path / "one.csv", tmp_path / "lp.txt"
+        write_matrix_csv(DistanceMatrix(("solo",), {}), src)
+        assert run_cli("fit", mode, src) == 0
+        assert run_cli("fit", mode, src, "--dump-lp", dump) == 0
+        assert "no LP" in dump.read_text()
+
     def test_trivial_dump_notes_no_lp(self, tmp_path, capsys):
         d = DistanceMatrix.from_pairs("ab", {("a", "b"): 2.0})
         src = tmp_path / "m.csv"

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from treefit.core import HierarchySequence, Partition, all_pairs
+from treefit.corrclust import corr_cluster
 from treefit.hca import (
+    HcaResult,
     LpCluster,
     LpClusterFamilies,
     check_hierarchy_friendly,
@@ -11,11 +13,13 @@ from treefit.hca import (
     fit_hca,
     fit_hca_report,
     invariant_violations,
+    is_hierarchical,
     lp_cleaning,
 )
-from treefit.lp import LpSolution
+from treefit.lp import HccInstance, LpSolution, build_lp, hierarchy_cost, solve_lp
 from treefit.oracle import exact_hca
-from conftest import random_hierarchy, random_partition
+from treefit.ultrametric import TrivialInstance, hcc_instance_from_distances
+from conftest import random_hierarchy, random_matrix, random_partition
 
 UNI4 = ("a", "b", "c", "d")
 
@@ -211,3 +215,40 @@ class TestFitHca:
                 checked += 1
                 assert invariant_violations(res) == []
         assert checked > 0
+
+
+class TestOptimalVertex:
+    def test_cleaning_guarantees_hold_at_either_optimal_point(self, rng):
+        # the agreement LP often has several optimal points, and the two
+        # backends may return different ones; cleaning may then keep other
+        # clusters, but every guarantee must hold for both
+        checked = differing = 0
+        for _ in range(40):
+            labels = tuple(f"s{k}" for k in range(rng.randint(7, 9)))
+            d = random_matrix(rng, labels, range(1, 6))
+            try:
+                sliced, _ = hcc_instance_from_distances(d)
+            except TrivialInstance:
+                continue
+            qs = tuple(corr_cluster(labels, es) for es in sliced.edge_sets)
+            if is_hierarchical(qs):
+                continue
+            inst = HccInstance.from_partitions(labels, sliced.deltas, qs)
+            lp = build_lp(inst)
+            families = []
+            for backend in ("simplex", "highs"):
+                sol = solve_lp(lp, backend=backend)
+                fam = lp_cleaning(qs, sol)
+                hierarchy, forest = derive_hierarchy(labels, fam)
+                result = HcaResult(hierarchy=hierarchy,
+                                   cost=hierarchy_cost(inst, hierarchy),
+                                   instance=inst, partitions=qs, lp=sol,
+                                   families=fam, forest=forest, fast_path=False)
+                assert invariant_violations(result) == [], backend
+                families.append(fam)
+            checked += 1
+            differing += families[0] != families[1]
+        assert checked >= 20
+        # without instances whose two optimal points clean differently, the
+        # loop would check nothing that one backend does not already check
+        assert differing >= 1

@@ -1,7 +1,7 @@
 import pytest
 
-from treefit.core import DistanceMatrix, EdgeSet, all_pairs, clique_edges
-from treefit.hcc import components_partition, fit_hcc, triangle_switch_holds
+from treefit.core import DistanceMatrix, EdgeSet, all_pairs, clique_edges, components
+from treefit.hcc import fit_hcc, triangle_switch_holds
 from treefit.lp import HccInstance, hierarchy_cost
 from treefit.oracle import exact_corr_cluster, exact_hcc
 from treefit.ultrametric import hcc_instance_from_distances
@@ -24,8 +24,16 @@ def random_instance(rng, n, n_levels):
 class TestComponents:
     def test_components(self):
         e = es("abcd", [("a", "b"), ("b", "c")])
-        p = components_partition(e)
+        p = components(e.universe, e.edges)
         assert sorted(sorted(x) for x in p.parts) == [["a", "b", "c"], ["d"]]
+
+    def test_isolated_nodes_outside_the_labels(self):
+        # the universe may hold tree nodes that no pair touches, as when
+        # pseudometric_to_metric contracts the zero edges of a tree
+        nodes = ("a", "b", "c", "v0", "v1", "v2")
+        p = components(nodes, [("v0", "a"), ("v0", "b")])
+        assert p.universe == nodes
+        assert [sorted(x) for x in p.parts] == [["a", "b", "v0"], ["c"], ["v1"], ["v2"]]
 
 
 class TestFitHcc:

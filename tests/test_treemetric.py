@@ -18,7 +18,6 @@ from treefit.treemetric import (
     gromov_transform,
     pseudometric_to_metric,
     restricted_to_tree,
-    squeeze,
 )
 from treefit.ultrametric import fit_ultrametric
 from conftest import random_matrix, random_tree_metric, random_ultrametric_map
@@ -71,23 +70,25 @@ class TestGromovTransform:
 
 
 class TestSqueeze:
+    """clamp_to_restricted on the input table: every value into [floor, cap]."""
+
     def setup_method(self):
         self.r = gromov_transform(STAR, "a")
 
     def test_within_bounds_unchanged(self):
-        assert squeeze(self.r.transformed, self.r).d == self.r.transformed.d
+        assert clamp_to_restricted(self.r.transformed.d, self.r) == self.r.transformed.d
 
     def test_above_cap_clipped(self):
         bumped = dict(self.r.transformed.d)
         bumped[("b", "c")] = 99.0
-        clipped = squeeze(DistanceMatrix(STAR.labels, bumped), self.r)
-        assert clipped.value("b", "c") == self.r.gamma
+        clipped = clamp_to_restricted(bumped, self.r)
+        assert clipped[("b", "c")] == self.r.gamma
 
     def test_below_floor_raised(self):
         lowered = dict(self.r.transformed.d)
         lowered[("b", "c")] = 0.25
-        raised = squeeze(DistanceMatrix(STAR.labels, lowered), self.r)
-        assert raised.value("b", "c") == max(self.r.betas["b"], self.r.betas["c"])
+        raised = clamp_to_restricted(lowered, self.r)
+        assert raised[("b", "c")] == max(self.r.betas["b"], self.r.betas["c"])
 
 
 class TestClamp:
@@ -105,7 +106,7 @@ class TestClamp:
             base = random_metric(rng, labels)
             pivot = rng.choice(labels)
             r = gromov_transform(base, pivot)
-            squeezed = squeeze(r.transformed, r)
+            squeezed = DistanceMatrix(labels, clamp_to_restricted(r.transformed.d, r))
             u_raw = random_ultrametric_map(rng, labels)
             scale = r.gamma / max(u_raw.values()) * rng.uniform(0.4, 1.2)
             u = {p: v * scale for p, v in u_raw.items()}
@@ -238,8 +239,8 @@ class TestFitTreeMetric:
             d = random_metric(rng, labels)
             pivot = rng.choice(labels)
             r = gromov_transform(d, pivot)
-            squeezed = squeeze(r.transformed, r)
-            sub = fit_ultrametric(squeezed)
+            sub = fit_ultrametric(
+                DistanceMatrix(labels, clamp_to_restricted(r.transformed.d, r)))
             clamped = clamp_to_restricted(sub.tree.distance_map(), r)
             tree = restricted_to_tree(clamped, r, d)
             tree_err = lp_norm_error(tree, d, 1)
@@ -257,7 +258,8 @@ def per_pivot_route(d, pivots):
     best, per_pivot = None, {}
     for a in pivots:
         r = gromov_transform(d, a)
-        sub = fit_ultrametric(squeeze(r.transformed, r))
+        sub = fit_ultrametric(
+            DistanceMatrix(d.labels, clamp_to_restricted(r.transformed.d, r)))
         clamped = clamp_to_restricted(sub.tree.distance_map(), r)
         err = lp_norm_error(restricted_to_tree(clamped, r, d), d, 1)
         per_pivot[a] = err

@@ -6,11 +6,14 @@ from treefit.core import (
     DistanceMatrix,
     HierarchySequence,
     Partition,
+    UltrametricTree,
+    all_pairs,
     clique_edges,
     is_ultrametric,
     lp_norm_error,
     sym_diff_size,
 )
+from treefit.io import newick_string
 from treefit.lp import hierarchy_cost
 from treefit.ultrametric import (
     TrivialInstance,
@@ -88,6 +91,44 @@ class TestHierarchyToUltrametric:
             lhs = hierarchy_cost(inst, hierarchy)
             rhs = lp_norm_error(tree, d, 1)
             assert lhs == pytest.approx(rhs, abs=1e-9)
+
+    def test_matches_the_pair_map_route(self, rng):
+        # the tree built from the partitions equals the tree recovered from
+        # the pair map of first shared levels
+        for _ in range(60):
+            n = rng.randint(2, 9)
+            labels = tuple(f"s{k}" for k in range(n))
+            values = sorted({round(rng.uniform(0.5, 9.0), 3)
+                             for _ in range(rng.randint(2, 5))})
+            if len(values) < 2:
+                continue
+            levels = UltrametricLevels(tuple(values))
+            hierarchy = HierarchySequence(tuple(
+                random_hierarchy(rng, labels, levels.n_levels)))
+            ref = {}
+            for i, j in all_pairs(labels):
+                ref[(i, j)] = next(
+                    (values[t] for t, level in enumerate(hierarchy.levels)
+                     if level.same_part(i, j)), values[-1])
+            tree = hierarchy_to_ultrametric(hierarchy, levels)
+            expected = UltrametricTree.from_map(labels, ref)
+            assert tree == expected
+            assert newick_string(tree) == newick_string(expected)
+
+    def test_deep_caterpillar(self):
+        # level t adds x(t+1) to the block of x0..xt, so every pair (xi, xj)
+        # with i < j first meets at level j - 1, at distance j
+        n = 300
+        labels = tuple(f"x{k:03d}" for k in range(n))
+        hierarchy = HierarchySequence(tuple(
+            Partition.from_parts(labels, [labels[:t + 2]] + [[x] for x in labels[t + 2:]])
+            for t in range(n - 2)))
+        levels = UltrametricLevels(tuple(float(t + 1) for t in range(n - 1)))
+        tree = hierarchy_to_ultrametric(hierarchy, levels)
+        realized = tree.distance_map()
+        assert len(realized) == n * (n - 1) // 2
+        for a, b in all_pairs(range(n)):
+            assert realized[(labels[a], labels[b])] == float(b)
 
 
 class TestUltrametricToHierarchy:
