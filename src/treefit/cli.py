@@ -288,6 +288,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"treefit: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except RecursionError:
+        print("treefit: data error: tree too deep", file=sys.stderr)
+        return EXIT_DATA
 
 
 if __name__ == "__main__":

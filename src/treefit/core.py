@@ -307,30 +307,37 @@ class UltrametricTree:
         if sorted(leaves) != sorted(self.labels):
             raise ValueError("tree leaves do not match the label set")
         self._check_heights(self.root)
+        object.__setattr__(self, "_index", {lab: k for k, lab in enumerate(self.labels)})
         object.__setattr__(self, "_dist", None)
 
     @staticmethod
-    def _iter_leaves(node: UltraNode) -> Iterator[str]:
-        if node.is_leaf:
-            if node.label is None:
-                raise ValueError("leaf without a label")
-            yield node.label
-        else:
-            for child in node.children:
-                yield from UltrametricTree._iter_leaves(child)
+    def _iter_leaves(root: UltraNode) -> Iterator[str]:
+        """Leaf labels, left to right."""
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            if node.is_leaf:
+                if node.label is None:
+                    raise ValueError("leaf without a label")
+                yield node.label
+            else:
+                stack.extend(reversed(node.children))
 
     @staticmethod
-    def _check_heights(node: UltraNode) -> None:
-        if node.is_leaf:
-            if node.height != 0.0:
-                raise ValueError("leaves must sit at height 0")
-            return
-        if node.height <= 0.0:
-            raise ValueError("internal node height must be positive")
-        for child in node.children:
-            if child.height >= node.height:
+    def _check_heights(root: UltraNode) -> None:
+        """Raise on the first bad height in preorder."""
+        stack: list[tuple[UltraNode, float | None]] = [(root, None)]
+        while stack:
+            node, parent_height = stack.pop()
+            if parent_height is not None and node.height >= parent_height:
                 raise ValueError("heights must strictly increase child to parent")
-            UltrametricTree._check_heights(child)
+            if node.is_leaf:
+                if node.height != 0.0:
+                    raise ValueError("leaves must sit at height 0")
+                continue
+            if node.height <= 0.0:
+                raise ValueError("internal node height must be positive")
+            stack.extend((child, node.height) for child in reversed(node.children))
 
     @classmethod
     def from_partitions(cls, levels: HierarchySequence,
@@ -389,28 +396,35 @@ class UltrametricTree:
     def distance_map(self) -> dict[Pair, float]:
         cached = self._dist  # type: ignore[attr-defined]
         if cached is None:
-            idx = {lab: k for k, lab in enumerate(self.labels)}
             cached = {}
-            self._fill_distances(self.root, idx, cached)
+            self._fill_distances(self.root, self._index, cached)  # type: ignore[attr-defined]
             object.__setattr__(self, "_dist", cached)
         return cached
 
     @staticmethod
-    def _fill_distances(node: UltraNode, idx, out: dict[Pair, float]) -> list[str]:
-        if node.is_leaf:
-            return [node.label]  # type: ignore[list-item]
-        groups = [UltrametricTree._fill_distances(c, idx, out) for c in node.children]
-        for a in range(len(groups)):
-            for b in range(a + 1, len(groups)):
-                for i in groups[a]:
-                    for j in groups[b]:
-                        out[canon_pair(idx, i, j)] = 2.0 * node.height
-        merged = [lab for g in groups for lab in g]
-        return merged
+    def _fill_distances(root: UltraNode, idx, out: dict[Pair, float]) -> None:
+        """Set every pair's distance, node by node in postorder."""
+        done: list[list[str]] = []  # leaf labels of each finished subtree
+        stack = [(root, False)]
+        while stack:
+            node, expanded = stack.pop()
+            if node.is_leaf:
+                done.append([node.label])  # type: ignore[list-item]
+            elif not expanded:
+                stack.append((node, True))
+                stack.extend((child, False) for child in reversed(node.children))
+            else:
+                groups = done[-len(node.children):]
+                del done[-len(node.children):]
+                for a in range(len(groups)):
+                    for b in range(a + 1, len(groups)):
+                        for i in groups[a]:
+                            for j in groups[b]:
+                                out[canon_pair(idx, i, j)] = 2.0 * node.height
+                done.append([lab for g in groups for lab in g])
 
     def distance(self, i: str, j: str) -> float:
-        idx = {lab: k for k, lab in enumerate(self.labels)}
-        return self.distance_map()[canon_pair(idx, i, j)]
+        return self.distance_map()[canon_pair(self._index, i, j)]  # type: ignore[attr-defined]
 
     def top_distance(self) -> float:
         return 2.0 * self.root.height
@@ -460,6 +474,7 @@ class WeightedTree:
             if seen != nodes:
                 raise ValueError("tree is not connected")
         object.__setattr__(self, "_adj", adj)
+        object.__setattr__(self, "_index", {lab: k for k, lab in enumerate(self.labels)})
         object.__setattr__(self, "_dist", None)
 
     def has_zero_weight(self) -> bool:
@@ -472,7 +487,7 @@ class WeightedTree:
         """Pairwise label distances, computed by one traversal per label."""
         cached = self._dist  # type: ignore[attr-defined]
         if cached is None:
-            idx = {lab: k for k, lab in enumerate(self.labels)}
+            idx = self._index  # type: ignore[attr-defined]
             adj = self._adj  # type: ignore[attr-defined]
             cached = {}
             label_set = set(self.labels)
@@ -492,8 +507,7 @@ class WeightedTree:
         return cached
 
     def distance(self, i: str, j: str) -> float:
-        idx = {lab: k for k, lab in enumerate(self.labels)}
-        return self.distance_map()[canon_pair(idx, i, j)]
+        return self.distance_map()[canon_pair(self._index, i, j)]  # type: ignore[attr-defined]
 
 
 # ---------------------------------------------------------------------------

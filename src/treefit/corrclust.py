@@ -2,13 +2,20 @@
 
 The default strategy is a deterministic pivot sweep: run the pivot recursion
 once per choice of first pivot, with later pivots taken in label order, and
-keep the cheapest run. A seeded randomized pivot variant and exact enumeration
-(small n) are also available.
+keep the first cheapest run. A seeded randomized pivot variant and exact
+enumeration (small n) are also available.
+
+Pivot runs work on bitmasks over universe positions: nb[v] holds the
+neighbours of label v, and a pivot p still remaining takes the cluster
+(nb[p] & remaining) | bit(p). A run's disagreements are counted without
+building its clique edges, as |E| + sum of s(s-1)/2 over its clusters minus
+sum of popcount(nb[v] & cluster) over every label v in a cluster (each inside
+edge counted twice). Only the winning run becomes a Partition.
 """
 from __future__ import annotations
 
 import random
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core import EdgeSet, Partition, clique_edges, iter_partitions, sym_diff_size
 
@@ -22,26 +29,30 @@ def corr_cluster_cost(edges: EdgeSet, partition: Partition) -> int:
     return sym_diff_size(edges, clique_edges(partition))
 
 
-def _pivot_rounds(universe: Sequence[str], neighbors: dict[str, set[str]],
-                  pivot_order: list[str]) -> list[frozenset[str]]:
-    remaining = list(universe)
-    remaining_set = set(remaining)
+def _members(mask: int) -> Iterator[int]:
+    """Positions of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _pivot_rounds(nb: list[int], pivot_order: Iterable[int]) -> list[int]:
+    """Cluster masks of the pivot recursion; pivots already taken are skipped."""
+    remaining = (1 << len(nb)) - 1
     clusters = []
-    for pivot in pivot_order:
-        if pivot not in remaining_set:
-            continue
-        cluster = {pivot} | (neighbors[pivot] & remaining_set)
-        clusters.append(frozenset(cluster))
-        remaining_set -= cluster
+    for p in pivot_order:
+        if remaining >> p & 1:
+            cluster = (nb[p] & remaining) | (1 << p)
+            clusters.append(cluster)
+            remaining &= ~cluster
     return clusters
 
 
-def _neighbor_map(universe: Sequence[str], edges: EdgeSet) -> dict[str, set[str]]:
-    nbrs: dict[str, set[str]] = {lab: set() for lab in universe}
-    for i, j in edges.edges:
-        nbrs[i].add(j)
-        nbrs[j].add(i)
-    return nbrs
+def _disagreements(nb: list[int], n_edges: int, clusters: list[int]) -> int:
+    clique_pairs = sum(c.bit_count() * (c.bit_count() - 1) // 2 for c in clusters)
+    inside_twice = sum((nb[v] & c).bit_count() for c in clusters for v in _members(c))
+    return n_edges + clique_pairs - inside_twice
 
 
 def exact_corr_cluster(universe: Sequence[str], edges: EdgeSet) -> tuple[Partition, int]:
@@ -51,15 +62,9 @@ def exact_corr_cluster(universe: Sequence[str], edges: EdgeSet) -> tuple[Partiti
         raise ValueError(f"exact correlation clustering capped at n={EXACT_CAP}")
     if edges.universe != universe:
         raise ValueError("edge set universe does not match")
-    best: Partition | None = None
-    best_cost: int | None = None
-    for parts in iter_partitions(universe):
-        p = Partition(universe, parts)
-        cost = corr_cluster_cost(edges, p)
-        if best_cost is None or cost < best_cost:
-            best, best_cost = p, cost
-    assert best is not None and best_cost is not None
-    return best, best_cost
+    best = min((Partition(universe, parts) for parts in iter_partitions(universe)),
+               key=lambda p: corr_cluster_cost(edges, p))
+    return best, corr_cluster_cost(edges, best)
 
 
 def corr_cluster(universe: Sequence[str], edges: EdgeSet, *,
@@ -77,22 +82,23 @@ def corr_cluster(universe: Sequence[str], edges: EdgeSet, *,
     if strategy == "exact":
         return exact_corr_cluster(universe, edges)[0]
 
-    nbrs = _neighbor_map(universe, edges)
+    n = len(universe)
+    pos = {lab: k for k, lab in enumerate(universe)}
+    nb = [0] * n
+    for i, j in edges.edges:
+        nb[pos[i]] |= 1 << pos[j]
+        nb[pos[j]] |= 1 << pos[i]
     if strategy == "kwik":
-        rng = random.Random(seed)
-        order = list(universe)
-        rng.shuffle(order)
-        return Partition(universe, tuple(_pivot_rounds(universe, nbrs, order)))
-
-    if strategy != "pivot-sweep":
+        # shuffling positions draws the same permutation as shuffling labels
+        order = list(range(n))
+        random.Random(seed).shuffle(order)
+        best = _pivot_rounds(nb, order)
+    elif strategy == "pivot-sweep":
+        # min keeps the first of the cheapest runs
+        best = min((_pivot_rounds(nb, [first, *range(n)]) for first in range(n)),
+                   key=lambda clusters: _disagreements(nb, len(edges), clusters),
+                   default=[])
+    else:
         raise ValueError(f"unknown strategy {strategy!r}")
-    best = None
-    best_cost = None
-    for first in universe:
-        order = [first] + [lab for lab in universe if lab != first]
-        parts = Partition(universe, tuple(_pivot_rounds(universe, nbrs, order)))
-        cost = corr_cluster_cost(edges, parts)
-        if best_cost is None or cost < best_cost:
-            best, best_cost = parts, cost
-    assert best is not None
-    return best
+    return Partition(universe, tuple(
+        frozenset(universe[v] for v in _members(cluster)) for cluster in best))

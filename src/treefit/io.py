@@ -161,18 +161,28 @@ def write_newick(tree, path: str | Path) -> None:
 def _ultra_newick(tree: UltrametricTree) -> str:
     for lab in tree.labels:
         _check_newick_label(lab)
-
-    def render(node: UltraNode, parent_height: float) -> str:
-        if node.is_leaf:
-            return f"{node.label}:{parent_height!r}"
-        inner = ",".join(render(c, node.height) for c in node.children)
-        return f"({inner}):{(parent_height - node.height)!r}"
-
     root = tree.root
     if root.is_leaf:
         return f"({root.label}:0.0);"
-    inner = ",".join(render(c, root.height) for c in root.children)
-    return f"({inner});"
+    out: list[str] = []
+    # text to emit, or a (node, parent height) to render; the last is next
+    stack: list[str | tuple[UltraNode, float]] = [(root, root.height)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        node, parent_height = item
+        if node.is_leaf:
+            out.append(f"{node.label}:{parent_height!r}")
+            continue
+        out.append("(")
+        stack.append(")" if node is root else f"):{(parent_height - node.height)!r}")
+        for k, child in enumerate(reversed(node.children)):
+            if k:
+                stack.append(",")
+            stack.append((child, node.height))
+    return "".join(out) + ";"
 
 
 def _weighted_newick(tree: WeightedTree) -> str:
@@ -221,39 +231,27 @@ def parse_newick(text: str) -> WeightedTree:
     body = text[:-1]
     edges: list[tuple[str, str, float]] = []
     labels: list[str] = []
-    counter = [0]
-
-    def fresh() -> str:
-        counter[0] += 1
-        return f"@{counter[0]}"
-
-    def parse(s: str, k: int) -> tuple[str, float | None, int]:
-        children = []
-        if k < len(s) and s[k] == "(":
-            k += 1
-            while True:
-                child, length, k = parse(s, k)
-                children.append((child, length))
-                if k >= len(s):
-                    raise DataError("unbalanced parentheses in Newick text")
-                if s[k] == ",":
-                    k += 1
-                    continue
-                if s[k] == ")":
-                    k += 1
-                    break
-                raise DataError(f"unexpected {s[k]!r} at position {k}")
+    counter = 0
+    # children (name, branch length) of each open parenthesis, innermost last
+    groups: list[list[tuple[str, float | None]]] = []
+    children: list[tuple[str, float | None]] = []  # of the node ending at k
+    k = 0
+    while True:
+        if not children:
+            while k < len(body) and body[k] == "(":
+                groups.append([])
+                k += 1
         name_start = k
-        while k < len(s) and s[k] not in ":():,;":
+        while k < len(body) and body[k] not in ":():,;":
             k += 1
-        name = s[name_start:k]
+        name = body[name_start:k]
         length = None
-        if k < len(s) and s[k] == ":":
+        if k < len(body) and body[k] == ":":
             k += 1
             num_start = k
-            while k < len(s) and s[k] not in "(),;":
+            while k < len(body) and body[k] not in "(),;":
                 k += 1
-            raw = s[num_start:k]
+            raw = body[num_start:k]
             try:
                 length = float(raw)
             except ValueError as exc:
@@ -262,15 +260,25 @@ def parse_newick(text: str) -> WeightedTree:
             labels.append(name)
             node = name
         else:
-            node = fresh()
+            counter += 1
+            node = f"@{counter}"
         for child, child_len in children:
             edges.append((node, child, 0.0 if child_len is None else child_len))
-        return node, length, k
-
-    root, _, k = parse(body, 0)
+        if not groups:
+            break
+        groups[-1].append((node, length))
+        if k >= len(body):
+            raise DataError("unbalanced parentheses in Newick text")
+        if body[k] == ",":
+            k += 1
+            children = []
+        elif body[k] == ")":
+            k += 1
+            children = groups.pop()
+        else:
+            raise DataError(f"unexpected {body[k]!r} at position {k}")
+    root = node
     if k != len(body):
         raise DataError(f"trailing characters in Newick text: {body[k:]!r}")
     _check_labels(labels, "newick")
-    if not edges:
-        return WeightedTree(labels=tuple(labels), edges=(), root=root)
     return WeightedTree(labels=tuple(labels), edges=tuple(edges), root=root)

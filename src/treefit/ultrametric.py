@@ -135,8 +135,10 @@ def fit_ultrametric(d: DistanceMatrix, *, strategy: str = "pivot-sweep",
     try:
         inst, levels = hcc_instance_from_distances(d)
     except TrivialInstance as trivial:
+        # values merged within VALUE_MERGE_TOL still differ from the star
         tree = star_tree(d.labels, trivial.levels.values[0])
-        return FittedTree(kind="ultrametric", tree=tree, l1_error=0.0,
+        return FittedTree(kind="ultrametric", tree=tree,
+                          l1_error=lp_norm_error(tree, d, 1),
                           lp_lower_bound=0.0, num_levels=0,
                           details={"fast_path": True, "hcc_cost": 0.0})
     result: HccResult = fit_hcc(inst, strategy=strategy, seed=seed,

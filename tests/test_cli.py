@@ -6,9 +6,9 @@ from pathlib import Path
 import pytest
 
 from treefit.cli import main
-from treefit.core import DistanceMatrix
-from treefit.io import write_matrix_csv
-from conftest import planted_ultrametric, random_matrix
+from treefit.core import DistanceMatrix, lp_norm_error
+from treefit.io import newick_string, parse_newick, write_matrix_csv
+from conftest import planted_ultrametric, random_matrix, random_tree_metric
 
 REPORT_KEYS = ["n", "mode", "l1_error", "lp_lower_bound", "num_levels",
                "ratio_to_lp", "tree_newick", "wall_ms"]
@@ -47,6 +47,17 @@ class TestFit:
         assert run_cli("eval", tree, fix123, "--json-out", out2) == 0
         evaluated = json.loads(out2.read_text())
         assert evaluated["l1_error"] == pytest.approx(report["l1_error"], abs=1e-9)
+
+    def test_eval_sums_the_tree_distances(self, rng, tmp_path, capsys):
+        d, tree = random_tree_metric(rng, 12)
+        noisy = DistanceMatrix.from_pairs(d.labels, {
+            (i, j): v + rng.choice([0.0, 0.5, 1.25]) for i, j, v in d.pairs()})
+        src, nwk, out = tmp_path / "m.csv", tmp_path / "t.nwk", tmp_path / "e.json"
+        write_matrix_csv(noisy, src)
+        nwk.write_text(newick_string(tree) + "\n")
+        assert run_cli("eval", nwk, src, "--json-out", out) == 0
+        expected = lp_norm_error(parse_newick(nwk.read_text()), noisy, 1)
+        assert json.loads(out.read_text())["l1_error"] == expected
 
     def test_seeded_runs_byte_identical(self, fix123, tmp_path, capsys):
         outs = []
@@ -137,6 +148,30 @@ class TestExitCodes:
 
     def test_missing_file(self, tmp_path, capsys):
         assert run_cli("fit", "ultrametric", tmp_path / "nope.csv") == 2
+
+    def test_deep_newick_evaluates(self, tmp_path, capsys):
+        # a caterpillar nested 1500 deep, deeper than the recursion limit
+        text = "x0:1"
+        for k in range(1, 1500):
+            text = f"({text},x{k}:1):1"
+        nwk, src, out = tmp_path / "deep.nwk", tmp_path / "t.csv", tmp_path / "e.json"
+        nwk.write_text(text + ";\n")
+        write_matrix_csv(DistanceMatrix.from_pairs(("x0", "x1", "x1499"), {
+            ("x0", "x1"): 3.0, ("x0", "x1499"): 1500.0, ("x1", "x1499"): 1500.0}), src)
+        assert run_cli("eval", nwk, src, "--json-out", out) == 0
+        assert json.loads(out.read_text())["l1_error"] == 1.0
+
+    def test_too_deep_is_a_data_error(self, fix123, tmp_path, capsys, monkeypatch):
+        import treefit.cli
+
+        def too_deep(text):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(treefit.cli, "parse_newick", too_deep)
+        nwk = tmp_path / "t.nwk"
+        nwk.write_text("((1:1,2:1):1,3:2);\n")
+        assert run_cli("eval", nwk, fix123) == 2
+        assert "tree too deep" in capsys.readouterr().err
 
 
 class TestDeterminism:

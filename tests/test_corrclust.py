@@ -1,3 +1,4 @@
+import random
 import statistics
 
 import pytest
@@ -132,3 +133,100 @@ class TestKwik:
             mean = statistics.fmean(costs)
             se = statistics.pstdev(costs) / (len(costs) ** 0.5)
             assert mean <= 3.0 * opt + 2.0 * se + 1e-9
+
+
+def reference_runs(universe, edges, orders):
+    """The set-based pivot recursion, one Partition per pivot order, each
+    scored with corr_cluster_cost on its clique edges."""
+    nbrs = {lab: set() for lab in universe}
+    for i, j in edges.edges:
+        nbrs[i].add(j)
+        nbrs[j].add(i)
+    runs = []
+    for order in orders:
+        remaining = set(universe)
+        clusters = []
+        for pivot in order:
+            if pivot in remaining:
+                cluster = ({pivot} | nbrs[pivot]) & remaining
+                clusters.append(frozenset(cluster))
+                remaining -= cluster
+        partition = Partition(tuple(universe), tuple(clusters))
+        runs.append((partition, corr_cluster_cost(edges, partition)))
+    return runs
+
+
+def reference_sweep_runs(universe, edges):
+    return reference_runs(universe, edges, [
+        [first] + [lab for lab in universe if lab != first] for first in universe])
+
+
+def reference_sweep(universe, edges):
+    """First cheapest run, first pivots in universe order."""
+    best, best_cost = None, None
+    for partition, cost in reference_sweep_runs(universe, edges):
+        if best_cost is None or cost < best_cost:
+            best, best_cost = partition, cost
+    return best
+
+
+def reference_kwik(universe, edges, seed):
+    order = list(universe)
+    random.Random(seed).shuffle(order)
+    return reference_runs(universe, edges, [order])[0][0]
+
+
+def random_edge_sets():
+    rng = random.Random(5150)
+    for n in range(1, 31):
+        universe = tuple(f"v{k}" for k in range(n))
+        pool = list(all_pairs(universe))
+        for density in (0.1, 0.5, 0.9):
+            yield universe, es(universe, [p for p in pool if rng.random() < density])
+
+
+def tied_edge_sets():
+    """Paths, cycles, stars and complete bipartite graphs: several first
+    pivots reach the cheapest cost."""
+    out = []
+    for n in (3, 4, 5, 6, 9):
+        u = tuple(f"p{k}" for k in range(n))
+        path = [(u[k], u[k + 1]) for k in range(n - 1)]
+        if n % 2:  # an even path has one cheapest partition
+            out.append((u, es(u, path)))
+        if n > 3:
+            out.append((u, es(u, path + [(u[0], u[-1])])))
+        out.append((u, es(u, [(u[0], x) for x in u[1:]])))
+        out.append((u, es(u, [(u[-1], x) for x in u[:-1]])))
+    u = tuple("abcde")
+    out.append((u, es(u, [(x, y) for x in "ab" for y in "cde"])))
+    # two disjoint paths: ties inside each component combine
+    u = tuple("abcdef")
+    out.append((u, es(u, [("a", "b"), ("b", "c"), ("d", "e"), ("e", "f")])))
+    return out
+
+
+class TestMatchesReference:
+    def test_pivot_sweep_matches_reference(self):
+        for universe, e in random_edge_sets():
+            assert corr_cluster(universe, e) == reference_sweep(universe, e)
+
+    def test_kwik_matches_reference(self):
+        for universe, e in random_edge_sets():
+            for seed in (0, 1, 7, 123):
+                assert corr_cluster(universe, e, strategy="kwik", seed=seed) == \
+                    reference_kwik(universe, e, seed)
+
+    def test_ties_go_to_the_first_cheapest_run(self):
+        for universe, e in tied_edge_sets():
+            runs = reference_sweep_runs(universe, e)
+            cheapest = min(cost for _, cost in runs)
+            tied = [p for p, cost in runs if cost == cheapest]
+            assert len(set(tied)) >= 2, universe
+            assert corr_cluster(universe, e) == tied[0]
+
+    def test_path_tie_pinned(self):
+        # every first pivot of a-b-c costs 1; the run from a wins
+        u = tuple("abc")
+        p = corr_cluster(u, es(u, [("a", "b"), ("b", "c")]))
+        assert p.parts == (frozenset("ab"), frozenset("c"))

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -13,7 +14,7 @@ from treefit.core import (
     lp_norm_error,
     sym_diff_size,
 )
-from treefit.io import newick_string
+from treefit.io import newick_string, parse_newick
 from treefit.lp import hierarchy_cost
 from treefit.ultrametric import (
     TrivialInstance,
@@ -25,6 +26,24 @@ from treefit.ultrametric import (
     ultrametric_to_hierarchy,
 )
 from conftest import planted_ultrametric, random_hierarchy
+
+
+def caterpillar(n):
+    """Level t adds x(t+1) to the block of x0..xt, so every pair (xi, xj)
+    with i < j first meets at level j - 1, at distance j."""
+    labels = tuple(f"x{k:04d}" for k in range(n))
+    hierarchy = HierarchySequence(tuple(
+        Partition.from_parts(labels, [labels[:t + 2]] + [[x] for x in labels[t + 2:]])
+        for t in range(n - 2)))
+    levels = UltrametricLevels(tuple(float(t + 1) for t in range(n - 1)))
+    return labels, hierarchy_to_ultrametric(hierarchy, levels)
+
+
+def assert_caterpillar_distances(labels, tree):
+    realized = tree.distance_map()
+    assert len(realized) == len(labels) * (len(labels) - 1) // 2
+    for a, b in all_pairs(range(len(labels))):
+        assert realized[(labels[a], labels[b])] == float(b)
 
 
 class TestInstanceFromDistances:
@@ -116,19 +135,26 @@ class TestHierarchyToUltrametric:
             assert newick_string(tree) == newick_string(expected)
 
     def test_deep_caterpillar(self):
-        # level t adds x(t+1) to the block of x0..xt, so every pair (xi, xj)
-        # with i < j first meets at level j - 1, at distance j
-        n = 300
-        labels = tuple(f"x{k:03d}" for k in range(n))
-        hierarchy = HierarchySequence(tuple(
-            Partition.from_parts(labels, [labels[:t + 2]] + [[x] for x in labels[t + 2:]])
-            for t in range(n - 2)))
-        levels = UltrametricLevels(tuple(float(t + 1) for t in range(n - 1)))
-        tree = hierarchy_to_ultrametric(hierarchy, levels)
-        realized = tree.distance_map()
-        assert len(realized) == n * (n - 1) // 2
-        for a, b in all_pairs(range(n)):
-            assert realized[(labels[a], labels[b])] == float(b)
+        labels, tree = caterpillar(300)
+        assert_caterpillar_distances(labels, tree)
+
+    def test_deeper_than_the_recursion_limit(self):
+        labels, tree = caterpillar(1500)
+        assert_caterpillar_distances(labels, tree)
+        back = parse_newick(newick_string(tree))
+        assert sorted(back.labels) == sorted(labels)
+        assert len(back.edges) == 2 * len(labels) - 2
+        # every leaf sits at the root's height below the parsed root
+        adj = back.adjacency()
+        depth = {back.root: 0.0}
+        stack = [back.root]
+        while stack:
+            node = stack.pop()
+            for nxt, w in adj[node]:
+                if nxt not in depth:
+                    depth[nxt] = depth[node] + w
+                    stack.append(nxt)
+        assert all(depth[lab] == pytest.approx(tree.root.height) for lab in labels)
 
 
 class TestUltrametricToHierarchy:
@@ -183,6 +209,30 @@ class TestFitUltrametric:
         fitted = fit_ultrametric(d)
         assert fitted.l1_error == 0.0
         assert fitted.num_levels == 0
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-13])
+    def test_reported_error_is_measured(self, scale):
+        # at 1e-13 every value merges into one level and the star is returned
+        rng = random.Random(3)
+        labels = [f"s{k}" for k in range(7)]
+        d = DistanceMatrix.from_pairs(labels, {
+            p: rng.randint(1, 4) * scale for p in itertools.combinations(labels, 2)})
+        fitted = fit_ultrametric(d)
+        assert fitted.l1_error == lp_norm_error(fitted.tree, d, 1)
+        assert fitted.l1_error > 0
+        if scale < 1:
+            assert fitted.num_levels == 0
+            assert fitted.lp_lower_bound == 0.0
+
+    def test_large_planted_recovered_exactly(self):
+        labels = [f"s{k:03d}" for k in range(224)]
+        d = planted_ultrametric(random.Random(224), labels, [1.0, 2.0, 3.0, 5.0,
+                                                             8.0, 13.0, 21.0])
+        fitted = fit_ultrametric(d)
+        assert fitted.num_levels == 6
+        assert fitted.l1_error == 0.0
+        assert fitted.lp_lower_bound == 0.0
+        assert fitted.tree.distance_map() == d.d
 
     def test_output_is_ultrametric_with_input_values(self, rng):
         for _ in range(8):
