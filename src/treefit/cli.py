@@ -12,7 +12,7 @@ import sys
 import time
 from pathlib import Path
 
-from .core import DistanceMatrix
+from .core import DistanceMatrix, WeightedTree
 from .corrclust import corr_cluster, corr_cluster_cost, exact_corr_cluster
 from .io import DataError, newick_string, parse_matrix, parse_newick, write_newick
 from .lp import HccInstance, SolverError, build_lp, solve_lp
@@ -249,6 +249,10 @@ def _cmd_eval(args) -> int:
     if missing:
         raise DataError(f"{args.tree}: tree is missing labels {missing}")
     t0 = time.perf_counter()
+    # distances from the table's labels only, in the tree's label order so
+    # each path is summed from the same end as over the whole tree
+    wanted = set(d.labels)
+    tree = WeightedTree(tuple(lab for lab in tree.labels if lab in wanted), tree.edges)
     total = 0.0
     for i, j, v in d.pairs():
         total += abs(tree.distance(i, j) - v)

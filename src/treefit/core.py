@@ -3,13 +3,23 @@
 Labels are opaque strings; every iteration order in the package derives from
 the order of first appearance of the labels, so all operations are
 deterministic.
+
+Pair order: `all_pairs(labels)` lists the C(n,2) unordered pairs as
+`itertools.combinations` does, and `_condensed(n, i, j)` is the position of
+the pair of label positions i < j in that list. The same order indexes
+`EdgeSet.mask`, the columns of `LpSolution.x`, and each level's block of LP
+variables. A partition's `part_of[k]` is the index, in `parts`, of the part
+holding the k-th universe label.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 Pair = tuple[str, str]
 
@@ -30,6 +40,20 @@ def canon_pair(index: Mapping[str, int], i: str, j: str) -> Pair:
 
 def all_pairs(labels: Sequence[str]) -> Iterator[Pair]:
     return itertools.combinations(labels, 2)
+
+
+def _condensed(n: int, i, j):
+    """Index of pair (i, j), i < j, in `all_pairs` order (scipy's squareform)."""
+    return n * i - i * (i + 1) // 2 + (j - i - 1)
+
+
+@functools.lru_cache(maxsize=16)
+def _pair_ends(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Label positions i and j of every pair i < j, in `all_pairs` order."""
+    ends = np.triu_indices(n, 1)
+    for a in ends:
+        a.flags.writeable = False
+    return ends
 
 
 def lookup_pair(mapping: Mapping, i: str, j: str) -> float:
@@ -113,61 +137,68 @@ def merge_ties(values: Iterable[float]) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class EdgeSet:
-    """A set of unordered label pairs over a fixed universe."""
+    """A set of unordered label pairs over a fixed universe.
+
+    mask[k] is True when the k-th pair of `all_pairs(universe)` is an edge.
+    """
 
     universe: tuple[str, ...]
-    edges: frozenset[Pair]
+    mask: np.ndarray
 
     def __post_init__(self):
-        idx = {lab: k for k, lab in enumerate(self.universe)}
-        if len(idx) != len(self.universe):
+        if len(set(self.universe)) != len(self.universe):
             raise ValueError("duplicate labels in universe")
-        for i, j in self.edges:
-            if i not in idx or j not in idx:
-                raise ValueError(f"edge ({i},{j}) has endpoint outside the universe")
-            if (i, j) != canon_pair(idx, i, j):
-                raise ValueError(f"edge ({i},{j}) not in canonical order")
-        object.__setattr__(self, "_index", idx)
+        mask = np.asarray(self.mask, dtype=bool)
+        n = len(self.universe)
+        if mask.shape != (n * (n - 1) // 2,):
+            raise ValueError(f"mask of shape {mask.shape} for {n} labels")
+        object.__setattr__(self, "mask", mask)
 
     @classmethod
     def from_pairs(cls, universe: Sequence[str], pairs: Iterable) -> "EdgeSet":
         universe = tuple(universe)
         idx = {lab: k for k, lab in enumerate(universe)}
-        edges = frozenset(canon_pair(idx, *tuple(p)) for p in pairs)
-        return cls(universe, edges)
+        edges = {canon_pair(idx, *tuple(p)) for p in pairs}
+        return cls(universe, [pair in edges for pair in all_pairs(universe)])
 
-    def __contains__(self, pair) -> bool:
-        i, j = tuple(pair)
-        return canon_pair(self._index, i, j) in self.edges  # type: ignore[attr-defined]
+    @property
+    def edges(self) -> frozenset[Pair]:
+        return frozenset(itertools.compress(all_pairs(self.universe), self.mask.tolist()))
 
     def __len__(self) -> int:
-        return len(self.edges)
+        return int(np.count_nonzero(self.mask))
 
 
 @dataclass(frozen=True)
 class Partition:
-    """Disjoint nonempty label sets covering the universe."""
+    """Disjoint nonempty label sets covering the universe.
+
+    `parts` are ordered by their first labels in the universe, and
+    part_of[k] is the index in `parts` of the part holding universe[k].
+    """
 
     universe: tuple[str, ...]
     parts: tuple[frozenset[str], ...]
+    part_of: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         idx = {lab: k for k, lab in enumerate(self.universe)}
-        seen: set[str] = set()
-        for part in self.parts:
+        owner = [-1] * len(self.universe)  # index of each label's given part
+        for k, part in enumerate(self.parts):
             if not part:
                 raise ValueError("empty part")
             for lab in part:
                 if lab not in idx:
                     raise ValueError(f"label {lab!r} outside the universe")
-                if lab in seen:
+                if owner[idx[lab]] >= 0:
                     raise ValueError(f"label {lab!r} in two parts")
-                seen.add(lab)
-        if len(seen) != len(self.universe):
+                owner[idx[lab]] = k
+        if -1 in owner:
             raise ValueError("parts do not cover the universe")
-        ordered = tuple(sorted(self.parts, key=lambda p: min(idx[x] for x in p)))
-        object.__setattr__(self, "parts", ordered)
-        object.__setattr__(self, "_index", idx)
+        # renumber the given parts in the order of their first labels
+        rank = {k: r for r, k in enumerate(dict.fromkeys(owner))}
+        object.__setattr__(self, "parts", tuple(self.parts[k] for k in rank))
+        object.__setattr__(self, "part_of", tuple(rank[k] for k in owner))
 
     @classmethod
     def from_parts(cls, universe: Sequence[str], parts: Iterable[Iterable[str]]) -> "Partition":
@@ -181,8 +212,8 @@ class Partition:
         """True if every part of self is contained in some part of other."""
         if self.universe != other.universe:
             raise UniverseMismatch("partitions over different universes")
-        owner = {lab: k for k, part in enumerate(other.parts) for lab in part}
-        return all(len({owner[lab] for lab in part}) == 1 for part in self.parts)
+        host: dict[int, int] = {}
+        return all(host.setdefault(a, b) == b for a, b in zip(self.part_of, other.part_of))
 
     def same_part(self, i: str, j: str) -> bool:
         return any(i in part and j in part for part in self.parts)
@@ -265,19 +296,16 @@ def iter_partitions(items: Sequence[str]) -> Iterator[tuple[frozenset[str], ...]
 
 def clique_edges(p: Partition) -> EdgeSet:
     """Union of all within-part pairs of a partition."""
-    idx = {lab: k for k, lab in enumerate(p.universe)}
-    edges = set()
-    for part in p.parts:
-        ordered = sorted(part, key=idx.__getitem__)
-        edges.update(all_pairs(ordered))
-    return EdgeSet(p.universe, frozenset(edges))
+    part_of = np.array(p.part_of, dtype=np.intp)
+    i, j = _pair_ends(len(part_of))
+    return EdgeSet(p.universe, part_of[i] == part_of[j])
 
 
 def sym_diff_size(a: EdgeSet, b: EdgeSet) -> int:
     """|A symmetric-difference B| for edge sets over the same universe."""
     if a.universe != b.universe:
         raise UniverseMismatch("edge sets over different universes")
-    return len(a.edges ^ b.edges)
+    return int(np.count_nonzero(a.mask != b.mask))
 
 
 # ---------------------------------------------------------------------------
@@ -354,17 +382,17 @@ class UltrametricTree:
             raise ValueError("need one value per level")
         if len(levels.levels[-1].parts) != 1:
             raise ValueError("top level must be a single part")
-        # the nodes of the level below, each with one of its labels, in the
-        # order of their first labels in the universe, as Partition.parts is
-        below = [(lab, UltraNode(0.0, (), lab)) for lab in levels.universe]
+        # the nodes of the level below, each with the universe position of
+        # one of its labels, in the order of their first labels in the
+        # universe, as Partition.parts is
+        below = [(k, UltraNode(0.0, (), lab)) for k, lab in enumerate(levels.universe)]
         for level, value in zip(levels.levels, values):
-            owner = {lab: k for k, part in enumerate(level.parts) for lab in part}
-            children: list[list[UltraNode]] = [[] for _ in level.parts]
-            for lab, node in below:
-                children[owner[lab]].append(node)
-            below = [(next(iter(part)),
-                      kids[0] if len(kids) == 1 else UltraNode(value / 2.0, tuple(kids)))
-                     for part, kids in zip(level.parts, children)]
+            children: list[list[tuple[int, UltraNode]]] = [[] for _ in level.parts]
+            for k, node in below:
+                children[level.part_of[k]].append((k, node))
+            below = [kids[0] if len(kids) == 1
+                     else (kids[0][0], UltraNode(value / 2.0, tuple(nd for _, nd in kids)))
+                     for kids in children]
         return cls(levels.universe, below[0][1])
 
     @classmethod

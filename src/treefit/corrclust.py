@@ -17,15 +17,15 @@ from __future__ import annotations
 import random
 from typing import Iterable, Iterator, Sequence
 
-from .core import EdgeSet, Partition, clique_edges, iter_partitions, sym_diff_size
+import numpy as np
+
+from .core import EdgeSet, Partition, _pair_ends, clique_edges, iter_partitions, sym_diff_size
 
 EXACT_CAP = 9
 
 
 def corr_cluster_cost(edges: EdgeSet, partition: Partition) -> int:
     """Disagreements |E sym-diff cliques(P)|."""
-    if edges.universe != partition.universe:
-        raise ValueError("edge set and partition universes differ")
     return sym_diff_size(edges, clique_edges(partition))
 
 
@@ -83,11 +83,11 @@ def corr_cluster(universe: Sequence[str], edges: EdgeSet, *,
         return exact_corr_cluster(universe, edges)[0]
 
     n = len(universe)
-    pos = {lab: k for k, lab in enumerate(universe)}
-    nb = [0] * n
-    for i, j in edges.edges:
-        nb[pos[i]] |= 1 << pos[j]
-        nb[pos[j]] |= 1 << pos[i]
+    i, j = _pair_ends(n)
+    adjacent = np.zeros((n, n), dtype=bool)
+    adjacent[i, j] = adjacent[j, i] = edges.mask
+    nb = [int.from_bytes(row.tobytes(), "little")
+          for row in np.packbits(adjacent, axis=1, bitorder="little")]
     if strategy == "kwik":
         # shuffling positions draws the same permutation as shuffling labels
         order = list(range(n))
@@ -95,8 +95,9 @@ def corr_cluster(universe: Sequence[str], edges: EdgeSet, *,
         best = _pivot_rounds(nb, order)
     elif strategy == "pivot-sweep":
         # min keeps the first of the cheapest runs
+        n_edges = len(edges)
         best = min((_pivot_rounds(nb, [first, *range(n)]) for first in range(n)),
-                   key=lambda clusters: _disagreements(nb, len(edges), clusters),
+                   key=lambda clusters: _disagreements(nb, n_edges, clusters),
                    default=[])
     else:
         raise ValueError(f"unknown strategy {strategy!r}")

@@ -11,7 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .core import HierarchySequence, Partition
+import numpy as np
+
+from .core import HierarchySequence, Partition, _pair_ends
 from .lp import (
     HccInstance,
     LpSolution,
@@ -58,22 +60,27 @@ class LpClusterFamilies:
         return len(self.levels)
 
 
+def _ball_tests(sol: LpSolution, t: int, part_of: np.ndarray) -> list[bool]:
+    """Whether each label passes both ball tests at level t in its cluster,
+    part_of[k] being the cluster of sol.labels[k]. The square matrix has a
+    zero diagonal, so a label is near itself, as in LpSolution.value."""
+    n = len(part_of)
+    i, j = _pair_ends(n)
+    x = np.zeros((n, n))
+    x[i, j] = x[j, i] = sol.x[t]
+    same = part_of[:, None] == part_of
+    size = np.bincount(part_of)[part_of]
+    near_inside = np.count_nonzero(same & (x < BALL_NEAR), axis=1)
+    far_outside = np.count_nonzero(~same & (x < BALL_FAR), axis=1)
+    return ((near_inside > HALF_FRACTION * size)
+            & (far_outside <= OUTSIDE_FRACTION * size)).tolist()
+
+
 def cleaned_subset(sol: LpSolution, t: int, cluster: frozenset[str]) -> frozenset[str]:
     """Members of one input cluster that pass both ball tests at level t."""
-    size = len(cluster)
-    universe = sol.labels
-    keep = []
-    for i in cluster:
-        near_inside = sum(
-            1 for j in cluster if sol.value(t, i, j) < BALL_NEAR)
-        if not near_inside > HALF_FRACTION * size:
-            continue
-        far_outside = sum(
-            1 for j in universe
-            if j not in cluster and sol.value(t, i, j) < BALL_FAR)
-        if far_outside <= OUTSIDE_FRACTION * size:
-            keep.append(i)
-    return frozenset(keep)
+    inside = [lab in cluster for lab in sol.labels]
+    keep = _ball_tests(sol, t, np.array(inside, dtype=np.intp))
+    return frozenset(lab for lab, a, ok in zip(sol.labels, inside, keep) if a and ok)
 
 
 def lp_cleaning(partitions: Sequence[Partition], sol: LpSolution) -> LpClusterFamilies:
@@ -81,15 +88,20 @@ def lp_cleaning(partitions: Sequence[Partition], sol: LpSolution) -> LpClusterFa
     if len(partitions) != sol.n_levels:
         raise ValueError("one partition per LP level required")
     universe = partitions[0].universe
+    if sol.labels != universe:
+        raise ValueError("solution labels do not match the partitions")
     levels = []
     for t, q in enumerate(partitions):
         if q.universe != universe:
             raise ValueError("partitions over different universes")
+        survivors: list[list[str]] = [[] for _ in q.parts]
+        for lab, k, ok in zip(universe, q.part_of, _ball_tests(sol, t, np.array(q.part_of))):
+            if ok:
+                survivors[k].append(lab)
         fam = []
-        for cluster in q.parts:
-            survivors = cleaned_subset(sol, t, cluster)
-            if len(survivors) >= KEEP_FRACTION * len(cluster):
-                fam.append(LpCluster(members=survivors, input_cluster=cluster))
+        for cluster, kept in zip(q.parts, survivors):
+            if len(kept) >= KEEP_FRACTION * len(cluster):
+                fam.append(LpCluster(members=frozenset(kept), input_cluster=cluster))
         levels.append(tuple(fam))
     return LpClusterFamilies(universe=tuple(universe), levels=tuple(levels))
 
@@ -313,14 +325,12 @@ def invariant_violations(result: HcaResult, slack: float = 1e-6) -> list[str]:
             problems.append(f"node {node.node_id}: removal exceeds 0.1 |core|")
         if shrunk & grown:
             problems.append(f"node {node.node_id}: removal and extension overlap")
-        members = sorted(node.lp_cluster)
-        for a in range(len(members)):
-            for b in range(a + 1, len(members)):
-                for t in range(node.level - 1, sol.n_levels):
-                    if sol.value(t, members[a], members[b]) >= DIAMETER_LIMIT + slack:
-                        problems.append(
-                            f"node {node.node_id}: LP diameter >= {DIAMETER_LIMIT}"
-                            f" at level {t + 1}")
+        inside = np.array([lab in node.lp_cluster for lab in sol.labels], dtype=bool)
+        i, j = _pair_ends(len(inside))
+        wide = sol.x[node.level - 1:, inside[i] & inside[j]] >= DIAMETER_LIMIT + slack
+        for t in np.flatnonzero(wide.any(axis=1)) + node.level:
+            problems.append(
+                f"node {node.node_id}: LP diameter >= {DIAMETER_LIMIT} at level {t}")
 
     costs = lp_cost(result.instance, sol)
     for t, q in enumerate(result.partitions):

@@ -33,7 +33,7 @@ def _clique_hierarchy(inst: HccInstance) -> HierarchySequence | None:
     parts = []
     for es in inst.edge_sets:
         p = components(es.universe, es.edges)
-        if clique_edges(p).edges != es.edges:
+        if sym_diff_size(clique_edges(p), es):
             return None
         parts.append(p)
     if not is_hierarchical(parts):

@@ -158,31 +158,45 @@ def write_newick(tree, path: str | Path) -> None:
     Path(path).write_text(newick_string(tree) + "\n")
 
 
+def _render(root, children, tail) -> str:
+    """Newick text of the tree below root, walked with an explicit stack:
+    children(node) lists its (child, edge) pairs in output order, and
+    tail(node, edge) is the text after the node (edge is None at the root)."""
+    out: list[str] = []
+    # text to emit, or a (node, edge) to render; the last is next
+    stack: list = [(root, None)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        node, edge = item
+        kids = children(node)
+        if not kids:
+            out.append(tail(node, edge))
+            continue
+        out.append("(")
+        stack.append(")" + tail(node, edge))
+        for k, kid in enumerate(reversed(kids)):
+            if k:
+                stack.append(",")
+            stack.append(kid)
+    return "".join(out)
+
+
 def _ultra_newick(tree: UltrametricTree) -> str:
     for lab in tree.labels:
         _check_newick_label(lab)
     root = tree.root
     if root.is_leaf:
         return f"({root.label}:0.0);"
-    out: list[str] = []
-    # text to emit, or a (node, parent height) to render; the last is next
-    stack: list[str | tuple[UltraNode, float]] = [(root, root.height)]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            out.append(item)
-            continue
-        node, parent_height = item
+
+    def tail(node: UltraNode, parent_height: float | None) -> str:
         if node.is_leaf:
-            out.append(f"{node.label}:{parent_height!r}")
-            continue
-        out.append("(")
-        stack.append(")" if node is root else f"):{(parent_height - node.height)!r}")
-        for k, child in enumerate(reversed(node.children)):
-            if k:
-                stack.append(",")
-            stack.append((child, node.height))
-    return "".join(out) + ";"
+            return f"{node.label}:{parent_height!r}"
+        return "" if parent_height is None else f":{(parent_height - node.height)!r}"
+
+    return _render(root, lambda node: [(c, node.height) for c in node.children], tail) + ";"
 
 
 def _weighted_newick(tree: WeightedTree) -> str:
@@ -190,37 +204,31 @@ def _weighted_newick(tree: WeightedTree) -> str:
         _check_newick_label(lab)
     adj = tree.adjacency()
     root = tree.root if tree.root in adj else sorted(adj)[0]
-    label_set = set(tree.labels)
     pos = {lab: k for k, lab in enumerate(tree.labels)}
+    # children (node, edge weight) of each node, parents listed before children
+    order = [root]
+    children: dict[str, list[tuple[str, float]]] = {root: []}
+    for node in order:
+        for nxt, w in adj[node]:
+            if nxt not in children:
+                children[node].append((nxt, w))
+                children[nxt] = []
+                order.append(nxt)
+    # children go in the order of the first label (by position) below them;
+    # a subtree without labels sorts last
+    first: dict[str, int] = {}
+    for node in reversed(order):
+        kids = children[node]
+        kids.sort(key=lambda kid: first[kid[0]])
+        first[node] = min([pos.get(node, len(pos))] + [first[k] for k, _ in kids])
 
-    def min_leaf(node: str, parent: str | None) -> int:
-        vals = [pos[node]] if node in label_set else []
-        for nxt, _ in adj[node]:
-            if nxt != parent:
-                vals.append(min_leaf(nxt, node))
-        return min(vals) if vals else len(pos)
+    def tail(node: str, weight: float | None) -> str:
+        return (node if node in pos else "") + ("" if weight is None else f":{weight!r}")
 
-    def render(node: str, parent: str | None) -> str:
-        kids = sorted((nxt for nxt, _ in adj[node] if nxt != parent),
-                      key=lambda nd: min_leaf(nd, node))
-        name = node if node in label_set else ""
-        if not kids:
-            return name
-        inner = ",".join(
-            f"{render(k, node)}:{_edge_weight(adj, node, k)!r}" for k in kids)
-        return f"({inner}){name}"
-
-    body = render(root, None)
+    body = _render(root, children.__getitem__, tail)
     if not body.startswith("("):
         body = f"({body}:0.0)"
     return body + ";"
-
-
-def _edge_weight(adj, a: str, b: str) -> float:
-    for nxt, w in adj[a]:
-        if nxt == b:
-            return w
-    raise KeyError((a, b))
 
 
 def parse_newick(text: str) -> WeightedTree:

@@ -8,12 +8,14 @@ level.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import EdgeSet, HierarchySequence, Pair, all_pairs, clique_edges
+from .core import EdgeSet, HierarchySequence, Pair, all_pairs, clique_edges, sym_diff_size
+from .core import _condensed, _pair_ends
 from .simplex import SimplexStall, SimplexTooLarge, solve_dense
 
 DEFAULT_FEAS_TOL = 1e-7
@@ -70,11 +72,6 @@ class HccInstance:
         return tuple(all_pairs(self.labels))
 
 
-def _condensed(n: int, i, j):
-    """Index of pair (i, j), i < j, in `all_pairs` order (scipy's squareform)."""
-    return n * i - i * (i + 1) // 2 + (j - i - 1)
-
-
 @functools.lru_cache(maxsize=16)
 def _level_triangles(n: int) -> np.ndarray:
     """Pair indices of one level's triangle rows, shape (3 C(n,3), 3).
@@ -82,7 +79,7 @@ def _level_triangles(n: int) -> np.ndarray:
     Triples (i, j, k) run in `itertools.combinations` order; each gives the
     rows ij <= ik + jk, ik <= ij + jk and jk <= ij + ik, the left side first.
     """
-    i, j = np.triu_indices(n, 1)
+    i, j = _pair_ends(n)
     counts = n - 1 - j
     ii, jj = np.repeat(i, counts), np.repeat(j, counts)
     starts = np.repeat(np.cumsum(counts) - counts, counts)
@@ -137,9 +134,6 @@ class LinearProgram:
     @property
     def row_kinds(self) -> list[str]:
         return ["triangle"] * len(self.tri) + ["monotone"] * len(self.mono)
-
-    def var_index(self, t: int, pair_idx: int) -> int:
-        return t * len(self.pairs) + pair_idx
 
     def var_name(self, v: int) -> str:
         t, p = divmod(v, len(self.pairs))
@@ -221,8 +215,6 @@ class LpSolution:
             raise ValueError("pairs must follow all_pairs order of the labels")
         if self.rows_used is None:
             self.rows_used = _row_count(len(self.labels), self.n_levels)
-        object.__setattr__(self, "_label_index",
-                           {lab: k for k, lab in enumerate(self.labels)})
 
     @property
     def n_levels(self) -> int:
@@ -232,10 +224,7 @@ class LpSolution:
         """x^(t)_{i,j} with level t 0-based; x_{i,i} is 0 by convention."""
         if i == j:
             return 0.0
-        a = self._label_index[i]  # type: ignore[attr-defined]
-        b = self._label_index[j]  # type: ignore[attr-defined]
-        if a > b:
-            a, b = b, a
+        a, b = sorted((self.labels.index(i), self.labels.index(j)))
         return float(self.x[t, _condensed(len(self.labels), a, b)])
 
     def level_map(self, t: int) -> dict[Pair, float]:
@@ -267,17 +256,11 @@ def build_lp(inst: HccInstance) -> LinearProgram:
     lower = np.arange((n_levels - 1) * n_pairs)
     mono = np.stack([lower + n_pairs, lower], axis=1)
 
-    c = np.zeros(n_levels * n_pairs)
-    const = 0.0
-    for t in range(n_levels):
-        delta = inst.deltas[t]
-        edges = inst.edge_sets[t].edges
-        for p, pair in enumerate(pairs):
-            if pair in edges:
-                c[t * n_pairs + p] = delta
-            else:
-                c[t * n_pairs + p] = -delta
-                const += delta
+    edges = np.array([es.mask for es in inst.edge_sets])
+    deltas = np.broadcast_to(np.array(inst.deltas)[:, None], edges.shape)
+    c = np.where(edges, deltas, -deltas).ravel()
+    # summed one variable at a time, as the objective's terms come
+    const = functools.reduce(operator.add, deltas[~edges].tolist(), 0.0)
     return LinearProgram(labels=inst.labels, n_levels=n_levels, pairs=pairs,
                          tri=tri, mono=mono, c=c, const=const)
 
@@ -385,16 +368,10 @@ class LpCost:
     pair_cost: np.ndarray = field(init=False)  # (n_levels, n_pairs)
 
     def __post_init__(self):
-        pairs = self.sol.pairs
-        n_levels = self.inst.n_levels
-        cost = np.empty((n_levels, len(pairs)))
-        for t in range(n_levels):
-            delta = self.inst.deltas[t]
-            edges = self.inst.edge_sets[t].edges
-            for p, pair in enumerate(pairs):
-                xv = self.sol.x[t, p]
-                cost[t, p] = delta * xv if pair in edges else delta * (1.0 - xv)
-        self.pair_cost = cost
+        deltas = np.array(self.inst.deltas)[:, None]
+        x = self.sol.x
+        edges = np.array([es.mask for es in self.inst.edge_sets])
+        self.pair_cost = np.where(edges, deltas * x, deltas * (1.0 - x))
 
     @property
     def per_level(self) -> tuple[float, ...]:
@@ -409,12 +386,9 @@ class LpCost:
         return self.of_set(t, {i})
 
     def of_set(self, t: int, subset) -> float:
-        subset = set(subset)
-        total = 0.0
-        for p, (i, j) in enumerate(self.sol.pairs):
-            if i in subset or j in subset:
-                total += self.pair_cost[t, p]
-        return float(total)
+        inside = np.array([lab in subset for lab in self.sol.labels], dtype=bool)
+        i, j = _pair_ends(len(inside))
+        return float(self.pair_cost[t, inside[i] | inside[j]].sum())
 
 
 def lp_cost(inst: HccInstance, sol: LpSolution) -> LpCost:
@@ -428,16 +402,14 @@ def lp_cost(inst: HccInstance, sol: LpSolution) -> LpCost:
 def cost_edges(edges: EdgeSet, x: Mapping[Pair, float]) -> float:
     """Unweighted LP cost of an arbitrary edge set against a level slice."""
     total = 0.0
-    for pair in all_pairs(edges.universe):
+    for pair, inside in zip(all_pairs(edges.universe), edges.mask.tolist()):
         xv = x[pair]
-        total += xv if pair in edges.edges else 1.0 - xv
+        total += xv if inside else 1.0 - xv
     return total
 
 
 def hierarchy_cost(inst: HccInstance, hierarchy: HierarchySequence) -> float:
     """Integral objective: sum_t delta^(t) |E^(t) sym-diff cliques(P^(t))|."""
-    from .core import sym_diff_size
-
     if len(hierarchy) != inst.n_levels:
         raise ValueError("hierarchy level count does not match the instance")
     total = 0.0
@@ -448,15 +420,6 @@ def hierarchy_cost(inst: HccInstance, hierarchy: HierarchySequence) -> float:
 
 def integral_solution(inst: HccInstance, hierarchy: HierarchySequence) -> LpSolution:
     """The 0/1 point encoding a hierarchical sequence; feasible by construction."""
-    pairs = inst.pair_list()
-    x = np.ones((inst.n_levels, len(pairs)))
-    for t, part in enumerate(hierarchy.levels):
-        for p, (i, j) in enumerate(pairs):
-            if part.same_part(i, j):
-                x[t, p] = 0.0
-    sol = LpSolution(labels=inst.labels, pairs=pairs, x=x, objective=0.0,
-                     backend="integral")
-    sol.objective = float(np.sum([
-        inst.deltas[t] * cost_edges(inst.edge_sets[t], sol.level_map(t))
-        for t in range(inst.n_levels)]))
-    return sol
+    x = np.array([~clique_edges(part).mask for part in hierarchy.levels], dtype=float)
+    return LpSolution(labels=inst.labels, pairs=inst.pair_list(), x=x,
+                      objective=hierarchy_cost(inst, hierarchy), backend="integral")

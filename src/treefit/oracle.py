@@ -33,31 +33,13 @@ HCA_CAP_N = 6
 HCA_CAP_LEVELS = 3
 
 
-def _refinement_table(partitions: list[Partition]) -> list[list[bool]]:
-    owner_maps = []
-    for p in partitions:
-        owner = {}
-        for k, part in enumerate(p.parts):
-            for lab in part:
-                owner[lab] = k
-        owner_maps.append(owner)
-    table = []
-    for fine in partitions:
-        row = []
-        for owner in owner_maps:
-            ok = all(len({owner[lab] for lab in part}) == 1 for part in fine.parts)
-            row.append(ok)
-        table.append(row)
-    return table
-
-
 def exact_hcc(inst: HccInstance, cap: int = ULTRAMETRIC_CAP) -> tuple[HierarchySequence, float]:
     """Exact optimum of the level-weighted hierarchical objective."""
     if inst.n > cap:
         raise ValueError(f"exact hierarchical solver capped at n={cap}")
     partitions = [Partition(inst.labels, parts)
                   for parts in iter_partitions(inst.labels)]
-    refines = _refinement_table(partitions)
+    refines = [[fine.refines(coarse) for coarse in partitions] for fine in partitions]
     n_levels = inst.n_levels
     level_cost = [
         [inst.deltas[t] * sym_diff_size(inst.edge_sets[t], clique_edges(p))

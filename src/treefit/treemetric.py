@@ -21,7 +21,6 @@ from .core import (
     UltrametricTree,
     WeightedTree,
     all_pairs,
-    canon_pair,
     components,
     lookup_pair,
     lp_norm_error,
@@ -57,15 +56,13 @@ def gromov_transform(d: DistanceMatrix, pivot: str) -> RestrictedInstance:
     m = max(heights.values())
     betas = {lab: m - h for lab, h in heights.items()}
     betas[pivot] = m
-    idx = d.index
     out = {}
     for i, j, v in d.pairs():
         if pivot in (i, j):
             out[(i, j)] = m
         else:
             out[(i, j)] = m - (heights[i] + heights[j] - v) / 2.0
-    transformed = DistanceMatrix(d.labels, {
-        canon_pair(idx, i, j): v for (i, j), v in out.items()})
+    transformed = DistanceMatrix(d.labels, out)
     return RestrictedInstance(pivot=pivot, gamma=m, betas=betas,
                               heights=heights, transformed=transformed)
 
@@ -74,11 +71,10 @@ def clamp_to_restricted(u: Mapping[Pair, float],
                         r: RestrictedInstance) -> dict[Pair, float]:
     """Force an ultrametric to satisfy the floors and the cap; stays ultrametric."""
     labels = r.transformed.labels
-    idx = r.transformed.index
     out = {}
     for i, j in all_pairs(labels):
         v = lookup_pair(u, i, j)
-        out[canon_pair(idx, i, j)] = min(r.gamma, max(v, r.betas[i], r.betas[j]))
+        out[(i, j)] = min(r.gamma, max(v, r.betas[i], r.betas[j]))
     return out
 
 
@@ -167,10 +163,8 @@ def pseudometric_to_metric(tree: WeightedTree, d: DistanceMatrix,
     edges = [(rep[a], rep[b], w) for a, b, w in tree.edges if rep[a] != rep[b]]
     if pending:
         realized = tree.distance_map()
-        gaps = [abs(realized[pair] - v)
-                for (i, j, v) in d.pairs()
-                for pair in [canon_pair(d.index, i, j)]
-                if abs(realized[pair] - v) > 0]
+        gaps = [abs(realized[(i, j)] - v) for i, j, v in d.pairs()
+                if abs(realized[(i, j)] - v) > 0]
         if not gaps:
             raise ValueError("coinciding species cannot occur in an exact fit")
         eps = alpha * min(gaps) / (8.0 * len(d.labels))

@@ -8,8 +8,11 @@ lossless.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from .core import (
     DistanceMatrix,
@@ -18,6 +21,7 @@ from .core import (
     HierarchySequence,
     Partition,
     UltrametricTree,
+    all_pairs,
     components,
     lp_norm_error,
 )
@@ -60,12 +64,24 @@ class UltrametricLevels:
         return tuple(hi - lo for lo, hi in zip(self.values, self.values[1:]))
 
 
-def _level_index(values: tuple[float, ...], v: float, tol: float) -> int:
-    """Index of the level value v snaps to; error beyond tol."""
-    best = min(range(len(values)), key=lambda k: abs(values[k] - v))
-    if abs(values[best] - v) > tol:
-        raise ValueError(f"distance {v} is not one of the level values")
-    return best
+def _level_index(values: tuple[float, ...], labels: Sequence[str],
+                 dist: np.ndarray, tol: float) -> np.ndarray:
+    """Index of the level value each pair's distance snaps to.
+
+    dist holds one distance per pair of labels, in `all_pairs` order. Each
+    snaps to the nearest value, the lower one on a tie; a distance farther
+    than tol from every value is an error.
+    """
+    vals = np.asarray(values)
+    above = np.searchsorted(vals, dist).clip(max=len(vals) - 1)
+    below = (above - 1).clip(min=0)
+    level = np.where(np.abs(vals[below] - dist) <= np.abs(vals[above] - dist),
+                     below, above)
+    off = np.flatnonzero(np.abs(vals[level] - dist) > tol)
+    if len(off):
+        pair = next(itertools.islice(all_pairs(labels), off[0], None))
+        raise ValueError(f"distance {dist[off[0]]} for {pair} is not one of the level values")
+    return level
 
 
 def hcc_instance_from_distances(d: DistanceMatrix) -> tuple[HccInstance, UltrametricLevels]:
@@ -77,15 +93,10 @@ def hcc_instance_from_distances(d: DistanceMatrix) -> tuple[HccInstance, Ultrame
     levels = UltrametricLevels(d.distinct_values())
     if levels.n_levels == 0:
         raise TrivialInstance(levels)
-    index = {}
-    for i, j, v in d.pairs():
-        index[(i, j)] = _level_index(levels.values, v, 2e-12)
-    edge_sets = []
-    for t in range(levels.n_levels):
-        pairs = [pair for pair, k in index.items() if k <= t]
-        edge_sets.append(EdgeSet.from_pairs(d.labels, pairs))
-    inst = HccInstance(d.labels, levels.deltas(), tuple(edge_sets))
-    return inst, levels
+    dist = np.array([v for _, _, v in d.pairs()])
+    level = _level_index(levels.values, d.labels, dist, 2e-12)
+    edge_sets = tuple(EdgeSet(d.labels, level <= t) for t in range(levels.n_levels))
+    return HccInstance(d.labels, levels.deltas(), edge_sets), levels
 
 
 def hierarchy_to_ultrametric(hierarchy: HierarchySequence,
@@ -110,17 +121,12 @@ def star_tree(labels: Sequence[str], height_distance: float) -> UltrametricTree:
 def ultrametric_to_hierarchy(tree: UltrametricTree,
                              levels: UltrametricLevels) -> HierarchySequence:
     """Inverse construction: level-t parts are components under <= D^(t)."""
-    labels = tree.labels
+    pairs = list(all_pairs(tree.labels))
     mapping = tree.distance_map()
-    index = {}
-    for pair, v in mapping.items():
-        try:
-            index[pair] = _level_index(levels.values, v, VALUE_TOL)
-        except ValueError:
-            raise ValueError(
-                f"tree distance {v} for {pair} is not an input value") from None
+    dist = np.array([mapping[pair] for pair in pairs])
+    level = _level_index(levels.values, tree.labels, dist, VALUE_TOL)
     return HierarchySequence(tuple(
-        components(labels, (pair for pair, k in index.items() if k <= t))
+        components(tree.labels, itertools.compress(pairs, (level <= t).tolist()))
         for t in range(levels.n_levels)))
 
 

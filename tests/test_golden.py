@@ -1,0 +1,107 @@
+"""Golden answers: sha256 digests of `--seed 7` JSON reports on fixed tables.
+
+Any change to a fitted tree, its error or its bound shows up here as a
+changed digest. The tables come from one seeded generator, so they are the
+same on every run.
+"""
+import hashlib
+import random
+
+import pytest
+
+from treefit.cli import main
+from treefit.core import DistanceMatrix, all_pairs
+from treefit.io import write_matrix_csv
+from conftest import planted_ultrametric, random_matrix
+
+
+def _labels(n):
+    return [f"s{k}" for k in range(n)]
+
+
+def _tables() -> dict[str, DistanceMatrix]:
+    rng = random.Random(7)
+    return {
+        "int6": random_matrix(rng, _labels(6), [1, 2, 3, 4]),
+        "int9": random_matrix(rng, _labels(9), [1, 2, 3, 4]),
+        "two8": random_matrix(rng, _labels(8), [1, 2]),
+        "cont8": DistanceMatrix.from_pairs(_labels(8), {
+            pair: round(rng.uniform(1.0, 4.0), 3) for pair in all_pairs(_labels(8))}),
+        "planted12": planted_ultrametric(rng, _labels(12), [1.0, 2.0, 3.5, 5.0]),
+        "one": DistanceMatrix.from_pairs(["s0"], {}),
+        "two": DistanceMatrix.from_pairs(_labels(2), {("s0", "s1"): 2.5}),
+    }
+
+
+TABLES = _tables()
+
+GOLDEN = {
+    "cont8-ultrametric-pivot-sweep":
+        "a1b5fc850278b894b3bdfc866f41d2c4d4b4016487d84940eedb94f35c9c85a4",
+    "cont8-ultrametric-kwik":
+        "d0aeb294fe7db40f0d1b2d3f799fa1dc52a571a92499111063b617da479070ec",
+    "cont8-tree-pivot-sweep":
+        "592e4ae702ed98384a7e622a14e71d0d3e53d08160704110bbcb9ec1ea195d04",
+    "cont8-tree-kwik":
+        "70a1f96f043947a6d6ca9603ed9686ae0265a2afefd3c43e8c0cf30e52edc68d",
+    "int6-ultrametric-pivot-sweep":
+        "ee3ab9995d0480d580172fd6557486839a5ae0c6fa32868fdf417d62a7272ca8",
+    "int6-ultrametric-kwik":
+        "b0e77088fddd1d959efceba984374ee25030b5f575bd12726b9c09acf77da4ab",
+    "int6-tree-pivot-sweep":
+        "291eb361b425f0dde0681eab69e901feb99a733f0f79f96406a2c8ac68c964e0",
+    "int6-tree-kwik":
+        "ec42a5e8413bbf4e2098334be91b912785db3519cd309f63757bda0155673169",
+    "int9-ultrametric-pivot-sweep":
+        "97b4bf59562a4d1297dbb03bed055189a2c2cb8c856a3d7b0545a363070d77a1",
+    "int9-ultrametric-kwik":
+        "6955ee09032f3c596d154481734d1538207c8b3fbc21beb1c6c98c1886ccbf10",
+    "int9-tree-pivot-sweep":
+        "05e2e18e4a8c3dd9f043247c863cc30c70b74ea6aea5efebb5cf306009efccd4",
+    "int9-tree-kwik":
+        "15171feb1a850bbb52b0797784d744f86080e225efeef82b6054e6d250391dde",
+    "one-ultrametric-pivot-sweep":
+        "7bd2886833577377202e60623a931cc34b7db55dd7f6bcd58583864b208ca080",
+    "one-ultrametric-kwik":
+        "7bd2886833577377202e60623a931cc34b7db55dd7f6bcd58583864b208ca080",
+    "one-tree-pivot-sweep":
+        "580d72d489e6666a8b695b6f81e6cc7059751ce6f30f4178a5ce1f120b51dedb",
+    "one-tree-kwik":
+        "580d72d489e6666a8b695b6f81e6cc7059751ce6f30f4178a5ce1f120b51dedb",
+    "planted12-ultrametric-pivot-sweep":
+        "40a376ea6640b41abb54c445afcaaff14bfe3d73ff6f8cefce83c900212aceda",
+    "planted12-ultrametric-kwik":
+        "40a376ea6640b41abb54c445afcaaff14bfe3d73ff6f8cefce83c900212aceda",
+    "planted12-tree-pivot-sweep":
+        "258fce41354e7b40a1389094c9f64018842fa9e61e58a4a69ce2711b1ba007cd",
+    "planted12-tree-kwik":
+        "258fce41354e7b40a1389094c9f64018842fa9e61e58a4a69ce2711b1ba007cd",
+    "two-ultrametric-pivot-sweep":
+        "6a891470c60053cd159b6d55146d4d3bf5b3b95259cc894fec911eb8f929a10b",
+    "two-ultrametric-kwik":
+        "6a891470c60053cd159b6d55146d4d3bf5b3b95259cc894fec911eb8f929a10b",
+    "two-tree-pivot-sweep":
+        "088446daba6fc002cf25e4e6ff7d896c767b6fa72da2f6fc49698215aef7a13c",
+    "two-tree-kwik":
+        "088446daba6fc002cf25e4e6ff7d896c767b6fa72da2f6fc49698215aef7a13c",
+    "two8-ultrametric-pivot-sweep":
+        "ec8d8aa2a5f39b8e34942ab9f3bedff1b26391f07c964b7539dd7e21c08603dd",
+    "two8-ultrametric-kwik":
+        "2fbfbb2ca6d6348dfb2d472ed9725684fd0e7c9c84a1c223959a23a7321f9bb3",
+    "two8-tree-pivot-sweep":
+        "c1b8afdca1561b9fc39b9b68593120da519350b33b6187da295fdd5d3f657b72",
+    "two8-tree-kwik":
+        "93f35fecdbcdc55a0605fc8139266cdab896bc92a27e8792097a96599b9bdab1",
+}
+
+
+@pytest.mark.parametrize("strategy", ["pivot-sweep", "kwik"])
+@pytest.mark.parametrize("mode", ["ultrametric", "tree"])
+@pytest.mark.parametrize("table", sorted(TABLES))
+def test_seeded_report_digest(table, mode, strategy, tmp_path, capsys):
+    src, out = tmp_path / "m.csv", tmp_path / "r.json"
+    write_matrix_csv(TABLES[table], src)
+    assert main(["--seed", "7", "fit", mode, str(src), "--strategy", strategy,
+                 "--json-out", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == GOLDEN[f"{table}-{mode}-{strategy}"]

@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
 
-from treefit.core import HierarchySequence, Partition, all_pairs
+from treefit.core import HierarchySequence, Partition, all_pairs, components
 from treefit.corrclust import corr_cluster
 from treefit.hca import (
+    BALL_FAR,
+    BALL_NEAR,
+    HALF_FRACTION,
+    KEEP_FRACTION,
+    OUTSIDE_FRACTION,
     HcaResult,
     LpCluster,
     LpClusterFamilies,
@@ -19,7 +24,7 @@ from treefit.hca import (
 from treefit.lp import HccInstance, LpSolution, build_lp, hierarchy_cost, solve_lp
 from treefit.oracle import exact_hca
 from treefit.ultrametric import TrivialInstance, hcc_instance_from_distances
-from conftest import random_hierarchy, random_matrix, random_partition
+from conftest import feasible_lp_maps, random_hierarchy, random_matrix, random_partition
 
 UNI4 = ("a", "b", "c", "d")
 
@@ -252,3 +257,83 @@ class TestOptimalVertex:
         # without instances whose two optimal points clean differently, the
         # loop would check nothing that one backend does not already check
         assert differing >= 1
+
+
+def reference_cleaned_subset(sol, t, cluster):
+    """The ball tests of cleaned_subset, pair by pair through sol.value."""
+    size = len(cluster)
+    keep = []
+    for i in cluster:
+        near_inside = sum(1 for j in cluster if sol.value(t, i, j) < BALL_NEAR)
+        if not near_inside > HALF_FRACTION * size:
+            continue
+        far_outside = sum(1 for j in sol.labels
+                          if j not in cluster and sol.value(t, i, j) < BALL_FAR)
+        if far_outside <= OUTSIDE_FRACTION * size:
+            keep.append(i)
+    return frozenset(keep)
+
+
+class TestCleaningMatchesReference:
+    def check(self, partitions, sol):
+        want = []
+        for t, q in enumerate(partitions):
+            level = []
+            for cluster in q.parts:
+                survivors = reference_cleaned_subset(sol, t, cluster)
+                assert cleaned_subset(sol, t, cluster) == survivors
+                if len(survivors) >= KEEP_FRACTION * len(cluster):
+                    level.append(LpCluster(members=survivors, input_cluster=cluster))
+            want.append(tuple(level))
+        assert lp_cleaning(partitions, sol).levels == tuple(want)
+        return sum(len(level) for level in want)
+
+    def test_feasible_points(self, rng):
+        # clusters: the components of the near pairs of each level, with one
+        # label moved to another cluster half of the time, or random parts;
+        # half of the points are rounded to twentieths (a monotone map keeps
+        # them feasible), so distances sit exactly on the ball radii
+        kept = 0
+        for _ in range(80):
+            labels = tuple(f"s{k:02d}" for k in range(rng.randint(2, 16)))
+            maps = feasible_lp_maps(rng, labels, rng.randint(1, 4))
+            if rng.random() < 0.5:
+                maps = [{p: round(v * 20) / 20 for p, v in level.items()} for level in maps]
+            partitions = []
+            for level in maps:
+                radius = rng.uniform(0.05, 0.9)
+                parts = [set(p) for p in components(
+                    labels, [p for p, v in level.items() if v < radius]).parts]
+                if rng.random() < 0.5:
+                    moved = rng.choice(labels)
+                    for p in parts:
+                        p.discard(moved)
+                    parts.append(set())
+                    rng.choice(parts).add(moved)
+                if rng.random() < 0.2:
+                    parts = random_partition(rng, labels).parts
+                partitions.append(Partition.from_parts(labels, [p for p in parts if p]))
+            kept += self.check(partitions, solution_from_maps(labels, maps))
+        assert kept > 0
+
+    def test_agreement_lp_optima(self, rng):
+        checked = 0
+        for n in range(5, 17):
+            labels = tuple(f"s{k}" for k in range(n))
+            try:
+                sliced, _ = hcc_instance_from_distances(
+                    random_matrix(rng, labels, range(1, 5)))
+            except TrivialInstance:
+                continue
+            qs = tuple(corr_cluster(labels, es) for es in sliced.edge_sets)
+            inst = HccInstance.from_partitions(labels, sliced.deltas, qs)
+            self.check(qs, solve_lp(build_lp(inst)))
+            checked += 1
+        assert checked >= 10
+
+    def test_solution_labels_must_follow_the_partitions(self):
+        labels = tuple("abcd")
+        q = Partition.from_parts(labels, [{"a", "b"}, {"c", "d"}])
+        sol = solution_from_maps(labels[::-1], [dict.fromkeys(all_pairs(labels[::-1]), 0.0)])
+        with pytest.raises(ValueError):
+            lp_cleaning([q], sol)

@@ -100,6 +100,16 @@ class TestNewick:
         for i, j in [("a", "b"), ("a", "c"), ("b", "c")]:
             assert back.distance(i, j) == pytest.approx(t.distance(i, j))
 
+    def test_deep_weighted_path_round_trip(self):
+        # rooted at one end, a 1500-node path nests deeper than the recursion
+        # limit; dyadic weights keep every path sum exact
+        nodes = [f"p{k}" for k in range(1500)]
+        edges = tuple((a, b, 0.25 + k % 7) for k, (a, b) in enumerate(zip(nodes, nodes[1:])))
+        t = WeightedTree(labels=(*nodes[::100], nodes[-1]), edges=edges, root=nodes[0])
+        back = parse_newick(newick_string(t))
+        for (i, j), v in t.distance_map().items():
+            assert back.distance(i, j) == v
+
     def test_rejects_unterminated(self):
         with pytest.raises(DataError):
             parse_newick("(a:1,b:1)")

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -17,6 +18,7 @@ from treefit.core import (
 from treefit.io import newick_string, parse_newick
 from treefit.lp import hierarchy_cost
 from treefit.ultrametric import (
+    VALUE_TOL,
     TrivialInstance,
     UltrametricLevels,
     fit_ultrametric,
@@ -299,3 +301,21 @@ class TestNearTieLevels:
         assert ("a", "b") in inst.edge_sets[0].edges
         assert ("a", "c") in inst.edge_sets[0].edges
         assert ("b", "c") not in inst.edge_sets[0].edges
+
+    def test_exact_tie_snaps_to_the_lower_value(self):
+        # mid merges into lo and lies exactly halfway between lo and hi
+        ulp = math.ulp(1.0)
+        lo, mid, hi = 1.0, 1.0 + 4096 * ulp, 1.0 + 8192 * ulp
+        d = DistanceMatrix.from_pairs("abcd", {
+            ("a", "b"): lo, ("a", "c"): mid, ("b", "c"): hi,
+            ("a", "d"): 2.0, ("b", "d"): 2.0, ("c", "d"): 2.0})
+        inst, levels = hcc_instance_from_distances(d)
+        assert levels.values == (lo, hi, 2.0)
+        assert inst.edge_sets[0].edges == {("a", "b"), ("a", "c")}
+
+    def test_tree_distances_snap_within_value_tol_only(self):
+        levels = UltrametricLevels((1.0, 3.0))
+        near = ultrametric_to_hierarchy(star_tree("abc", 3.0 + 0.5 * VALUE_TOL), levels)
+        assert all(len(p) == 1 for p in near.levels[0].parts)
+        with pytest.raises(ValueError):
+            ultrametric_to_hierarchy(star_tree("abc", 3.0 + 1.5 * VALUE_TOL), levels)
