@@ -80,7 +80,7 @@ class DistanceMatrix:
             raise ValueError("duplicate labels")
         idx = {lab: k for k, lab in enumerate(self.labels)}
         object.__setattr__(self, "_index", idx)
-        expected = {canon_pair(idx, i, j) for i, j in all_pairs(self.labels)}
+        expected = set(all_pairs(self.labels))
         if set(self.d) != expected:
             missing = expected - set(self.d)
             extra = set(self.d) - expected

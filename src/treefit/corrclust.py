@@ -8,9 +8,15 @@ enumeration (small n) are also available.
 Pivot runs work on bitmasks over universe positions: nb[v] holds the
 neighbours of label v, and a pivot p still remaining takes the cluster
 (nb[p] & remaining) | bit(p). A run's disagreements are counted without
-building its clique edges, as |E| + sum of s(s-1)/2 over its clusters minus
-sum of popcount(nb[v] & cluster) over every label v in a cluster (each inside
-edge counted twice). Only the winning run becomes a Partition.
+building its clique edges, as |E| plus each cluster's cost: s(s-1)/2 minus
+the sum of popcount(nb[v] & cluster) over its labels v (each inside edge
+counted twice). Only the winning run becomes a Partition.
+
+The sweep does not repeat work. After its first cluster nb[first] | bit(first)
+a run takes pivots in label order, so first pivots with the same first
+cluster give the same run: it is made once, from the earliest such pivot, and
+the others are skipped. A cluster's cost does not depend on the run that
+emits it, so each distinct cluster is scored once per call.
 """
 from __future__ import annotations
 
@@ -49,10 +55,15 @@ def _pivot_rounds(nb: list[int], pivot_order: Iterable[int]) -> list[int]:
     return clusters
 
 
-def _disagreements(nb: list[int], n_edges: int, clusters: list[int]) -> int:
-    clique_pairs = sum(c.bit_count() * (c.bit_count() - 1) // 2 for c in clusters)
-    inside_twice = sum((nb[v] & c).bit_count() for c in clusters for v in _members(c))
-    return n_edges + clique_pairs - inside_twice
+def _disagreements(nb: list[int], n_edges: int, clusters: list[int],
+                   costs: dict[int, int]) -> int:
+    """Disagreements of a run; costs caches each cluster's cost by its mask."""
+    for c in clusters:
+        if c not in costs:
+            size = c.bit_count()
+            costs[c] = size * (size - 1) // 2 - sum((nb[v] & c).bit_count()
+                                                    for v in _members(c))
+    return n_edges + sum(costs[c] for c in clusters)
 
 
 def exact_corr_cluster(universe: Sequence[str], edges: EdgeSet) -> tuple[Partition, int]:
@@ -72,7 +83,7 @@ def corr_cluster(universe: Sequence[str], edges: EdgeSet, *,
     """Cluster the universe against the edge set.
 
     strategy:
-      pivot-sweep  deterministic; best of n pivot runs (one per first pivot)
+      pivot-sweep  deterministic; best of the runs from each first pivot
       kwik         randomized pivots drawn from the given seed
       exact        exact_corr_cluster, n <= EXACT_CAP
     """
@@ -94,10 +105,14 @@ def corr_cluster(universe: Sequence[str], edges: EdgeSet, *,
         random.Random(seed).shuffle(order)
         best = _pivot_rounds(nb, order)
     elif strategy == "pivot-sweep":
-        # min keeps the first of the cheapest runs
-        n_edges = len(edges)
-        best = min((_pivot_rounds(nb, [first, *range(n)]) for first in range(n)),
-                   key=lambda clusters: _disagreements(nb, n_edges, clusters),
+        # the earliest first pivot of each distinct first cluster; min keeps
+        # the first of the cheapest runs
+        firsts: dict[int, int] = {}
+        for v in range(n):
+            firsts.setdefault(nb[v] | 1 << v, v)
+        n_edges, costs = len(edges), {}
+        best = min((_pivot_rounds(nb, [first, *range(n)]) for first in firsts.values()),
+                   key=lambda clusters: _disagreements(nb, n_edges, clusters, costs),
                    default=[])
     else:
         raise ValueError(f"unknown strategy {strategy!r}")

@@ -10,7 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import HierarchySequence, Partition, clique_edges, components, sym_diff_size
+import numpy as np
+
+from .core import HierarchySequence, Partition, _pair_ends, clique_edges, sym_diff_size
 from .corrclust import corr_cluster, corr_cluster_cost
 from .hca import HcaResult, fit_hca_report, is_hierarchical
 from .lp import HccInstance, LpSolution, build_lp, hierarchy_cost, solve_lp
@@ -29,13 +31,24 @@ class HccResult:
 
 
 def _clique_hierarchy(inst: HccInstance) -> HierarchySequence | None:
-    """If every E^(t) is a disjoint clique set and the levels nest, return it."""
+    """If every E^(t) is a disjoint clique set and the levels nest, return it.
+
+    first[v] is the lowest position in the closed neighbourhood of label v.
+    A level is a disjoint clique set exactly when two labels are adjacent iff
+    their first positions agree; the labels sharing a first position are then
+    the parts.
+    """
+    i, j = _pair_ends(inst.n)
     parts = []
     for es in inst.edge_sets:
-        p = components(es.universe, es.edges)
-        if sym_diff_size(clique_edges(p), es):
+        first = np.arange(inst.n)
+        np.minimum.at(first, j[es.mask], i[es.mask])
+        if not np.array_equal(first[i] == first[j], es.mask):
             return None
-        parts.append(p)
+        groups: dict[int, list[str]] = {}
+        for lab, f in zip(inst.labels, first.tolist()):
+            groups.setdefault(f, []).append(lab)
+        parts.append(Partition.from_parts(inst.labels, groups.values()))
     if not is_hierarchical(parts):
         return None
     return HierarchySequence(tuple(parts))

@@ -65,7 +65,7 @@ def _build(labels: list[str], cell, where: str) -> DistanceMatrix:
                     f"{where}: nonpositive distance {v} at row {labels[a]!r}"
                     f" column {labels[b]!r}")
             values[(labels[a], labels[b])] = v
-    return DistanceMatrix.from_pairs(labels, values)
+    return DistanceMatrix(tuple(labels), values)
 
 
 def _parse_csv(lines: list[str], where: str) -> DistanceMatrix:

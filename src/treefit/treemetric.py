@@ -102,15 +102,18 @@ def restricted_to_tree(u: Mapping[Pair, float], r: RestrictedInstance,
     fresh = (name for name in (f"v{k}" for k in itertools.count())
              if name not in label_set)
 
-    def walk(node: UltraNode, parent_name: str | None, parent_depth: float) -> None:
+    # preorder walk: each node with the name and depth of its parent
+    stack: list[tuple[UltraNode, str | None, float]] = [(utree.root, None, 0.0)]
+    while stack:
+        node, parent_name, parent_depth = stack.pop()
         if node.is_leaf:
             lab = node.label
             assert lab is not None
             if lab == r.pivot:
-                return  # the pivot is the root itself
+                continue  # the pivot is the root itself
             assert parent_name is not None
             edges.append((parent_name, lab, r.heights[lab] - parent_depth))
-            return
+            continue
         depth = r.gamma - 2.0 * node.height
         if parent_name is None:
             name = r.pivot
@@ -118,10 +121,7 @@ def restricted_to_tree(u: Mapping[Pair, float], r: RestrictedInstance,
         else:
             name = next(fresh)
             edges.append((parent_name, name, depth - parent_depth))
-        for child in node.children:
-            walk(child, name, depth)
-
-    walk(utree.root, None, 0.0)
+        stack.extend((child, name, depth) for child in reversed(node.children))
     weights = [max(0.0, w) if w > -RESTRICTION_TOL else w for _, _, w in edges]
     for w in weights:
         if w < 0:

@@ -3,9 +3,11 @@ import statistics
 
 import pytest
 
+from treefit import corrclust
 from treefit.core import EdgeSet, Partition, all_pairs, clique_edges
 from treefit.corrclust import corr_cluster, corr_cluster_cost
 from treefit.oracle import exact_corr_cluster
+from conftest import random_hierarchy
 
 
 def es(universe, pairs):
@@ -206,7 +208,60 @@ def tied_edge_sets():
     return out
 
 
+def cliques_mask(part_of):
+    """Clique edges of the labels with equal part_of entries."""
+    return [part_of[a] == part_of[b] for a, b in all_pairs(range(len(part_of)))]
+
+
+def repeated_first_cluster_edge_sets():
+    """Disjoint cliques, the same with 1-3 pairs flipped, nested planted
+    levels and two cliques sharing a label (a tie between them): many first
+    pivots give the same first cluster, so the sweep skips their runs."""
+    rng = random.Random(8128)
+    out = []
+    for n in (1, 2, 5, 12, 30):
+        universe = tuple(f"v{k}" for k in range(n))
+        for k in sorted({1, 2, 3, max(1, n // 2), n}):
+            cliques = cliques_mask([rng.randrange(k) for _ in universe])
+            out.append((universe, EdgeSet(universe, cliques)))
+            for flips in (1, 2, 3):
+                mask = list(cliques)
+                for pos in rng.sample(range(len(mask)), min(flips, len(mask))):
+                    mask[pos] = not mask[pos]
+                out.append((universe, EdgeSet(universe, mask)))
+    for n in (6, 15, 30):
+        universe = tuple(f"v{k}" for k in range(n))
+        out.extend((universe, clique_edges(level))
+                   for level in random_hierarchy(rng, universe, 4))
+    for m in (2, 3, 5):
+        universe = tuple(f"v{k}" for k in range(2 * m - 1))
+        pairs = [*all_pairs(universe[:m]), *all_pairs(universe[m - 1:])]
+        out.append((universe, es(universe, pairs)))
+    return out
+
+
 class TestMatchesReference:
+    def test_repeated_first_clusters_match_reference(self):
+        for universe, e in repeated_first_cluster_edge_sets():
+            assert corr_cluster(universe, e) == reference_sweep(universe, e)
+
+    def test_one_run_per_distinct_first_cluster(self, monkeypatch):
+        # k disjoint cliques: one run each, from the clique's first label
+        firsts = []
+        real = corrclust._pivot_rounds
+
+        def counting(nb, pivot_order):
+            firsts.append(pivot_order[0])
+            return real(nb, pivot_order)
+
+        monkeypatch.setattr(corrclust, "_pivot_rounds", counting)
+        universe = tuple(f"v{k}" for k in range(12))
+        for k in (1, 3, 5, 12):
+            firsts.clear()
+            e = EdgeSet(universe, cliques_mask([v % k for v in range(12)]))
+            assert corr_cluster(universe, e) == reference_sweep(universe, e)
+            assert firsts == list(range(k))
+
     def test_pivot_sweep_matches_reference(self):
         for universe, e in random_edge_sets():
             assert corr_cluster(universe, e) == reference_sweep(universe, e)

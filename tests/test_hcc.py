@@ -1,11 +1,20 @@
 import pytest
 
-from treefit.core import DistanceMatrix, EdgeSet, all_pairs, clique_edges, components
-from treefit.hcc import fit_hcc, triangle_switch_holds
+from treefit.core import (
+    DistanceMatrix,
+    EdgeSet,
+    HierarchySequence,
+    all_pairs,
+    clique_edges,
+    components,
+    sym_diff_size,
+)
+from treefit.hca import is_hierarchical
+from treefit.hcc import _clique_hierarchy, fit_hcc, triangle_switch_holds
 from treefit.lp import HccInstance, hierarchy_cost
 from treefit.oracle import exact_corr_cluster, exact_hcc
 from treefit.ultrametric import hcc_instance_from_distances
-from conftest import random_hierarchy
+from conftest import random_hierarchy, random_partition
 
 
 def es(universe, pairs):
@@ -102,3 +111,48 @@ class TestFitHcc:
             else:
                 assert res.cost <= 1e-9
         assert worst <= 10.0
+
+
+def reference_clique_hierarchy(inst):
+    """Union-find version: each level's components must be its cliques."""
+    parts = []
+    for e in inst.edge_sets:
+        p = components(e.universe, e.edges)
+        if sym_diff_size(clique_edges(p), e):
+            return None
+        parts.append(p)
+    if not is_hierarchical(parts):
+        return None
+    return HierarchySequence(tuple(parts))
+
+
+def clique_instances(rng):
+    """Random, planted (nested or not) and planted-with-one-pair-flipped
+    instances, n 1-12 with 1-4 levels."""
+    for _ in range(150):
+        n, n_levels = rng.randint(1, 12), rng.randint(1, 4)
+        labels = tuple(f"s{k}" for k in range(n))
+        deltas = (1.0,) * n_levels
+        yield random_instance(rng, n, n_levels)
+        nested = HccInstance.from_partitions(
+            labels, deltas, random_hierarchy(rng, labels, n_levels))
+        yield nested
+        yield HccInstance.from_partitions(
+            labels, deltas, [random_partition(rng, labels) for _ in range(n_levels)])
+        if n > 1:
+            t = rng.randrange(n_levels)
+            mask = nested.edge_sets[t].mask.copy()
+            mask[rng.randrange(len(mask))] ^= True
+            sets = list(nested.edge_sets)
+            sets[t] = EdgeSet(labels, mask)
+            yield HccInstance(labels, deltas, tuple(sets))
+
+
+class TestCliqueHierarchy:
+    def test_matches_union_find_reference(self, rng):
+        found = 0
+        for inst in clique_instances(rng):
+            want = reference_clique_hierarchy(inst)
+            assert _clique_hierarchy(inst) == want
+            found += want is not None
+        assert found >= 150

@@ -1,11 +1,14 @@
+import inspect
 import itertools
 import math
 import random
+import sys
 
 import pytest
 
 from treefit.core import (
     DistanceMatrix,
+    UltrametricTree,
     WeightedTree,
     all_pairs,
     is_ultrametric,
@@ -117,7 +120,45 @@ class TestClamp:
                     lp_norm_error(u, squeezed, p) + 1e-9
 
 
+def reference_tree_edges(u, r):
+    """The recursive walk: (parent, child, weight) edges in preorder."""
+    labels = r.transformed.labels
+    utree = UltrametricTree.from_map(labels, u, tol=1e-6)
+    fresh = (name for name in (f"v{k}" for k in itertools.count())
+             if name not in set(labels))
+    edges = []
+
+    def walk(node, parent_name, parent_depth):
+        if node.is_leaf:
+            if node.label != r.pivot:
+                edges.append((parent_name, node.label,
+                              max(0.0, r.heights[node.label] - parent_depth)))
+            return
+        if parent_name is None:
+            name, depth = r.pivot, 0.0
+        else:
+            name, depth = next(fresh), r.gamma - 2.0 * node.height
+            edges.append((parent_name, name, max(0.0, depth - parent_depth)))
+        for child in node.children:
+            walk(child, name, depth)
+
+    walk(utree.root, None, 0.0)
+    return tuple(edges)
+
+
 class TestRestrictedToTree:
+    def test_edges_match_recursive_reference(self, rng):
+        # fitted, clamped ultrametrics as fit_tree_metric makes them
+        for _ in range(20):
+            labels = tuple(f"s{k}" for k in range(rng.randint(3, 9)))
+            d = random_matrix(rng, labels, (1, 2, 3, 4))
+            r = gromov_transform(d, rng.choice(labels))
+            sub = fit_ultrametric(
+                DistanceMatrix(labels, clamp_to_restricted(r.transformed.d, r)),
+                lower_bound=False)
+            u = clamp_to_restricted(sub.tree.distance_map(), r)
+            assert restricted_to_tree(u, r, d).edges == reference_tree_edges(u, r)
+
     def test_star_back_transform(self):
         r = gromov_transform(STAR, "a")
         u = dict(r.transformed.d)  # exact fit
@@ -148,6 +189,26 @@ class TestRestrictedToTree:
         bad[("a", "b")] = 1.0  # pivot pair must stay at the cap
         with pytest.raises(ValueError):
             restricted_to_tree(bad, r, STAR)
+
+    def test_deeper_than_the_recursion_limit(self):
+        # a caterpillar: leaf k hangs by weight 1 off spine node k, spine
+        # edges weigh 1; from pivot l000 its ultrametric tree is n - 1 deep
+        n = 120
+        labels = tuple(f"l{k:03d}" for k in range(n))
+        d = DistanceMatrix(labels, {(labels[a], labels[b]): 2.0 + b - a
+                                    for a, b in all_pairs(range(n))})
+        r = gromov_transform(d, labels[0])
+        u = dict(r.transformed.d)
+        old_limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 60)
+        try:
+            tree = restricted_to_tree(u, r, d)
+        finally:
+            sys.setrecursionlimit(old_limit)
+        assert len(tree.edges) == 2 * n - 3
+        realized = tree.distance_map()
+        for i, j, v in d.pairs():
+            assert realized[(i, j)] == v
 
 
 class TestPseudometricFix:
