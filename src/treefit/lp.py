@@ -238,9 +238,7 @@ class LpSolution:
             x = self.x
             lhs = x[:, rows[:, 0]] - x[:, rows[:, 1]] - x[:, rows[:, 2]]
             tri = max(tri, float(lhs.max()))
-        mono = 0.0
-        for t in range(self.n_levels - 1):
-            mono = max(mono, float(np.max(self.x[t + 1] - self.x[t])))
+        mono = max(0.0, float((self.x[1:] - self.x[:-1]).max(initial=0.0)))
         box = max(0.0, float(np.max(self.x - 1.0)), float(np.max(-self.x)))
         return {"triangle": tri, "monotone": mono, "box": box}
 

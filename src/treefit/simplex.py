@@ -1,10 +1,24 @@
 """Dense primal simplex for small LPs of the form min c.x, A x <= b, 0 <= x <= u.
 
 Upper bounds are appended as explicit rows, so the origin is always a basic
-feasible starting point for the instances this package builds (b >= 0).
-Entering variables follow the most-negative-reduced-cost rule; the leaving
-row is chosen by the lexicographic ratio test, which rules out cycling on the
-heavily degenerate bases these LPs start from.
+feasible starting point (b >= 0, u >= 0). Entering variables follow the
+most-negative-reduced-cost rule; the leaving row is chosen by the
+lexicographic ratio test, which rules out cycling on the heavily degenerate
+bases these LPs start from.
+
+A pivot touches only the rows it must. Its pivot rule is that of a
+full-tableau update with a column-by-column tie-break, and it makes the same
+pivots, bit for bit. The ratio test divides the right-hand side by the positive
+entries of the entering column alone. Rows whose ratios tie within LEX_TOL go
+to the tie-break: it scales their rows by their pivot entries once, in
+lexicographic column order, and jumps straight to the first column where the
+surviving rows are not all within LEX_TOL of their least value; there the
+rows above it drop out, and the walk goes on from the next column. The rank-1
+update subtracts the scaled pivot row from the rows with a nonzero entry in
+the entering column and leaves the others alone. The tableau starts with
+every -0.0 turned into 0.0 and its arithmetic makes no new one (barring
+underflow), so a row left alone holds exactly what subtracting a zero
+multiple of the pivot row would have left.
 """
 from __future__ import annotations
 
@@ -51,8 +65,13 @@ def solve_dense(c, a, b, upper=None, *, iteration_cap: int | None = None,
         upper = np.ones(nvars)
     else:
         upper = np.asarray(upper, dtype=float)
+    for name, values in (("c", c), ("a", a), ("b", b), ("upper", upper)):
+        if not np.isfinite(values).all():
+            raise ValueError(f"{name} must be finite")
     if np.any(b < 0):
-        raise ValueError("rhs must be nonnegative (origin must be feasible)")
+        raise ValueError("rhs b must be nonnegative (origin must be feasible)")
+    if np.any(upper < 0):
+        raise ValueError("upper must be nonnegative (origin must be feasible)")
 
     m = a.shape[0] + nvars
     ncols = nvars + m
@@ -69,48 +88,43 @@ def solve_dense(c, a, b, upper=None, *, iteration_cap: int | None = None,
     tableau[: a.shape[0], -1] = b
     tableau[a.shape[0] : m, -1] = upper
     tableau[-1, :nvars] = c
+    tableau += 0.0  # -0.0 becomes 0.0
 
     basis = list(range(nvars, nvars + m))
     # lexicographic comparison order: rhs, then the initially-basic (slack)
     # columns whose identity block makes every row lex-positive, then the rest
-    lex_order = [ncols] + list(range(nvars, ncols)) + list(range(nvars))
+    lex_order = np.r_[ncols, nvars:ncols, :nvars]
     iterations = 0
-    buf = np.empty_like(tableau)
-    factor = np.empty(m + 1)
+    reduced = tableau[-1, :ncols]
+    rhs = tableau[:m, -1]
 
     while True:
-        reduced = tableau[-1, :ncols]
-        entering = int(np.argmin(reduced))
+        entering = int(reduced.argmin())
         if reduced[entering] >= -PIVOT_TOL:
             break
         if iterations >= iteration_cap:
             x = _extract(tableau, basis, nvars, m)
             raise SimplexStall("iteration cap reached", x, float(c @ x), iterations)
 
-        col = tableau[:m, entering]
-        rhs = tableau[:m, -1]
-        positive = col > PIVOT_TOL
-        if not positive.any():
+        col = tableau[:, entering]
+        positive = (col[:m] > PIVOT_TOL).nonzero()[0]
+        if not len(positive):
             # cannot happen for the box-bounded LPs built here
             raise RuntimeError("LP is unbounded")
-        ratios = np.full(m, np.inf)
-        ratios[positive] = rhs[positive] / col[positive]
-        best = ratios.min()
-        candidates = np.nonzero(ratios <= best + LEX_TOL)[0]
-        if len(candidates) == 1:
-            leaving = int(candidates[0])
+        ratios = rhs[positive] / col[positive]
+        tied = positive[ratios <= ratios.min() + LEX_TOL]
+        if len(tied) == 1:
+            leaving = int(tied[0])
         else:
-            leaving = _lex_leaving(tableau, candidates, entering, lex_order)
+            leaving = _lex_leaving(tableau, tied, entering, lex_order)
 
-        pivot = tableau[leaving, entering]
         row = tableau[leaving]
-        np.divide(row, pivot, out=row)
-        np.copyto(factor, tableau[:, entering])
-        factor[leaving] = 0.0
-        np.multiply(factor[:, None], row[None, :], out=buf)
-        np.subtract(tableau, buf, out=tableau)
-        tableau[:, entering] = 0.0
-        tableau[leaving, entering] = 1.0
+        row /= row[entering]
+        hit = col.nonzero()[0]
+        hit = hit[hit != leaving]
+        # leaves the entering column a unit column exactly: x - x * 1.0 is
+        # 0.0 in the rows hit, and the other rows held 0.0 there already
+        tableau[hit] -= col[hit, None] * row
         basis[leaving] = entering
         iterations += 1
 
@@ -118,20 +132,27 @@ def solve_dense(c, a, b, upper=None, *, iteration_cap: int | None = None,
     return SimplexResult(x=x, objective=float(c @ x), iterations=iterations)
 
 
-def _lex_leaving(tableau: np.ndarray, candidates: np.ndarray, entering: int,
-                 lex_order: list[int]) -> int:
-    """Among tied rows, the one whose scaled row is lexicographically least."""
-    cands = np.asarray(candidates)
-    piv = tableau[cands, entering]
-    for col in lex_order:
-        vals = tableau[cands, col] / piv
-        best = vals.min()
-        keep = vals <= best + LEX_TOL
-        cands = cands[keep]
-        piv = piv[keep]
-        if len(cands) == 1:
+def _lex_leaving(tableau: np.ndarray, tied: np.ndarray, entering: int,
+                 lex_order: np.ndarray) -> int:
+    """Among tied rows, the one whose scaled row is lexicographically least.
+
+    At each column in lex_order, the rows more than LEX_TOL above the
+    survivors' least value drop out. Every column before the first one where
+    a row drops out keeps all rows, so one step finds that column.
+    """
+    vals = tableau[tied[:, None], lex_order] / tableau[tied, entering, None]
+    while vals.shape[1]:
+        keep = vals <= np.minimum.reduce(vals) + LEX_TOL
+        all_tie = np.logical_and.reduce(keep)
+        first = int(all_tie.argmin())
+        if all_tie[first]:
             break
-    return int(cands[0])
+        survivors = keep[:, first]
+        tied = tied[survivors]
+        if len(tied) == 1:
+            break
+        vals = vals[survivors, first + 1 :]
+    return int(tied[0])
 
 
 def _extract(tableau: np.ndarray, basis: list[int], nvars: int, m: int) -> np.ndarray:

@@ -105,3 +105,22 @@ def test_seeded_report_digest(table, mode, strategy, tmp_path, capsys):
                  "--json-out", str(out)]) == 0
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == GOLDEN[f"{table}-{mode}-{strategy}"]
+
+
+# `fit ultrametric --dump-lp --seed 7` text of the tables the dense simplex
+# solves: the dumped point shows any change in the simplex's bits, zero signs
+# included
+DUMP_GOLDEN = {
+    "int6": "2fbced6cafa2856db284243c65a640adcfb8aea3c4d3be005e77e17032bf83b4",
+    "int9": "79ca4f25d5c6b2c4f8b7c7dc936e3c13f19ddc10928c32d05e2af57f1969758f",
+    "two8": "4c8a09021ce420f6198bd714415c088a1b740c3268ba938ff8b64987c71b076c",
+}
+
+
+@pytest.mark.parametrize("table", sorted(DUMP_GOLDEN))
+def test_simplex_dump_digest(table, tmp_path, capsys):
+    src, dump = tmp_path / "m.csv", tmp_path / "lp.txt"
+    write_matrix_csv(TABLES[table], src)
+    assert main(["--seed", "7", "fit", "ultrametric", str(src),
+                 "--dump-lp", str(dump)]) == 0
+    assert hashlib.sha256(dump.read_bytes()).hexdigest() == DUMP_GOLDEN[table]

@@ -24,7 +24,8 @@ from treefit.lp import (
     solve_lp,
 )
 from treefit.oracle import exact_hcc
-from treefit.simplex import SimplexStall, solve_dense
+import treefit.simplex as simplex_module
+from treefit.simplex import LEX_TOL, PIVOT_TOL, SimplexResult, SimplexStall, solve_dense
 from treefit.ultrametric import hcc_instance_from_distances
 from conftest import feasible_lp_maps, random_matrix, random_partition
 
@@ -243,6 +244,143 @@ class TestCostEdges:
             assert abs(c1 - c2) <= diff + 1e-9
 
 
+# ---------------------------------------------------------------------------
+# Reference simplex: the full-tableau loop with the column-by-column tie-break
+# ---------------------------------------------------------------------------
+
+def reference_solve_dense(c, a, b, upper=None, *, iteration_cap=None):
+    c = np.asarray(c, dtype=float)
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    nvars = c.shape[0]
+    if upper is None:
+        upper = np.ones(nvars)
+    else:
+        upper = np.asarray(upper, dtype=float)
+    if np.any(b < 0):
+        raise ValueError("rhs must be nonnegative (origin must be feasible)")
+
+    m = a.shape[0] + nvars
+    ncols = nvars + m
+    if iteration_cap is None:
+        iteration_cap = 10 * m
+
+    tableau = np.zeros((m + 1, ncols + 1))
+    tableau[: a.shape[0], :nvars] = a
+    tableau[a.shape[0] : m, :nvars] = np.eye(nvars)
+    tableau[:m, nvars : nvars + m] = np.eye(m)
+    tableau[: a.shape[0], -1] = b
+    tableau[a.shape[0] : m, -1] = upper
+    tableau[-1, :nvars] = c
+
+    basis = list(range(nvars, nvars + m))
+    lex_order = [ncols] + list(range(nvars, ncols)) + list(range(nvars))
+    iterations = 0
+    buf = np.empty_like(tableau)
+    factor = np.empty(m + 1)
+
+    while True:
+        reduced = tableau[-1, :ncols]
+        entering = int(np.argmin(reduced))
+        if reduced[entering] >= -PIVOT_TOL:
+            break
+        if iterations >= iteration_cap:
+            x = reference_extract(tableau, basis, nvars)
+            raise SimplexStall("iteration cap reached", x, float(c @ x), iterations)
+
+        col = tableau[:m, entering]
+        rhs = tableau[:m, -1]
+        positive = col > PIVOT_TOL
+        if not positive.any():
+            raise RuntimeError("LP is unbounded")
+        ratios = np.full(m, np.inf)
+        ratios[positive] = rhs[positive] / col[positive]
+        best = ratios.min()
+        candidates = np.nonzero(ratios <= best + LEX_TOL)[0]
+        if len(candidates) == 1:
+            leaving = int(candidates[0])
+        else:
+            leaving = reference_lex_leaving(tableau, candidates, entering, lex_order)
+
+        pivot = tableau[leaving, entering]
+        row = tableau[leaving]
+        np.divide(row, pivot, out=row)
+        np.copyto(factor, tableau[:, entering])
+        factor[leaving] = 0.0
+        np.multiply(factor[:, None], row[None, :], out=buf)
+        np.subtract(tableau, buf, out=tableau)
+        tableau[:, entering] = 0.0
+        tableau[leaving, entering] = 1.0
+        basis[leaving] = entering
+        iterations += 1
+
+    x = reference_extract(tableau, basis, nvars)
+    return SimplexResult(x=x, objective=float(c @ x), iterations=iterations)
+
+
+def reference_lex_leaving(tableau, candidates, entering, lex_order):
+    cands = np.asarray(candidates)
+    piv = tableau[cands, entering]
+    for col in lex_order:
+        vals = tableau[cands, col] / piv
+        best = vals.min()
+        keep = vals <= best + LEX_TOL
+        cands = cands[keep]
+        piv = piv[keep]
+        if len(cands) == 1:
+            break
+    return int(cands[0])
+
+
+def reference_extract(tableau, basis, nvars):
+    x = np.zeros(nvars)
+    for row, var in enumerate(basis):
+        if var < nvars:
+            x[var] = tableau[row, -1]
+    return x
+
+
+def lex_drop_columns(tableau, candidates, entering, lex_order) -> int:
+    """Columns at which the reference tie-break drops some of its rows."""
+    cands = np.asarray(candidates)
+    piv = tableau[cands, entering]
+    drops = 0
+    for col in lex_order:
+        vals = tableau[cands, col] / piv
+        keep = vals <= vals.min() + LEX_TOL
+        drops += not keep.all()
+        cands, piv = cands[keep], piv[keep]
+        if len(cands) == 1:
+            break
+    return drops
+
+
+def simplex_outcome(solve, c, a, cap):
+    """x bytes and pivot count of a solve, or of the point it stalled at."""
+    try:
+        res = solve(c, a, np.zeros(len(a)), iteration_cap=cap)
+    except SimplexStall as stall:
+        return "stall", stall.x.tobytes(), stall.iterations
+    return "optimal", res.x.tobytes(), res.iterations
+
+
+def lazy_row_sets(lp) -> list[np.ndarray]:
+    """The row subsets the cutting-plane loop solves on its way to lp's optimum."""
+    seen = []
+
+    def solve_rows(active):
+        seen.append(active)
+        return solve_dense(lp.c, lp.dense_matrix(active), np.zeros(len(active))).x
+
+    lp_module._solve_lazily(lp, solve_rows, lp_module.DEFAULT_FEAS_TOL)
+    return seen
+
+
+# tableau entries times pivots squared, above which a solve is checked at a
+# spread of caps instead of at every one
+EVERY_CAP_WORK = 2e7
+
+
 class TestSimplexDirect:
     def test_tiny_lp(self):
         # min -x - y st x + y <= 1.5, x,y in [0,1] -> -1.5
@@ -254,12 +392,76 @@ class TestSimplexDirect:
         with pytest.raises(ValueError):
             solve_dense(np.array([1.0]), np.array([[1.0]]), np.array([-1.0]))
 
+    def test_rejects_negative_upper(self):
+        # no x >= 0 meets x <= -1, so the origin is no feasible start
+        with pytest.raises(ValueError, match="upper"):
+            solve_dense([-1.0], [[1.0]], [1.0], upper=[-1.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["c", "a", "b", "upper"])
+    def test_rejects_non_finite_input(self, name, bad):
+        args = {"c": [-1.0, -1.0], "a": [[1.0, 1.0]], "b": [1.5], "upper": [1.0, 1.0]}
+        values = np.array(args[name])
+        values.flat[0] = bad
+        args[name] = values
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            solve_dense(args["c"], args["a"], args["b"], upper=args["upper"])
+
     def test_stall_exception_carries_point(self):
         with pytest.raises(SimplexStall) as err:
             solve_dense(np.array([-1.0, -1.0]),
                         np.array([[1.0, 1.0]]), np.array([1.5]),
                         iteration_cap=0)
         assert err.value.x.shape == (2,)
+
+    def test_negative_zero_inputs_solve_as_zero(self, rng):
+        for _ in range(10):
+            lp = build_lp(random_instance(rng, rng.randint(3, 6), rng.randint(1, 3)))
+            active = lazy_row_sets(lp)[-1]
+            a = lp.dense_matrix(active)
+            b = np.zeros(len(active))
+            want = solve_dense(lp.c, a, b)
+            got = solve_dense(lp.c, np.where(a == 0.0, -0.0, a), -b)
+            assert got.iterations == want.iterations
+            assert got.x.tobytes() == want.x.tobytes()
+
+    def test_pivot_path_matches_reference(self, rng, monkeypatch):
+        drops = []
+        kernel_lex = simplex_module._lex_leaving
+
+        def checked_lex(tableau, tied, entering, lex_order):
+            leaving = kernel_lex(tableau, tied, entering, lex_order)
+            order = lex_order.tolist()
+            assert leaving == reference_lex_leaving(tableau, tied, entering, order)
+            drops.append(lex_drop_columns(tableau, tied, entering, order))
+            return leaving
+
+        solves = capped = 0
+        for _ in range(12):
+            lp = build_lp(random_instance(rng, rng.randint(3, 9), rng.randint(1, 4)))
+            row_sets = lazy_row_sets(lp)
+            if lp.n_rows <= 300:
+                row_sets.append(np.arange(lp.n_rows))
+            for active in row_sets:
+                a = lp.dense_matrix(active)
+                want = simplex_outcome(reference_solve_dense, lp.c, a, None)
+                with monkeypatch.context() as patch:
+                    patch.setattr(simplex_module, "_lex_leaving", checked_lex)
+                    assert simplex_outcome(solve_dense, lp.c, a, None) == want
+                pivots = want[2]
+                entries = (len(a) + lp.n_vars + 1) * (len(a) + 2 * lp.n_vars + 1)
+                if entries * pivots ** 2 <= EVERY_CAP_WORK:
+                    caps = range(pivots)
+                else:
+                    caps = sorted({pivots * k // 8 for k in range(8)})
+                for cap in caps:
+                    assert (simplex_outcome(solve_dense, lp.c, a, cap)
+                            == simplex_outcome(reference_solve_dense, lp.c, a, cap))
+                solves += 1
+                capped += len(caps)
+        # tie-breaks that drop rows at two or more columns, not only at the first
+        assert sum(d >= 2 for d in drops) >= 100
+        assert solves >= 30 and capped >= 400
 
 
 class TestDump:
