@@ -12,7 +12,7 @@ import sys
 import time
 from pathlib import Path
 
-from .core import DistanceMatrix, WeightedTree
+from .core import DistanceMatrix, EdgeSet, WeightedTree, lp_norm_error
 from .corrclust import corr_cluster, corr_cluster_cost, exact_corr_cluster
 from .io import DataError, newick_string, parse_matrix, parse_newick, write_newick
 from .lp import HccInstance, SolverError, build_lp, solve_lp
@@ -114,13 +114,10 @@ def _emit(args, report: dict) -> None:
         args.json_out.write_text(json.dumps(report, indent=2) + "\n")
 
 
-def _edges_from_threshold(d: DistanceMatrix, threshold: float | None):
-    from .core import EdgeSet
-
+def _edges_from_threshold(d: DistanceMatrix, threshold: float | None) -> EdgeSet:
     if threshold is None:
-        threshold = min(v for _, _, v in d.pairs())
-    pairs = [(i, j) for i, j, v in d.pairs() if v <= threshold + 1e-12]
-    return EdgeSet.from_pairs(d.labels, pairs)
+        threshold = min(d.values.tolist())
+    return EdgeSet(d.labels, d.values <= threshold + 1e-12)
 
 
 def _dump_requested_lp(args, d: DistanceMatrix, mode: str, fitted) -> None:
@@ -134,7 +131,7 @@ def _dump_requested_lp(args, d: DistanceMatrix, mode: str, fitted) -> None:
         return
     if mode == "tree":
         r = gromov_transform(d, fitted.details["pivot"])
-        d = DistanceMatrix(d.labels, clamp_to_restricted(r.transformed.d, r))
+        d = DistanceMatrix(d.labels, clamp_to_restricted(r.transformed.values, r))
         sol = fitted.details["lp_solution"]
     else:
         hcc_result = fitted.details.get("hcc")
@@ -253,9 +250,7 @@ def _cmd_eval(args) -> int:
     # each path is summed from the same end as over the whole tree
     wanted = set(d.labels)
     tree = WeightedTree(tuple(lab for lab in tree.labels if lab in wanted), tree.edges)
-    total = 0.0
-    for i, j, v in d.pairs():
-        total += abs(tree.distance(i, j) - v)
+    total = lp_norm_error(tree, d, 1)
     wall_ms = int(round((time.perf_counter() - t0) * 1000))
     _emit(args, _report(args, n=d.n, mode="eval", l1_error=total,
                         lp_lower_bound=None, num_levels=None,

@@ -7,9 +7,11 @@ deterministic.
 Pair order: `all_pairs(labels)` lists the C(n,2) unordered pairs as
 `itertools.combinations` does, and `_condensed(n, i, j)` is the position of
 the pair of label positions i < j in that list. The same order indexes
+`DistanceMatrix.values`, the trees' `distances()` (over their own labels),
 `EdgeSet.mask`, the columns of `LpSolution.x`, and each level's block of LP
-variables. A partition's `part_of[k]` is the index, in `parts`, of the part
-holding the k-th universe label.
+variables. Only this module turns label pairs into positions. A partition's
+`part_of[k]` is the index, in `parts`, of the part holding the k-th universe
+label.
 """
 from __future__ import annotations
 
@@ -31,13 +33,6 @@ class UniverseMismatch(ValueError):
     """Raised when two objects over different label universes are combined."""
 
 
-def canon_pair(index: Mapping[str, int], i: str, j: str) -> Pair:
-    """Order a label pair by label position so dicts hold one key per pair."""
-    if i == j:
-        raise ValueError(f"self-pair {i!r} is not a valid unordered pair")
-    return (i, j) if index[i] < index[j] else (j, i)
-
-
 def all_pairs(labels: Sequence[str]) -> Iterator[Pair]:
     return itertools.combinations(labels, 2)
 
@@ -56,6 +51,27 @@ def _pair_ends(n: int) -> tuple[np.ndarray, np.ndarray]:
     return ends
 
 
+def _pair_position(index: Mapping[str, int], i: str, j: str) -> int:
+    """Position of the unordered pair {i, j} in `all_pairs` order."""
+    a, b = index[i], index[j]
+    if a == b:
+        raise ValueError(f"self-pair {i!r} is not a valid unordered pair")
+    return _condensed(len(index), min(a, b), max(a, b))
+
+
+def _nth_pair(labels: Sequence[str], k: int) -> Pair:
+    return next(itertools.islice(all_pairs(labels), k, None))
+
+
+def _square(values: np.ndarray, n: int) -> np.ndarray:
+    """The symmetric n x n matrix of a condensed vector, with a zero diagonal."""
+    out = np.zeros((n, n), dtype=values.dtype)
+    i, j = _pair_ends(n)
+    out[i, j] = values
+    out[j, i] = values
+    return out
+
+
 def lookup_pair(mapping: Mapping, i: str, j: str) -> float:
     """Fetch a pair value from a dict keyed by tuples in either orientation."""
     try:
@@ -68,37 +84,59 @@ def lookup_pair(mapping: Mapping, i: str, j: str) -> float:
 # Distance matrices
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+def _label_index(labels: tuple[str, ...]) -> dict[str, int]:
+    index = {lab: k for k, lab in enumerate(labels)}
+    if len(index) != len(labels):
+        raise ValueError("duplicate labels")
+    return index
+
+
+@dataclass(frozen=True, eq=False)
 class DistanceMatrix:
-    """Symmetric strictly-positive pairwise distances with ordered labels."""
+    """Symmetric strictly-positive pairwise distances with ordered labels.
+
+    values[k] is the distance of the k-th pair of `all_pairs(labels)`; the
+    vector is a read-only float64 copy of the one given.
+    """
 
     labels: tuple[str, ...]
-    d: dict[Pair, float]
+    values: np.ndarray
 
     def __post_init__(self):
-        if len(set(self.labels)) != len(self.labels):
-            raise ValueError("duplicate labels")
-        idx = {lab: k for k, lab in enumerate(self.labels)}
-        object.__setattr__(self, "_index", idx)
-        expected = set(all_pairs(self.labels))
-        if set(self.d) != expected:
-            missing = expected - set(self.d)
-            extra = set(self.d) - expected
-            raise ValueError(f"bad pair keys: missing={sorted(missing)[:3]} extra={sorted(extra)[:3]}")
-        for pair, v in self.d.items():
-            if not (v > 0.0) or not math.isfinite(v):
-                raise ValueError(f"distance for {pair} must be finite and > 0, got {v}")
+        labels = tuple(self.labels)
+        object.__setattr__(self, "_index", _label_index(labels))
+        values = np.array(self.values, dtype=np.float64)
+        n = len(labels)
+        if values.shape != (n * (n - 1) // 2,):
+            raise ValueError(f"bad pair keys: values of shape {values.shape} for {n} labels")
+        bad = np.flatnonzero(~(np.isfinite(values) & (values > 0.0)))
+        if len(bad):
+            raise ValueError(f"distance for {_nth_pair(labels, bad[0])} must be finite"
+                             f" and > 0, got {float(values[bad[0]])}")
+        values.flags.writeable = False
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "values", values)
 
     @classmethod
     def from_pairs(cls, labels: Sequence[str], values: Mapping) -> "DistanceMatrix":
         """Build from any mapping keyed by 2-element tuples or frozensets."""
         labels = tuple(labels)
-        idx = {lab: k for k, lab in enumerate(labels)}
-        d: dict[Pair, float] = {}
-        for key, v in values.items():
-            i, j = tuple(key)
-            d[canon_pair(idx, i, j)] = float(v)
-        return cls(labels, d)
+        idx = _label_index(labels)
+        keyed = {_pair_position(idx, *tuple(key)): float(v) for key, v in values.items()}
+        missing = [p for k, p in enumerate(all_pairs(labels)) if k not in keyed]
+        if missing:
+            raise ValueError(f"bad pair keys: missing={missing[:3]}")
+        return cls(labels, [keyed[k] for k in range(len(keyed))])
+
+    def __eq__(self, other):
+        if not isinstance(other, DistanceMatrix):
+            return NotImplemented
+        return self.labels == other.labels and np.array_equal(self.values, other.values)
+
+    @functools.cached_property
+    def d(self) -> dict[Pair, float]:
+        """The distances keyed by label pairs, each pair in label order."""
+        return dict(zip(all_pairs(self.labels), self.values.tolist()))
 
     @property
     def n(self) -> int:
@@ -109,16 +147,16 @@ class DistanceMatrix:
         return self._index  # type: ignore[attr-defined]
 
     def value(self, i: str, j: str) -> float:
-        return self.d[canon_pair(self._index, i, j)]  # type: ignore[attr-defined]
+        return float(self.values[_pair_position(self.index, i, j)])
 
     def pairs(self) -> Iterator[tuple[str, str, float]]:
         """All pairs, ordered by label position."""
-        for i, j in all_pairs(self.labels):
-            yield i, j, self.d[(i, j)]
+        for (i, j), v in zip(all_pairs(self.labels), self.values.tolist()):
+            yield i, j, v
 
     def distinct_values(self) -> tuple[float, ...]:
         """Sorted distinct distances, with near ties merged (see merge_ties)."""
-        return merge_ties(self.d.values())
+        return merge_ties(self.values.tolist())
 
 
 def merge_ties(values: Iterable[float]) -> tuple[float, ...]:
@@ -158,8 +196,9 @@ class EdgeSet:
     def from_pairs(cls, universe: Sequence[str], pairs: Iterable) -> "EdgeSet":
         universe = tuple(universe)
         idx = {lab: k for k, lab in enumerate(universe)}
-        edges = {canon_pair(idx, *tuple(p)) for p in pairs}
-        return cls(universe, [pair in edges for pair in all_pairs(universe)])
+        mask = np.zeros(len(universe) * (len(universe) - 1) // 2, dtype=bool)
+        mask[[_pair_position(idx, *tuple(p)) for p in pairs]] = True
+        return cls(universe, mask)
 
     @property
     def edges(self) -> frozenset[Pair]:
@@ -242,52 +281,68 @@ class HierarchySequence:
 
 def components(universe: Sequence[str], pairs: Iterable[Pair]) -> Partition:
     """Connected components of the pairs, as a partition of the universe."""
-    parent = {lab: lab for lab in universe}
+    idx = {lab: k for k, lab in enumerate(universe)}
+    return _joined_levels(universe, [[(idx[i], idx[j]) for i, j in pairs]])[0]
 
-    def find(x: str) -> str:
+
+def _joined_levels(universe: Sequence[str],
+                  batches: Iterable[Iterable[tuple[int, int]]]) -> list[Partition]:
+    """Partition t is the components of the pairs of label positions in
+    batches 0..t; a batch that joins nothing shares the partition below."""
+    parent = list(range(len(universe)))
+
+    def find(x: int) -> int:
         while parent[x] != x:
             parent[x] = parent[parent[x]]
             x = parent[x]
         return x
 
-    for i, j in pairs:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[rj] = ri
-    groups: dict[str, set[str]] = {}
-    for lab in universe:
-        groups.setdefault(find(lab), set()).add(lab)
-    return Partition.from_parts(universe, groups.values())
+    out, current = [], Partition.singletons(universe)
+    for batch in batches:
+        joined = False
+        for a, b in batch:
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                parent[rb] = ra
+                joined = True
+        if joined:
+            groups: dict[int, list[str]] = {}
+            for k, lab in enumerate(universe):
+                groups.setdefault(find(k), []).append(lab)
+            current = Partition.from_parts(universe, groups.values())
+        out.append(current)
+    return out
+
+
+def nested_components(universe: Sequence[str], level: np.ndarray,
+                      n_levels: int) -> list[Partition]:
+    """Partition t is the components of the pairs whose level is <= t, level
+    holding each pair's level in `all_pairs(universe)` order."""
+    order = np.argsort(level, kind="stable")
+    i, j = _pair_ends(len(universe))
+    pairs = list(zip(i[order].tolist(), j[order].tolist()))
+    ends = np.searchsorted(level[order], np.arange(n_levels), side="right").tolist()
+    return _joined_levels(universe, (pairs[a:b] for a, b in zip([0] + ends, ends)))
 
 
 def iter_partitions(items: Sequence[str]) -> Iterator[tuple[frozenset[str], ...]]:
     """All set partitions of items, in restricted-growth-string order.
 
     Parts come out ordered by first occurrence, which is the canonical
-    partition order used for deterministic tie-breaking.
+    partition order used for deterministic tie-breaking. Item k joins each
+    open part in turn, then opens a new one.
     """
-    n = len(items)
-    if n == 0:
-        yield ()
-        return
-    a = [0] * n
-    while True:
-        nparts = max(a) + 1
-        parts: list[list[str]] = [[] for _ in range(nparts)]
-        for k, lab in enumerate(items):
-            parts[a[k]].append(lab)
-        yield tuple(frozenset(p) for p in parts)
-        k = n - 1
-        while k > 0:
-            if a[k] <= max(a[:k]):
-                a[k] += 1
-                for m in range(k + 1, n):
-                    a[m] = 0
-                break
-            a[k] = 0
-            k -= 1
-        else:
+    def extend(k: int, parts: list[list[str]]) -> Iterator[tuple[frozenset[str], ...]]:
+        if k == len(items):
+            yield tuple(frozenset(p) for p in parts)
             return
+        for part in parts:
+            part.append(items[k])
+            yield from extend(k + 1, parts)
+            part.pop()
+        yield from extend(k + 1, [*parts, [items[k]]])
+
+    yield from extend(0, [])
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +367,36 @@ def sym_diff_size(a: EdgeSet, b: EdgeSet) -> int:
 # Ultrametric trees
 # ---------------------------------------------------------------------------
 
+class _TreeDistances:
+    """A tree's label distances: one cached vector in `all_pairs(labels)`
+    order, set by the tree's `_fill_distances`, and adapters over it."""
+
+    def distances(self) -> np.ndarray:
+        """Read-only distances of all label pairs, in `all_pairs(labels)` order."""
+        if self._dist is None:  # type: ignore[attr-defined]
+            dist = self._fill_distances()  # type: ignore[attr-defined]
+            dist.flags.writeable = False
+            object.__setattr__(self, "_dist", dist)
+        return self._dist  # type: ignore[attr-defined]
+
+    def distances_in(self, labels: Sequence[str]) -> np.ndarray:
+        """distances() in `all_pairs(labels)` order, for a reordering of the
+        tree's labels."""
+        labels = tuple(labels)
+        if sorted(labels) != sorted(self.labels):  # type: ignore[attr-defined]
+            raise UniverseMismatch("tree labels do not match the distance matrix")
+        if labels == self.labels:  # type: ignore[attr-defined]
+            return self.distances()
+        pos = [self._index[lab] for lab in labels]  # type: ignore[attr-defined]
+        return _square(self.distances(), len(pos))[np.ix_(pos, pos)][_pair_ends(len(pos))]
+
+    def distance_map(self) -> dict[Pair, float]:
+        return dict(zip(all_pairs(self.labels), self.distances().tolist()))  # type: ignore[attr-defined]
+
+    def distance(self, i: str, j: str) -> float:
+        return float(self.distances()[_pair_position(self._index, i, j)])  # type: ignore[attr-defined]
+
+
 @dataclass(frozen=True)
 class UltraNode:
     height: float
@@ -324,48 +409,39 @@ class UltraNode:
 
 
 @dataclass(frozen=True)
-class UltrametricTree:
+class UltrametricTree(_TreeDistances):
     """Rooted tree; leaves are labels at height 0, dist(i,j) = 2 * height(lca)."""
 
     labels: tuple[str, ...]
     root: UltraNode
 
     def __post_init__(self):
-        leaves = tuple(self._iter_leaves(self.root))
-        if sorted(leaves) != sorted(self.labels):
-            raise ValueError("tree leaves do not match the label set")
-        self._check_heights(self.root)
-        object.__setattr__(self, "_index", {lab: k for k, lab in enumerate(self.labels)})
-        object.__setattr__(self, "_dist", None)
-
-    @staticmethod
-    def _iter_leaves(root: UltraNode) -> Iterator[str]:
-        """Leaf labels, left to right."""
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                if node.label is None:
-                    raise ValueError("leaf without a label")
-                yield node.label
-            else:
-                stack.extend(reversed(node.children))
-
-    @staticmethod
-    def _check_heights(root: UltraNode) -> None:
-        """Raise on the first bad height in preorder."""
-        stack: list[tuple[UltraNode, float | None]] = [(root, None)]
+        # one preorder walk; the first bad height is raised only once the
+        # leaves are known to match the labels
+        leaves: list[str] = []
+        bad = None
+        stack: list[tuple[UltraNode, float | None]] = [(self.root, None)]
         while stack:
             node, parent_height = stack.pop()
-            if parent_height is not None and node.height >= parent_height:
-                raise ValueError("heights must strictly increase child to parent")
+            if node.is_leaf and node.label is None:
+                raise ValueError("leaf without a label")
+            if bad is None:
+                if parent_height is not None and node.height >= parent_height:
+                    bad = "heights must strictly increase child to parent"
+                elif node.is_leaf and node.height != 0.0:
+                    bad = "leaves must sit at height 0"
+                elif not node.is_leaf and node.height <= 0.0:
+                    bad = "internal node height must be positive"
             if node.is_leaf:
-                if node.height != 0.0:
-                    raise ValueError("leaves must sit at height 0")
-                continue
-            if node.height <= 0.0:
-                raise ValueError("internal node height must be positive")
-            stack.extend((child, node.height) for child in reversed(node.children))
+                leaves.append(node.label)  # type: ignore[arg-type]
+            else:
+                stack.extend((child, node.height) for child in reversed(node.children))
+        if sorted(leaves) != sorted(self.labels):
+            raise ValueError("tree leaves do not match the label set")
+        if bad is not None:
+            raise ValueError(bad)
+        object.__setattr__(self, "_index", {lab: k for k, lab in enumerate(self.labels)})
+        object.__setattr__(self, "_dist", None)
 
     @classmethod
     def from_partitions(cls, levels: HierarchySequence,
@@ -398,7 +474,16 @@ class UltrametricTree:
     @classmethod
     def from_map(cls, labels: Sequence[str], mapping: Mapping, *,
                  tol: float = DEFAULT_TOL) -> "UltrametricTree":
-        """Build the canonical tree realizing an ultrametric pair map.
+        """from_distances of a pair map keyed in either orientation."""
+        labels = tuple(labels)
+        return cls.from_distances(
+            labels, [lookup_pair(mapping, i, j) for i, j in all_pairs(labels)], tol=tol)
+
+    @classmethod
+    def from_distances(cls, labels: Sequence[str], values, *,
+                       tol: float = DEFAULT_TOL) -> "UltrametricTree":
+        """Build the canonical tree realizing an ultrametric, given in
+        `all_pairs(labels)` order.
 
         Level v of the tree holds the components of the pairs at distance
         <= v, for each distinct (tie-merged) value v; the realized distances
@@ -407,52 +492,48 @@ class UltrametricTree:
         labels = tuple(labels)
         if len(labels) == 1:
             return cls(labels, UltraNode(0.0, (), labels[0]))
-        pairs = [(i, j, lookup_pair(mapping, i, j)) for i, j in all_pairs(labels)]
-        values = merge_ties(v for _, _, v in pairs)
-        levels = HierarchySequence(tuple(
-            components(labels, ((i, j) for i, j, w in pairs if w <= v + VALUE_MERGE_TOL))
-            for v in values))
-        tree = cls.from_partitions(levels, values)
-        realized = tree.distance_map()
-        for i, j, v in pairs:
-            if abs(realized[(i, j)] - v) > tol:
-                raise ValueError(
-                    f"map is not an ultrametric: pair ({i},{j}) realized "
-                    f"{realized[(i, j)]} vs {v}")
+        values = np.asarray(values, dtype=np.float64)
+        merged = merge_ties(values.tolist())
+        # each pair joins at the first value it is within VALUE_MERGE_TOL of
+        level = np.searchsorted(np.add(merged, VALUE_MERGE_TOL), values)
+        levels = HierarchySequence(tuple(nested_components(labels, level, len(merged))))
+        tree = cls.from_partitions(levels, merged)
+        realized = tree.distances()
+        off = np.flatnonzero(np.abs(realized - values) > tol)
+        if len(off):
+            i, j = _nth_pair(labels, off[0])
+            raise ValueError(f"map is not an ultrametric: pair ({i},{j}) realized "
+                             f"{float(realized[off[0]])} vs {float(values[off[0]])}")
         return tree
 
-    def distance_map(self) -> dict[Pair, float]:
-        cached = self._dist  # type: ignore[attr-defined]
-        if cached is None:
-            cached = {}
-            self._fill_distances(self.root, self._index, cached)  # type: ignore[attr-defined]
-            object.__setattr__(self, "_dist", cached)
-        return cached
-
-    @staticmethod
-    def _fill_distances(root: UltraNode, idx, out: dict[Pair, float]) -> None:
-        """Set every pair's distance, node by node in postorder."""
-        done: list[list[str]] = []  # leaf labels of each finished subtree
-        stack = [(root, False)]
+    def _fill_distances(self) -> np.ndarray:
+        """Set the distances one node block at a time, in postorder: a
+        subtree's leaves are consecutive in the left-to-right leaf order, so
+        a node's pairs between one child and the later ones form one block."""
+        n = len(self.labels)
+        square = np.zeros((n, n))
+        leaves: list[int] = []  # label positions, left to right
+        spans: list[tuple[int, int]] = []  # leaf range of each finished subtree
+        stack = [(self.root, False)]
         while stack:
             node, expanded = stack.pop()
             if node.is_leaf:
-                done.append([node.label])  # type: ignore[list-item]
+                spans.append((len(leaves), len(leaves) + 1))
+                leaves.append(self._index[node.label])  # type: ignore[attr-defined]
             elif not expanded:
                 stack.append((node, True))
                 stack.extend((child, False) for child in reversed(node.children))
             else:
-                groups = done[-len(node.children):]
-                del done[-len(node.children):]
-                for a in range(len(groups)):
-                    for b in range(a + 1, len(groups)):
-                        for i in groups[a]:
-                            for j in groups[b]:
-                                out[canon_pair(idx, i, j)] = 2.0 * node.height
-                done.append([lab for g in groups for lab in g])
-
-    def distance(self, i: str, j: str) -> float:
-        return self.distance_map()[canon_pair(self._index, i, j)]  # type: ignore[attr-defined]
+                kids = spans[-len(node.children):]
+                del spans[-len(node.children):]
+                end = kids[-1][1]
+                for start, stop in kids[:-1]:
+                    square[start:stop, stop:end] = 2.0 * node.height
+                spans.append((kids[0][0], end))
+        rank = np.empty(n, dtype=np.intp)  # leaf-order position of each label
+        rank[leaves] = np.arange(n)
+        i, j = _pair_ends(n)
+        return square[np.minimum(rank[i], rank[j]), np.maximum(rank[i], rank[j])]
 
     def top_distance(self) -> float:
         return 2.0 * self.root.height
@@ -463,7 +544,7 @@ class UltrametricTree:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class WeightedTree:
+class WeightedTree(_TreeDistances):
     """Undirected tree spanning the labels; dist = path weight sum.
 
     Edge weights >= 0 are accepted; a weight of 0 flags a pseudometric.
@@ -488,19 +569,8 @@ class WeightedTree:
         for u, v, w in self.edges:
             adj[u].append((v, w))
             adj[v].append((u, w))
-        # connectivity check from any node
-        if nodes:
-            start = next(iter(sorted(nodes)))
-            seen = {start}
-            stack = [start]
-            while stack:
-                cur = stack.pop()
-                for nxt, _ in adj[cur]:
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        stack.append(nxt)
-            if seen != nodes:
-                raise ValueError("tree is not connected")
+        if len(components(sorted(nodes), ((u, v) for u, v, _ in self.edges)).parts) > 1:
+            raise ValueError("tree is not connected")
         object.__setattr__(self, "_adj", adj)
         object.__setattr__(self, "_index", {lab: k for k, lab in enumerate(self.labels)})
         object.__setattr__(self, "_dist", None)
@@ -511,31 +581,21 @@ class WeightedTree:
     def adjacency(self) -> Mapping[str, list[tuple[str, float]]]:
         return self._adj  # type: ignore[attr-defined]
 
-    def distance_map(self) -> dict[Pair, float]:
-        """Pairwise label distances, computed by one traversal per label."""
-        cached = self._dist  # type: ignore[attr-defined]
-        if cached is None:
-            idx = self._index  # type: ignore[attr-defined]
-            adj = self._adj  # type: ignore[attr-defined]
-            cached = {}
-            label_set = set(self.labels)
-            for src in self.labels:
-                dist = {src: 0.0}
-                stack = [src]
-                while stack:
-                    cur = stack.pop()
-                    for nxt, w in adj[cur]:
-                        if nxt not in dist:
-                            dist[nxt] = dist[cur] + w
-                            stack.append(nxt)
-                for other in label_set:
-                    if other != src and idx[other] > idx[src]:
-                        cached[(src, other)] = dist[other]
-            object.__setattr__(self, "_dist", cached)
-        return cached
-
-    def distance(self, i: str, j: str) -> float:
-        return self.distance_map()[canon_pair(self._index, i, j)]  # type: ignore[attr-defined]
+    def _fill_distances(self) -> np.ndarray:
+        """One traversal per label; each path is summed from its earlier label."""
+        adj = self._adj  # type: ignore[attr-defined]
+        out: list[float] = []
+        for k, src in enumerate(self.labels):
+            dist = {src: 0.0}
+            stack = [src]
+            while stack:
+                cur = stack.pop()
+                for nxt, w in adj[cur]:
+                    if nxt not in dist:
+                        dist[nxt] = dist[cur] + w
+                        stack.append(nxt)
+            out.extend(dist[other] for other in self.labels[k + 1:])
+        return np.array(out, dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -559,33 +619,42 @@ class FittedTree:
 # ---------------------------------------------------------------------------
 
 def lp_norm_error(tree, d: DistanceMatrix, p: float) -> float:
-    """(sum |dist_T(i,j) - D(i,j)|^p)^(1/p); max when p is infinite."""
+    """(sum |dist_T(i,j) - D(i,j)|^p)^(1/p); max when p is infinite.
+
+    tree is an UltrametricTree or WeightedTree over d's labels, in any order,
+    or a vector of distances in `all_pairs(d.labels)` order. The terms are
+    summed one by one in that order.
+    """
     if p != math.inf and p < 1:
         raise ValueError("p must be >= 1 or inf")
-    if isinstance(tree, (UltrametricTree, WeightedTree)):
-        if sorted(tree.labels) != sorted(d.labels):
-            raise UniverseMismatch("tree labels do not match the distance matrix")
-        realized = tree.distance_map()
-    elif isinstance(tree, Mapping):
+    if isinstance(tree, _TreeDistances):
+        realized = tree.distances_in(d.labels)
+    elif isinstance(tree, np.ndarray):
         realized = tree
     else:
         raise TypeError(f"cannot evaluate distances of {type(tree)!r}")
-    diffs = [abs(lookup_pair(realized, i, j) - v) for i, j, v in d.pairs()]
+    diffs = np.abs(realized - d.values).tolist()
     if p == math.inf:
         return max(diffs) if diffs else 0.0
     if p == 1:
-        return sum(diffs)
+        return sum(diffs, 0.0)
     return sum(x ** p for x in diffs) ** (1.0 / p)
 
 
 def is_ultrametric(mapping: Mapping, tol: float = DEFAULT_TOL) -> bool:
-    """True iff U(i,j) <= max(U(i,k), U(k,j)) + tol for all triples."""
+    """True iff U(i,j) <= max(U(i,k), U(k,j)) + tol for all triples.
+
+    One pass per label i over the square matrix of the labels after it: the
+    largest of a triple's three values may exceed the middle one by at most
+    tol.
+    """
     labels = sorted({x for key in mapping for x in tuple(key)})
-    for i, j, k in itertools.combinations(labels, 3):
-        dij = lookup_pair(mapping, i, j)
-        dik = lookup_pair(mapping, i, k)
-        djk = lookup_pair(mapping, j, k)
-        top, mid, _ = sorted((dij, dik, djk), reverse=True)
-        if top > mid + tol:
+    square = _square(np.array([lookup_pair(mapping, i, j) for i, j in all_pairs(labels)],
+                              dtype=np.float64), len(labels))
+    for i in range(len(labels) - 2):
+        row, rest = square[i, i + 1:], square[i + 1:, i + 1:]
+        lo, hi = np.minimum.outer(row, row), np.maximum.outer(row, row)
+        mid = np.maximum(lo, np.minimum(hi, rest))
+        if np.triu(np.maximum(hi, rest) > mid + tol, 1).any():
             return False
     return True

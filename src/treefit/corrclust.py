@@ -25,7 +25,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .core import EdgeSet, Partition, _pair_ends, clique_edges, iter_partitions, sym_diff_size
+from .core import EdgeSet, Partition, _square, clique_edges, iter_partitions, sym_diff_size
 
 EXACT_CAP = 9
 
@@ -94,11 +94,8 @@ def corr_cluster(universe: Sequence[str], edges: EdgeSet, *,
         return exact_corr_cluster(universe, edges)[0]
 
     n = len(universe)
-    i, j = _pair_ends(n)
-    adjacent = np.zeros((n, n), dtype=bool)
-    adjacent[i, j] = adjacent[j, i] = edges.mask
     nb = [int.from_bytes(row.tobytes(), "little")
-          for row in np.packbits(adjacent, axis=1, bitorder="little")]
+          for row in np.packbits(_square(edges.mask, n), axis=1, bitorder="little")]
     if strategy == "kwik":
         # shuffling positions draws the same permutation as shuffling labels
         order = list(range(n))

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import HierarchySequence, Partition, _pair_ends
+from .core import HierarchySequence, Partition, _pair_ends, _square
 from .lp import (
     HccInstance,
     LpSolution,
@@ -64,10 +64,7 @@ def _ball_tests(sol: LpSolution, t: int, part_of: np.ndarray) -> list[bool]:
     """Whether each label passes both ball tests at level t in its cluster,
     part_of[k] being the cluster of sol.labels[k]. The square matrix has a
     zero diagonal, so a label is near itself, as in LpSolution.value."""
-    n = len(part_of)
-    i, j = _pair_ends(n)
-    x = np.zeros((n, n))
-    x[i, j] = x[j, i] = sol.x[t]
+    x = _square(sol.x[t], len(part_of))
     same = part_of[:, None] == part_of
     size = np.bincount(part_of)[part_of]
     near_inside = np.count_nonzero(same & (x < BALL_NEAR), axis=1)

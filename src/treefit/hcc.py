@@ -8,7 +8,6 @@ bound next to the achieved cost.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 

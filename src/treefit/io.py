@@ -4,12 +4,16 @@ from __future__ import annotations
 import warnings
 from pathlib import Path
 
+import numpy as np
+
 from .core import (
     DistanceMatrix,
     FittedTree,
     UltraNode,
     UltrametricTree,
     WeightedTree,
+    _pair_ends,
+    _square,
 )
 
 SYMMETRY_TOL = 1e-9
@@ -49,22 +53,27 @@ def _check_labels(labels: list[str], where: str) -> None:
             raise DataError(f"{where}: empty label")
 
 
-def _build(labels: list[str], cell, where: str) -> DistanceMatrix:
-    values = {}
-    n = len(labels)
-    for a in range(n):
-        for b in range(a + 1, n):
-            vab, vba = cell(a, b), cell(b, a)
-            if abs(vab - vba) > SYMMETRY_TOL:
-                warnings.warn(
-                    f"{where}: asymmetry at ({labels[a]},{labels[b]}): "
-                    f"{vab} vs {vba}; averaging")
-            v = (vab + vba) / 2.0
-            if not v > 0:
-                raise DataError(
-                    f"{where}: nonpositive distance {v} at row {labels[a]!r}"
-                    f" column {labels[b]!r}")
-            values[(labels[a], labels[b])] = v
+def _build(labels: list[str], grid: np.ndarray, where: str) -> DistanceMatrix:
+    """The table of a square grid: the two cells of each pair averaged.
+
+    Pairs are checked in row order: asymmetric pairs warn, up to the first
+    pair whose average is not positive, which is the error.
+    """
+    i, j = _pair_ends(len(labels))
+    upper, lower = grid[i, j], grid[j, i]
+    with np.errstate(all="ignore"):  # inf - inf is nan, which fails every comparison
+        values = (upper + lower) / 2.0
+        skewed = np.abs(upper - lower) > SYMMETRY_TOL
+    bad = np.flatnonzero(~(values > 0))
+    last = bad[0] if len(bad) else len(values)
+    for k in np.flatnonzero(skewed[:last + 1]):
+        warnings.warn(
+            f"{where}: asymmetry at ({labels[i[k]]},{labels[j[k]]}): "
+            f"{float(upper[k])} vs {float(lower[k])}; averaging")
+    if len(bad):
+        raise DataError(
+            f"{where}: nonpositive distance {float(values[last])} at row"
+            f" {labels[i[last]]!r} column {labels[j[last]]!r}")
     return DistanceMatrix(tuple(labels), values)
 
 
@@ -94,7 +103,7 @@ def _parse_csv(lines: list[str], where: str) -> DistanceMatrix:
     for k in range(n):
         if abs(grid[k][k]) > SYMMETRY_TOL:
             raise DataError(f"{where}: diagonal for {labels[k]!r} is {grid[k][k]}, expected 0")
-    return _build(labels, lambda a, b: grid[a][b], where)
+    return _build(labels, np.array(grid, dtype=np.float64), where)
 
 
 def _parse_phylip(lines: list[str], where: str) -> DistanceMatrix:
@@ -118,20 +127,16 @@ def _parse_phylip(lines: list[str], where: str) -> DistanceMatrix:
         except ValueError as exc:
             raise DataError(f"{where}: line {rownum}: {exc}") from exc
     _check_labels(labels, where)
-
-    def cell(a: int, b: int) -> float:
-        return rows[b][a] if a < b else rows[a][b]
-
-    return _build(labels, cell, where)
+    grid = np.zeros((n, n))
+    below = np.tril_indices(n, -1)  # row by row, as the file lists them
+    grid[below] = grid[below[::-1]] = [v for row in rows for v in row]
+    return _build(labels, grid, where)
 
 
 def write_matrix_csv(d: DistanceMatrix, path: str | Path) -> None:
     lines = ["," + ",".join(d.labels)]
-    for i in d.labels:
-        cells = [i]
-        for j in d.labels:
-            cells.append("0" if i == j else repr(d.value(i, j)))
-        lines.append(",".join(cells))
+    for a, (label, row) in enumerate(zip(d.labels, _square(d.values, d.n).tolist())):
+        lines.append(",".join([label] + ["0" if a == b else repr(v) for b, v in enumerate(row)]))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -139,19 +144,15 @@ def write_matrix_csv(d: DistanceMatrix, path: str | Path) -> None:
 # Newick
 # ---------------------------------------------------------------------------
 
-def _check_newick_label(label: str) -> None:
-    if not label or set(label) & NEWICK_FORBIDDEN:
-        raise DataError(f"label {label!r} cannot be written as Newick")
-
-
 def newick_string(tree: UltrametricTree | WeightedTree | FittedTree) -> str:
     if isinstance(tree, FittedTree):
         tree = tree.tree
-    if isinstance(tree, UltrametricTree):
-        return _ultra_newick(tree)
-    if isinstance(tree, WeightedTree):
-        return _weighted_newick(tree)
-    raise TypeError(f"cannot serialize {type(tree)!r}")
+    if not isinstance(tree, (UltrametricTree, WeightedTree)):
+        raise TypeError(f"cannot serialize {type(tree)!r}")
+    for label in tree.labels:
+        if not label or set(label) & NEWICK_FORBIDDEN:
+            raise DataError(f"label {label!r} cannot be written as Newick")
+    return _ultra_newick(tree) if isinstance(tree, UltrametricTree) else _weighted_newick(tree)
 
 
 def write_newick(tree, path: str | Path) -> None:
@@ -185,8 +186,6 @@ def _render(root, children, tail) -> str:
 
 
 def _ultra_newick(tree: UltrametricTree) -> str:
-    for lab in tree.labels:
-        _check_newick_label(lab)
     root = tree.root
     if root.is_leaf:
         return f"({root.label}:0.0);"
@@ -200,8 +199,6 @@ def _ultra_newick(tree: UltrametricTree) -> str:
 
 
 def _weighted_newick(tree: WeightedTree) -> str:
-    for lab in tree.labels:
-        _check_newick_label(lab)
     adj = tree.adjacency()
     root = tree.root if tree.root in adj else sorted(adj)[0]
     pos = {lab: k for k, lab in enumerate(tree.labels)}

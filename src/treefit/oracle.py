@@ -8,12 +8,14 @@ from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
 from .core import (
     DistanceMatrix,
     HierarchySequence,
     Partition,
     UltrametricTree,
-    canon_pair,
+    _condensed,
     clique_edges,
     iter_partitions,
     lp_norm_error,
@@ -105,31 +107,36 @@ def exact_ultrametric_l1(d: DistanceMatrix) -> tuple[UltrametricTree, float]:
 # ---------------------------------------------------------------------------
 
 def _interior_nodes(tree: UltrametricTree):
-    """Internal nodes whose merge value lies strictly inside (1, 2).
+    """Internal nodes whose merge value lies strictly inside (1, 2), in
+    postorder.
 
-    Yields (value, min_leaf, cross_pairs, parent_value, max_child_value),
-    where cross_pairs are the label pairs meeting exactly at that node.
+    Yields (value, min_leaf, cross, parent_value, max_child_value), where
+    cross lists the `all_pairs` positions of the pairs meeting at that node.
     """
     idx = {lab: k for k, lab in enumerate(tree.labels)}
     found = []
-
-    def walk(node, parent_value: float) -> list[str]:
-        if node.is_leaf:
-            return [node.label]
+    done: list[list[int]] = []  # label positions of each finished subtree
+    stack = [(tree.root, 2.0, False)]
+    while stack:
+        node, parent_value, expanded = stack.pop()
         value = 2.0 * node.height
-        groups = [walk(child, value) for child in node.children]
-        if 1.0 < value < 2.0:
-            cross = []
-            for a in range(len(groups)):
-                for b in range(a + 1, len(groups)):
-                    cross.extend((i, j) for i in groups[a] for j in groups[b])
-            max_child = max((2.0 * c.height for c in node.children
-                             if not c.is_leaf), default=0.0)
-            min_leaf = min(min(idx[x] for x in g) for g in groups)
-            found.append((value, min_leaf, cross, parent_value, max_child))
-        return [lab for g in groups for lab in g]
-
-    walk(tree.root, 2.0)
+        if node.is_leaf:
+            done.append([idx[node.label]])
+        elif not expanded:
+            stack.append((node, parent_value, True))
+            stack.extend((child, value, False) for child in reversed(node.children))
+        else:
+            groups = done[-len(node.children):]
+            del done[-len(node.children):]
+            if 1.0 < value < 2.0:
+                cross = [_condensed(len(idx), min(a, b), max(a, b))
+                         for k, g in enumerate(groups) for h in groups[k + 1:]
+                         for a in g for b in h]
+                max_child = max((2.0 * c.height for c in node.children
+                                 if not c.is_leaf), default=0.0)
+                min_leaf = min(min(g) for g in groups)
+                found.append((value, min_leaf, cross, parent_value, max_child))
+            done.append([k for g in groups for k in g])
     return found
 
 
@@ -142,25 +149,16 @@ def flatten_to_12(tree: UltrametricTree, d: DistanceMatrix) -> UltrametricTree:
     its highest child otherwise; every move merges the node away, so the
     loop terminates with all values in {1, 2} and the error never increased.
     """
-    for _, _, v in d.pairs():
-        if v not in (1.0, 2.0):
-            raise ValueError("reference distances must be exactly 1 or 2")
-    if sorted(tree.labels) != sorted(d.labels):
-        raise ValueError("tree labels do not match the distance matrix")
-    idx = {lab: k for k, lab in enumerate(d.labels)}
-    mapping = {}
-    for pair, v in tree.distance_map().items():
-        i, j = pair
-        mapping[canon_pair(idx, i, j)] = min(2.0, max(1.0, v))
+    if np.any((d.values != 1.0) & (d.values != 2.0)):
+        raise ValueError("reference distances must be exactly 1 or 2")
+    values = np.clip(tree.distances_in(d.labels), 1.0, 2.0)
     while True:
-        current = UltrametricTree.from_map(d.labels, mapping)
+        current = UltrametricTree.from_distances(d.labels, values)
         interior = _interior_nodes(current)
         if not interior:
             return current
-        value, _, cross, parent_value, max_child = min(
+        _, _, cross, parent_value, max_child = min(
             interior, key=lambda item: (item[0], item[1]))
-        ones = sum(1 for i, j in cross if d.value(i, j) == 1.0)
+        ones = int(np.count_nonzero(d.values[cross] == 1.0))
         twos = len(cross) - ones
-        target = parent_value if twos >= ones else max(1.0, max_child)
-        for i, j in cross:
-            mapping[canon_pair(idx, i, j)] = target
+        values[cross] = parent_value if twos >= ones else max(1.0, max_child)

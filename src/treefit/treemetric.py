@@ -11,18 +11,19 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Mapping
+
+import numpy as np
 
 from .core import (
     DistanceMatrix,
     FittedTree,
-    Pair,
     UltraNode,
     UltrametricTree,
     WeightedTree,
-    all_pairs,
+    _nth_pair,
+    _pair_ends,
+    _square,
     components,
-    lookup_pair,
     lp_norm_error,
 )
 from .hcc import lp_lower_bound
@@ -46,54 +47,59 @@ class RestrictedInstance:
             if beta > self.gamma + RESTRICTION_TOL:
                 raise ValueError(f"floor for {lab!r} exceeds the cap")
 
+    def floors(self) -> np.ndarray:
+        """max(beta_i, beta_j) of every pair, in `all_pairs` order."""
+        beta = np.array([self.betas[lab] for lab in self.transformed.labels])
+        i, j = _pair_ends(len(beta))
+        return np.maximum(beta[i], beta[j])
+
 
 def gromov_transform(d: DistanceMatrix, pivot: str) -> RestrictedInstance:
     """Pivot-based transform of a distance matrix into (almost) an ultrametric."""
     if pivot not in d.labels:
         raise ValueError(f"pivot {pivot!r} is not a label")
-    heights = {lab: (0.0 if lab == pivot else d.value(pivot, lab))
-               for lab in d.labels}
+    p = d.index[pivot]
+    h = _square(d.values, d.n)[p]  # 0 at the pivot
+    heights = dict(zip(d.labels, h.tolist()))
     m = max(heights.values())
-    betas = {lab: m - h for lab, h in heights.items()}
+    betas = {lab: m - v for lab, v in heights.items()}
     betas[pivot] = m
-    out = {}
-    for i, j, v in d.pairs():
-        if pivot in (i, j):
-            out[(i, j)] = m
-        else:
-            out[(i, j)] = m - (heights[i] + heights[j] - v) / 2.0
+    i, j = _pair_ends(d.n)
+    out = m - (h[i] + h[j] - d.values) / 2.0
+    out[(i == p) | (j == p)] = m
     transformed = DistanceMatrix(d.labels, out)
     return RestrictedInstance(pivot=pivot, gamma=m, betas=betas,
                               heights=heights, transformed=transformed)
 
 
-def clamp_to_restricted(u: Mapping[Pair, float],
-                        r: RestrictedInstance) -> dict[Pair, float]:
-    """Force an ultrametric to satisfy the floors and the cap; stays ultrametric."""
-    labels = r.transformed.labels
-    out = {}
-    for i, j in all_pairs(labels):
-        v = lookup_pair(u, i, j)
-        out[(i, j)] = min(r.gamma, max(v, r.betas[i], r.betas[j]))
-    return out
+def clamp_to_restricted(u: np.ndarray, r: RestrictedInstance) -> np.ndarray:
+    """Force an ultrametric, given in `all_pairs` order, to satisfy the floors
+    and the cap; it stays ultrametric."""
+    return np.minimum(r.gamma, np.maximum(u, r.floors()))
 
 
-def restricted_to_tree(u: Mapping[Pair, float], r: RestrictedInstance,
+def restricted_to_tree(u: np.ndarray, r: RestrictedInstance,
                        d: DistanceMatrix) -> WeightedTree:
     """Invert the pivot transform: T(i,j) = 2 U(i,j) - 2 gamma + h_i + h_j.
 
-    Realized on the ultrametric tree of U: a node merging pairs at value v
-    sits at path-distance gamma - v from the pivot, and each species hangs at
-    total path-distance h_i. Zero-weight edges may appear (pseudometric).
+    u is in `all_pairs` order. Realized on the ultrametric tree of U: a node
+    merging pairs at value v sits at path-distance gamma - v from the pivot,
+    and each species hangs at total path-distance h_i. Zero-weight edges may
+    appear (pseudometric).
     """
     labels = r.transformed.labels
-    for i, j in all_pairs(labels):
-        v = lookup_pair(u, i, j)
-        if v > r.gamma + RESTRICTION_TOL or v < max(r.betas[i], r.betas[j]) - RESTRICTION_TOL:
-            raise ValueError(f"pair ({i},{j}) violates the restriction")
-        if r.pivot in (i, j) and abs(v - r.gamma) > RESTRICTION_TOL:
-            raise ValueError("pivot distances must equal the cap")
-    utree = UltrametricTree.from_map(labels, u, tol=RESTRICTION_TOL)
+    u = np.asarray(u, dtype=np.float64)
+    i, j = _pair_ends(len(labels))
+    p = r.transformed.index[r.pivot]
+    outside = (u > r.gamma + RESTRICTION_TOL) | (u < r.floors() - RESTRICTION_TOL)
+    off_cap = ((i == p) | (j == p)) & (np.abs(u - r.gamma) > RESTRICTION_TOL)
+    bad = np.flatnonzero(outside | off_cap)
+    if len(bad):
+        if outside[bad[0]]:
+            a, b = _nth_pair(labels, bad[0])
+            raise ValueError(f"pair ({a},{b}) violates the restriction")
+        raise ValueError("pivot distances must equal the cap")
+    utree = UltrametricTree.from_distances(labels, u, tol=RESTRICTION_TOL)
     if abs(utree.top_distance() - r.gamma) > RESTRICTION_TOL:
         raise ValueError("top of the fitted tree does not reach the cap")
 
@@ -122,11 +128,9 @@ def restricted_to_tree(u: Mapping[Pair, float], r: RestrictedInstance,
             name = next(fresh)
             edges.append((parent_name, name, depth - parent_depth))
         stack.extend((child, name, depth) for child in reversed(node.children))
-    weights = [max(0.0, w) if w > -RESTRICTION_TOL else w for _, _, w in edges]
-    for w in weights:
-        if w < 0:
-            raise ValueError("restriction violation produced a negative edge")
-    cleaned = tuple((a, b, max(0.0, w)) for (a, b, _), w in zip(edges, weights))
+    if any(w <= -RESTRICTION_TOL for _, _, w in edges):
+        raise ValueError("restriction violation produced a negative edge")
+    cleaned = tuple((a, b, max(0.0, w)) for a, b, w in edges)
     return WeightedTree(labels=d.labels, edges=cleaned, root=r.pivot)
 
 
@@ -162,12 +166,11 @@ def pseudometric_to_metric(tree: WeightedTree, d: DistanceMatrix,
 
     edges = [(rep[a], rep[b], w) for a, b, w in tree.edges if rep[a] != rep[b]]
     if pending:
-        realized = tree.distance_map()
-        gaps = [abs(realized[(i, j)] - v) for i, j, v in d.pairs()
-                if abs(realized[(i, j)] - v) > 0]
-        if not gaps:
+        gaps = np.abs(tree.distances_in(d.labels) - d.values)
+        gaps = gaps[gaps > 0]
+        if not len(gaps):
             raise ValueError("coinciding species cannot occur in an exact fit")
-        eps = alpha * min(gaps) / (8.0 * len(d.labels))
+        eps = alpha * float(gaps.min()) / (8.0 * len(d.labels))
         for name, species in sorted(pending.items()):
             for lab in species:
                 edges.append((name, lab, eps))
@@ -203,12 +206,11 @@ def fit_tree_metric(d: DistanceMatrix, *, pivot_mode: str = "all",
     per_pivot: dict[str, float] = {}
     for a in pivots:
         r = gromov_transform(d, a)
-        clamped_input = DistanceMatrix(r.transformed.labels,
-                                       clamp_to_restricted(r.transformed.d, r))
+        clamped_input = DistanceMatrix(d.labels, clamp_to_restricted(r.transformed.values, r))
         sub = fit_ultrametric(clamped_input, strategy=strategy, seed=seed,
                               feas_tol=feas_tol, lower_bound=False)
         assert isinstance(sub.tree, UltrametricTree)
-        clamped = clamp_to_restricted(sub.tree.distance_map(), r)
+        clamped = clamp_to_restricted(sub.tree.distances(), r)
         candidate = restricted_to_tree(clamped, r, d)
         err = lp_norm_error(candidate, d, 1)
         per_pivot[a] = err

@@ -8,7 +8,6 @@ lossless.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -21,9 +20,9 @@ from .core import (
     HierarchySequence,
     Partition,
     UltrametricTree,
-    all_pairs,
-    components,
+    _nth_pair,
     lp_norm_error,
+    nested_components,
 )
 from .hcc import HccResult, fit_hcc
 from .lp import HccInstance
@@ -79,7 +78,7 @@ def _level_index(values: tuple[float, ...], labels: Sequence[str],
                      below, above)
     off = np.flatnonzero(np.abs(vals[level] - dist) > tol)
     if len(off):
-        pair = next(itertools.islice(all_pairs(labels), off[0], None))
+        pair = _nth_pair(labels, off[0])
         raise ValueError(f"distance {dist[off[0]]} for {pair} is not one of the level values")
     return level
 
@@ -93,8 +92,7 @@ def hcc_instance_from_distances(d: DistanceMatrix) -> tuple[HccInstance, Ultrame
     levels = UltrametricLevels(d.distinct_values())
     if levels.n_levels == 0:
         raise TrivialInstance(levels)
-    dist = np.array([v for _, _, v in d.pairs()])
-    level = _level_index(levels.values, d.labels, dist, 2e-12)
+    level = _level_index(levels.values, d.labels, d.values, 2e-12)
     edge_sets = tuple(EdgeSet(d.labels, level <= t) for t in range(levels.n_levels))
     return HccInstance(d.labels, levels.deltas(), edge_sets), levels
 
@@ -121,13 +119,8 @@ def star_tree(labels: Sequence[str], height_distance: float) -> UltrametricTree:
 def ultrametric_to_hierarchy(tree: UltrametricTree,
                              levels: UltrametricLevels) -> HierarchySequence:
     """Inverse construction: level-t parts are components under <= D^(t)."""
-    pairs = list(all_pairs(tree.labels))
-    mapping = tree.distance_map()
-    dist = np.array([mapping[pair] for pair in pairs])
-    level = _level_index(levels.values, tree.labels, dist, VALUE_TOL)
-    return HierarchySequence(tuple(
-        components(tree.labels, itertools.compress(pairs, (level <= t).tolist()))
-        for t in range(levels.n_levels)))
+    level = _level_index(levels.values, tree.labels, tree.distances(), VALUE_TOL)
+    return HierarchySequence(tuple(nested_components(tree.labels, level, levels.n_levels)))
 
 
 def fit_ultrametric(d: DistanceMatrix, *, strategy: str = "pivot-sweep",

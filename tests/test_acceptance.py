@@ -12,6 +12,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from treefit.core import (
     DistanceMatrix,
     HierarchySequence,
@@ -221,12 +223,12 @@ def test_criterion_6_lifting():
         base = random_matrix(rng, labels, [round(rng.uniform(0.5, 5.0), 2)
                                            for _ in range(4)])
         r = gromov_transform(base, rng.choice(labels))
-        squeezed = DistanceMatrix(labels, clamp_to_restricted(r.transformed.d, r))
+        squeezed = DistanceMatrix(labels, clamp_to_restricted(r.transformed.values, r))
         raw = random_ultrametric_map(rng, labels)
         scale = r.gamma / max(raw.values()) * rng.uniform(0.4, 1.3)
-        candidate = {p: v * scale for p, v in raw.items()}
+        candidate = np.array([raw[p] * scale for p in all_pairs(labels)])
         clamped = clamp_to_restricted(candidate, r)
-        assert is_ultrametric(clamped, tol=1e-9)
+        assert is_ultrametric(dict(zip(all_pairs(labels), clamped)), tol=1e-9)
         for p in (1, 2, math.inf):
             assert lp_norm_error(clamped, squeezed, p) <= \
                 lp_norm_error(candidate, squeezed, p) + 1e-9

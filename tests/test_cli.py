@@ -232,7 +232,7 @@ class TestTreeDump:
     @pytest.mark.parametrize("mode", ["ultrametric", "tree"])
     def test_one_label_dump_notes_no_lp(self, mode, tmp_path, capsys):
         src, dump = tmp_path / "one.csv", tmp_path / "lp.txt"
-        write_matrix_csv(DistanceMatrix(("solo",), {}), src)
+        write_matrix_csv(DistanceMatrix.from_pairs(("solo",), {}), src)
         assert run_cli("fit", mode, src) == 0
         assert run_cli("fit", mode, src, "--dump-lp", dump) == 0
         assert "no LP" in dump.read_text()

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from treefit.core import (
     DistanceMatrix,
     EdgeSet,
+    HierarchySequence,
     Partition,
     UltraNode,
     UltrametricTree,
@@ -15,12 +17,14 @@ from treefit.core import (
     WeightedTree,
     all_pairs,
     clique_edges,
+    components,
     is_ultrametric,
     iter_partitions,
+    lookup_pair,
     lp_norm_error,
     sym_diff_size,
 )
-from conftest import random_ultrametric_map
+from conftest import random_tree_metric, random_ultrametric_map
 
 
 def edge_set(universe, pairs):
@@ -217,9 +221,117 @@ class TestDistanceMatrix:
 
     def test_rejects_missing_pair(self):
         with pytest.raises(ValueError):
-            DistanceMatrix(("a", "b", "c"), {("a", "b"): 1.0})
+            DistanceMatrix.from_pairs(("a", "b", "c"), {("a", "b"): 1.0})
 
     def test_distinct_values_merge_near_ties(self):
         d = DistanceMatrix.from_pairs("abc", {
             ("a", "b"): 1.0, ("a", "c"): 1.0 + 1e-13, ("b", "c"): 2.0})
         assert d.distinct_values() == (1.0, 2.0)
+
+
+def triple_loop_is_ultrametric(mapping, tol):
+    """The per-triple reference for is_ultrametric."""
+    labels = sorted({x for key in mapping for x in key})
+    for i, j, k in itertools.combinations(labels, 3):
+        top, mid, _ = sorted((lookup_pair(mapping, i, j), lookup_pair(mapping, i, k),
+                              lookup_pair(mapping, j, k)), reverse=True)
+        if top > mid + tol:
+            return False
+    return True
+
+
+def near_ultrametric_map(rng, labels, tol):
+    """An ultrametric with heights 1, 2, ..., keyed in either orientation,
+    with one pair moved up by tol (the boundary), 2 tol or 0.5, or none."""
+    groups = [[lab] for lab in labels]
+    m, h = {}, 0.0
+    while len(groups) > 1:
+        h += 1.0
+        a = groups.pop(rng.randrange(len(groups)))
+        b = groups.pop(rng.randrange(len(groups)))
+        for i in a:
+            for j in b:
+                m[(i, j) if rng.random() < 0.5 else (j, i)] = h
+        groups.append(a + b)
+    key = rng.choice(sorted(m))
+    m[key] += rng.choice([0.0, tol, 2 * tol, 0.5])
+    return m
+
+
+class TestIsUltrametricReference:
+    @pytest.mark.parametrize("tol", [0.0, 1e-9, 0.25])
+    def test_matches_triple_loop(self, rng, tol):
+        labels = [f"s{k}" for k in range(7)]
+        verdicts = []
+        for _ in range(200):
+            m = near_ultrametric_map(rng, labels, tol)
+            verdicts.append(is_ultrametric(m, tol))
+            assert verdicts[-1] == triple_loop_is_ultrametric(m, tol)
+        for _ in range(20):
+            m = {p: rng.choice([1.0, 1.0 + tol, 2.0]) for p in all_pairs(labels)}
+            assert is_ultrametric(m, tol) == triple_loop_is_ultrametric(m, tol)
+        assert 20 < sum(verdicts) < 180
+
+
+def lca_distances(tree):
+    """Per-pair reference: twice the height of the lowest common ancestor."""
+    paths = {}
+    stack = [(tree.root, ())]
+    while stack:
+        node, path = stack.pop()
+        path = path + (node,)
+        if node.is_leaf:
+            paths[node.label] = path
+        stack.extend((child, path) for child in node.children)
+    out = []
+    for i, j in all_pairs(tree.labels):
+        common = [a for a, b in zip(paths[i], paths[j]) if a is b]
+        out.append(2.0 * common[-1].height)
+    return out
+
+
+class TestTreeDistanceVectors:
+    def test_ultrametric_blocks_match_lca_reference(self, rng):
+        for _ in range(20):
+            labels = [f"s{k}" for k in range(rng.randint(1, 9))]
+            rng.shuffle(labels)
+            tree = UltrametricTree.from_map(labels, random_ultrametric_map(rng, sorted(labels)))
+            assert tree.distances().tolist() == lca_distances(tree)
+            assert not tree.distances().flags.writeable
+
+    def test_from_distances_matches_per_value_components(self, rng):
+        # the levels built one union-find pass per distinct value
+        for _ in range(20):
+            labels = tuple(f"s{k}" for k in range(rng.randint(2, 8)))
+            m = random_ultrametric_map(rng, labels)
+            values = [m[p] for p in all_pairs(labels)]
+            merged = sorted(set(values))
+            levels = HierarchySequence(tuple(
+                components(labels, [p for p, w in zip(all_pairs(labels), values) if w <= v])
+                for v in merged))
+            expected = UltrametricTree.from_partitions(levels, merged)
+            assert UltrametricTree.from_distances(labels, values).root == expected.root
+
+    def test_distances_in_reorders_pairs(self, rng):
+        d, tree = random_tree_metric(rng, 7)
+        order = list(reversed(d.labels))
+        moved = tree.distances_in(order)
+        for (i, j), v in zip(all_pairs(order), moved.tolist()):
+            assert v == tree.distance(i, j)
+
+
+class TestLpNormErrorPermuted:
+    @pytest.mark.parametrize("p", [1, 2, math.inf])
+    def test_permuted_labels_match_per_pair_reference(self, rng, p):
+        for _ in range(10):
+            d, tree = random_tree_metric(rng, rng.randint(2, 9))
+            noisy = DistanceMatrix.from_pairs(d.labels, {
+                (i, j): v + rng.choice([0.0, 0.25, 1.5]) for i, j, v in d.pairs()})
+            shuffled = WeightedTree(tree.labels[::-1], tree.edges)
+            assert shuffled.labels != noisy.labels
+            diffs = [abs(shuffled.distance(i, j) - v) for i, j, v in noisy.pairs()]
+            if p == math.inf:
+                expected = max(diffs)
+            else:
+                expected = sum(x ** p for x in diffs) ** (1.0 / p)
+            assert lp_norm_error(shuffled, noisy, p) == expected

@@ -10,8 +10,8 @@ import random
 import pytest
 
 from treefit.cli import main
-from treefit.core import DistanceMatrix, all_pairs
-from treefit.io import write_matrix_csv
+from treefit.core import DistanceMatrix, WeightedTree, all_pairs
+from treefit.io import newick_string, parse_newick, write_matrix_csv
 from conftest import planted_ultrametric, random_matrix
 
 
@@ -124,3 +124,49 @@ def test_simplex_dump_digest(table, tmp_path, capsys):
     assert main(["--seed", "7", "fit", "ultrametric", str(src),
                  "--dump-lp", str(dump)]) == 0
     assert hashlib.sha256(dump.read_bytes()).hexdigest() == DUMP_GOLDEN[table]
+
+
+def _eval_newick(table: str) -> str:
+    """A random weighted tree over the table's labels, listed in reverse, and
+    two labels the table lacks; its leaves come out in another order than
+    the table's, so `treefit eval` reorders the tree's distances."""
+    rng = random.Random(f"eval-{table}")
+    labels = [*reversed(TABLES[table].labels), "x0", "x1"]
+    nodes, edges = list(labels), []
+    while len(nodes) > 1:
+        rng.shuffle(nodes)
+        a, b = nodes.pop(), nodes.pop()
+        hub = f"h{len(edges)}"
+        edges += [(a, hub, round(rng.uniform(0.1, 3.0), 3)),
+                  (b, hub, round(rng.uniform(0.1, 3.0), 3))]
+        nodes.append(hub)
+    return newick_string(WeightedTree(tuple(labels), tuple(edges), root=nodes[0]))
+
+
+# `eval --seed 7` reports of those trees against the tables
+EVAL_GOLDEN = {
+    "cont8":
+        "04578352b86f623e3c0976459d706eb52641c1ab8e7e0206c41cef51985f7086",
+    "int6":
+        "0cdf3900eb1bb92ce1d23225fbbb5df452a6cac33223703cf09a16e9646938e8",
+    "int9":
+        "d560acef1194dc0c7d4fe015ad7f444c074be9d824f22ca9d73506bc526fa7f8",
+    "one":
+        "cc36683f185e354a2633aea0f9c558466ec793cde9f1e174280c81d060510ed3",
+    "planted12":
+        "a90f03731d8a903e4b1c9b3e1d1cd134c82d4038e2f0280436b2102c64025b4d",
+    "two":
+        "121c77d0df648d566df02f2a74e2f71bb91d40caa3f3342b71efc312f9fafc7c",
+    "two8":
+        "6dfbd0149f3e6d94f83c32cda77d548d3eaac5a569a808a710aca42204059926",
+}
+
+
+@pytest.mark.parametrize("table", sorted(TABLES))
+def test_seeded_eval_digest(table, tmp_path, capsys):
+    src, nwk, out = tmp_path / "m.csv", tmp_path / "t.nwk", tmp_path / "r.json"
+    write_matrix_csv(TABLES[table], src)
+    nwk.write_text(_eval_newick(table) + "\n")
+    assert parse_newick(nwk.read_text()).labels[:2] != TABLES[table].labels[:2]
+    assert main(["--seed", "7", "eval", str(nwk), str(src), "--json-out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == EVAL_GOLDEN[table]

@@ -1,5 +1,8 @@
+import warnings
+
 import pytest
 
+from treefit.cli import main
 from treefit.core import DistanceMatrix, UltraNode, UltrametricTree, WeightedTree
 from treefit.io import (
     DataError,
@@ -118,3 +121,67 @@ class TestNewick:
         t = WeightedTree(labels=("a b",), edges=(), root="a b")
         with pytest.raises(DataError):
             newick_string(t)
+
+
+class TestParseMessages:
+    """parse_matrix's warnings and errors, word for word, in row order."""
+
+    def parse(self, tmp_path, name, text):
+        p = tmp_path / name
+        p.write_text(text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                parse_matrix(p)
+                outcome = "ok"
+            except ValueError as exc:
+                outcome = f"{type(exc).__name__}: {exc}"
+        where = str(p)
+        return ([str(w.message).replace(where, "<f>") for w in caught],
+                outcome.replace(where, "<f>"))
+
+    def test_csv_warns_up_to_the_first_nonpositive_pair(self, tmp_path):
+        # (b,d) is asymmetric too, but comes after the failing pair (b,c)
+        warned, outcome = self.parse(
+            tmp_path, "m.csv",
+            ",a,b,c,d\na,0,1.0,2,3\nb,1.5,0,-1,4\nc,2.25,-1,0,5\nd,3,4.5,5,0\n")
+        assert warned == ["<f>: asymmetry at (a,b): 1.0 vs 1.5; averaging",
+                          "<f>: asymmetry at (a,c): 2.0 vs 2.25; averaging"]
+        assert outcome == "DataError: <f>: nonpositive distance -1.0 at row 'b' column 'c'"
+
+    def test_csv_failing_pair_warns_first(self, tmp_path):
+        warned, outcome = self.parse(tmp_path, "m.csv",
+                                     ",a,b,c\na,0,2,1\nb,2,0,-3\nc,1,-1,0\n")
+        assert warned == ["<f>: asymmetry at (b,c): -3.0 vs -1.0; averaging"]
+        assert outcome == "DataError: <f>: nonpositive distance -2.0 at row 'b' column 'c'"
+
+    def test_csv_nan_is_nonpositive(self, tmp_path):
+        assert self.parse(tmp_path, "m.csv", ",a,b,c\na,0,1,nan\nb,1,0,2\nc,nan,2,0\n") == (
+            [], "DataError: <f>: nonpositive distance nan at row 'a' column 'c'")
+
+    def test_csv_inf_is_not_finite(self, tmp_path):
+        assert self.parse(tmp_path, "m.csv", ",a,b,c\na,0,1,2\nb,1,0,inf\nc,2,inf,0\n") == (
+            [], "ValueError: distance for ('b', 'c') must be finite and > 0, got inf")
+        assert self.parse(tmp_path, "m.csv", ",a,b,c\na,0,1,2\nb,1,0,inf\nc,2,7,0\n") == (
+            ["<f>: asymmetry at (b,c): inf vs 7.0; averaging"],
+            "ValueError: distance for ('b', 'c') must be finite and > 0, got inf")
+
+    def test_phylip_messages(self, tmp_path):
+        assert self.parse(tmp_path, "a.phy", "4\na\nb 1\nc 2 0\nd 3 -2 4\n") == (
+            [], "DataError: <f>: nonpositive distance 0.0 at row 'b' column 'c'")
+        assert self.parse(tmp_path, "b.phy", "3\na\nb nan\nc 2 3\n") == (
+            [], "DataError: <f>: nonpositive distance nan at row 'a' column 'b'")
+        assert self.parse(tmp_path, "c.phy", "3\na\nb -0.0\nc 2 3\n") == (
+            [], "DataError: <f>: nonpositive distance -0.0 at row 'a' column 'b'")
+        assert self.parse(tmp_path, "d.phy", "3\na\nb 1\nc inf 3\n") == (
+            [], "ValueError: distance for ('a', 'c') must be finite and > 0, got inf")
+
+    @pytest.mark.parametrize("name, text", [
+        ("m.csv", ",a,b,c\na,0,1,2\nb,1,0,inf\nc,2,inf,0\n"),
+        ("m.phy", "3\na\nb 1\nc inf 3\n"),
+    ])
+    def test_inf_exits_2(self, tmp_path, capsys, name, text):
+        p = tmp_path / name
+        p.write_text(text)
+        assert main(["fit", "ultrametric", str(p)]) == 2
+        assert "must be finite and > 0, got inf" in capsys.readouterr().err

@@ -9,7 +9,7 @@ import pytest
 from scipy.optimize import linprog
 from scipy.sparse import csr_matrix
 
-from treefit.core import EdgeSet, HierarchySequence, Partition, all_pairs, canon_pair
+from treefit.core import EdgeSet, HierarchySequence, Partition, all_pairs
 import treefit.lp as lp_module
 from treefit.lp import (
     DENSE_TABLEAU_BUDGET,
@@ -477,6 +477,11 @@ class TestDump:
 # ---------------------------------------------------------------------------
 # Reference formulation: the per-entry loops the array builder replaced
 # ---------------------------------------------------------------------------
+
+def canon_pair(idx, i, j):
+    """The pair ordered by label position, as the reference's dict keys are."""
+    return (i, j) if idx[i] < idx[j] else (j, i)
+
 
 def reference_rows(inst: HccInstance):
     pairs = inst.pair_list()

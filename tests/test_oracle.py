@@ -1,10 +1,13 @@
+import inspect
 import itertools
+import sys
 
 import pytest
 
 from treefit.core import (
     DistanceMatrix,
     EdgeSet,
+    HierarchySequence,
     Partition,
     UltrametricTree,
     all_pairs,
@@ -16,6 +19,7 @@ from treefit.oracle import (
     exact_corr_cluster,
     exact_hca,
     exact_hcc,
+    _interior_nodes,
     exact_ultrametric_l1,
     flatten_to_12,
 )
@@ -188,3 +192,32 @@ class TestFlatten:
         t = UltrametricTree.from_map("ab", {("a", "b"): 1.5})
         with pytest.raises(ValueError):
             flatten_to_12(t, d)
+
+
+class TestInteriorNodes:
+    def test_deeper_than_the_recursion_limit(self):
+        # a caterpillar: level t joins x(t+1) to the block of x0..xt at a
+        # value inside (1, 2), so every internal node is interior and the
+        # tree is n - 1 nodes deep
+        n = 200
+        labels = tuple(f"x{k:03d}" for k in range(n))
+        levels = HierarchySequence(tuple(
+            Partition.from_parts(labels, [labels[:t + 2]] + [[x] for x in labels[t + 2:]])
+            for t in range(n - 1)))
+        values = [1.0 + (t + 1) / (2.0 * n) for t in range(n - 1)]
+        tree = UltrametricTree.from_partitions(levels, values)
+        old_limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 60)
+        try:
+            found = _interior_nodes(tree)
+        finally:
+            sys.setrecursionlimit(old_limit)
+        # postorder: the deepest node first, each with its parent's value
+        # and its internal child's value
+        assert [v for v, *_ in found] == values
+        assert [parent for *_, parent, _ in found] == values[1:] + [2.0]
+        assert [child for *_, child in found] == [0.0] + values[:-1]
+        assert all(min_leaf == 0 for _, min_leaf, *_ in found)
+        position = {pair: k for k, pair in enumerate(all_pairs(range(n)))}
+        for t, (_, _, cross, _, _) in enumerate(found):
+            assert sorted(cross) == sorted(position[(k, t + 1)] for k in range(t + 1))

@@ -4,6 +4,7 @@ import math
 import random
 import sys
 
+import numpy as np
 import pytest
 
 from treefit.core import (
@@ -27,6 +28,7 @@ from conftest import random_matrix, random_tree_metric, random_ultrametric_map
 
 STAR = DistanceMatrix.from_pairs(
     "abc", {("a", "b"): 2.0, ("a", "c"): 3.0, ("b", "c"): 3.0})
+AB, BC = 0, 2  # positions of ("a", "b") and ("b", "c") in all_pairs("abc")
 
 
 def random_metric(rng, labels):
@@ -79,26 +81,27 @@ class TestSqueeze:
         self.r = gromov_transform(STAR, "a")
 
     def test_within_bounds_unchanged(self):
-        assert clamp_to_restricted(self.r.transformed.d, self.r) == self.r.transformed.d
+        values = self.r.transformed.values
+        assert (clamp_to_restricted(values, self.r) == values).all()
 
     def test_above_cap_clipped(self):
-        bumped = dict(self.r.transformed.d)
-        bumped[("b", "c")] = 99.0
+        bumped = self.r.transformed.values.copy()
+        bumped[BC] = 99.0
         clipped = clamp_to_restricted(bumped, self.r)
-        assert clipped[("b", "c")] == self.r.gamma
+        assert clipped[BC] == self.r.gamma
 
     def test_below_floor_raised(self):
-        lowered = dict(self.r.transformed.d)
-        lowered[("b", "c")] = 0.25
+        lowered = self.r.transformed.values.copy()
+        lowered[BC] = 0.25
         raised = clamp_to_restricted(lowered, self.r)
-        assert raised[("b", "c")] == max(self.r.betas["b"], self.r.betas["c"])
+        assert raised[BC] == max(self.r.betas["b"], self.r.betas["c"])
 
 
 class TestClamp:
     def test_restricted_input_unchanged(self, rng):
         d, _ = random_tree_metric(rng, 6)
         r = gromov_transform(d, d.labels[0])
-        u = dict(r.transformed.d)
+        u = r.transformed.values
         assert clamp_to_restricted(u, r) == pytest.approx(u)
 
     def test_preserves_ultrametric_and_never_hurts(self, rng):
@@ -109,12 +112,12 @@ class TestClamp:
             base = random_metric(rng, labels)
             pivot = rng.choice(labels)
             r = gromov_transform(base, pivot)
-            squeezed = DistanceMatrix(labels, clamp_to_restricted(r.transformed.d, r))
+            squeezed = DistanceMatrix(labels, clamp_to_restricted(r.transformed.values, r))
             u_raw = random_ultrametric_map(rng, labels)
             scale = r.gamma / max(u_raw.values()) * rng.uniform(0.4, 1.2)
-            u = {p: v * scale for p, v in u_raw.items()}
+            u = np.array([u_raw[p] * scale for p in all_pairs(labels)])
             clamped = clamp_to_restricted(u, r)
-            assert is_ultrametric(clamped, tol=1e-9)
+            assert is_ultrametric(dict(zip(all_pairs(labels), clamped)), tol=1e-9)
             for p in (1, 2, math.inf):
                 assert lp_norm_error(clamped, squeezed, p) <= \
                     lp_norm_error(u, squeezed, p) + 1e-9
@@ -123,7 +126,7 @@ class TestClamp:
 def reference_tree_edges(u, r):
     """The recursive walk: (parent, child, weight) edges in preorder."""
     labels = r.transformed.labels
-    utree = UltrametricTree.from_map(labels, u, tol=1e-6)
+    utree = UltrametricTree.from_distances(labels, u, tol=1e-6)
     fresh = (name for name in (f"v{k}" for k in itertools.count())
              if name not in set(labels))
     edges = []
@@ -154,14 +157,14 @@ class TestRestrictedToTree:
             d = random_matrix(rng, labels, (1, 2, 3, 4))
             r = gromov_transform(d, rng.choice(labels))
             sub = fit_ultrametric(
-                DistanceMatrix(labels, clamp_to_restricted(r.transformed.d, r)),
+                DistanceMatrix(labels, clamp_to_restricted(r.transformed.values, r)),
                 lower_bound=False)
-            u = clamp_to_restricted(sub.tree.distance_map(), r)
+            u = clamp_to_restricted(sub.tree.distances(), r)
             assert restricted_to_tree(u, r, d).edges == reference_tree_edges(u, r)
 
     def test_star_back_transform(self):
         r = gromov_transform(STAR, "a")
-        u = dict(r.transformed.d)  # exact fit
+        u = r.transformed.values  # exact fit
         tree = restricted_to_tree(u, r, STAR)
         assert tree.distance("b", "c") == pytest.approx(3.0)
         assert tree.distance("a", "b") == pytest.approx(2.0)
@@ -172,21 +175,21 @@ class TestRestrictedToTree:
             d, _ = random_tree_metric(rng, rng.randint(4, 8))
             pivot = rng.choice(d.labels)
             r = gromov_transform(d, pivot)
-            tree = restricted_to_tree(dict(r.transformed.d), r, d)
+            tree = restricted_to_tree(r.transformed.values, r, d)
             for i, j, v in d.pairs():
                 assert tree.distance(i, j) == pytest.approx(v, abs=1e-9)
 
     def test_constant_cap_gives_pivot_star(self):
         r = gromov_transform(STAR, "a")
-        u = dict.fromkeys(r.transformed.d, r.gamma)
+        u = np.full(len(r.transformed.values), r.gamma)
         tree = restricted_to_tree(u, r, STAR)
         h = r.heights
         assert tree.distance("b", "c") == pytest.approx(h["b"] + h["c"])
 
     def test_restriction_violation_rejected(self):
         r = gromov_transform(STAR, "a")
-        bad = dict(r.transformed.d)
-        bad[("a", "b")] = 1.0  # pivot pair must stay at the cap
+        bad = r.transformed.values.copy()
+        bad[AB] = 1.0  # pivot pair must stay at the cap
         with pytest.raises(ValueError):
             restricted_to_tree(bad, r, STAR)
 
@@ -195,10 +198,10 @@ class TestRestrictedToTree:
         # edges weigh 1; from pivot l000 its ultrametric tree is n - 1 deep
         n = 120
         labels = tuple(f"l{k:03d}" for k in range(n))
-        d = DistanceMatrix(labels, {(labels[a], labels[b]): 2.0 + b - a
-                                    for a, b in all_pairs(range(n))})
+        d = DistanceMatrix.from_pairs(labels, {(labels[a], labels[b]): 2.0 + b - a
+                                               for a, b in all_pairs(range(n))})
         r = gromov_transform(d, labels[0])
-        u = dict(r.transformed.d)
+        u = r.transformed.values
         old_limit = sys.getrecursionlimit()
         sys.setrecursionlimit(len(inspect.stack(0)) + 60)
         try:
@@ -301,13 +304,13 @@ class TestFitTreeMetric:
             pivot = rng.choice(labels)
             r = gromov_transform(d, pivot)
             sub = fit_ultrametric(
-                DistanceMatrix(labels, clamp_to_restricted(r.transformed.d, r)))
-            clamped = clamp_to_restricted(sub.tree.distance_map(), r)
+                DistanceMatrix(labels, clamp_to_restricted(r.transformed.values, r)))
+            clamped = clamp_to_restricted(sub.tree.distances(), r)
             tree = restricted_to_tree(clamped, r, d)
             tree_err = lp_norm_error(tree, d, 1)
             ultra_err = sum(
-                abs(clamped[p] - r.transformed.d[p])
-                for p in clamped if pivot not in p)
+                abs(c - v) for p, c, v in zip(all_pairs(labels), clamped, r.transformed.values)
+                if pivot not in p)
             pivot_err = sum(
                 abs(tree.distance(*p) - d.d[p]) for p in d.d if pivot in p)
             assert pivot_err <= 1e-9
@@ -320,8 +323,8 @@ def per_pivot_route(d, pivots):
     for a in pivots:
         r = gromov_transform(d, a)
         sub = fit_ultrametric(
-            DistanceMatrix(d.labels, clamp_to_restricted(r.transformed.d, r)))
-        clamped = clamp_to_restricted(sub.tree.distance_map(), r)
+            DistanceMatrix(d.labels, clamp_to_restricted(r.transformed.values, r)))
+        clamped = clamp_to_restricted(sub.tree.distances(), r)
         err = lp_norm_error(restricted_to_tree(clamped, r, d), d, 1)
         per_pivot[a] = err
         if best is None or err < best[0]:
@@ -352,7 +355,7 @@ class TestTreeModeBound:
 
 class TestEdgeCases:
     def test_single_label(self):
-        d = DistanceMatrix(("solo",), {})
+        d = DistanceMatrix.from_pairs(("solo",), {})
         fitted = fit_tree_metric(d)
         assert fitted.l1_error == 0.0
 

@@ -279,7 +279,7 @@ class TestFitUltrametric:
 
 class TestEdgeCases:
     def test_single_label(self):
-        d = DistanceMatrix(("solo",), {})
+        d = DistanceMatrix.from_pairs(("solo",), {})
         fitted = fit_ultrametric(d)
         assert fitted.l1_error == 0.0
         assert fitted.num_levels == 0
