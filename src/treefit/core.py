@@ -63,6 +63,14 @@ def _nth_pair(labels: Sequence[str], k: int) -> Pair:
     return next(itertools.islice(all_pairs(labels), k, None))
 
 
+def _pair_vector(values, n: int) -> np.ndarray:
+    """values as a float64 vector with one entry per pair of n labels."""
+    out = np.asarray(values, dtype=np.float64)
+    if out.shape != (n * (n - 1) // 2,):
+        raise ValueError(f"values of shape {out.shape} for the pairs of {n} labels")
+    return out
+
+
 def _square(values: np.ndarray, n: int) -> np.ndarray:
     """The symmetric n x n matrix of a condensed vector, with a zero diagonal."""
     out = np.zeros((n, n), dtype=values.dtype)
@@ -93,11 +101,8 @@ def _label_index(labels: tuple[str, ...]) -> dict[str, int]:
 
 @dataclass(frozen=True, eq=False)
 class DistanceMatrix:
-    """Symmetric strictly-positive pairwise distances with ordered labels.
-
-    values[k] is the distance of the k-th pair of `all_pairs(labels)`; the
-    vector is a read-only float64 copy of the one given.
-    """
+    """Symmetric strictly-positive pairwise distances with ordered labels;
+    values[k] is the distance of the k-th pair of `all_pairs(labels)`."""
 
     labels: tuple[str, ...]
     values: np.ndarray
@@ -105,10 +110,7 @@ class DistanceMatrix:
     def __post_init__(self):
         labels = tuple(self.labels)
         object.__setattr__(self, "_index", _label_index(labels))
-        values = np.array(self.values, dtype=np.float64)
-        n = len(labels)
-        if values.shape != (n * (n - 1) // 2,):
-            raise ValueError(f"bad pair keys: values of shape {values.shape} for {n} labels")
+        values = _pair_vector(self.values, len(labels)).copy()
         bad = np.flatnonzero(~(np.isfinite(values) & (values > 0.0)))
         if len(bad):
             raise ValueError(f"distance for {_nth_pair(labels, bad[0])} must be finite"
@@ -127,11 +129,6 @@ class DistanceMatrix:
         if missing:
             raise ValueError(f"bad pair keys: missing={missing[:3]}")
         return cls(labels, [keyed[k] for k in range(len(keyed))])
-
-    def __eq__(self, other):
-        if not isinstance(other, DistanceMatrix):
-            return NotImplemented
-        return self.labels == other.labels and np.array_equal(self.values, other.values)
 
     @functools.cached_property
     def d(self) -> dict[Pair, float]:
@@ -282,13 +279,16 @@ class HierarchySequence:
 def components(universe: Sequence[str], pairs: Iterable[Pair]) -> Partition:
     """Connected components of the pairs, as a partition of the universe."""
     idx = {lab: k for k, lab in enumerate(universe)}
-    return _joined_levels(universe, [[(idx[i], idx[j]) for i, j in pairs]])[0]
+    level = np.ones(len(idx) * (len(idx) - 1) // 2, dtype=np.intp)
+    level[[_pair_position(idx, i, j) for i, j in pairs]] = 0
+    return nested_components(universe, level, 1)[0]
 
 
-def _joined_levels(universe: Sequence[str],
-                  batches: Iterable[Iterable[tuple[int, int]]]) -> list[Partition]:
-    """Partition t is the components of the pairs of label positions in
-    batches 0..t; a batch that joins nothing shares the partition below."""
+def nested_components(universe: Sequence[str], level: np.ndarray,
+                      n_levels: int) -> list[Partition]:
+    """Partition t is the components of the pairs whose level is <= t, level
+    holding each pair's level in `all_pairs(universe)` order: one union-find
+    pass over the pairs in level order."""
     parent = list(range(len(universe)))
 
     def find(x: int) -> int:
@@ -297,10 +297,13 @@ def _joined_levels(universe: Sequence[str],
             x = parent[x]
         return x
 
-    out, current = [], Partition.singletons(universe)
-    for batch in batches:
+    order = np.argsort(level, kind="stable")
+    i, j = _pair_ends(len(universe))
+    pairs = list(zip(i[order].tolist(), j[order].tolist()))
+    out, current, start = [], Partition.singletons(universe), 0
+    for end in np.searchsorted(level[order], np.arange(n_levels), side="right").tolist():
         joined = False
-        for a, b in batch:
+        for a, b in pairs[start:end]:
             ra, rb = find(a), find(b)
             if ra != rb:
                 parent[rb] = ra
@@ -311,38 +314,38 @@ def _joined_levels(universe: Sequence[str],
                 groups.setdefault(find(k), []).append(lab)
             current = Partition.from_parts(universe, groups.values())
         out.append(current)
+        start = end
     return out
-
-
-def nested_components(universe: Sequence[str], level: np.ndarray,
-                      n_levels: int) -> list[Partition]:
-    """Partition t is the components of the pairs whose level is <= t, level
-    holding each pair's level in `all_pairs(universe)` order."""
-    order = np.argsort(level, kind="stable")
-    i, j = _pair_ends(len(universe))
-    pairs = list(zip(i[order].tolist(), j[order].tolist()))
-    ends = np.searchsorted(level[order], np.arange(n_levels), side="right").tolist()
-    return _joined_levels(universe, (pairs[a:b] for a, b in zip([0] + ends, ends)))
 
 
 def iter_partitions(items: Sequence[str]) -> Iterator[tuple[frozenset[str], ...]]:
     """All set partitions of items, in restricted-growth-string order.
 
     Parts come out ordered by first occurrence, which is the canonical
-    partition order used for deterministic tie-breaking. Item k joins each
-    open part in turn, then opens a new one.
+    partition order used for deterministic tie-breaking.
     """
-    def extend(k: int, parts: list[list[str]]) -> Iterator[tuple[frozenset[str], ...]]:
-        if k == len(items):
-            yield tuple(frozenset(p) for p in parts)
+    n = len(items)
+    if n == 0:
+        yield ()
+        return
+    a = [0] * n
+    while True:
+        nparts = max(a) + 1
+        parts: list[list[str]] = [[] for _ in range(nparts)]
+        for k, lab in enumerate(items):
+            parts[a[k]].append(lab)
+        yield tuple(frozenset(p) for p in parts)
+        k = n - 1
+        while k > 0:
+            if a[k] <= max(a[:k]):
+                a[k] += 1
+                for m in range(k + 1, n):
+                    a[m] = 0
+                break
+            a[k] = 0
+            k -= 1
+        else:
             return
-        for part in parts:
-            part.append(items[k])
-            yield from extend(k + 1, parts)
-            part.pop()
-        yield from extend(k + 1, [*parts, [items[k]]])
-
-    yield from extend(0, [])
 
 
 # ---------------------------------------------------------------------------
@@ -368,8 +371,7 @@ def sym_diff_size(a: EdgeSet, b: EdgeSet) -> int:
 # ---------------------------------------------------------------------------
 
 class _TreeDistances:
-    """A tree's label distances: one cached vector in `all_pairs(labels)`
-    order, set by the tree's `_fill_distances`, and adapters over it."""
+    """A tree's distances, cached from its `_fill_distances`, and adapters."""
 
     def distances(self) -> np.ndarray:
         """Read-only distances of all label pairs, in `all_pairs(labels)` order."""
@@ -380,8 +382,7 @@ class _TreeDistances:
         return self._dist  # type: ignore[attr-defined]
 
     def distances_in(self, labels: Sequence[str]) -> np.ndarray:
-        """distances() in `all_pairs(labels)` order, for a reordering of the
-        tree's labels."""
+        """distances() in `all_pairs(labels)` order, labels being a reordering."""
         labels = tuple(labels)
         if sorted(labels) != sorted(self.labels):  # type: ignore[attr-defined]
             raise UniverseMismatch("tree labels do not match the distance matrix")
@@ -416,32 +417,41 @@ class UltrametricTree(_TreeDistances):
     root: UltraNode
 
     def __post_init__(self):
-        # one preorder walk; the first bad height is raised only once the
-        # leaves are known to match the labels
-        leaves: list[str] = []
-        bad = None
-        stack: list[tuple[UltraNode, float | None]] = [(self.root, None)]
-        while stack:
-            node, parent_height = stack.pop()
-            if node.is_leaf and node.label is None:
-                raise ValueError("leaf without a label")
-            if bad is None:
-                if parent_height is not None and node.height >= parent_height:
-                    bad = "heights must strictly increase child to parent"
-                elif node.is_leaf and node.height != 0.0:
-                    bad = "leaves must sit at height 0"
-                elif not node.is_leaf and node.height <= 0.0:
-                    bad = "internal node height must be positive"
-            if node.is_leaf:
-                leaves.append(node.label)  # type: ignore[arg-type]
-            else:
-                stack.extend((child, node.height) for child in reversed(node.children))
+        leaves = tuple(self._iter_leaves(self.root))
         if sorted(leaves) != sorted(self.labels):
             raise ValueError("tree leaves do not match the label set")
-        if bad is not None:
-            raise ValueError(bad)
+        self._check_heights(self.root)
         object.__setattr__(self, "_index", {lab: k for k, lab in enumerate(self.labels)})
         object.__setattr__(self, "_dist", None)
+
+    @staticmethod
+    def _iter_leaves(root: UltraNode) -> Iterator[str]:
+        """Leaf labels, left to right."""
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            if node.is_leaf:
+                if node.label is None:
+                    raise ValueError("leaf without a label")
+                yield node.label
+            else:
+                stack.extend(reversed(node.children))
+
+    @staticmethod
+    def _check_heights(root: UltraNode) -> None:
+        """Raise on the first bad height in preorder."""
+        stack: list[tuple[UltraNode, float | None]] = [(root, None)]
+        while stack:
+            node, parent_height = stack.pop()
+            if parent_height is not None and node.height >= parent_height:
+                raise ValueError("heights must strictly increase child to parent")
+            if node.is_leaf:
+                if node.height != 0.0:
+                    raise ValueError("leaves must sit at height 0")
+                continue
+            if node.height <= 0.0:
+                raise ValueError("internal node height must be positive")
+            stack.extend((child, node.height) for child in reversed(node.children))
 
     @classmethod
     def from_partitions(cls, levels: HierarchySequence,
@@ -482,7 +492,7 @@ class UltrametricTree(_TreeDistances):
     @classmethod
     def from_distances(cls, labels: Sequence[str], values, *,
                        tol: float = DEFAULT_TOL) -> "UltrametricTree":
-        """Build the canonical tree realizing an ultrametric, given in
+        """Build the canonical tree realizing an ultrametric given in
         `all_pairs(labels)` order.
 
         Level v of the tree holds the components of the pairs at distance
@@ -507,33 +517,25 @@ class UltrametricTree(_TreeDistances):
         return tree
 
     def _fill_distances(self) -> np.ndarray:
-        """Set the distances one node block at a time, in postorder: a
-        subtree's leaves are consecutive in the left-to-right leaf order, so
-        a node's pairs between one child and the later ones form one block."""
-        n = len(self.labels)
-        square = np.zeros((n, n))
+        """2 * height(lca): in the left-to-right leaf order, the lca of two
+        leaves is the highest lca of two neighbours between them."""
         leaves: list[int] = []  # label positions, left to right
-        spans: list[tuple[int, int]] = []  # leaf range of each finished subtree
-        stack = [(self.root, False)]
+        gaps: list[float] = []  # height of each leaf's lca with the leaf before
+        stack = [(self.root, 0.0)]
         while stack:
-            node, expanded = stack.pop()
+            node, gap = stack.pop()
             if node.is_leaf:
-                spans.append((len(leaves), len(leaves) + 1))
                 leaves.append(self._index[node.label])  # type: ignore[attr-defined]
-            elif not expanded:
-                stack.append((node, True))
-                stack.extend((child, False) for child in reversed(node.children))
+                gaps.append(gap)
             else:
-                kids = spans[-len(node.children):]
-                del spans[-len(node.children):]
-                end = kids[-1][1]
-                for start, stop in kids[:-1]:
-                    square[start:stop, stop:end] = 2.0 * node.height
-                spans.append((kids[0][0], end))
-        rank = np.empty(n, dtype=np.intp)  # leaf-order position of each label
-        rank[leaves] = np.arange(n)
-        i, j = _pair_ends(n)
-        return square[np.minimum(rank[i], rank[j]), np.maximum(rank[i], rank[j])]
+                stack.extend((child, node.height if k else gap)
+                             for k, child in reversed(list(enumerate(node.children))))
+        n = len(leaves)
+        # row a: the running max of the gaps after leaf a, zero up to it
+        square = np.maximum.accumulate(np.triu(np.tile(gaps, (n, 1)), 1), axis=1)
+        out = np.zeros((n, n))
+        out[np.ix_(leaves, leaves)] = square + square.T
+        return 2.0 * out[_pair_ends(n)]
 
     def top_distance(self) -> float:
         return 2.0 * self.root.height
@@ -569,8 +571,19 @@ class WeightedTree(_TreeDistances):
         for u, v, w in self.edges:
             adj[u].append((v, w))
             adj[v].append((u, w))
-        if len(components(sorted(nodes), ((u, v) for u, v, _ in self.edges)).parts) > 1:
-            raise ValueError("tree is not connected")
+        # connectivity check from any node
+        if nodes:
+            start = next(iter(sorted(nodes)))
+            seen = {start}
+            stack = [start]
+            while stack:
+                cur = stack.pop()
+                for nxt, _ in adj[cur]:
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        stack.append(nxt)
+            if seen != nodes:
+                raise ValueError("tree is not connected")
         object.__setattr__(self, "_adj", adj)
         object.__setattr__(self, "_index", {lab: k for k, lab in enumerate(self.labels)})
         object.__setattr__(self, "_dist", None)
@@ -621,16 +634,15 @@ class FittedTree:
 def lp_norm_error(tree, d: DistanceMatrix, p: float) -> float:
     """(sum |dist_T(i,j) - D(i,j)|^p)^(1/p); max when p is infinite.
 
-    tree is an UltrametricTree or WeightedTree over d's labels, in any order,
-    or a vector of distances in `all_pairs(d.labels)` order. The terms are
-    summed one by one in that order.
+    tree is a tree over d's labels, in any order, or a vector in
+    `all_pairs(d.labels)` order; the terms are summed one by one in that order.
     """
     if p != math.inf and p < 1:
         raise ValueError("p must be >= 1 or inf")
     if isinstance(tree, _TreeDistances):
         realized = tree.distances_in(d.labels)
     elif isinstance(tree, np.ndarray):
-        realized = tree
+        realized = _pair_vector(tree, d.n)
     else:
         raise TypeError(f"cannot evaluate distances of {type(tree)!r}")
     diffs = np.abs(realized - d.values).tolist()
@@ -642,12 +654,8 @@ def lp_norm_error(tree, d: DistanceMatrix, p: float) -> float:
 
 
 def is_ultrametric(mapping: Mapping, tol: float = DEFAULT_TOL) -> bool:
-    """True iff U(i,j) <= max(U(i,k), U(k,j)) + tol for all triples.
-
-    One pass per label i over the square matrix of the labels after it: the
-    largest of a triple's three values may exceed the middle one by at most
-    tol.
-    """
+    """True iff U(i,j) <= max(U(i,k), U(k,j)) + tol for all triples: in one
+    pass per label, no triple's largest value exceeds its middle one by tol."""
     labels = sorted({x for key in mapping for x in tuple(key)})
     square = _square(np.array([lookup_pair(mapping, i, j) for i, j in all_pairs(labels)],
                               dtype=np.float64), len(labels))

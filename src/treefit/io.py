@@ -54,11 +54,8 @@ def _check_labels(labels: list[str], where: str) -> None:
 
 
 def _build(labels: list[str], grid: np.ndarray, where: str) -> DistanceMatrix:
-    """The table of a square grid: the two cells of each pair averaged.
-
-    Pairs are checked in row order: asymmetric pairs warn, up to the first
-    pair whose average is not positive, which is the error.
-    """
+    """The table of a square grid, each pair's two cells averaged. In row order,
+    asymmetric pairs warn up to the first nonpositive pair, which is the error."""
     i, j = _pair_ends(len(labels))
     upper, lower = grid[i, j], grid[j, i]
     with np.errstate(all="ignore"):  # inf - inf is nan, which fails every comparison
@@ -144,15 +141,19 @@ def write_matrix_csv(d: DistanceMatrix, path: str | Path) -> None:
 # Newick
 # ---------------------------------------------------------------------------
 
+def _check_newick_label(label: str) -> None:
+    if not label or set(label) & NEWICK_FORBIDDEN:
+        raise DataError(f"label {label!r} cannot be written as Newick")
+
+
 def newick_string(tree: UltrametricTree | WeightedTree | FittedTree) -> str:
     if isinstance(tree, FittedTree):
         tree = tree.tree
-    if not isinstance(tree, (UltrametricTree, WeightedTree)):
-        raise TypeError(f"cannot serialize {type(tree)!r}")
-    for label in tree.labels:
-        if not label or set(label) & NEWICK_FORBIDDEN:
-            raise DataError(f"label {label!r} cannot be written as Newick")
-    return _ultra_newick(tree) if isinstance(tree, UltrametricTree) else _weighted_newick(tree)
+    if isinstance(tree, UltrametricTree):
+        return _ultra_newick(tree)
+    if isinstance(tree, WeightedTree):
+        return _weighted_newick(tree)
+    raise TypeError(f"cannot serialize {type(tree)!r}")
 
 
 def write_newick(tree, path: str | Path) -> None:
@@ -186,6 +187,8 @@ def _render(root, children, tail) -> str:
 
 
 def _ultra_newick(tree: UltrametricTree) -> str:
+    for lab in tree.labels:
+        _check_newick_label(lab)
     root = tree.root
     if root.is_leaf:
         return f"({root.label}:0.0);"
@@ -199,6 +202,8 @@ def _ultra_newick(tree: UltrametricTree) -> str:
 
 
 def _weighted_newick(tree: WeightedTree) -> str:
+    for lab in tree.labels:
+        _check_newick_label(lab)
     adj = tree.adjacency()
     root = tree.root if tree.root in adj else sorted(adj)[0]
     pos = {lab: k for k, lab in enumerate(tree.labels)}

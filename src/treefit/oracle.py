@@ -107,8 +107,7 @@ def exact_ultrametric_l1(d: DistanceMatrix) -> tuple[UltrametricTree, float]:
 # ---------------------------------------------------------------------------
 
 def _interior_nodes(tree: UltrametricTree):
-    """Internal nodes whose merge value lies strictly inside (1, 2), in
-    postorder.
+    """Internal nodes whose merge value lies strictly inside (1, 2), in postorder.
 
     Yields (value, min_leaf, cross, parent_value, max_child_value), where
     cross lists the `all_pairs` positions of the pairs meeting at that node.

@@ -22,6 +22,7 @@ from .core import (
     WeightedTree,
     _nth_pair,
     _pair_ends,
+    _pair_vector,
     _square,
     components,
     lp_norm_error,
@@ -88,16 +89,14 @@ def restricted_to_tree(u: np.ndarray, r: RestrictedInstance,
     appear (pseudometric).
     """
     labels = r.transformed.labels
-    u = np.asarray(u, dtype=np.float64)
+    u = _pair_vector(u, len(labels))
     i, j = _pair_ends(len(labels))
     p = r.transformed.index[r.pivot]
     outside = (u > r.gamma + RESTRICTION_TOL) | (u < r.floors() - RESTRICTION_TOL)
     off_cap = ((i == p) | (j == p)) & (np.abs(u - r.gamma) > RESTRICTION_TOL)
-    bad = np.flatnonzero(outside | off_cap)
-    if len(bad):
-        if outside[bad[0]]:
-            a, b = _nth_pair(labels, bad[0])
-            raise ValueError(f"pair ({a},{b}) violates the restriction")
+    for k in np.flatnonzero(outside | off_cap)[:1]:
+        if outside[k]:
+            raise ValueError("pair (%s,%s) violates the restriction" % _nth_pair(labels, k))
         raise ValueError("pivot distances must equal the cap")
     utree = UltrametricTree.from_distances(labels, u, tol=RESTRICTION_TOL)
     if abs(utree.top_distance() - r.gamma) > RESTRICTION_TOL:
@@ -128,9 +127,11 @@ def restricted_to_tree(u: np.ndarray, r: RestrictedInstance,
             name = next(fresh)
             edges.append((parent_name, name, depth - parent_depth))
         stack.extend((child, name, depth) for child in reversed(node.children))
-    if any(w <= -RESTRICTION_TOL for _, _, w in edges):
-        raise ValueError("restriction violation produced a negative edge")
-    cleaned = tuple((a, b, max(0.0, w)) for a, b, w in edges)
+    weights = [max(0.0, w) if w > -RESTRICTION_TOL else w for _, _, w in edges]
+    for w in weights:
+        if w < 0:
+            raise ValueError("restriction violation produced a negative edge")
+    cleaned = tuple((a, b, max(0.0, w)) for (a, b, _), w in zip(edges, weights))
     return WeightedTree(labels=d.labels, edges=cleaned, root=r.pivot)
 
 
@@ -210,7 +211,7 @@ def fit_tree_metric(d: DistanceMatrix, *, pivot_mode: str = "all",
         sub = fit_ultrametric(clamped_input, strategy=strategy, seed=seed,
                               feas_tol=feas_tol, lower_bound=False)
         assert isinstance(sub.tree, UltrametricTree)
-        clamped = clamp_to_restricted(sub.tree.distances(), r)
+        clamped = clamp_to_restricted(sub.tree.distances_in(d.labels), r)
         candidate = restricted_to_tree(clamped, r, d)
         err = lp_norm_error(candidate, d, 1)
         per_pivot[a] = err

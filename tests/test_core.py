@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -112,6 +113,15 @@ class TestLpNormError:
         assert lp_norm_error(self.u, self.d, 2) == pytest.approx(1.0)
         with pytest.raises(ValueError):
             lp_norm_error(self.u, self.d, 0.5)
+
+    def test_vector_in_pair_order(self):
+        assert lp_norm_error(self.u.distances(), self.d, 1) == lp_norm_error(self.u, self.d, 1)
+
+    @pytest.mark.parametrize("size", [1, 2, 4])
+    def test_vector_of_wrong_length_rejected(self, size):
+        # a length-1 vector would broadcast against the table's 3 pairs
+        with pytest.raises(ValueError, match="shape"):
+            lp_norm_error(np.full(size, 2.0), self.d, 1)
 
 
 class TestIsUltrametric:

@@ -193,6 +193,12 @@ class TestRestrictedToTree:
         with pytest.raises(ValueError):
             restricted_to_tree(bad, r, STAR)
 
+    @pytest.mark.parametrize("size", [1, 4])
+    def test_vector_of_wrong_length_rejected(self, size):
+        r = gromov_transform(STAR, "a")
+        with pytest.raises(ValueError, match="shape"):
+            restricted_to_tree(np.full(size, r.gamma), r, STAR)
+
     def test_deeper_than_the_recursion_limit(self):
         # a caterpillar: leaf k hangs by weight 1 off spine node k, spine
         # edges weigh 1; from pivot l000 its ultrametric tree is n - 1 deep
