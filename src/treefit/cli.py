@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -17,8 +18,8 @@ from .corrclust import corr_cluster, corr_cluster_cost, exact_corr_cluster
 from .io import DataError, newick_string, parse_matrix, parse_newick, write_newick
 from .lp import HccInstance, SolverError, build_lp, solve_lp
 from .oracle import exact_hca, exact_ultrametric_l1
-from .treemetric import clamp_to_restricted, fit_tree_metric, gromov_transform
-from .ultrametric import TrivialInstance, fit_ultrametric, hcc_instance_from_distances
+from .treemetric import fit_tree_metric
+from .ultrametric import fit_ultrametric
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -38,11 +39,18 @@ class _Parser(argparse.ArgumentParser):
 GLOBAL_DEFAULTS = {"seed": None, "lp_tol": 1e-7, "json_out": None, "dump_lp": None}
 
 
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
+    return value
+
+
 def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                         help="RNG seed; also makes JSON reports byte-identical")
-    common.add_argument("--lp-tol", type=float, default=argparse.SUPPRESS,
+    common.add_argument("--lp-tol", type=_tolerance, default=argparse.SUPPRESS,
                         help="LP feasibility tolerance")
     common.add_argument("--json-out", type=Path, default=argparse.SUPPRESS,
                         help="write the JSON report here")
@@ -120,30 +128,22 @@ def _edges_from_threshold(d: DistanceMatrix, threshold: float | None) -> EdgeSet
     return EdgeSet(d.labels, d.values <= threshold + 1e-12)
 
 
-def _dump_requested_lp(args, d: DistanceMatrix, mode: str, fitted) -> None:
-    """Dump the level LP of the instance actually being fitted.
+def _dump_requested_lp(args, d: DistanceMatrix, fitted) -> None:
+    """Dump the level LP of the instance the fit solved, `details["hcc"]`:
+    in tree mode the winning pivot's subproblem.
 
     The point is the one behind the fit's reported bound; the LP is solved
-    here only when the fit took the clique shortcut and has no point.
+    here only when the fit cost 0 and so skipped the solve.
     """
     if d.n == 1:
         args.dump_lp.write_text("# lp-dump v1\n# no LP: single label\n")
         return
-    if mode == "tree":
-        r = gromov_transform(d, fitted.details["pivot"])
-        d = DistanceMatrix(d.labels, clamp_to_restricted(r.transformed.values, r))
-        sol = fitted.details["lp_solution"]
-    else:
-        hcc_result = fitted.details.get("hcc")
-        sol = hcc_result.lp_solution if hcc_result is not None else None
-    try:
-        inst, _ = hcc_instance_from_distances(d)
-    except TrivialInstance:
+    hcc_result = fitted.details.get("hcc")
+    if hcc_result is None:
         args.dump_lp.write_text("# lp-dump v1\n# no LP: single distinct distance\n")
         return
-    lp = build_lp(inst)
-    if sol is None:
-        sol = solve_lp(lp, args.lp_tol)
+    lp = build_lp(hcc_result.instance)
+    sol = hcc_result.lp_solution or solve_lp(lp, args.lp_tol)
     args.dump_lp.write_text(lp.dump_text(sol.x.reshape(-1), sol.objective))
 
 
@@ -164,7 +164,7 @@ def _cmd_fit(args) -> int:
     if args.tree_out is not None:
         write_newick(fitted, args.tree_out)
     if args.dump_lp is not None:
-        _dump_requested_lp(args, d, args.mode, fitted)
+        _dump_requested_lp(args, d, fitted)
     _emit(args, _report(args, n=d.n, mode=args.mode, l1_error=fitted.l1_error,
                         lp_lower_bound=fitted.lp_lower_bound,
                         num_levels=fitted.num_levels, tree_newick=newick,

@@ -9,9 +9,9 @@ Pair order: `all_pairs(labels)` lists the C(n,2) unordered pairs as
 the pair of label positions i < j in that list. The same order indexes
 `DistanceMatrix.values`, the trees' `distances()` (over their own labels),
 `EdgeSet.mask`, the columns of `LpSolution.x`, and each level's block of LP
-variables. Only this module turns label pairs into positions. A partition's
-`part_of[k]` is the index, in `parts`, of the part holding the k-th universe
-label.
+variables; the LP layer keeps no pair list of its own. Only this module
+turns label pairs into positions. A partition's `part_of[k]` is the index,
+in `parts`, of the part holding the k-th universe label.
 """
 from __future__ import annotations
 

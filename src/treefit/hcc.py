@@ -3,17 +3,16 @@
 Each level's edge set is first clustered independently; the resulting
 partitions go through the hierarchical cluster agreement solver. The LP of
 the original instance is solved separately so every run reports a true lower
-bound next to the achieved cost.
+bound next to the achieved cost. That bound lies between 0 and the cost of
+any hierarchy for the instance, so a fit of cost 0 needs no solve.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .core import HierarchySequence, Partition, _pair_ends, clique_edges, sym_diff_size
-from .corrclust import corr_cluster, corr_cluster_cost
-from .hca import HcaResult, fit_hca_report, is_hierarchical
+from .core import HierarchySequence, Partition, clique_edges, sym_diff_size
+from .corrclust import corr_cluster
+from .hca import HcaResult, fit_hca_report
 from .lp import HccInstance, LpSolution, build_lp, hierarchy_cost, solve_lp
 
 
@@ -24,43 +23,19 @@ class HccResult:
     lp_lower_bound: float
     lp_solution: LpSolution | None
     partitions: tuple[Partition, ...]
-    level_costs: tuple[int, ...]
     hca: HcaResult
     instance: HccInstance
 
 
-def _clique_hierarchy(inst: HccInstance) -> HierarchySequence | None:
-    """If every E^(t) is a disjoint clique set and the levels nest, return it.
-
-    first[v] is the lowest position in the closed neighbourhood of label v.
-    A level is a disjoint clique set exactly when two labels are adjacent iff
-    their first positions agree; the labels sharing a first position are then
-    the parts.
-    """
-    i, j = _pair_ends(inst.n)
-    parts = []
-    for es in inst.edge_sets:
-        first = np.arange(inst.n)
-        np.minimum.at(first, j[es.mask], i[es.mask])
-        if not np.array_equal(first[i] == first[j], es.mask):
-            return None
-        groups: dict[int, list[str]] = {}
-        for lab, f in zip(inst.labels, first.tolist()):
-            groups.setdefault(f, []).append(lab)
-        parts.append(Partition.from_parts(inst.labels, groups.values()))
-    if not is_hierarchical(parts):
-        return None
-    return HierarchySequence(tuple(parts))
-
-
-def lp_lower_bound(inst: HccInstance, *, feas_tol: float = 1e-7,
-                   fast_path: bool = True) -> tuple[float, LpSolution | None]:
+def lp_lower_bound(inst: HccInstance, cost: float, *,
+                   feas_tol: float = 1e-7) -> tuple[float, LpSolution | None]:
     """Optimum of the instance's LP relaxation, and the point reaching it.
 
-    With fast_path, nested disjoint cliques skip the solve: their integral
-    point costs 0, so the bound is 0 and no point is returned.
+    cost is that of a hierarchy for the instance. The optimum lies between 0
+    and that cost, so a cost of 0 skips the solve: the bound is 0 and no
+    point is returned.
     """
-    if fast_path and _clique_hierarchy(inst) is not None:
+    if cost == 0.0:
         return 0.0, None
     solution = solve_lp(build_lp(inst), feas_tol)
     return solution.objective, solution
@@ -73,8 +48,6 @@ def fit_hcc(inst: HccInstance, *, strategy: str = "pivot-sweep",
     partitions = tuple(
         corr_cluster(inst.labels, es, strategy=strategy, seed=seed)
         for es in inst.edge_sets)
-    level_costs = tuple(
-        corr_cluster_cost(es, q) for es, q in zip(inst.edge_sets, partitions))
     hca = fit_hca_report(inst.labels, partitions, inst.deltas,
                          feas_tol=feas_tol, fast_path=fast_path)
     cost = hierarchy_cost(inst, hca.hierarchy)
@@ -82,11 +55,10 @@ def fit_hcc(inst: HccInstance, *, strategy: str = "pivot-sweep",
     lp_solution = None
     bound = 0.0
     if lower_bound:
-        bound, lp_solution = lp_lower_bound(inst, feas_tol=feas_tol,
-                                            fast_path=fast_path)
+        bound, lp_solution = lp_lower_bound(inst, cost, feas_tol=feas_tol)
     return HccResult(hierarchy=hca.hierarchy, cost=cost, lp_lower_bound=bound,
                      lp_solution=lp_solution, partitions=partitions,
-                     level_costs=level_costs, hca=hca, instance=inst)
+                     hca=hca, instance=inst)
 
 
 def triangle_switch_holds(result: HccResult) -> bool:

@@ -35,8 +35,8 @@ def parse_matrix(path: str | Path, fmt: str = "auto") -> DistanceMatrix:
     if not lines:
         raise DataError(f"{path}: empty file")
     if fmt == "auto":
-        first = lines[0].replace(",", " ").split()
-        fmt = "phylip" if len(first) == 1 and first[0].isdigit() else "csv"
+        # a PHYLIP count line is one number; a CSV header holds a comma even for one label
+        fmt = "phylip" if lines[0].isdigit() else "csv"
     if fmt == "csv":
         return _parse_csv(lines, str(path))
     if fmt == "phylip":

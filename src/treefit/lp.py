@@ -10,16 +10,15 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .core import EdgeSet, HierarchySequence, Pair, all_pairs, clique_edges, sym_diff_size
-from .core import _condensed, _pair_ends
+from .core import EdgeSet, HierarchySequence, all_pairs, clique_edges, sym_diff_size
+from .core import _condensed, _pair_ends, _pair_vector
 from .simplex import SimplexStall, SimplexTooLarge, solve_dense
 
 DEFAULT_FEAS_TOL = 1e-7
-DEFAULT_OPT_TOL = 1e-6
 
 # above this many dense-tableau entries, auto solves switch to scipy's HiGHS
 DENSE_TABLEAU_BUDGET = 1_200_000
@@ -68,9 +67,6 @@ class HccInstance:
     def n(self) -> int:
         return len(self.labels)
 
-    def pair_list(self) -> tuple[Pair, ...]:
-        return tuple(all_pairs(self.labels))
-
 
 @functools.lru_cache(maxsize=16)
 def _level_triangles(n: int) -> np.ndarray:
@@ -92,11 +88,6 @@ def _level_triangles(n: int) -> np.ndarray:
     return rows
 
 
-def _row_count(n: int, n_levels: int) -> int:
-    """Rows of the full LP: 3 C(n,3) triangle rows per level, C(n,2) per step."""
-    return n_levels * n * (n - 1) * (n - 2) // 2 + (n_levels - 1) * n * (n - 1) // 2
-
-
 @dataclass
 class LinearProgram:
     """Explicit formulation: rows are `coeffs . x <= 0`, x in [0,1].
@@ -108,37 +99,18 @@ class LinearProgram:
 
     labels: tuple[str, ...]
     n_levels: int
-    pairs: tuple[Pair, ...]
     tri: np.ndarray  # (n_tri, 3) variable indices
     mono: np.ndarray  # (n_mono, 2) variable indices
-    c: np.ndarray
+    c: np.ndarray  # one entry per variable: level-major, pairs in `all_pairs` order
     const: float
 
     @property
     def n_vars(self) -> int:
-        return self.n_levels * len(self.pairs)
+        return len(self.c)
 
     @property
     def n_rows(self) -> int:
         return len(self.tri) + len(self.mono)
-
-    @property
-    def rhs(self) -> np.ndarray:
-        return np.zeros(self.n_rows)
-
-    @property
-    def rows(self) -> list[tuple[tuple[int, ...], tuple[float, ...]]]:
-        return ([(tuple(cols), (1.0, -1.0, -1.0)) for cols in self.tri.tolist()]
-                + [(tuple(cols), (1.0, -1.0)) for cols in self.mono.tolist()])
-
-    @property
-    def row_kinds(self) -> list[str]:
-        return ["triangle"] * len(self.tri) + ["monotone"] * len(self.mono)
-
-    def var_name(self, v: int) -> str:
-        t, p = divmod(v, len(self.pairs))
-        i, j = self.pairs[p]
-        return f"x_t{t + 1}_{i}_{j}"
 
     def _coo(self, rows: np.ndarray | None = None):
         """Row, column and coefficient arrays of the given rows, in row order."""
@@ -174,18 +146,20 @@ class LinearProgram:
 
     def dump_text(self, x: np.ndarray | None = None,
                   objective: float | None = None) -> str:
-        """Plain-text equation list for cross-checking with an external solver."""
+        """Plain-text equation list for cross-checking with an external solver.
+
+        Triangle rows come first, then monotonicity rows, as in the LP."""
+        names = [f"x_t{t + 1}_{i}_{j}" for t in range(self.n_levels)
+                 for i, j in all_pairs(self.labels)]
         lines = ["# lp-dump v1", f"# vars {self.n_vars} rows {self.n_rows}"]
         if x is not None:
-            for v in range(self.n_vars):
-                lines.append(f"var {self.var_name(v)} = {float(x[v])!r}")
-        terms = " + ".join(
-            f"{float(self.c[v])!r}*{self.var_name(v)}" for v in range(self.n_vars))
+            lines += [f"var {name} = {float(v)!r}" for name, v in zip(names, x, strict=True)]
+        terms = " + ".join(f"{c!r}*{name}" for c, name in zip(self.c.tolist(), names))
         lines.append(f"min: {terms} + {float(self.const)!r}")
-        for (cols, coefs), kind in zip(self.rows, self.row_kinds):
-            lhs = " + ".join(f"{float(coef)!r}*{self.var_name(col)}"
-                             for col, coef in zip(cols, coefs))
-            lines.append(f"subject_to[{kind}]: {lhs} <= 0.0")
+        lines += [f"subject_to[triangle]: 1.0*{names[a]} + -1.0*{names[b]} + -1.0*{names[c]}"
+                  " <= 0.0" for a, b, c in self.tri.tolist()]
+        lines += [f"subject_to[monotone]: 1.0*{names[a]} + -1.0*{names[b]} <= 0.0"
+                  for a, b in self.mono.tolist()]
         lines.append("bounds: 0 <= all_vars <= 1")
         if objective is not None:
             lines.append(f"objective_value: {float(objective)!r}")
@@ -196,14 +170,14 @@ class LinearProgram:
 class LpSolution:
     """Fractional distances per level and pair, clamped into [0,1].
 
-    `pairs` must be `all_pairs(labels)`, in that order. `rounds` counts the
-    lazy solves behind the point and `rows_used` the rows of the last one, on
-    either backend; a point not found by a solve, such as the `integral`
-    one, reports 1 round and every row of the full LP.
+    Row t of `x` is level t, its columns the pairs in `all_pairs(labels)`
+    order. `rounds` counts the lazy solves behind the point and `rows_used`
+    the rows of the last one, on either backend; a point not found by a
+    solve, such as the `integral` one, reports 1 round and every row of the
+    full LP.
     """
 
     labels: tuple[str, ...]
-    pairs: tuple[Pair, ...]
     x: np.ndarray  # shape (n_levels, n_pairs)
     objective: float
     backend: str = "simplex"
@@ -211,10 +185,11 @@ class LpSolution:
     rows_used: int | None = None
 
     def __post_init__(self):
-        if self.pairs != tuple(all_pairs(self.labels)):
-            raise ValueError("pairs must follow all_pairs order of the labels")
-        if self.rows_used is None:
-            self.rows_used = _row_count(len(self.labels), self.n_levels)
+        n = len(self.labels)
+        if self.x.ndim != 2 or self.x.shape[1] != n * (n - 1) // 2:
+            raise ValueError(f"x of shape {self.x.shape} for the pairs of {n} labels")
+        if self.rows_used is None:  # every row: (n-2) C(n,2) per level, C(n,2) per step
+            self.rows_used = self.x.shape[1] * (self.n_levels * (n - 1) - 1)
 
     @property
     def n_levels(self) -> int:
@@ -227,17 +202,12 @@ class LpSolution:
         a, b = sorted((self.labels.index(i), self.labels.index(j)))
         return float(self.x[t, _condensed(len(self.labels), a, b)])
 
-    def level_map(self, t: int) -> dict[Pair, float]:
-        return {p: float(self.x[t, k]) for k, p in enumerate(self.pairs)}
-
     def max_violation(self) -> dict[str, float]:
         """Largest triangle / monotonicity / box violations of this point."""
-        tri = 0.0
+        x = self.x
         rows = _level_triangles(len(self.labels))
-        if len(rows):
-            x = self.x
-            lhs = x[:, rows[:, 0]] - x[:, rows[:, 1]] - x[:, rows[:, 2]]
-            tri = max(tri, float(lhs.max()))
+        lhs = x[:, rows[:, 0]] - x[:, rows[:, 1]] - x[:, rows[:, 2]]
+        tri = max(0.0, float(lhs.max(initial=0.0)))
         mono = max(0.0, float((self.x[1:] - self.x[:-1]).max(initial=0.0)))
         box = max(0.0, float(np.max(self.x - 1.0)), float(np.max(-self.x)))
         return {"triangle": tri, "monotone": mono, "box": box}
@@ -245,22 +215,19 @@ class LpSolution:
 
 def build_lp(inst: HccInstance) -> LinearProgram:
     """Variables, triangle and monotonicity rows, and the level-weighted objective."""
-    pairs = inst.pair_list()
-    n_pairs = len(pairs)
-    n_levels = inst.n_levels
-    level_rows = _level_triangles(inst.n)
+    edges = np.array([es.mask for es in inst.edge_sets])
+    n_levels, n_pairs = edges.shape
     offsets = np.arange(n_levels) * n_pairs
-    tri = (offsets[:, None, None] + level_rows[None]).reshape(-1, 3)
+    tri = (offsets[:, None, None] + _level_triangles(inst.n)[None]).reshape(-1, 3)
     lower = np.arange((n_levels - 1) * n_pairs)
     mono = np.stack([lower + n_pairs, lower], axis=1)
 
-    edges = np.array([es.mask for es in inst.edge_sets])
     deltas = np.broadcast_to(np.array(inst.deltas)[:, None], edges.shape)
     c = np.where(edges, deltas, -deltas).ravel()
     # summed one variable at a time, as the objective's terms come
     const = functools.reduce(operator.add, deltas[~edges].tolist(), 0.0)
-    return LinearProgram(labels=inst.labels, n_levels=n_levels, pairs=pairs,
-                         tri=tri, mono=mono, c=c, const=const)
+    return LinearProgram(labels=inst.labels, n_levels=n_levels, tri=tri, mono=mono,
+                         c=c, const=const)
 
 
 def solve_lp(lp: LinearProgram, feas_tol: float = DEFAULT_FEAS_TOL, *,
@@ -281,6 +248,8 @@ def solve_lp(lp: LinearProgram, feas_tol: float = DEFAULT_FEAS_TOL, *,
     """
     if backend not in ("auto", "simplex", "highs"):
         raise ValueError(f"unknown backend {backend!r}")
+    if not 0.0 <= feas_tol < np.inf:
+        raise ValueError(f"feas_tol must be finite and >= 0, got {feas_tol}")
     chosen = backend
     if backend == "auto":
         m = lp.n_rows + lp.n_vars
@@ -347,8 +316,7 @@ def _solve_lazily(lp: LinearProgram, solve_rows, feas_tol: float
 def _solution(lp: LinearProgram, x: np.ndarray, backend: str, rounds: int = 1,
               rows_used: int | None = None) -> LpSolution:
     x = np.clip(x, 0.0, 1.0)
-    return LpSolution(labels=lp.labels, pairs=lp.pairs,
-                      x=x.reshape(lp.n_levels, len(lp.pairs)).copy(),
+    return LpSolution(labels=lp.labels, x=x.reshape(lp.n_levels, -1).copy(),
                       objective=lp.objective_value(x), backend=backend,
                       rounds=rounds, rows_used=rows_used)
 
@@ -359,7 +327,7 @@ def _solution(lp: LinearProgram, x: np.ndarray, backend: str, rounds: int = 1,
 
 @dataclass
 class LpCost:
-    """Per-level, per-species and per-set LP costs of a fractional point."""
+    """Per-level and per-species LP costs of a fractional point."""
 
     inst: HccInstance
     sol: LpSolution
@@ -381,12 +349,9 @@ class LpCost:
 
     def species(self, t: int, i: str) -> float:
         """cost of all pairs containing species i at level t (0-based)."""
-        return self.of_set(t, {i})
-
-    def of_set(self, t: int, subset) -> float:
-        inside = np.array([lab in subset for lab in self.sol.labels], dtype=bool)
-        i, j = _pair_ends(len(inside))
-        return float(self.pair_cost[t, inside[i] | inside[j]].sum())
+        k = self.sol.labels.index(i)
+        a, b = _pair_ends(len(self.sol.labels))
+        return float(self.pair_cost[t, (a == k) | (b == k)].sum())
 
 
 def lp_cost(inst: HccInstance, sol: LpSolution) -> LpCost:
@@ -397,13 +362,11 @@ def lp_cost(inst: HccInstance, sol: LpSolution) -> LpCost:
     return LpCost(inst, sol)
 
 
-def cost_edges(edges: EdgeSet, x: Mapping[Pair, float]) -> float:
-    """Unweighted LP cost of an arbitrary edge set against a level slice."""
-    total = 0.0
-    for pair, inside in zip(all_pairs(edges.universe), edges.mask.tolist()):
-        xv = x[pair]
-        total += xv if inside else 1.0 - xv
-    return total
+def cost_edges(edges: EdgeSet, x) -> float:
+    """Unweighted LP cost of an arbitrary edge set against one level row of
+    `LpSolution.x`, summed pair by pair in `all_pairs` order."""
+    x = _pair_vector(x, len(edges.universe))
+    return functools.reduce(operator.add, np.where(edges.mask, x, 1.0 - x).tolist(), 0.0)
 
 
 def hierarchy_cost(inst: HccInstance, hierarchy: HierarchySequence) -> float:
@@ -419,5 +382,5 @@ def hierarchy_cost(inst: HccInstance, hierarchy: HierarchySequence) -> float:
 def integral_solution(inst: HccInstance, hierarchy: HierarchySequence) -> LpSolution:
     """The 0/1 point encoding a hierarchical sequence; feasible by construction."""
     x = np.array([~clique_edges(part).mask for part in hierarchy.levels], dtype=float)
-    return LpSolution(labels=inst.labels, pairs=inst.pair_list(), x=x,
+    return LpSolution(labels=inst.labels, x=x,
                       objective=hierarchy_cost(inst, hierarchy), backend="integral")

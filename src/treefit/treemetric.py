@@ -223,11 +223,14 @@ def fit_tree_metric(d: DistanceMatrix, *, pivot_mode: str = "all",
     bound, lp_solution = 0.0, None
     hcc_result = sub.details.get("hcc")
     if hcc_result is not None:
-        bound, lp_solution = lp_lower_bound(hcc_result.instance, feas_tol=feas_tol)
+        bound, lp_solution = lp_lower_bound(hcc_result.instance, hcc_result.cost,
+                                            feas_tol=feas_tol)
+        hcc_result.lp_lower_bound, hcc_result.lp_solution = bound, lp_solution
     fixed = pseudometric_to_metric(tree, d, 1.0 / len(d.labels))
     final_err = lp_norm_error(fixed, d, 1)
     return FittedTree(kind="tree", tree=fixed, l1_error=final_err,
                       lp_lower_bound=bound,
                       num_levels=sub.num_levels,
                       details={"pivot": chosen, "per_pivot_error": per_pivot,
-                               "pre_fix_error": err, "lp_solution": lp_solution})
+                               "pre_fix_error": err, "lp_solution": lp_solution,
+                               "hcc": hcc_result})

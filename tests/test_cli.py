@@ -146,6 +146,18 @@ class TestExitCodes:
         bad.write_text(",a,b\na,0,0\nb,0,0\n")
         assert run_cli("fit", "ultrametric", bad) == 2
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1", "-1e-9"])
+    def test_bad_lp_tol_is_a_usage_error(self, tol, fix123, capsys):
+        # a NaN tolerance adds no triangle row, so the bound came out weaker
+        assert run_cli("fit", "ultrametric", fix123, f"--lp-tol={tol}") == 1
+        assert "--lp-tol" in capsys.readouterr().err
+
+    def test_zero_lp_tol_accepted(self, fix123, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert run_cli("fit", "ultrametric", fix123, "--lp-tol", "0",
+                       "--json-out", out) == 0
+        assert json.loads(out.read_text())["lp_lower_bound"] > 0
+
     def test_missing_file(self, tmp_path, capsys):
         assert run_cli("fit", "ultrametric", tmp_path / "nope.csv") == 2
 

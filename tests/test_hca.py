@@ -33,7 +33,7 @@ def solution_from_maps(labels, level_maps) -> LpSolution:
     labels = tuple(labels)
     pairs = tuple(all_pairs(labels))
     x = np.array([[m[p] for p in pairs] for m in level_maps])
-    return LpSolution(labels=labels, pairs=pairs, x=x, objective=0.0)
+    return LpSolution(labels=labels, x=x, objective=0.0)
 
 
 def parts(partition):

@@ -9,9 +9,10 @@ from treefit.core import (
     components,
     sym_diff_size,
 )
+from treefit.corrclust import EXACT_CAP
 from treefit.hca import is_hierarchical
-from treefit.hcc import _clique_hierarchy, fit_hcc, triangle_switch_holds
-from treefit.lp import HccInstance, hierarchy_cost
+from treefit.hcc import fit_hcc, triangle_switch_holds
+from treefit.lp import HccInstance, build_lp, hierarchy_cost, solve_lp
 from treefit.oracle import exact_corr_cluster, exact_hcc
 from treefit.ultrametric import hcc_instance_from_distances
 from conftest import random_hierarchy, random_partition
@@ -90,15 +91,6 @@ class TestFitHcc:
         res = fit_hcc(inst)
         assert res.cost == pytest.approx(hierarchy_cost(inst, res.hierarchy))
 
-    def test_level_costs_recorded(self, rng):
-        inst = random_instance(rng, 5, 2)
-        res = fit_hcc(inst)
-        for t, q in enumerate(res.partitions):
-            from treefit.core import sym_diff_size
-
-            assert res.level_costs[t] == sym_diff_size(
-                inst.edge_sets[t], clique_edges(q))
-
     def test_integrality_gap_on_small_corpus(self, rng):
         # achieved cost stays within a modest factor of the instance's own
         # LP optimum; the acceptance suite freezes the corpus-wide gate
@@ -148,11 +140,28 @@ def clique_instances(rng):
             yield HccInstance(labels, deltas, tuple(sets))
 
 
-class TestCliqueHierarchy:
-    def test_matches_union_find_reference(self, rng):
-        found = 0
+class TestBoundShortcut:
+    def test_skips_the_solve_exactly_on_clique_hierarchies(self, rng):
+        # a fit of cost 0 skips the bound LP; that happens exactly when the
+        # levels are the cliques of a nested hierarchy, whichever strategy
+        # clusters them, and every other bound is the solve's own objective
+        found = solved = 0
         for inst in clique_instances(rng):
             want = reference_clique_hierarchy(inst)
-            assert _clique_hierarchy(inst) == want
+            runs = [("pivot-sweep", None), ("kwik", 0), ("kwik", 1)]
+            if inst.n <= EXACT_CAP:
+                runs.append(("exact", None))
+            objective = None
+            if want is None:
+                objective = solve_lp(build_lp(inst)).objective
+            for strategy, seed in runs:
+                res = fit_hcc(inst, strategy=strategy, seed=seed)
+                if want is not None:
+                    assert res.hierarchy == want
+                    assert (res.lp_lower_bound, res.lp_solution) == (0.0, None)
+                else:
+                    assert res.lp_solution is not None
+                    assert res.lp_lower_bound.hex() == objective.hex()
             found += want is not None
-        assert found >= 150
+            solved += want is None
+        assert found >= 150 and solved >= 150

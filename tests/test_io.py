@@ -31,6 +31,14 @@ class TestParseMatrix:
         p.write_text("3\n1\n2 1.0\n3 2.0 3.0\n")
         assert parse_matrix(p).d == FIX123.d
 
+    def test_one_numeric_label_csv_is_not_phylip(self, tmp_path):
+        # the header `,1` holds a comma, so it is no PHYLIP count line
+        p = tmp_path / "m.csv"
+        p.write_text(",1\n1,0\n")
+        d = parse_matrix(p)
+        assert d.labels == ("1",)
+        assert len(d.values) == 0
+
     def test_explicit_format_flags(self, tmp_path):
         p = tmp_path / "m.txt"
         p.write_text("3\n1\n2 1.0\n3 2.0 3.0\n")

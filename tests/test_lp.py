@@ -52,16 +52,16 @@ class TestBuildLp:
         inst = HccInstance(LABELS3, (1.0,), (es(LABELS3, [("a", "b"), ("b", "c")]),))
         lp = build_lp(inst)
         assert lp.n_vars == 3
-        assert lp.row_kinds.count("triangle") == 3
-        assert lp.row_kinds.count("monotone") == 0
+        assert len(lp.tri) == 3
+        assert len(lp.mono) == 0
 
     def test_counts_two_levels(self):
         inst = HccInstance(LABELS3, (1.0, 1.0),
                            (es(LABELS3, []), es(LABELS3, [("a", "b")])))
         lp = build_lp(inst)
         assert lp.n_vars == 6
-        assert lp.row_kinds.count("triangle") == 6
-        assert lp.row_kinds.count("monotone") == 3
+        assert len(lp.tri) == 6
+        assert len(lp.mono) == 3
 
     def test_two_point_objective(self):
         inst = HccInstance(("a", "b"), (2.0,), (es("ab", [("a", "b")]),))
@@ -126,11 +126,17 @@ class TestSolveLp:
         sol = solve_lp(build_lp(inst))
         # same point costs exactly factor times more on the scaled instance
         direct = sum(
-            scaled.deltas[t] * cost_edges(scaled.edge_sets[t], sol.level_map(t))
+            scaled.deltas[t] * cost_edges(scaled.edge_sets[t], sol.x[t])
             for t in range(scaled.n_levels))
         assert direct == pytest.approx(factor * sol.objective, rel=1e-9)
         resolved = solve_lp(build_lp(scaled))
         assert resolved.objective == pytest.approx(factor * sol.objective, rel=1e-6)
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, -1.0])
+    def test_rejects_bad_feasibility_tolerance(self, tol):
+        inst = HccInstance(LABELS3, (1.0,), (es(LABELS3, [("a", "b"), ("b", "c")]),))
+        with pytest.raises(ValueError, match="feas_tol"):
+            solve_lp(build_lp(inst), tol)
 
     def test_iteration_cap_carries_best_point(self):
         inst = HccInstance(LABELS3, (1.0,), (es(LABELS3, [("a", "b"), ("b", "c")]),))
@@ -164,7 +170,7 @@ class TestSolveLp:
                     solve_lp(lp, backend="simplex", iteration_cap=cap)
                 assert len(iterations) >= 1  # round 1 finished
                 stalled = np.clip(err.value.__cause__.x, 0.0, 1.0)
-                point = LpSolution(labels=lp.labels, pairs=lp.pairs,
+                point = LpSolution(labels=lp.labels,
                                    x=stalled.reshape(lp.n_levels, -1), objective=0.0)
                 feasible = max(point.max_violation().values()) <= 1e-7
                 if feasible:
@@ -222,13 +228,19 @@ class TestCostEdges:
     def test_exact_match_zero(self):
         universe = tuple("abc")
         e = es(universe, [("a", "b")])
-        x = {("a", "b"): 0.0, ("a", "c"): 1.0, ("b", "c"): 1.0}
+        x = np.array([0.0, 1.0, 1.0])  # ab, ac, bc
         assert cost_edges(e, x) == 0.0
 
     def test_empty_edges_all_ones(self):
         universe = tuple("abc")
-        x = dict.fromkeys(all_pairs(universe), 1.0)
+        x = np.ones(3)
         assert cost_edges(es(universe, []), x) == 0.0
+
+    def test_rejects_a_row_of_the_wrong_length(self):
+        e = es(tuple("abc"), [("a", "b")])
+        for bad in (np.ones(2), np.ones(4), np.ones((1, 3))):
+            with pytest.raises(ValueError, match="for the pairs of 3 labels"):
+                cost_edges(e, bad)
 
     def test_cost_difference_bounded_by_sym_diff(self, rng):
         # |cost(E1,x) - cost(E2,x)| <= |E1 sym-diff E2| for fractional x,
@@ -239,7 +251,8 @@ class TestCostEdges:
             e1 = es(universe, [p for p in pool if rng.random() < 0.5])
             e2 = es(universe, [p for p in pool if rng.random() < 0.5])
             maps = feasible_lp_maps(rng, universe, 1)[0]
-            c1, c2 = cost_edges(e1, maps), cost_edges(e2, maps)
+            x = np.array([maps[p] for p in pool])
+            c1, c2 = cost_edges(e1, x), cost_edges(e2, x)
             diff = len(e1.edges ^ e2.edges)
             assert abs(c1 - c2) <= diff + 1e-9
 
@@ -483,8 +496,24 @@ def canon_pair(idx, i, j):
     return (i, j) if idx[i] < idx[j] else (j, i)
 
 
+def var_name(inst: HccInstance, v: int) -> str:
+    """The reference name of LP variable v: level, then pair."""
+    pairs = list(all_pairs(inst.labels))
+    t, p = divmod(v, len(pairs))
+    i, j = pairs[p]
+    return f"x_t{t + 1}_{i}_{j}"
+
+
+def lp_rows(lp):
+    """The LP's rows as (columns, coefficients) and kinds, as its docstring reads
+    `tri` and `mono`."""
+    rows = ([(tuple(cols), (1.0, -1.0, -1.0)) for cols in lp.tri.tolist()]
+            + [(tuple(cols), (1.0, -1.0)) for cols in lp.mono.tolist()])
+    return rows, ["triangle"] * len(lp.tri) + ["monotone"] * len(lp.mono)
+
+
 def reference_rows(inst: HccInstance):
-    pairs = inst.pair_list()
+    pairs = tuple(all_pairs(inst.labels))
     pair_index = {p: k for k, p in enumerate(pairs)}
     n_pairs = len(pairs)
     idx = {lab: k for k, lab in enumerate(inst.labels)}
@@ -516,16 +545,16 @@ def reference_sparse(rows, n_vars):
     return csr_matrix((data, (rows_ix, cols_ix)), shape=(len(rows), n_vars))
 
 
-def reference_dump(lp, rows, kinds, x=None, objective=None):
+def reference_dump(inst, lp, rows, kinds, x=None, objective=None):
     lines = ["# lp-dump v1", f"# vars {lp.n_vars} rows {len(rows)}"]
     if x is not None:
         for v in range(lp.n_vars):
-            lines.append(f"var {lp.var_name(v)} = {float(x[v])!r}")
+            lines.append(f"var {var_name(inst, v)} = {float(x[v])!r}")
     terms = " + ".join(
-        f"{float(lp.c[v])!r}*{lp.var_name(v)}" for v in range(lp.n_vars))
+        f"{float(lp.c[v])!r}*{var_name(inst, v)}" for v in range(lp.n_vars))
     lines.append(f"min: {terms} + {float(lp.const)!r}")
     for (cols, coefs), kind in zip(rows, kinds):
-        lhs = " + ".join(f"{float(coef)!r}*{lp.var_name(col)}"
+        lhs = " + ".join(f"{float(coef)!r}*{var_name(inst, col)}"
                          for col, coef in zip(cols, coefs))
         lines.append(f"subject_to[{kind}]: {lhs} <= 0.0")
     lines.append("bounds: 0 <= all_vars <= 1")
@@ -559,8 +588,7 @@ class TestArrayBuilderMatchesReference:
             inst = random_instance(rng, rng.randint(2, 8), rng.randint(1, 4))
             lp = build_lp(inst)
             rows, kinds = reference_rows(inst)
-            assert lp.rows == rows
-            assert lp.row_kinds == kinds
+            assert lp_rows(lp) == (rows, kinds)
             assert lp.n_rows == len(rows)
 
             dense = np.zeros((len(rows), lp.n_vars))
@@ -573,18 +601,24 @@ class TestArrayBuilderMatchesReference:
                 assert np.array_equal(getattr(got, attr), getattr(want, attr))
 
             c, const = np.zeros(lp.n_vars), 0.0
+            pairs = list(all_pairs(inst.labels))
             for t in range(inst.n_levels):
-                for p, pair in enumerate(inst.pair_list()):
+                for p, pair in enumerate(pairs):
                     if pair in inst.edge_sets[t].edges:
-                        c[t * len(lp.pairs) + p] = inst.deltas[t]
+                        c[t * len(pairs) + p] = inst.deltas[t]
                     else:
-                        c[t * len(lp.pairs) + p] = -inst.deltas[t]
+                        c[t * len(pairs) + p] = -inst.deltas[t]
                         const += inst.deltas[t]
             assert np.array_equal(lp.c, c) and lp.const == const
 
             x = np.array([rng.random() for _ in range(lp.n_vars)])
-            assert lp.dump_text(x, 1.25) == reference_dump(lp, rows, kinds, x, 1.25)
-            assert lp.dump_text() == reference_dump(lp, rows, kinds)
+            assert lp.dump_text(x, 1.25) == reference_dump(inst, lp, rows, kinds, x, 1.25)
+            assert lp.dump_text() == reference_dump(inst, lp, rows, kinds)
+
+    def test_solution_needs_one_column_per_pair(self):
+        for bad in (np.zeros((1, 2)), np.zeros((2, 4)), np.zeros(3)):
+            with pytest.raises(ValueError, match="for the pairs of 3 labels"):
+                LpSolution(labels=LABELS3, x=bad, objective=0.0)
 
     def test_max_violation_identical_floats(self, rng):
         for _ in range(40):
@@ -593,7 +627,7 @@ class TestArrayBuilderMatchesReference:
             pairs = tuple(all_pairs(labels))
             x = np.array([[rng.uniform(-0.2, 1.2) for _ in pairs]
                           for _ in range(n_levels)])
-            sol = LpSolution(labels=labels, pairs=pairs, x=x, objective=0.0)
+            sol = LpSolution(labels=labels, x=x, objective=0.0)
             assert sol.max_violation() == reference_max_violation(labels, pairs, x)
 
     def test_row_subset_matrix(self, rng):
@@ -628,7 +662,7 @@ def table_instance(rng, n, continuous):
 
 
 def full_row_objective(lp) -> float:
-    res = linprog(lp.c, A_ub=lp.sparse_matrix(), b_ub=lp.rhs,
+    res = linprog(lp.c, A_ub=lp.sparse_matrix(), b_ub=np.zeros(lp.n_rows),
                   bounds=(0.0, 1.0), method="highs")
     assert res.success
     return float(res.fun + lp.const)
@@ -651,7 +685,7 @@ class TestLazyRows:
                 assert max(sol.max_violation().values()) <= 1e-7
                 if fits_dense_budget(lp):
                     sol = solve_lp(lp, backend="simplex")
-                    full = solve_dense(lp.c, lp.dense_matrix(), lp.rhs)
+                    full = solve_dense(lp.c, lp.dense_matrix(), np.zeros(lp.n_rows))
                     assert sol.objective == pytest.approx(full.objective + lp.const,
                                                           rel=1e-9, abs=1e-12)
                     assert max(sol.max_violation().values()) <= 1e-7
