@@ -124,8 +124,11 @@ def _emit(args, report: dict) -> None:
 
 def _edges_from_threshold(d: DistanceMatrix, threshold: float | None) -> EdgeSet:
     if threshold is None:
-        threshold = min(d.values.tolist())
+        threshold = min(d.values.tolist(), default=0.0)  # one label: no pairs
     return EdgeSet(d.labels, d.values <= threshold + 1e-12)
+
+
+NO_LP_SINGLE_LABEL = "# lp-dump v1\n# no LP: single label\n"
 
 
 def _dump_requested_lp(args, d: DistanceMatrix, fitted) -> None:
@@ -136,7 +139,7 @@ def _dump_requested_lp(args, d: DistanceMatrix, fitted) -> None:
     here only when the fit cost 0 and so skipped the solve.
     """
     if d.n == 1:
-        args.dump_lp.write_text("# lp-dump v1\n# no LP: single label\n")
+        args.dump_lp.write_text(NO_LP_SINGLE_LABEL)
         return
     hcc_result = fitted.details.get("hcc")
     if hcc_result is None:
@@ -182,16 +185,19 @@ def _cmd_corrclust(args) -> int:
         partition = corr_cluster(d.labels, edges, strategy="pivot-sweep",
                                  seed=args.seed)
         cost = corr_cluster_cost(edges, partition)
-    lp = build_lp(HccInstance(d.labels, (1.0,), (edges,)))
-    sol = solve_lp(lp, args.lp_tol)
+    lp = sol = None
+    if d.n > 1:  # one label has no pairs, so no LP; its bound is 0, as `fit` reports
+        lp = build_lp(HccInstance(d.labels, (1.0,), (edges,)))
+        sol = solve_lp(lp, args.lp_tol)
     wall_ms = int(round((time.perf_counter() - t0) * 1000))
     for part in partition.parts:
         print("cluster:", " ".join(sorted(part)))
     if args.dump_lp is not None:
-        args.dump_lp.write_text(lp.dump_text(sol.x.reshape(-1), sol.objective))
+        args.dump_lp.write_text(NO_LP_SINGLE_LABEL if lp is None
+                                else lp.dump_text(sol.x.reshape(-1), sol.objective))
     _emit(args, _report(args, n=d.n, mode="corrclust", l1_error=float(cost),
-                        lp_lower_bound=sol.objective, num_levels=1, tree_newick=None,
-                        wall_ms=wall_ms))
+                        lp_lower_bound=0.0 if sol is None else sol.objective,
+                        num_levels=1, tree_newick=None, wall_ms=wall_ms))
     return EXIT_OK
 
 

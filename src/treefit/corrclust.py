@@ -20,12 +20,13 @@ emits it, so each distinct cluster is scored once per call.
 """
 from __future__ import annotations
 
+import functools
 import random
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .core import EdgeSet, Partition, _square, clique_edges, iter_partitions, sym_diff_size
+from .core import EdgeSet, Partition, _pair_ends, _square, clique_edges, sym_diff_size
 
 EXACT_CAP = 9
 
@@ -66,16 +67,44 @@ def _disagreements(nb: list[int], n_edges: int, clusters: list[int],
     return n_edges + sum(costs[c] for c in clusters)
 
 
+@functools.lru_cache(maxsize=EXACT_CAP + 1)
+def _restricted_growth_strings(n: int) -> np.ndarray:
+    """Every set partition of n positions as a row of part indices, shape
+    (Bell(n), n), in the order of `iter_partitions`: row r gives position k
+    the index of its part, parts numbered by first occurrence."""
+    rgs = np.zeros((1, min(n, 1)), dtype=np.int8)
+    for _ in range(1, n):
+        # each string, in order, followed by every index up to one past its max
+        counts = rgs.max(axis=1) + 2
+        prefix = np.repeat(rgs, counts, axis=0)
+        starts = np.repeat(np.cumsum(counts) - counts, counts)
+        last = (np.arange(len(prefix)) - starts).astype(np.int8)
+        rgs = np.column_stack([prefix, last])
+    rgs.flags.writeable = False
+    return rgs
+
+
 def exact_corr_cluster(universe: Sequence[str], edges: EdgeSet) -> tuple[Partition, int]:
-    """Minimum-disagreement partition by full enumeration; ties by first found."""
+    """Minimum-disagreement partition by full enumeration; ties by first found.
+
+    Every partition is scored at once: with `same` the pairs it puts in one
+    part, its disagreements are |E| + |same| - 2 |same & E|.
+    """
     universe = tuple(universe)
-    if len(universe) > EXACT_CAP:
+    n = len(universe)
+    if n > EXACT_CAP:
         raise ValueError(f"exact correlation clustering capped at n={EXACT_CAP}")
     if edges.universe != universe:
         raise ValueError("edge set universe does not match")
-    best = min((Partition(universe, parts) for parts in iter_partitions(universe)),
-               key=lambda p: corr_cluster_cost(edges, p))
-    return best, corr_cluster_cost(edges, best)
+    rgs = _restricted_growth_strings(n)
+    i, j = _pair_ends(n)
+    same = rgs[:, i] == rgs[:, j]
+    costs = len(edges) + same.sum(axis=1) - 2 * (same & edges.mask).sum(axis=1)
+    best = int(costs.argmin())
+    row = rgs[best].tolist()
+    parts = tuple(frozenset(lab for lab, k in zip(universe, row) if k == part)
+                  for part in range(max(row, default=-1) + 1))
+    return Partition(universe, parts), int(costs[best])
 
 
 def corr_cluster(universe: Sequence[str], edges: EdgeSet, *,

@@ -171,10 +171,11 @@ class LpSolution:
     """Fractional distances per level and pair, clamped into [0,1].
 
     Row t of `x` is level t, its columns the pairs in `all_pairs(labels)`
-    order. `rounds` counts the lazy solves behind the point and `rows_used`
-    the rows of the last one, on either backend; a point not found by a
-    solve, such as the `integral` one, reports 1 round and every row of the
-    full LP.
+    order. `rounds` counts the lazy solves behind the point, `rows_used` the
+    rows of the last one and `pivots` the pivots of all of them (the simplex
+    pivots, or HiGHS's iteration counts), on either backend; a point not
+    found by a solve, such as the `integral` one, reports 1 round, every row
+    of the full LP and 0 pivots.
     """
 
     labels: tuple[str, ...]
@@ -183,6 +184,7 @@ class LpSolution:
     backend: str = "simplex"
     rounds: int = 1
     rows_used: int | None = None
+    pivots: int = 0
 
     def __post_init__(self):
         n = len(self.labels)
@@ -240,11 +242,15 @@ def solve_lp(lp: LinearProgram, feas_tol: float = DEFAULT_FEAS_TOL, *,
     starts from the monotonicity rows alone and adds the violated triangle
     rows after each solve until none is left; the final point is still
     checked against every row, so the objective is the optimum of the full
-    LP. iteration_cap bounds the simplex pivots of each solve.
+    LP. HiGHS solves each round's rows afresh. The simplex solves the first
+    round cold and continues each later one from the last round's tableau,
+    given the new rows only. iteration_cap bounds the simplex pivots of each
+    round.
 
-    The solution's `rounds` is the number of solves and its `rows_used` the
-    number of rows in the last one. A SolverError carries a `best` point only
-    if that point satisfies every row of the full LP.
+    The solution's `rounds` is the number of solves, its `rows_used` the
+    number of rows in the last one and its `pivots` their pivots summed. A
+    SolverError carries a `best` point only if that point satisfies every row
+    of the full LP.
     """
     if backend not in ("auto", "simplex", "highs"):
         raise ValueError(f"unknown backend {backend!r}")
@@ -257,32 +263,36 @@ def solve_lp(lp: LinearProgram, feas_tol: float = DEFAULT_FEAS_TOL, *,
         chosen = "simplex" if entries <= DENSE_TABLEAU_BUDGET else "highs"
 
     if chosen == "simplex":
-        def solve_rows(active: np.ndarray) -> np.ndarray:
-            return solve_dense(lp.c, lp.dense_matrix(active), np.zeros(len(active)),
-                               iteration_cap=iteration_cap).x
+        last = None
+
+        def solve_rows(active: np.ndarray, new: np.ndarray) -> tuple[np.ndarray, int]:
+            nonlocal last
+            last = solve_dense(lp.c, lp.dense_matrix(new), np.zeros(len(new)),
+                               iteration_cap=iteration_cap, start=last)
+            return last.x, last.iterations
     else:
         from scipy.optimize import linprog
 
-        def solve_rows(active: np.ndarray) -> np.ndarray:
+        def solve_rows(active: np.ndarray, new: np.ndarray) -> tuple[np.ndarray, int]:
             res = linprog(lp.c, A_ub=lp.sparse_matrix(active),
                           b_ub=np.zeros(len(active)), bounds=(0.0, 1.0),
                           method="highs")
             if not res.success:
                 raise SolverError(f"highs failed: {res.message}")
-            return np.asarray(res.x)
+            return np.asarray(res.x), int(res.nit)
 
     try:
-        x, rounds, rows_used = _solve_lazily(lp, solve_rows, feas_tol)
+        x, rounds, rows_used, pivots = _solve_lazily(lp, solve_rows, feas_tol)
     except SimplexTooLarge as exc:
         raise SolverError(str(exc)) from exc
     except SimplexStall as exc:
-        # the stalled point satisfies the rows of its own round, not
-        # necessarily the triangle rows not yet added
+        # a stalled point need not meet the rows not yet added, and one
+        # stalled in a later round's dual phase not even the rows added
         best = _solution(lp, exc.x, chosen)
         if max(best.max_violation().values()) > feas_tol:
             best = None
         raise SolverError("simplex hit its iteration cap", best) from exc
-    sol = _solution(lp, x, chosen, rounds, rows_used)
+    sol = _solution(lp, x, chosen, rounds, rows_used, pivots)
     worst = max(sol.max_violation().values())
     if worst > feas_tol:
         raise SolverError(f"solution infeasible by {worst:.3e}")
@@ -290,35 +300,38 @@ def solve_lp(lp: LinearProgram, feas_tol: float = DEFAULT_FEAS_TOL, *,
 
 
 def _solve_lazily(lp: LinearProgram, solve_rows, feas_tol: float
-                  ) -> tuple[np.ndarray, int, int]:
-    """Cutting-plane loop over the triangle rows; returns x, rounds and rows used.
+                  ) -> tuple[np.ndarray, int, int, int]:
+    """Cutting-plane loop over the triangle rows; returns x, rounds, rows used
+    and pivots.
 
-    solve_rows(active) solves the LP restricted to the sorted row indices
-    `active`. A row joins once the last point violates it by more than a
-    hundredth of feas_tol, so the final check against all rows has room to
-    spare.
+    solve_rows(active, new) solves the LP restricted to the sorted row
+    indices `active`, of which `new` joined in this round (all of them in the
+    first), and returns its point and pivots. A row joins once the last point
+    violates it by more than a hundredth of feas_tol, so the final check
+    against all rows has room to spare.
     """
     tri = lp.tri
-    active = np.arange(len(tri), lp.n_rows)
-    rounds = 0
+    active = new = np.arange(len(tri), lp.n_rows)
+    rounds = pivots = 0
     while True:
         rounds += 1
-        x = solve_rows(active)
+        x, round_pivots = solve_rows(active, new)
+        pivots += round_pivots
         xc = np.clip(x, 0.0, 1.0)
         lhs = xc[tri[:, 0]] - xc[tri[:, 1]] - xc[tri[:, 2]]
         new = np.setdiff1d(np.flatnonzero(lhs > feas_tol / 100), active,
                            assume_unique=True)
         if not len(new):
-            return x, rounds, len(active)
+            return x, rounds, len(active), pivots
         active = np.union1d(active, new)
 
 
 def _solution(lp: LinearProgram, x: np.ndarray, backend: str, rounds: int = 1,
-              rows_used: int | None = None) -> LpSolution:
+              rows_used: int | None = None, pivots: int = 0) -> LpSolution:
     x = np.clip(x, 0.0, 1.0)
     return LpSolution(labels=lp.labels, x=x.reshape(lp.n_levels, -1).copy(),
                       objective=lp.objective_value(x), backend=backend,
-                      rounds=rounds, rows_used=rows_used)
+                      rounds=rounds, rows_used=rows_used, pivots=pivots)
 
 
 # ---------------------------------------------------------------------------

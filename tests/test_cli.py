@@ -249,6 +249,26 @@ class TestTreeDump:
         assert run_cli("fit", mode, src, "--dump-lp", dump) == 0
         assert "no LP" in dump.read_text()
 
+    def test_one_label_corrclust_reports_like_fit(self, tmp_path, capsys):
+        # one label has no pairs: one cluster, cost 0 and bound 0, as `fit`
+        # reports, and the dump says there is no LP
+        src, dump = tmp_path / "one.csv", tmp_path / "lp.txt"
+        fit_out, cc_out = tmp_path / "fit.json", tmp_path / "cc.json"
+        write_matrix_csv(DistanceMatrix.from_pairs(("solo",), {}), src)
+        assert run_cli("fit", "ultrametric", src, "--json-out", fit_out,
+                       "--dump-lp", dump) == 0
+        fit_dump = dump.read_text()
+        capsys.readouterr()
+        assert run_cli("corrclust", src, "--json-out", cc_out, "--dump-lp", dump) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "cluster: solo"
+        report, fitted = json.loads(cc_out.read_text()), json.loads(fit_out.read_text())
+        assert report["l1_error"] == fitted["l1_error"] == 0.0
+        assert report["lp_lower_bound"] == fitted["lp_lower_bound"] == 0.0
+        assert dump.read_text() == fit_dump == "# lp-dump v1\n# no LP: single label\n"
+        for extra in (["--exact"], ["--threshold", "1"]):
+            assert run_cli("corrclust", src, *extra) == 0
+        assert run_cli("oracle", "corrclust", src) == 0
+
     def test_trivial_dump_notes_no_lp(self, tmp_path, capsys):
         d = DistanceMatrix.from_pairs("ab", {("a", "b"): 2.0})
         src = tmp_path / "m.csv"

@@ -4,7 +4,7 @@ import statistics
 import pytest
 
 from treefit import corrclust
-from treefit.core import EdgeSet, Partition, all_pairs, clique_edges
+from treefit.core import EdgeSet, Partition, all_pairs, clique_edges, iter_partitions
 from treefit.corrclust import corr_cluster, corr_cluster_cost
 from treefit.oracle import exact_corr_cluster
 from conftest import random_hierarchy
@@ -110,6 +110,20 @@ class TestExactStrategy:
             p = corr_cluster(u, e, strategy="exact")
             _, opt = exact_corr_cluster(u, e)
             assert corr_cluster_cost(e, p) == opt
+
+    def test_scored_enumeration_matches_partition_by_partition(self, rng):
+        # the partition-by-partition enumeration the array scoring replaced:
+        # the first cheapest partition in `iter_partitions` order
+        for n in range(8):
+            u = tuple(f"s{k}" for k in range(n))
+            pool = list(all_pairs(u))
+            for _ in range(12 if n > 1 else 1):
+                e = es(u, [p for p in pool if rng.random() < rng.uniform(0.1, 0.9)])
+                want = min((Partition(u, parts) for parts in iter_partitions(u)),
+                           key=lambda q: corr_cluster_cost(e, q))
+                got, cost = exact_corr_cluster(u, e)
+                assert got == want and got.part_of == want.part_of
+                assert cost == corr_cluster_cost(e, want)
 
     def test_cap_enforced(self):
         u = tuple(f"s{k}" for k in range(10))

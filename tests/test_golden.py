@@ -56,9 +56,9 @@ GOLDEN = {
     "int6-tree-kwik":
         "ec42a5e8413bbf4e2098334be91b912785db3519cd309f63757bda0155673169",
     "int9-ultrametric-pivot-sweep":
-        "97b4bf59562a4d1297dbb03bed055189a2c2cb8c856a3d7b0545a363070d77a1",
+        "4735a82153e49f86bfe053bf1092ad93df1eee0861c6eb38ba741cc396e20289",
     "int9-ultrametric-kwik":
-        "6955ee09032f3c596d154481734d1538207c8b3fbc21beb1c6c98c1886ccbf10",
+        "54e642de36d46a92072b99e61bd91d85fe7ca39c01c60089b50b1293784e6d34",
     "int9-tree-pivot-sweep":
         "05e2e18e4a8c3dd9f043247c863cc30c70b74ea6aea5efebb5cf306009efccd4",
     "int9-tree-kwik":
@@ -113,26 +113,26 @@ def test_seeded_report_digest(table, mode, strategy, tmp_path, capsys):
 # `--seed 7 --dump-lp` text of every table: keys are `<table>` for `fit
 # ultrametric`, `<table>-tree` for `fit tree` and `<table>-corrclust` for
 # `corrclust`. The dumped point shows any change in the solvers' bits, zero
-# signs included. `corrclust` on the one-label table fails (exit 2) before it
-# writes a dump.
+# signs included.
 DUMP_GOLDEN = {
     "int6": "2fbced6cafa2856db284243c65a640adcfb8aea3c4d3be005e77e17032bf83b4",
-    "int9": "79ca4f25d5c6b2c4f8b7c7dc936e3c13f19ddc10928c32d05e2af57f1969758f",
+    "int9": "550989baed4c4b43549f0e51a66d94809430f4850f6a82e3842928a8c445419e",
     "two8": "4c8a09021ce420f6198bd714415c088a1b740c3268ba938ff8b64987c71b076c",
     "cont8": "d2e4ba6625c02968acf2879f6982a4ad1cf6c1363e4b21919a7d7c7cb65cef79",
     "one": "b983d5f0e9be76f774244a2e16a8c215d0f231560e3b38dcbd83aceefd151dad",
     "planted12": "5f28f12ad2153a7865ec457c1a968e9b5c74383979c5b2a4b4e24e835001be48",
     "two": "d9ff9420212bca351a7cc7d7120ef50482e28d4aa6c428cea36c3b3c218d2168",
     "cont8-tree": "53bb465db4b9c709bd1a9c1c12a982c41e6221ad710d0ebfc974ae7d5656a6b6",
-    "int6-tree": "dbd0a68523700572b7a6f3a1a0d4dbddb739f583bf1d9f6e017ee93e5c3fe58f",
+    "int6-tree": "43acbe875e169abcbb388f6a497892c203200066e77c0c03028ba904e3d0b8a5",
     "int9-tree": "b8c7a675c8a089d07e80077f160d767cfe843a322b1344147329a68ca1bb5624",
     "one-tree": "b983d5f0e9be76f774244a2e16a8c215d0f231560e3b38dcbd83aceefd151dad",
     "planted12-tree": "3c914e978466f5fa2ce157b8d673a96c114e0fd8eb508928a0becf570a077b47",
     "two-tree": "d9ff9420212bca351a7cc7d7120ef50482e28d4aa6c428cea36c3b3c218d2168",
     "two8-tree": "ff35d1b002266bc15eb92bfa8049b7094177795d2fb6b087f6f7c13ecc4e5341",
     "cont8-corrclust": "4117b623085a2fef4f863f60dd3d6bf7ae7e0a5bf7e6d14f19fa655ffc2c5b75",
-    "int6-corrclust": "8f74c2a8c4ca5e175b6e54dca9da6295d9d3866dc1330c028cba627b841cdf26",
-    "int9-corrclust": "f1e91839d7887929c9b24565e0242e4be14c6624c6eaf6b68ba7fab822002b55",
+    "int6-corrclust": "4ca948308b2ab0f3fec0519eed126812cd9c1fd5ca4ae6d56281be3a376af63e",
+    "int9-corrclust": "136fac6407a5945a3b180792b8afb8ef228097ad72a3c1379220da848a268be4",
+    "one-corrclust": "b983d5f0e9be76f774244a2e16a8c215d0f231560e3b38dcbd83aceefd151dad",
     "planted12-corrclust": "e44f4248e0095a428836e10d7e8cd798a90ada26ae62971896a2f0d8cb23807e",
     "two-corrclust": "68bbace26e04369b82921948e4804a54b9aca407e4faaedac7766cd38bc42675",
     "two8-corrclust": "4c8a09021ce420f6198bd714415c088a1b740c3268ba938ff8b64987c71b076c",

@@ -147,9 +147,12 @@ class TestSolveLp:
         assert max(err.value.best.max_violation().values()) <= 1e-7
 
     def test_later_round_stall_keeps_only_a_feasible_best(self, rng, monkeypatch):
-        # a cap that lets round 1 finish stalls a later round, whose point
-        # meets only the rows added so far; it may be handed back only if it
-        # meets every row
+        # iteration_cap bounds each round's pivots, dual and primal together:
+        # under a cap that round 1 meets, the rounds go as without it up to
+        # the first that needs more pivots, which stops after exactly cap of
+        # them. It continues from the last tableau, so its point may violate
+        # the rows it added; it is handed back only if it meets every row of
+        # the full LP. A loose feas_tol lets some stalled points pass.
         iterations = []
 
         def recording_solve_dense(*args, **kwargs):
@@ -159,28 +162,30 @@ class TestSolveLp:
 
         monkeypatch.setattr(lp_module, "solve_dense", recording_solve_dense)
         seen = set()
-        for _ in range(20):
-            lp = build_lp(table_instance(rng, rng.randint(5, 8), False))
-            iterations.clear()
-            solve_lp(lp, backend="simplex")
-            per_round = list(iterations)
-            for cap in range(per_round[0], max(per_round[1:], default=0)):
+        for feas_tol in (lp_module.DEFAULT_FEAS_TOL, 0.5):
+            for _ in range(20):
+                lp = build_lp(table_instance(rng, rng.randint(5, 8), False))
                 iterations.clear()
-                with pytest.raises(SolverError) as err:
-                    solve_lp(lp, backend="simplex", iteration_cap=cap)
-                assert len(iterations) >= 1  # round 1 finished
-                stalled = np.clip(err.value.__cause__.x, 0.0, 1.0)
-                point = LpSolution(labels=lp.labels,
-                                   x=stalled.reshape(lp.n_levels, -1), objective=0.0)
-                feasible = max(point.max_violation().values()) <= 1e-7
-                if feasible:
-                    assert np.array_equal(err.value.best.x, point.x)
-                else:
-                    assert err.value.best is None
-                seen.add(feasible)
-            if seen == {True, False}:
-                break
-        assert seen == {True, False}
+                solve_lp(lp, feas_tol, backend="simplex")
+                per_round = list(iterations)
+                for cap in range(per_round[0], max(per_round[1:], default=0)):
+                    iterations.clear()
+                    with pytest.raises(SolverError) as err:
+                        solve_lp(lp, feas_tol, backend="simplex", iteration_cap=cap)
+                    stalled_round = next(k for k, p in enumerate(per_round) if p > cap)
+                    assert stalled_round >= 1
+                    assert iterations == per_round[:stalled_round]
+                    assert err.value.__cause__.iterations == cap
+                    stalled = np.clip(err.value.__cause__.x, 0.0, 1.0)
+                    point = LpSolution(labels=lp.labels,
+                                       x=stalled.reshape(lp.n_levels, -1), objective=0.0)
+                    feasible = max(point.max_violation().values()) <= feas_tol
+                    if feasible:
+                        assert np.array_equal(err.value.best.x, point.x)
+                    else:
+                        assert err.value.best is None
+                    seen.add((feas_tol, feasible))
+        assert {(lp_module.DEFAULT_FEAS_TOL, False), (0.5, False), (0.5, True)} <= seen
 
     def test_xii_is_zero_by_convention(self):
         inst = HccInstance(LABELS3, (1.0,), (es(LABELS3, []),))
@@ -287,10 +292,15 @@ def reference_solve_dense(c, a, b, upper=None, *, iteration_cap=None):
     tableau[-1, :nvars] = c
 
     basis = list(range(nvars, nvars + m))
+    return reference_primal(tableau, basis, c, 0, iteration_cap)
+
+
+def reference_primal(tableau, basis, c, iterations, iteration_cap):
+    """The primal loop from the given tableau, after `iterations` pivots."""
+    nvars = len(c)
+    m = tableau.shape[0] - 1
+    ncols = tableau.shape[1] - 1
     lex_order = [ncols] + list(range(nvars, ncols)) + list(range(nvars))
-    iterations = 0
-    buf = np.empty_like(tableau)
-    factor = np.empty(m + 1)
 
     while True:
         reduced = tableau[-1, :ncols]
@@ -314,21 +324,112 @@ def reference_solve_dense(c, a, b, upper=None, *, iteration_cap=None):
             leaving = int(candidates[0])
         else:
             leaving = reference_lex_leaving(tableau, candidates, entering, lex_order)
-
-        pivot = tableau[leaving, entering]
-        row = tableau[leaving]
-        np.divide(row, pivot, out=row)
-        np.copyto(factor, tableau[:, entering])
-        factor[leaving] = 0.0
-        np.multiply(factor[:, None], row[None, :], out=buf)
-        np.subtract(tableau, buf, out=tableau)
-        tableau[:, entering] = 0.0
-        tableau[leaving, entering] = 1.0
+        reference_pivot(tableau, leaving, entering)
         basis[leaving] = entering
         iterations += 1
 
     x = reference_extract(tableau, basis, nvars)
-    return SimplexResult(x=x, objective=float(c @ x), iterations=iterations)
+    return SimplexResult(x=x, objective=float(c @ x), iterations=iterations,
+                         tableau=tableau, basis=np.array(basis))
+
+
+def reference_pivot(tableau, leaving, entering):
+    """Full-tableau pivot: every row takes its multiple of the pivot row."""
+    pivot = tableau[leaving, entering]
+    row = tableau[leaving]
+    np.divide(row, pivot, out=row)
+    factor = tableau[:, entering].copy()
+    factor[leaving] = 0.0
+    np.subtract(tableau, factor[:, None] * row[None, :], out=tableau)
+    tableau[:, entering] = 0.0
+    tableau[leaving, entering] = 1.0
+
+
+def reference_warm_solve(start, c, a, b, *, iteration_cap=None):
+    """Rows a x <= b added to start's tableau, the full-tableau dual loop,
+    then the primal loop. The dual loop's ties go to the first column when
+    the objective rises, and otherwise to a term-by-term lexicographic test
+    in the order fixed at the first pivot of the degenerate run."""
+    c = np.asarray(c, dtype=float)
+    nvars = len(c)
+    old = start.tableau
+    m0, ncols0, k = old.shape[0] - 1, old.shape[1] - 1, len(a)
+    m, ncols = m0 + k, ncols0 + k
+    if iteration_cap is None:
+        iteration_cap = 10 * m
+
+    tableau = np.zeros((m + 1, ncols + 1))
+    tableau[:m0, :ncols0] = old[:m0, :ncols0]
+    tableau[:m0, -1] = old[:m0, -1]
+    tableau[-1, :ncols0] = old[-1, :ncols0]
+    tableau[-1, -1] = old[-1, -1]
+    for i in range(k):
+        tableau[m0 + i, :nvars] = a[i]
+        tableau[m0 + i, ncols0 + i] = 1.0
+        tableau[m0 + i, -1] = b[i]
+    # the new rows in the current nonbasic variables: each takes away its
+    # entry times the row of every basic structural column, in row order
+    for i in range(k):
+        row = tableau[m0 + i]
+        for r, v in enumerate(start.basis):
+            if v < nvars and row[v] != 0.0:
+                row -= row[v] * tableau[r]
+    basis = list(start.basis) + list(range(ncols0, ncols))
+
+    perturb = None
+    iterations = 0
+    while True:
+        rhs = tableau[:m, -1]
+        leaving = int(np.argmin(rhs))
+        if rhs[leaving] >= -PIVOT_TOL:
+            break
+        if iterations >= iteration_cap:
+            x = reference_extract(tableau, basis, nvars)
+            raise SimplexStall("iteration cap reached", x, float(c @ x), iterations)
+        row = tableau[leaving, :ncols]
+        negative = row < -PIVOT_TOL
+        if not negative.any():
+            raise RuntimeError("LP is infeasible")
+        ratios = np.full(ncols, np.inf)
+        ratios[negative] = tableau[-1, :ncols][negative] / -row[negative]
+        candidates = np.nonzero(ratios <= ratios.min() + LEX_TOL)[0]
+        if ratios.min() > PIVOT_TOL:  # the objective rises: first tied column
+            perturb = None
+            entering = int(candidates[0])
+        else:  # a degenerate pivot: lexicographic, in the order of the run's start
+            if perturb is None:
+                perturb = perturbation_order(basis, ncols)
+            entering = reference_lex_entering(tableau, candidates, leaving, basis, perturb)
+        reference_pivot(tableau, leaving, entering)
+        basis[leaving] = entering
+        iterations += 1
+    return reference_primal(tableau, basis, c, iterations, iteration_cap)
+
+
+def perturbation_order(basis, ncols):
+    """The nonbasic columns, then the basic ones, each in decreasing index order."""
+    basic = set(basis)
+    nonbasic = [j for j in range(ncols) if j not in basic]
+    return nonbasic[::-1] + sorted(basic, reverse=True)
+
+
+def reference_lex_entering(tableau, candidates, leaving, basis, perturb):
+    """The candidate least in the perturbed reduced costs over the tableau's
+    row, one perturbation term at a time: column k's term in candidate j is
+    T[row of k, j] / T[leaving, j] if k is basic, -1 / T[leaving, j] if k
+    is j, and 0 otherwise."""
+    row_of = {v: r for r, v in enumerate(basis)}
+    cands = list(candidates)
+    for k in perturb:
+        if k in row_of:
+            vals = np.array([tableau[row_of[k], j] / tableau[leaving, j] for j in cands])
+        else:
+            vals = np.array([-1.0 / tableau[leaving, j] if j == k else 0.0 for j in cands])
+        keep = vals <= vals.min() + LEX_TOL
+        cands = [j for j, kept in zip(cands, keep) if kept]
+        if len(cands) == 1:
+            break
+    return int(cands[0])
 
 
 def reference_lex_leaving(tableau, candidates, entering, lex_order):
@@ -378,15 +479,48 @@ def simplex_outcome(solve, c, a, cap):
 
 
 def lazy_row_sets(lp) -> list[np.ndarray]:
-    """The row subsets the cutting-plane loop solves on its way to lp's optimum."""
+    """The row subsets a cutting-plane loop of cold solves takes to lp's optimum."""
     seen = []
 
-    def solve_rows(active):
+    def solve_rows(active, new):
         seen.append(active)
-        return solve_dense(lp.c, lp.dense_matrix(active), np.zeros(len(active))).x
+        res = solve_dense(lp.c, lp.dense_matrix(active), np.zeros(len(active)))
+        return res.x, res.iterations
 
     lp_module._solve_lazily(lp, solve_rows, lp_module.DEFAULT_FEAS_TOL)
     return seen
+
+
+def warm_outcome(solve, start, c, a, cap):
+    """x bytes and pivot count of a warm solve, or of the point it stalled at."""
+    try:
+        res = solve(start, c, a, np.zeros(len(a)), iteration_cap=cap)
+    except SimplexStall as stall:
+        return "stall", stall.x.tobytes(), stall.iterations
+    return "optimal", res.x.tobytes(), res.iterations
+
+
+def kernel_warm_solve(start, c, a, b, *, iteration_cap=None):
+    return solve_dense(c, a, b, iteration_cap=iteration_cap, start=start)
+
+
+def lex_entering_drops(tableau, candidates, leaving, basis, perturb, n_first):
+    """Perturbation terms at which the reference dual tie-break drops some of
+    its candidates, and whether it goes past the first n_first terms."""
+    row_of = {v: r for r, v in enumerate(basis)}
+    cands = list(candidates)
+    drops = 0
+    for pos, k in enumerate(perturb):
+        if k in row_of:
+            vals = np.array([tableau[row_of[k], j] / tableau[leaving, j] for j in cands])
+        else:
+            vals = np.array([-1.0 / tableau[leaving, j] if j == k else 0.0 for j in cands])
+        keep = vals <= vals.min() + LEX_TOL
+        drops += not keep.all()
+        cands = [j for j, kept in zip(cands, keep) if kept]
+        if len(cands) == 1:
+            break
+    return drops, pos >= n_first
 
 
 # tableau entries times pivots squared, above which a solve is checked at a
@@ -419,6 +553,24 @@ class TestSimplexDirect:
         args[name] = values
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             solve_dense(args["c"], args["a"], args["b"], upper=args["upper"])
+
+    def test_warm_start_needs_the_same_variables(self):
+        res = solve_dense([-1.0, -1.0], [[1.0, 1.0]], [1.5])
+        with pytest.raises(ValueError, match="start solved for 2 variables, not 3"):
+            solve_dense([-1.0, -1.0, 0.0], np.zeros((1, 3)), [0.0], start=res)
+
+    def test_warm_start_adds_rows(self):
+        # min -x - y st x + y <= 1.5, then x - y <= -0.25: the warm solve
+        # reaches the optimum of both rows, whose point meets the new row,
+        # and leaves the first result as it was
+        first = solve_dense([-1.0, -1.0], [[1.0, 1.0]], [1.5])
+        kept = first.tableau.copy()
+        res = solve_dense([-1.0, -1.0], [[1.0, -1.0]], [-0.25], start=first)
+        assert res.objective == pytest.approx(-1.5)
+        assert res.x[0] - res.x[1] <= -0.25 + 1e-12
+        assert res.iterations >= 1
+        assert np.array_equal(first.tableau, kept)
+        assert res.tableau.shape == (first.tableau.shape[0] + 1, first.tableau.shape[1] + 1)
 
     def test_stall_exception_carries_point(self):
         with pytest.raises(SimplexStall) as err:
@@ -475,6 +627,94 @@ class TestSimplexDirect:
         # tie-breaks that drop rows at two or more columns, not only at the first
         assert sum(d >= 2 for d in drops) >= 100
         assert solves >= 30 and capped >= 400
+
+    def test_warm_rounds_match_reference(self, rng, monkeypatch):
+        # every later round of the lazy loop continues from the last tableau;
+        # its points, pivot counts, final tableaux and capped stall points
+        # equal those of the full-tableau dual-then-primal reference
+        drops = []
+        kernel_lex = simplex_module._lex_entering
+
+        def checked_lex(tableau, tied, leaving, basis, was_basic):
+            entering = kernel_lex(tableau, tied, leaving, basis, was_basic)
+            perturb = perturbation_order(np.flatnonzero(was_basic).tolist(), len(was_basic))
+            args = (tableau, tied, leaving, basis.tolist(), perturb)
+            assert entering == reference_lex_entering(*args)
+            drops.append(lex_entering_drops(*args, len(was_basic) - was_basic.sum()))
+            return entering
+
+        monkeypatch.setattr(simplex_module, "_lex_entering", checked_lex)
+        later = capped = 0
+        for _ in range(30):
+            lp = build_lp(random_instance(rng, rng.randint(3, 9), rng.randint(1, 4)))
+            states = []
+
+            def solve_rows(active, new):
+                nonlocal later, capped
+                a = lp.dense_matrix(new)
+                if not states:  # round 1 is cold, as test_pivot_path_matches_reference pins
+                    got = solve_dense(lp.c, a, np.zeros(len(a)))
+                    want = reference_solve_dense(lp.c, a, np.zeros(len(a)))
+                else:
+                    start_got, start_want = states[-1]
+                    got = kernel_warm_solve(start_got, lp.c, a, np.zeros(len(a)))
+                    want = reference_warm_solve(start_want, lp.c, a, np.zeros(len(a)))
+                    pivots = want.iterations
+                    entries = want.tableau.size
+                    if entries * pivots ** 2 <= EVERY_CAP_WORK:
+                        caps = range(pivots)
+                    else:
+                        caps = sorted({pivots * k // 8 for k in range(8)})
+                    for cap in caps:
+                        assert (warm_outcome(kernel_warm_solve, start_got, lp.c, a, cap)
+                                == warm_outcome(reference_warm_solve, start_want, lp.c, a,
+                                                cap))
+                    later += 1
+                    capped += len(caps)
+                assert got.x.tobytes() == want.x.tobytes()
+                assert got.iterations == want.iterations
+                assert got.tableau.tobytes() == want.tableau.tobytes()
+                assert np.array_equal(got.basis, want.basis)
+                states.append((got, want))
+                return got.x, got.iterations
+
+            lp_module._solve_lazily(lp, solve_rows, lp_module.DEFAULT_FEAS_TOL)
+        # dual tie-breaks that drop candidates at two or more terms
+        assert sum(d >= 2 for d, _ in drops) >= 250
+        assert later >= 40 and capped >= 300
+
+    def test_dual_tie_break_matches_reference(self, rng):
+        # tableaux of small integers, whose ties are exact, and bases a few
+        # pivots away from the run's start, so that candidates which left
+        # the basis in the run often tie through every column nonbasic at
+        # the start and are told apart only by the columns basic then
+        second = 0
+        for _ in range(400):
+            m, extra = rng.randint(3, 9), rng.randint(3, 9)
+            ncols = m + extra
+            cols = list(range(ncols))
+            rng.shuffle(cols)
+            basis, nonbasic = cols[:m], cols[m:]
+            tableau = np.array([[float(rng.choice((-2, -1, 0, 0, 0, 1, 2)))
+                                 for _ in range(ncols + 1)] for _ in range(m + 1)])
+            tableau[:m, basis] = np.eye(m)
+            leaving = rng.randrange(m)
+            tableau[leaving, nonbasic] = [-float(rng.randint(1, 2)) for _ in nonbasic]
+            swaps = rng.randint(2, min(m, extra))
+            left, entered = nonbasic[:swaps], rng.sample(basis, swaps)
+            was_basic = np.zeros(ncols, dtype=bool)
+            was_basic[[j for j in basis if j not in entered] + left] = True
+            for j in entered:  # most rows of entered columns miss the left ones
+                if basis.index(j) != leaving and rng.random() < 0.7:
+                    tableau[basis.index(j), left] = 0.0
+            tied = np.array(sorted(set(left) | set(rng.sample(nonbasic, rng.randint(1, extra)))))
+            perturb = perturbation_order(np.flatnonzero(was_basic).tolist(), ncols)
+            got = simplex_module._lex_entering(tableau, tied, leaving, np.array(basis),
+                                               was_basic)
+            assert got == reference_lex_entering(tableau, tied, leaving, basis, perturb)
+            second += lex_entering_drops(tableau, tied, leaving, basis, perturb,
+                                         ncols - m)[1]
+        assert second >= 100
 
 
 class TestDump:
@@ -689,6 +929,83 @@ class TestLazyRows:
                     assert sol.objective == pytest.approx(full.objective + lp.const,
                                                           rel=1e-9, abs=1e-12)
                     assert max(sol.max_violation().values()) <= 1e-7
+
+    def test_warm_rounds_reach_the_full_and_the_cold_optimum(self, rng, monkeypatch):
+        # the simplex continues each later round from the last tableau; its
+        # optimum is that of HiGHS on every row and of a cold solve on the
+        # rows the rounds added
+        added = []
+
+        def recording_solve_dense(c, a, b, **kwargs):
+            if kwargs.get("start") is None:
+                added.clear()
+            added.append(a)
+            return solve_dense(c, a, b, **kwargs)
+
+        monkeypatch.setattr(lp_module, "solve_dense", recording_solve_dense)
+        rounds = []
+        for _ in range(40):
+            n, n_levels = rng.randint(3, 9), rng.randint(1, 4)
+            inst = random_instance(rng, n, n_levels)
+            if rng.random() < 0.5:  # integer level weights
+                inst = HccInstance(inst.labels, tuple(float(rng.randint(1, 3))
+                                                      for _ in range(n_levels)),
+                                   inst.edge_sets)
+            lp = build_lp(inst)
+            sol = solve_lp(lp, backend="simplex")
+            assert max(sol.max_violation().values()) <= 1e-7
+            assert sol.objective == pytest.approx(full_row_objective(lp), rel=1e-9, abs=1e-12)
+            final = np.vstack(added)
+            assert len(final) == sol.rows_used
+            cold = solve_dense(lp.c, final, np.zeros(len(final)))
+            assert sol.objective == pytest.approx(cold.objective + lp.const,
+                                                  rel=1e-9, abs=1e-12)
+            rounds.append(sol.rounds)
+        assert sum(r >= 2 for r in rounds) >= 20
+
+    def test_solve_dense_hook_sees_every_round_and_pivot(self, rng, monkeypatch):
+        # the benchmark times and counts the simplex by wrapping
+        # lp.solve_dense: one call per round, whose pivots add up to the solve's
+        calls = []
+
+        def recording_solve_dense(*args, **kwargs):
+            res = solve_dense(*args, **kwargs)
+            calls.append(res.iterations)
+            return res
+
+        monkeypatch.setattr(lp_module, "solve_dense", recording_solve_dense)
+        rounds = []
+        for _ in range(12):
+            lp = build_lp(table_instance(rng, rng.randint(4, 8), rng.random() < 0.3))
+            if not fits_dense_budget(lp):
+                continue
+            calls.clear()
+            sol = solve_lp(lp)
+            assert sol.backend == "simplex"
+            assert len(calls) == sol.rounds
+            assert sum(calls) == sol.pivots
+            rounds.append(sol.rounds)
+        assert max(rounds) >= 2
+
+    def test_pivots_per_backend(self, rng, monkeypatch):
+        import scipy.optimize
+
+        nits = []
+        real_linprog = scipy.optimize.linprog
+
+        def recording_linprog(*args, **kwargs):
+            res = real_linprog(*args, **kwargs)
+            nits.append(res.nit)
+            return res
+
+        monkeypatch.setattr(scipy.optimize, "linprog", recording_linprog)
+        lp = build_lp(table_instance(rng, 8, False))
+        sol = solve_lp(lp, backend="highs")
+        assert len(nits) == sol.rounds and sol.pivots == sum(nits) > 0
+        assert solve_lp(lp, backend="simplex").pivots > 0
+        q = Partition.from_parts("abcd", [{"a", "b"}, {"c", "d"}])
+        inst = HccInstance.from_partitions("abcd", (3.0, 1.0), [q, q])
+        assert integral_solution(inst, HierarchySequence((q, q))).pivots == 0
 
     def test_rounds_and_rows_used(self, rng):
         rounds = {"highs": [], "simplex": []}
