@@ -12,6 +12,16 @@ the pair of label positions i < j in that list. The same order indexes
 variables; the LP layer keeps no pair list of its own. Only this module
 turns label pairs into positions. A partition's `part_of[k]` is the index,
 in `parts`, of the part holding the k-th universe label.
+
+Tree arrays: both tree types hold one rooted form, built once by their
+constructors. The nodes are in preorder, the root at position 0, so each
+subtree is a slice. `_parent[v]` is the position of v's parent (-1 at the
+root), `_length[v]` the length of the edge to it (0.0 at the root) and
+`_label[v]` the position in `labels` of v's label (-1 for a node without
+one). Siblings go in the order of the first label position below them, a
+subtree without labels last; a tree given as `UltraNode`s keeps the order it
+was given in. An ultrametric tree adds `_height[v]`, and its edge lengths
+are the parent's height less the child's.
 """
 from __future__ import annotations
 
@@ -153,14 +163,17 @@ class DistanceMatrix:
 
     def distinct_values(self) -> tuple[float, ...]:
         """Sorted distinct distances, with near ties merged (see merge_ties)."""
-        return merge_ties(self.values.tolist())
+        return merge_ties(self.values)
 
 
-def merge_ties(values: Iterable[float]) -> tuple[float, ...]:
+def merge_ties(values: np.ndarray) -> tuple[float, ...]:
     """Sorted distinct values; a value within VALUE_MERGE_TOL of the last kept
     value merges into it."""
+    ordered = np.sort(values)
+    distinct = np.ones(len(ordered), dtype=bool)
+    distinct[1:] = ordered[1:] != ordered[:-1]
     out: list[float] = []
-    for v in sorted(values):
+    for v in ordered[distinct].tolist():
         if not out or v - out[-1] > VALUE_MERGE_TOL:
             out.append(v)
     return tuple(out)
@@ -287,35 +300,59 @@ def components(universe: Sequence[str], pairs: Iterable[Pair]) -> Partition:
 def nested_components(universe: Sequence[str], level: np.ndarray,
                       n_levels: int) -> list[Partition]:
     """Partition t is the components of the pairs whose level is <= t, level
-    holding each pair's level in `all_pairs(universe)` order: one union-find
-    pass over the pairs in level order."""
-    parent = list(range(len(universe)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    order = np.argsort(level, kind="stable")
-    i, j = _pair_ends(len(universe))
-    pairs = list(zip(i[order].tolist(), j[order].tolist()))
-    out, current, start = [], Partition.singletons(universe), 0
-    for end in np.searchsorted(level[order], np.arange(n_levels), side="right").tolist():
-        joined = False
-        for a, b in pairs[start:end]:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[rb] = ra
-                joined = True
+    holding each pair's level in `all_pairs(universe)` order."""
+    out, current = [], Partition.singletons(universe)
+    for joined, find in _union_steps(len(universe), _level_steps(len(universe), level, n_levels)):
         if joined:
             groups: dict[int, list[str]] = {}
             for k, lab in enumerate(universe):
                 groups.setdefault(find(k), []).append(lab)
             current = Partition.from_parts(universe, groups.values())
         out.append(current)
-        start = end
     return out
+
+
+def _level_steps(n: int, level: np.ndarray, n_levels: int) -> list[list[tuple[int, int]]]:
+    """For each level t < n_levels, pairs of label positions that join the
+    same components as all the pairs of level t, on top of the levels below:
+    the pairs of a minimum spanning tree of the levels (Prim's algorithm)."""
+    joined = np.iinfo(np.intp).max  # the level to a label already in the tree
+    square = _square(np.asarray(level, dtype=np.intp), n)
+    square[:, 0] = joined
+    best = square[0].copy()  # the least level from each label to the tree
+    near = np.zeros(n, dtype=np.intp)  # the tree label that level leads to
+    steps: list[list[tuple[int, int]]] = [[] for _ in range(n_levels)]
+    for _ in range(n - 1):
+        v = int(best.argmin())
+        if best[v] < n_levels:
+            steps[best[v]].append((int(near[v]), v))
+        square[:, v] = best[v] = joined
+        near[square[v] < best] = v
+        np.minimum(best, square[v], out=best)
+    return steps
+
+
+def _union_steps(n: int, steps: Iterable[Iterable[tuple[int, int]]]):
+    """One union-find pass over pairs of label positions, step by step; each
+    root is the first label of its component. Yields, after each step, the
+    components it joined (each new root with the roots it joined) and find."""
+    up = list(range(n))
+
+    def find(x: int) -> int:
+        while up[x] != x:
+            up[x] = up[up[x]]
+            x = up[x]
+        return x
+
+    for pairs in steps:
+        joined: dict[int, list[int]] = {}
+        for i, j in pairs:
+            ri, rj = find(i), find(j)
+            if ri != rj:
+                lo, hi = min(ri, rj), max(ri, rj)
+                up[hi] = lo
+                joined.setdefault(lo, [lo]).extend(joined.pop(hi, [hi]))
+        yield joined, find
 
 
 def iter_partitions(items: Sequence[str]) -> Iterator[tuple[frozenset[str], ...]]:
@@ -367,11 +404,46 @@ def sym_diff_size(a: EdgeSet, b: EdgeSet) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Ultrametric trees
+# Trees
 # ---------------------------------------------------------------------------
 
-class _TreeDistances:
-    """A tree's distances, cached from its `_fill_distances`, and adapters."""
+def _preorder(root, children) -> tuple[list, list[int]]:
+    """The nodes below root in preorder, children(node) listing a node's
+    children in order, and the position of each node's parent (-1 at root)."""
+    nodes: list = []
+    parent: list[int] = []
+    stack = [(root, -1)]
+    while stack:
+        node, up = stack.pop()
+        # node's position, len(nodes), is its children's parent
+        stack.extend(zip(reversed(children(node)), itertools.repeat(len(nodes))))
+        nodes.append(node)
+        parent.append(up)
+    return nodes, parent
+
+
+class _RootedTree:
+    """A tree over its labels in the rooted-array form (see the module
+    docstring), with its distances cached from `_fill_distances`."""
+
+    labels: tuple[str, ...]
+
+    def _set_arrays(self, labels: tuple[str, ...], index: dict[str, int], parent: list[int],
+                    length: np.ndarray, label: list[int]) -> None:
+        for name, value in (("labels", labels), ("_index", index),
+                            ("_parent", np.array(parent, dtype=np.intp)),
+                            ("_length", length), ("_label", np.array(label, dtype=np.intp)),
+                            ("_dist", None)):
+            object.__setattr__(self, name, value)
+
+    @functools.cached_property
+    def _end(self) -> list[int]:
+        """One past the last position of each node's subtree."""
+        parent = self._parent.tolist()  # type: ignore[attr-defined]
+        end = list(range(1, len(parent) + 1))
+        for v in reversed(range(1, len(parent))):
+            end[parent[v]] = max(end[parent[v]], end[v])
+        return end
 
     def distances(self) -> np.ndarray:
         """Read-only distances of all label pairs, in `all_pairs(labels)` order."""
@@ -384,15 +456,15 @@ class _TreeDistances:
     def distances_in(self, labels: Sequence[str]) -> np.ndarray:
         """distances() in `all_pairs(labels)` order, labels being a reordering."""
         labels = tuple(labels)
-        if sorted(labels) != sorted(self.labels):  # type: ignore[attr-defined]
+        if sorted(labels) != sorted(self.labels):
             raise UniverseMismatch("tree labels do not match the distance matrix")
-        if labels == self.labels:  # type: ignore[attr-defined]
+        if labels == self.labels:
             return self.distances()
         pos = [self._index[lab] for lab in labels]  # type: ignore[attr-defined]
         return _square(self.distances(), len(pos))[np.ix_(pos, pos)][_pair_ends(len(pos))]
 
     def distance_map(self) -> dict[Pair, float]:
-        return dict(zip(all_pairs(self.labels), self.distances().tolist()))  # type: ignore[attr-defined]
+        return dict(zip(all_pairs(self.labels), self.distances().tolist()))
 
     def distance(self, i: str, j: str) -> float:
         return float(self.distances()[_pair_position(self._index, i, j)])  # type: ignore[attr-defined]
@@ -410,76 +482,52 @@ class UltraNode:
 
 
 @dataclass(frozen=True)
-class UltrametricTree(_TreeDistances):
-    """Rooted tree; leaves are labels at height 0, dist(i,j) = 2 * height(lca)."""
+class UltrametricTree(_RootedTree):
+    """Rooted tree; leaves are labels at height 0, dist(i,j) = 2 * height(lca).
+
+    Its arrays add `_height`; an edge is as long as its parent's height less
+    its own.
+    """
 
     labels: tuple[str, ...]
     root: UltraNode
 
     def __post_init__(self):
-        leaves = tuple(self._iter_leaves(self.root))
-        if sorted(leaves) != sorted(self.labels):
+        labels = tuple(self.labels)
+        index = _label_index(labels)
+        nodes, parent = _preorder(self.root, lambda node: node.children)
+        leaves = [node.label for node in nodes if not node.children]
+        if None in leaves:
+            raise ValueError("leaf without a label")
+        if sorted(leaves) != sorted(labels):  # type: ignore[type-var]
             raise ValueError("tree leaves do not match the label set")
-        self._check_heights(self.root)
-        object.__setattr__(self, "_index", {lab: k for k, lab in enumerate(self.labels)})
-        object.__setattr__(self, "_dist", None)
-
-    @staticmethod
-    def _iter_leaves(root: UltraNode) -> Iterator[str]:
-        """Leaf labels, left to right."""
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                if node.label is None:
-                    raise ValueError("leaf without a label")
-                yield node.label
-            else:
-                stack.extend(reversed(node.children))
-
-    @staticmethod
-    def _check_heights(root: UltraNode) -> None:
-        """Raise on the first bad height in preorder."""
-        stack: list[tuple[UltraNode, float | None]] = [(root, None)]
-        while stack:
-            node, parent_height = stack.pop()
-            if parent_height is not None and node.height >= parent_height:
+        heights = [node.height for node in nodes]
+        for v, node in enumerate(nodes):  # the first bad height in preorder
+            if v and not heights[v] < heights[parent[v]]:
                 raise ValueError("heights must strictly increase child to parent")
-            if node.is_leaf:
-                if node.height != 0.0:
-                    raise ValueError("leaves must sit at height 0")
-                continue
-            if node.height <= 0.0:
+            if not node.children and heights[v] != 0.0:
+                raise ValueError("leaves must sit at height 0")
+            if node.children and not heights[v] > 0.0:
                 raise ValueError("internal node height must be positive")
-            stack.extend((child, node.height) for child in reversed(node.children))
+        height = np.array(heights, dtype=np.float64)
+        object.__setattr__(self, "_height", height)
+        length = height[parent] - height
+        length[0] = 0.0
+        self._set_arrays(labels, index, parent, length,
+                         [-1 if node.children else index[node.label] for node in nodes])
 
     @classmethod
-    def from_partitions(cls, levels: HierarchySequence,
-                        values: Sequence[float]) -> "UltrametricTree":
-        """The tree of nested partitions: pairs first together at level t sit
-        at distance values[t].
-
-        One pass over the levels. A part of level t that joins several parts
-        of the level below becomes a node at height values[t] / 2, with its
-        children in the order of their first labels in the universe. The top
-        level must be a single part.
-        """
-        if len(values) != len(levels):
-            raise ValueError("need one value per level")
-        if len(levels.levels[-1].parts) != 1:
-            raise ValueError("top level must be a single part")
-        # the nodes of the level below, each with the universe position of
-        # one of its labels, in the order of their first labels in the
-        # universe, as Partition.parts is
-        below = [(k, UltraNode(0.0, (), lab)) for k, lab in enumerate(levels.universe)]
-        for level, value in zip(levels.levels, values):
-            children: list[list[tuple[int, UltraNode]]] = [[] for _ in level.parts]
-            for k, node in below:
-                children[level.part_of[k]].append((k, node))
-            below = [kids[0] if len(kids) == 1
-                     else (kids[0][0], UltraNode(value / 2.0, tuple(nd for _, nd in kids)))
-                     for kids in children]
-        return cls(levels.universe, below[0][1])
+    def _from_joins(cls, labels: tuple[str, ...], values: Sequence[float],
+                    steps) -> "UltrametricTree":
+        """The tree in which the pairs of label positions that step t joins
+        sit at values[t], values increasing: the components one step joins
+        become one node at height values[t] / 2, its children in the order of
+        their first labels. The steps must join every label."""
+        node = [UltraNode(0.0, (), lab) for lab in labels]  # of each component, by its root
+        for value, (joined, _) in zip(values, _union_steps(len(labels), steps)):
+            for r, roots in joined.items():
+                node[r] = UltraNode(value / 2.0, tuple(node[k] for k in sorted(roots)))
+        return cls(labels, node[0])
 
     @classmethod
     def from_map(cls, labels: Sequence[str], mapping: Mapping, *,
@@ -495,19 +543,16 @@ class UltrametricTree(_TreeDistances):
         """Build the canonical tree realizing an ultrametric given in
         `all_pairs(labels)` order.
 
-        Level v of the tree holds the components of the pairs at distance
-        <= v, for each distinct (tie-merged) value v; the realized distances
-        are then verified against the input within tol.
+        Each pair joins at the first distinct (tie-merged) value it is within
+        VALUE_MERGE_TOL of; a minimum spanning tree of those levels joins the
+        same components at each value. The realized distances are then
+        verified against the input within tol.
         """
         labels = tuple(labels)
-        if len(labels) == 1:
-            return cls(labels, UltraNode(0.0, (), labels[0]))
-        values = np.asarray(values, dtype=np.float64)
-        merged = merge_ties(values.tolist())
-        # each pair joins at the first value it is within VALUE_MERGE_TOL of
+        values = _pair_vector(values, len(labels))
+        merged = merge_ties(values)
         level = np.searchsorted(np.add(merged, VALUE_MERGE_TOL), values)
-        levels = HierarchySequence(tuple(nested_components(labels, level, len(merged))))
-        tree = cls.from_partitions(levels, merged)
+        tree = cls._from_joins(labels, merged, _level_steps(len(labels), level, len(merged)))
         realized = tree.distances()
         off = np.flatnonzero(np.abs(realized - values) > tol)
         if len(off):
@@ -519,37 +564,31 @@ class UltrametricTree(_TreeDistances):
     def _fill_distances(self) -> np.ndarray:
         """2 * height(lca): in the left-to-right leaf order, the lca of two
         leaves is the highest lca of two neighbours between them."""
-        leaves: list[int] = []  # label positions, left to right
-        gaps: list[float] = []  # height of each leaf's lca with the leaf before
-        stack = [(self.root, 0.0)]
-        while stack:
-            node, gap = stack.pop()
-            if node.is_leaf:
-                leaves.append(self._index[node.label])  # type: ignore[attr-defined]
-                gaps.append(gap)
-            else:
-                stack.extend((child, node.height if k else gap)
-                             for k, child in reversed(list(enumerate(node.children))))
+        leaves = np.flatnonzero(self._label >= 0)  # left to right
         n = len(leaves)
+        # the node after a leaf in preorder is a child of the lca of that
+        # leaf and the next one
+        gaps = np.zeros(n)
+        gaps[1:] = self._height[self._parent[leaves[:-1] + 1]]
         # row a: the running max of the gaps after leaf a, zero up to it
-        square = np.maximum.accumulate(np.triu(np.tile(gaps, (n, 1)), 1), axis=1)
-        out = np.zeros((n, n))
-        out[np.ix_(leaves, leaves)] = square + square.T
-        return 2.0 * out[_pair_ends(n)]
+        square = np.triu(np.broadcast_to(gaps, (n, n)), 1)
+        np.maximum.accumulate(square, axis=1, out=square)
+        rank = np.empty(n, dtype=np.intp)  # each label's place, left to right
+        rank[self._label[leaves]] = np.arange(n)
+        a, b = (rank[end] for end in _pair_ends(n))
+        return 2.0 * square[np.minimum(a, b), np.maximum(a, b)]
 
     def top_distance(self) -> float:
         return 2.0 * self.root.height
 
 
-# ---------------------------------------------------------------------------
-# Weighted trees
-# ---------------------------------------------------------------------------
-
 @dataclass(frozen=True)
-class WeightedTree(_TreeDistances):
+class WeightedTree(_RootedTree):
     """Undirected tree spanning the labels; dist = path weight sum.
 
-    Edge weights >= 0 are accepted; a weight of 0 flags a pseudometric.
+    Edge weights must be finite and >= 0; a weight of 0 flags a
+    pseudometric. The arrays root the tree at `root`, or at the least node
+    name when root is not a node, and add `_names`, each node's name.
     """
 
     labels: tuple[str, ...]
@@ -557,58 +596,64 @@ class WeightedTree(_TreeDistances):
     root: str | None = None
 
     def __post_init__(self):
-        nodes = set(self.labels)
+        labels = tuple(self.labels)
+        index = _label_index(labels)
+        adj: dict[str, list[tuple[str, float]]] = {lab: [] for lab in labels}
         for u, v, w in self.edges:
             if u == v:
                 raise ValueError("self-loop")
-            if w < 0:
-                raise ValueError("negative edge weight")
-            nodes.add(u)
-            nodes.add(v)
-        if len(self.edges) != len(nodes) - 1 and len(nodes) > 1:
+            if not 0.0 <= w < math.inf:
+                raise ValueError(f"edge weight must be finite and >= 0, got {w!r}")
+            adj.setdefault(u, []).append((v, w))
+            adj.setdefault(v, []).append((u, w))
+        if len(self.edges) != len(adj) - 1:
             raise ValueError("edge count does not match a tree")
-        adj: dict[str, list[tuple[str, float]]] = {node: [] for node in nodes}
-        for u, v, w in self.edges:
-            adj[u].append((v, w))
-            adj[v].append((u, w))
-        # connectivity check from any node
-        if nodes:
-            start = next(iter(sorted(nodes)))
-            seen = {start}
-            stack = [start]
-            while stack:
-                cur = stack.pop()
-                for nxt, _ in adj[cur]:
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        stack.append(nxt)
-            if seen != nodes:
-                raise ValueError("tree is not connected")
-        object.__setattr__(self, "_adj", adj)
-        object.__setattr__(self, "_index", {lab: k for k, lab in enumerate(self.labels)})
-        object.__setattr__(self, "_dist", None)
+        # root it: each node's (child, weight) pairs in order of discovery,
+        # then by the first label position below them, label-less last
+        root = self.root if self.root in adj else min(adj)
+        kids: dict[str, list[tuple[str, float]]] = {root: []}
+        order = [root]
+        for node in order:
+            for nxt, w in adj[node]:
+                if nxt not in kids:
+                    kids[node].append((nxt, w))
+                    kids[nxt] = []
+                    order.append(nxt)
+        if len(order) != len(adj):
+            raise ValueError("tree is not connected")
+        first: dict[str, int] = {}
+        for node in reversed(order):
+            kids[node].sort(key=lambda kid: first[kid[0]])
+            first[node] = min([index.get(node, len(index))] + [first[k] for k, _ in kids[node]])
+        nodes, parent = _preorder((root, 0.0), lambda kid: kids[kid[0]])
+        object.__setattr__(self, "_names", [name for name, _ in nodes])
+        self._set_arrays(labels, index, parent, np.array([w for _, w in nodes], dtype=np.float64),
+                         [index.get(name, -1) for name, _ in nodes])
 
     def has_zero_weight(self) -> bool:
-        return any(w == 0.0 for _, _, w in self.edges)
-
-    def adjacency(self) -> Mapping[str, list[tuple[str, float]]]:
-        return self._adj  # type: ignore[attr-defined]
+        return bool(np.any(self._length[1:] == 0.0))
 
     def _fill_distances(self) -> np.ndarray:
-        """One traversal per label; each path is summed from its earlier label."""
-        adj = self._adj  # type: ignore[attr-defined]
-        out: list[float] = []
-        for k, src in enumerate(self.labels):
-            dist = {src: 0.0}
-            stack = [src]
-            while stack:
-                cur = stack.pop()
-                for nxt, w in adj[cur]:
-                    if nxt not in dist:
-                        dist[nxt] = dist[cur] + w
-                        stack.append(nxt)
-            out.extend(dist[other] for other in self.labels[k + 1:])
-        return np.array(out, dtype=np.float64)
+        """Path sums, each from its earlier label. With the nodes in preorder
+        a subtree is a slice, so one sweep up and one down fill the sums from
+        every labelled node to every node, adding the edges in path order."""
+        parent, length, end = self._parent.tolist(), self._length.tolist(), self._end
+        labelled = self._label >= 0
+        # the labelled nodes before each position, in preorder
+        cols = np.concatenate(([0], np.cumsum(labelled))).tolist()
+        # table[v, c]: the path sum from the c-th labelled node to node v
+        table = np.zeros((len(parent), cols[-1]))
+        for v in reversed(range(1, len(parent))):  # up out of each subtree
+            s, e = cols[v], cols[end[v]]
+            table[parent[v], s:e] = table[v, s:e] + length[v]
+        for v in range(1, len(parent)):  # down into each subtree from the rest
+            s, e = cols[v], cols[end[v]]
+            table[v, :s] = table[parent[v], :s] + length[v]
+            table[v, e:] = table[parent[v], e:] + length[v]
+        node = np.empty(len(self.labels), dtype=np.intp)
+        node[self._label[labelled]] = np.flatnonzero(labelled)
+        i, j = _pair_ends(len(node))
+        return table[node[j], np.asarray(cols)[node[i]]]
 
 
 # ---------------------------------------------------------------------------
@@ -639,7 +684,7 @@ def lp_norm_error(tree, d: DistanceMatrix, p: float) -> float:
     """
     if p != math.inf and p < 1:
         raise ValueError("p must be >= 1 or inf")
-    if isinstance(tree, _TreeDistances):
+    if isinstance(tree, _RootedTree):
         realized = tree.distances_in(d.labels)
     elif isinstance(tree, np.ndarray):
         realized = _pair_vector(tree, d.n)

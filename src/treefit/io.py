@@ -9,7 +9,6 @@ import numpy as np
 from .core import (
     DistanceMatrix,
     FittedTree,
-    UltraNode,
     UltrametricTree,
     WeightedTree,
     _pair_ends,
@@ -147,90 +146,38 @@ def _check_newick_label(label: str) -> None:
 
 
 def newick_string(tree: UltrametricTree | WeightedTree | FittedTree) -> str:
+    """Newick text of a tree, from its rooted arrays: the nodes in preorder,
+    each labelled node named and each edge given its length."""
     if isinstance(tree, FittedTree):
         tree = tree.tree
-    if isinstance(tree, UltrametricTree):
-        return _ultra_newick(tree)
-    if isinstance(tree, WeightedTree):
-        return _weighted_newick(tree)
-    raise TypeError(f"cannot serialize {type(tree)!r}")
+    if not isinstance(tree, (UltrametricTree, WeightedTree)):
+        raise TypeError(f"cannot serialize {type(tree)!r}")
+    for lab in tree.labels:
+        _check_newick_label(lab)
+    parent = tree._parent.tolist()
+    names = [tree.labels[k] if k >= 0 else "" for k in tree._label.tolist()]
+    if len(parent) == 1:
+        return f"({names[0]}:0.0);"
+    tails = [name + f":{w!r}" for name, w in zip(names, tree._length.tolist())]
+    tails[0] = names[0]
+    out: list[str] = []
+    open_: list[int] = []  # the nodes whose children are being written
+    for v, up in enumerate(parent):
+        while open_ and open_[-1] != up:
+            out.append(")" + tails[open_.pop()])
+        if v and up != v - 1:
+            out.append(",")
+        if v + 1 < len(parent) and parent[v + 1] == v:
+            out.append("(")
+            open_.append(v)
+        else:
+            out.append(tails[v])
+    out.extend(")" + tails[v] for v in reversed(open_))
+    return "".join(out) + ";"
 
 
 def write_newick(tree, path: str | Path) -> None:
     Path(path).write_text(newick_string(tree) + "\n")
-
-
-def _render(root, children, tail) -> str:
-    """Newick text of the tree below root, walked with an explicit stack:
-    children(node) lists its (child, edge) pairs in output order, and
-    tail(node, edge) is the text after the node (edge is None at the root)."""
-    out: list[str] = []
-    # text to emit, or a (node, edge) to render; the last is next
-    stack: list = [(root, None)]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            out.append(item)
-            continue
-        node, edge = item
-        kids = children(node)
-        if not kids:
-            out.append(tail(node, edge))
-            continue
-        out.append("(")
-        stack.append(")" + tail(node, edge))
-        for k, kid in enumerate(reversed(kids)):
-            if k:
-                stack.append(",")
-            stack.append(kid)
-    return "".join(out)
-
-
-def _ultra_newick(tree: UltrametricTree) -> str:
-    for lab in tree.labels:
-        _check_newick_label(lab)
-    root = tree.root
-    if root.is_leaf:
-        return f"({root.label}:0.0);"
-
-    def tail(node: UltraNode, parent_height: float | None) -> str:
-        if node.is_leaf:
-            return f"{node.label}:{parent_height!r}"
-        return "" if parent_height is None else f":{(parent_height - node.height)!r}"
-
-    return _render(root, lambda node: [(c, node.height) for c in node.children], tail) + ";"
-
-
-def _weighted_newick(tree: WeightedTree) -> str:
-    for lab in tree.labels:
-        _check_newick_label(lab)
-    adj = tree.adjacency()
-    root = tree.root if tree.root in adj else sorted(adj)[0]
-    pos = {lab: k for k, lab in enumerate(tree.labels)}
-    # children (node, edge weight) of each node, parents listed before children
-    order = [root]
-    children: dict[str, list[tuple[str, float]]] = {root: []}
-    for node in order:
-        for nxt, w in adj[node]:
-            if nxt not in children:
-                children[node].append((nxt, w))
-                children[nxt] = []
-                order.append(nxt)
-    # children go in the order of the first label (by position) below them;
-    # a subtree without labels sorts last
-    first: dict[str, int] = {}
-    for node in reversed(order):
-        kids = children[node]
-        kids.sort(key=lambda kid: first[kid[0]])
-        first[node] = min([pos.get(node, len(pos))] + [first[k] for k, _ in kids])
-
-    def tail(node: str, weight: float | None) -> str:
-        return (node if node in pos else "") + ("" if weight is None else f":{weight!r}")
-
-    body = _render(root, children.__getitem__, tail)
-    if not body.startswith("("):
-        body = f"({body}:0.0)"
-    return body + ";"
 
 
 def parse_newick(text: str) -> WeightedTree:

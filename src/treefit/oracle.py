@@ -15,7 +15,7 @@ from .core import (
     HierarchySequence,
     Partition,
     UltrametricTree,
-    _condensed,
+    _pair_ends,
     clique_edges,
     iter_partitions,
     lp_norm_error,
@@ -107,35 +107,25 @@ def exact_ultrametric_l1(d: DistanceMatrix) -> tuple[UltrametricTree, float]:
 # ---------------------------------------------------------------------------
 
 def _interior_nodes(tree: UltrametricTree):
-    """Internal nodes whose merge value lies strictly inside (1, 2), in postorder.
+    """Internal nodes whose merge value lies strictly inside (1, 2), children
+    before parents.
 
     Yields (value, min_leaf, cross, parent_value, max_child_value), where
-    cross lists the `all_pairs` positions of the pairs meeting at that node.
+    cross lists the `all_pairs` positions of the pairs meeting at that node:
+    the pairs below it at its value.
     """
-    idx = {lab: k for k, lab in enumerate(tree.labels)}
+    parent, label, end = tree._parent.tolist(), tree._label, tree._end
+    value = (2.0 * tree._height).tolist()
+    i, j = _pair_ends(len(tree.labels))
     found = []
-    done: list[list[int]] = []  # label positions of each finished subtree
-    stack = [(tree.root, 2.0, False)]
-    while stack:
-        node, parent_value, expanded = stack.pop()
-        value = 2.0 * node.height
-        if node.is_leaf:
-            done.append([idx[node.label]])
-        elif not expanded:
-            stack.append((node, parent_value, True))
-            stack.extend((child, value, False) for child in reversed(node.children))
-        else:
-            groups = done[-len(node.children):]
-            del done[-len(node.children):]
-            if 1.0 < value < 2.0:
-                cross = [_condensed(len(idx), min(a, b), max(a, b))
-                         for k, g in enumerate(groups) for h in groups[k + 1:]
-                         for a in g for b in h]
-                max_child = max((2.0 * c.height for c in node.children
-                                 if not c.is_leaf), default=0.0)
-                min_leaf = min(min(g) for g in groups)
-                found.append((value, min_leaf, cross, parent_value, max_child))
-            done.append([k for g in groups for k in g])
+    for v in reversed(range(len(parent))):
+        if label[v] >= 0 or not 1.0 < value[v] < 2.0:
+            continue
+        below = np.zeros(len(tree.labels), dtype=bool)
+        below[label[v:end[v]][label[v:end[v]] >= 0]] = True
+        cross = np.flatnonzero(below[i] & below[j] & (tree.distances() == value[v]))
+        found.append((value[v], int(np.argmax(below)), cross.tolist(),
+                      value[parent[v]] if v else 2.0, max(value[v + 1:end[v]])))
     return found
 
 

@@ -17,14 +17,12 @@ import numpy as np
 from .core import (
     DistanceMatrix,
     FittedTree,
-    UltraNode,
     UltrametricTree,
     WeightedTree,
     _nth_pair,
     _pair_ends,
     _pair_vector,
     _square,
-    components,
     lp_norm_error,
 )
 from .hcc import lp_lower_bound
@@ -102,36 +100,23 @@ def restricted_to_tree(u: np.ndarray, r: RestrictedInstance,
     if abs(utree.top_distance() - r.gamma) > RESTRICTION_TOL:
         raise ValueError("top of the fitted tree does not reach the cap")
 
-    edges: list[tuple[str, str, float]] = []
+    # in preorder: the root is the pivot itself, an internal node sits at
+    # depth gamma - 2 * height and each other species at its height
+    label, parent = utree._label, utree._parent
+    heights = np.array([r.heights[lab] for lab in labels])
+    depth = np.where(label >= 0, heights[label], r.gamma - 2.0 * utree._height)
+    depth[0] = 0.0
+    keep = np.flatnonzero(label != p)[1:]  # every edge but the pivot's own
+    weights = (depth - depth[parent])[keep]
+    if np.any(weights <= -RESTRICTION_TOL):
+        raise ValueError("restriction violation produced a negative edge")
     label_set = set(labels)
     fresh = (name for name in (f"v{k}" for k in itertools.count())
              if name not in label_set)
-
-    # preorder walk: each node with the name and depth of its parent
-    stack: list[tuple[UltraNode, str | None, float]] = [(utree.root, None, 0.0)]
-    while stack:
-        node, parent_name, parent_depth = stack.pop()
-        if node.is_leaf:
-            lab = node.label
-            assert lab is not None
-            if lab == r.pivot:
-                continue  # the pivot is the root itself
-            assert parent_name is not None
-            edges.append((parent_name, lab, r.heights[lab] - parent_depth))
-            continue
-        depth = r.gamma - 2.0 * node.height
-        if parent_name is None:
-            name = r.pivot
-            depth = 0.0
-        else:
-            name = next(fresh)
-            edges.append((parent_name, name, depth - parent_depth))
-        stack.extend((child, name, depth) for child in reversed(node.children))
-    weights = [max(0.0, w) if w > -RESTRICTION_TOL else w for _, _, w in edges]
-    for w in weights:
-        if w < 0:
-            raise ValueError("restriction violation produced a negative edge")
-    cleaned = tuple((a, b, max(0.0, w)) for (a, b, _), w in zip(edges, weights))
+    names = [r.pivot] + [labels[k] if k >= 0 else next(fresh) for k in label[1:].tolist()]
+    cleaned = tuple(zip([names[a] for a in parent[keep].tolist()],
+                        [names[v] for v in keep.tolist()],
+                        np.where(weights > 0.0, weights, 0.0).tolist()))
     return WeightedTree(labels=d.labels, edges=cleaned, root=r.pivot)
 
 
@@ -147,13 +132,18 @@ def pseudometric_to_metric(tree: WeightedTree, d: DistanceMatrix,
     # contract zero-weight edges: single-species groups keep the species
     # name; groups hosting several species become fresh hubs and every
     # species gets its own stem
-    taken = set(tree.adjacency())
-    groups = components(sorted(taken), ((a, b) for a, b, w in tree.edges if w == 0.0))
-    label_set = set(tree.labels)
+    names, parent, length = tree._names, tree._parent.tolist(), tree._length.tolist()
+    top = list(range(len(names)))  # the highest node each node contracts into
+    groups: dict[int, list[str]] = {}
+    for v, name in enumerate(names):
+        if v and length[v] == 0.0:
+            top[v] = top[parent[v]]
+        groups.setdefault(top[v], []).append(name)
+    label_set, taken = set(tree.labels), set(names)
     fresh = (f"hub{k}" for k in itertools.count())
     rep: dict[str, str] = {}
     pending: dict[str, list[str]] = {}
-    for members in groups.parts:
+    for members in sorted(groups.values(), key=min):
         species = sorted(m for m in members if m in label_set)
         if len(species) == 1:
             name = species[0]
@@ -165,7 +155,8 @@ def pseudometric_to_metric(tree: WeightedTree, d: DistanceMatrix,
         for m in members:
             rep[m] = name
 
-    edges = [(rep[a], rep[b], w) for a, b, w in tree.edges if rep[a] != rep[b]]
+    edges = [(rep[names[parent[v]]], rep[names[v]], length[v])
+             for v in range(1, len(names)) if length[v] != 0.0]
     if pending:
         gaps = np.abs(tree.distances_in(d.labels) - d.values)
         gaps = gaps[gaps > 0]

@@ -18,7 +18,6 @@ from .core import (
     EdgeSet,
     FittedTree,
     HierarchySequence,
-    Partition,
     UltrametricTree,
     _nth_pair,
     lp_norm_error,
@@ -102,18 +101,25 @@ def hierarchy_to_ultrametric(hierarchy: HierarchySequence,
     """Realize a hierarchy as a tree: lca on level t means distance D^(t).
 
     The hierarchy is completed with singletons below and the whole set above,
-    so pairs never merged by the hierarchy end up at the largest value.
+    so pairs never merged by the hierarchy end up at the largest value. Level
+    t joins the first label of each part below to the first label of the part
+    holding it, which is the first of those it holds.
     """
     if len(hierarchy) != levels.n_levels:
         raise ValueError("hierarchy level count does not match the values")
-    whole = Partition.from_parts(hierarchy.universe, [hierarchy.universe])
-    return UltrametricTree.from_partitions(
-        HierarchySequence(hierarchy.levels + (whole,)), levels.values)
+    n = len(hierarchy.universe)
+    steps, firsts = [], range(n)  # the first label of each part below
+    for level in hierarchy.levels:
+        head: dict[int, int] = {}  # the first label of each part above
+        steps.append([(head.setdefault(level.part_of[k], k), k) for k in firsts])
+        firsts = head.values()
+    steps.append([(0, k) for k in firsts])
+    return UltrametricTree._from_joins(hierarchy.universe, levels.values, steps)
 
 
 def star_tree(labels: Sequence[str], height_distance: float) -> UltrametricTree:
-    whole = Partition.from_parts(labels, [labels])
-    return UltrametricTree.from_partitions(HierarchySequence((whole,)), (height_distance,))
+    return UltrametricTree._from_joins(
+        tuple(labels), (height_distance,), [[(0, k) for k in range(1, len(labels))]])
 
 
 def ultrametric_to_hierarchy(tree: UltrametricTree,

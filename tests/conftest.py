@@ -6,7 +6,14 @@ import random
 
 import pytest
 
-from treefit.core import DistanceMatrix, Partition, WeightedTree, all_pairs
+from treefit.core import (
+    DistanceMatrix,
+    Partition,
+    UltraNode,
+    UltrametricTree,
+    WeightedTree,
+    all_pairs,
+)
 
 
 def planted_ultrametric(rng: random.Random, labels, values) -> DistanceMatrix:
@@ -67,6 +74,69 @@ def random_tree_metric(rng: random.Random, n: int, lo=0.3, hi=3.0):
         nodes.append(name)
     tree = WeightedTree(labels=tuple(labels), edges=tuple(edges), root=nodes[0])
     return DistanceMatrix.from_pairs(labels, tree.distance_map()), tree
+
+
+def partition_tree(levels, values) -> UltrametricTree:
+    """The tree of nested partitions, built level by level as UltraNodes: the
+    reference for `UltrametricTree._from_joins`. Pairs first together at level t sit at
+    distance values[t]; a part of level t that joins several parts of the
+    level below becomes a node at height values[t] / 2, its children in the
+    order of their first labels. The top level must be a single part."""
+    assert len(values) == len(levels) and len(levels.levels[-1].parts) == 1
+    below = [(k, UltraNode(0.0, (), lab)) for k, lab in enumerate(levels.universe)]
+    for level, value in zip(levels.levels, values):
+        children = [[] for _ in level.parts]
+        for k, node in below:
+            children[level.part_of[k]].append((k, node))
+        below = [kids[0] if len(kids) == 1
+                 else (kids[0][0], UltraNode(value / 2.0, tuple(nd for _, nd in kids)))
+                 for kids in children]
+    return UltrametricTree(levels.universe, below[0][1])
+
+
+def path_sum_distances(tree) -> list[float]:
+    """Distances of a WeightedTree, one traversal per label with each path
+    summed from its earlier label: the reference for the two-sweep fill."""
+    adj: dict[str, list[tuple[str, float]]] = {lab: [] for lab in tree.labels}
+    for u, v, w in tree.edges:
+        adj.setdefault(u, []).append((v, w))
+        adj.setdefault(v, []).append((u, w))
+    out: list[float] = []
+    for k, src in enumerate(tree.labels):
+        dist = {src: 0.0}
+        stack = [src]
+        while stack:
+            cur = stack.pop()
+            for nxt, w in adj[cur]:
+                if nxt not in dist:
+                    dist[nxt] = dist[cur] + w
+                    stack.append(nxt)
+        out.extend(dist[other] for other in tree.labels[k + 1:])
+    return out
+
+
+def random_newick(rng: random.Random, n: int) -> str:
+    """Newick text of a random rooted tree over n labels: some internal nodes
+    are labels too, some edges have length 0 or none, the root may be a
+    label, and n = 1 gives a single node."""
+    names = [f"n{k}" for k in range(n)]
+    rng.shuffle(names)
+    inner = names[:rng.randint(0, n // 3)]  # labels on internal nodes
+    items = names[len(inner):] or [inner.pop()]
+
+    def length() -> str:
+        return rng.choice(["", ":0", ":0.0", ":0.5", ":1.25", f":{rng.uniform(0.01, 3.0)!r}"])
+
+    items = [name + length() for name in items]
+    while len(items) > 1:
+        rng.shuffle(items)
+        k = rng.randint(2, min(3, len(items)))
+        name = inner.pop() if inner and rng.random() < 0.7 else ""
+        items = items[k:] + [f"({','.join(items[:k])}){name}{length()}"]
+    text = items[0]
+    while inner:  # the labels left name unary nodes above the root
+        text = f"({text}){inner.pop()}{length()}"
+    return text + ";"
 
 
 def random_partition(rng: random.Random, labels) -> Partition:

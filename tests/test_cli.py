@@ -173,6 +173,15 @@ class TestExitCodes:
         assert run_cli("eval", nwk, src, "--json-out", out) == 0
         assert json.loads(out.read_text())["l1_error"] == 1.0
 
+    @pytest.mark.parametrize("length", ["nan", "inf", "1e400"])
+    def test_non_finite_branch_length_is_a_data_error(self, length, fix123, tmp_path,
+                                                      capsys):
+        nwk, out = tmp_path / "t.nwk", tmp_path / "e.json"
+        nwk.write_text(f"((1:1,2:{length}):1,3:2);\n")
+        assert run_cli("eval", nwk, fix123, "--json-out", out) == 2
+        assert "must be finite and >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_too_deep_is_a_data_error(self, fix123, tmp_path, capsys, monkeypatch):
         import treefit.cli
 

@@ -25,7 +25,14 @@ from treefit.core import (
     lp_norm_error,
     sym_diff_size,
 )
-from conftest import random_tree_metric, random_ultrametric_map
+from treefit.io import parse_newick
+from conftest import (
+    partition_tree,
+    path_sum_distances,
+    random_newick,
+    random_tree_metric,
+    random_ultrametric_map,
+)
 
 
 def edge_set(universe, pairs):
@@ -203,6 +210,24 @@ class TestWeightedTree:
         t = WeightedTree(labels=("a", "b"), edges=(("a", "b", 0.0),))
         assert t.has_zero_weight()
 
+    @pytest.mark.parametrize("w", [math.nan, math.inf, float("1e400"), -math.inf, -1.0])
+    def test_rejects_bad_weights(self, w):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            WeightedTree(labels=("a", "b"), edges=(("a", "m", 1.0), ("m", "b", w)))
+
+
+class TestDuplicateLabels:
+    def test_ultrametric_tree(self):
+        leaves = (UltraNode(0.0, (), "a"), UltraNode(0.0, (), "a"))
+        with pytest.raises(ValueError, match="duplicate labels"):
+            UltrametricTree(("a", "a"), UltraNode(1.0, leaves))
+        with pytest.raises(ValueError, match="duplicate labels"):
+            UltrametricTree.from_distances(("a", "a"), [2.0])
+
+    def test_weighted_tree(self):
+        with pytest.raises(ValueError, match="duplicate labels"):
+            WeightedTree(("a", "a"), (("a", "b", 1.0),))
+
 
 class TestPartitions:
     def test_iter_partitions_counts(self):
@@ -319,8 +344,20 @@ class TestTreeDistanceVectors:
             levels = HierarchySequence(tuple(
                 components(labels, [p for p, w in zip(all_pairs(labels), values) if w <= v])
                 for v in merged))
-            expected = UltrametricTree.from_partitions(levels, merged)
+            expected = partition_tree(levels, merged)
             assert UltrametricTree.from_distances(labels, values).root == expected.root
+
+    def test_weighted_matches_path_sum_reference(self, rng):
+        # bit for bit, on parsed trees (labelled internal nodes, zero and
+        # missing lengths, one label), re-rooted and random binary trees
+        for _ in range(60):
+            n = rng.randint(1, 10)
+            tree = parse_newick(random_newick(rng, n))
+            trees = [tree, WeightedTree(tree.labels[::-1], tree.edges)]
+            if n > 1:
+                trees.append(random_tree_metric(rng, n)[1])
+            for t in trees:
+                assert t.distances().tolist() == path_sum_distances(t)
 
     def test_distances_in_reorders_pairs(self, rng):
         d, tree = random_tree_metric(rng, 7)
@@ -345,3 +382,27 @@ class TestLpNormErrorPermuted:
             else:
                 expected = sum(x ** p for x in diffs) ** (1.0 / p)
             assert lp_norm_error(shuffled, noisy, p) == expected
+
+
+class TestScale:
+    """Sizes at which the object-graph trees took seconds; values only."""
+
+    def test_caterpillar_from_distances(self):
+        # pair (i, j), i < j, first meets at j: 999 nested merges
+        n = 1000
+        labels = tuple(f"x{k:04d}" for k in range(n))
+        values = np.triu_indices(n, 1)[1].astype(np.float64)
+        tree = UltrametricTree.from_distances(labels, values)
+        assert np.array_equal(tree.distances(), values)
+        assert tree.top_distance() == n - 1
+        assert len(UltrametricTree(labels, tree.root).root.children) == 2
+
+    def test_path_distances(self):
+        # dyadic weights keep every path sum exact, in any order
+        n = 1000
+        nodes = tuple(f"p{k}" for k in range(n))
+        weights = [0.25 + k % 7 for k in range(n - 1)]
+        tree = WeightedTree(nodes, tuple(zip(nodes, nodes[1:], weights)))
+        ends = np.concatenate(([0.0], np.cumsum(weights)))
+        i, j = np.triu_indices(n, 1)
+        assert np.array_equal(tree.distances(), ends[j] - ends[i])

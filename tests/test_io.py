@@ -4,6 +4,7 @@ import pytest
 
 from treefit.cli import main
 from treefit.core import DistanceMatrix, UltraNode, UltrametricTree, WeightedTree
+from treefit.treemetric import fit_tree_metric
 from treefit.io import (
     DataError,
     newick_string,
@@ -12,7 +13,12 @@ from treefit.io import (
     write_matrix_csv,
     write_newick,
 )
-from conftest import random_tree_metric, random_ultrametric_map
+from conftest import (
+    random_matrix,
+    random_newick,
+    random_tree_metric,
+    random_ultrametric_map,
+)
 
 FIX123 = DistanceMatrix.from_pairs(
     ("1", "2", "3"), {("1", "2"): 1.0, ("1", "3"): 2.0, ("2", "3"): 3.0})
@@ -129,6 +135,117 @@ class TestNewick:
         t = WeightedTree(labels=("a b",), edges=(), root="a b")
         with pytest.raises(DataError):
             newick_string(t)
+
+
+def render(root, children, tail) -> str:
+    """Newick text of the tree below root, walked with an explicit stack:
+    children(node) lists its (child, edge) pairs in output order, and
+    tail(node, edge) is the text after the node (edge is None at the root)."""
+    out = []
+    stack = [(root, None)]  # text to emit, or a (node, edge) to render
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        node, edge = item
+        kids = children(node)
+        if not kids:
+            out.append(tail(node, edge))
+            continue
+        out.append("(")
+        stack.append(")" + tail(node, edge))
+        for k, kid in enumerate(reversed(kids)):
+            if k:
+                stack.append(",")
+            stack.append(kid)
+    return "".join(out)
+
+
+def ultra_newick(tree) -> str:
+    """The UltraNode writer the array writer replaced."""
+    root = tree.root
+    if root.is_leaf:
+        return f"({root.label}:0.0);"
+
+    def tail(node, parent_height):
+        if node.is_leaf:
+            return f"{node.label}:{parent_height!r}"
+        return "" if parent_height is None else f":{(parent_height - node.height)!r}"
+
+    return render(root, lambda node: [(c, node.height) for c in node.children], tail) + ";"
+
+
+def weighted_newick(tree) -> str:
+    """The edge-list writer the array writer replaced."""
+    adj = {lab: [] for lab in tree.labels}
+    for u, v, w in tree.edges:
+        adj.setdefault(u, []).append((v, w))
+        adj.setdefault(v, []).append((u, w))
+    root = tree.root if tree.root in adj else sorted(adj)[0]
+    pos = {lab: k for k, lab in enumerate(tree.labels)}
+    order = [root]
+    children = {root: []}
+    for node in order:
+        for nxt, w in adj[node]:
+            if nxt not in children:
+                children[node].append((nxt, w))
+                children[nxt] = []
+                order.append(nxt)
+    first = {}
+    for node in reversed(order):
+        kids = children[node]
+        kids.sort(key=lambda kid: first[kid[0]])
+        first[node] = min([pos.get(node, len(pos))] + [first[k] for k, _ in kids])
+
+    def tail(node, weight):
+        return (node if node in pos else "") + ("" if weight is None else f":{weight!r}")
+
+    body = render(root, children.__getitem__, tail)
+    if not body.startswith("("):
+        body = f"({body}:0.0)"
+    return body + ";"
+
+
+def random_ultra_nodes(rng, labels, height=None):
+    """A random UltraNode tree over the labels, children in random order."""
+    if len(labels) == 1:
+        return UltraNode(0.0, (), labels[0])
+    height = rng.uniform(0.5, 3.0) if height is None else height
+    labels = list(labels)
+    rng.shuffle(labels)
+    cuts = sorted(rng.sample(range(1, len(labels)), rng.randint(1, min(3, len(labels) - 1))))
+    groups = [labels[a:b] for a, b in zip([0] + cuts, cuts + [len(labels)])]
+    return UltraNode(height, tuple(
+        random_ultra_nodes(rng, g, height * rng.uniform(0.2, 0.9)) for g in groups))
+
+
+class TestArrayWriter:
+    """newick_string against the object-graph writers it replaced."""
+
+    def test_ultrametric_trees(self, rng):
+        for _ in range(60):
+            labels = tuple(f"s{k}" for k in range(rng.randint(1, 9)))
+            trees = [UltrametricTree.from_map(labels, random_ultrametric_map(rng, labels)),
+                     UltrametricTree(labels, random_ultra_nodes(rng, labels))]
+            for tree in trees:
+                assert newick_string(tree) == ultra_newick(tree)
+
+    def test_weighted_trees(self, rng):
+        for _ in range(60):
+            n = rng.randint(1, 9)
+            tree = parse_newick(random_newick(rng, n))
+            unrooted = WeightedTree(tree.labels[::-1], tree.edges)
+            fitted = fit_tree_metric(random_matrix(rng, tree.labels, (1, 2, 3))).tree
+            trees = [tree, unrooted, fitted] + ([random_tree_metric(rng, n)[1]] if n > 1 else [])
+            for t in trees:
+                assert newick_string(t) == weighted_newick(t)
+
+    def test_one_label_trees(self):
+        for tree in (UltrametricTree(("a",), UltraNode(0.0, (), "a")),
+                     UltrametricTree.from_distances(("a",), []),
+                     WeightedTree(("a",), ()), parse_newick("a:1.5;")):
+            assert newick_string(tree) == "(a:0.0);"
 
 
 class TestParseMessages:

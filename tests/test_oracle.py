@@ -24,7 +24,12 @@ from treefit.oracle import (
     flatten_to_12,
 )
 from treefit.ultrametric import fit_ultrametric
-from conftest import random_matrix, random_partition, random_ultrametric_map
+from conftest import (
+    partition_tree,
+    random_matrix,
+    random_partition,
+    random_ultrametric_map,
+)
 
 
 def es(universe, pairs):
@@ -205,7 +210,7 @@ class TestInteriorNodes:
             Partition.from_parts(labels, [labels[:t + 2]] + [[x] for x in labels[t + 2:]])
             for t in range(n - 1)))
         values = [1.0 + (t + 1) / (2.0 * n) for t in range(n - 1)]
-        tree = UltrametricTree.from_partitions(levels, values)
+        tree = partition_tree(levels, values)
         old_limit = sys.getrecursionlimit()
         sys.setrecursionlimit(len(inspect.stack(0)) + 60)
         try:

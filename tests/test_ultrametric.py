@@ -27,7 +27,7 @@ from treefit.ultrametric import (
     star_tree,
     ultrametric_to_hierarchy,
 )
-from conftest import planted_ultrametric, random_hierarchy
+from conftest import partition_tree, planted_ultrametric, random_hierarchy
 
 
 def caterpillar(n):
@@ -136,6 +136,21 @@ class TestHierarchyToUltrametric:
             assert tree == expected
             assert newick_string(tree) == newick_string(expected)
 
+    def test_matches_the_per_level_reference(self, rng):
+        for _ in range(60):
+            labels = tuple(f"s{k}" for k in range(rng.randint(1, 9)))
+            values = sorted({round(rng.uniform(0.5, 9.0), 3)
+                             for _ in range(rng.randint(2, 5))})
+            if len(values) < 2:
+                continue
+            levels = UltrametricLevels(tuple(values))
+            chain = random_hierarchy(rng, labels, levels.n_levels)
+            whole = Partition.from_parts(labels, [labels])
+            expected = partition_tree(HierarchySequence(tuple(chain) + (whole,)), values)
+            assert hierarchy_to_ultrametric(HierarchySequence(tuple(chain)), levels) == expected
+            assert star_tree(labels, values[0]) == partition_tree(
+                HierarchySequence((whole,)), values[:1])
+
     def test_deep_caterpillar(self):
         labels, tree = caterpillar(300)
         assert_caterpillar_distances(labels, tree)
@@ -147,7 +162,10 @@ class TestHierarchyToUltrametric:
         assert sorted(back.labels) == sorted(labels)
         assert len(back.edges) == 2 * len(labels) - 2
         # every leaf sits at the root's height below the parsed root
-        adj = back.adjacency()
+        adj = {}
+        for u, v, w in back.edges:
+            adj.setdefault(u, []).append((v, w))
+            adj.setdefault(v, []).append((u, w))
         depth = {back.root: 0.0}
         stack = [back.root]
         while stack:
