@@ -550,6 +550,8 @@ class UltrametricTree(_RootedTree):
         """
         labels = tuple(labels)
         values = _pair_vector(values, len(labels))
+        if not np.isfinite(values).all():
+            raise ValueError("ultrametric distances must be finite")
         merged = merge_ties(values)
         level = np.searchsorted(np.add(merged, VALUE_MERGE_TOL), values)
         tree = cls._from_joins(labels, merged, _level_steps(len(labels), level, len(merged)))

@@ -1,6 +1,7 @@
 """File formats: CSV / lower-triangular distance matrices and Newick trees."""
 from __future__ import annotations
 
+import itertools
 import warnings
 from pathlib import Path
 
@@ -186,7 +187,7 @@ def parse_newick(text: str) -> WeightedTree:
     if not text.endswith(";"):
         raise DataError("Newick text must end with ';'")
     body = text[:-1]
-    edges: list[tuple[str, str, float]] = []
+    edges: list[tuple[str | int, str | int, float]] = []
     labels: list[str] = []
     counter = 0
     # children (name, branch length) of each open parenthesis, innermost last
@@ -218,7 +219,7 @@ def parse_newick(text: str) -> WeightedTree:
             node = name
         else:
             counter += 1
-            node = f"@{counter}"
+            node = counter  # named once every label is known
         for child, child_len in children:
             edges.append((node, child, 0.0 if child_len is None else child_len))
         if not groups:
@@ -238,4 +239,9 @@ def parse_newick(text: str) -> WeightedTree:
     if k != len(body):
         raise DataError(f"trailing characters in Newick text: {body[k:]!r}")
     _check_labels(labels, "newick")
-    return WeightedTree(labels=tuple(labels), edges=tuple(edges), root=root)
+    # unnamed nodes are @1, @2, ... in order of their closing, skipping labels
+    taken = set(labels)
+    fresh = (name for name in (f"@{k}" for k in itertools.count(1)) if name not in taken)
+    names = {k: next(fresh) for k in range(1, counter + 1)}
+    edges = [(names.get(u, u), names.get(v, v), w) for u, v, w in edges]
+    return WeightedTree(labels=tuple(labels), edges=tuple(edges), root=names.get(root, root))

@@ -4,6 +4,12 @@ One variable x^(t)_{i,j} in [0,1] per level and unordered pair. Constraints:
 per-level triangle inequalities and monotonicity across consecutive levels.
 The objective charges x on in-edges and (1 - x) on non-edges, weighted per
 level.
+
+`solve_lp` adds the triangle rows lazily. Its first round holds only the
+monotonicity and box rows, each on one pair's variables, so on the dense
+simplex it is one small chain LP per pair; `solve_first_round` solves each
+distinct chain once and places the results side by side, which is the cold
+solve of those rows.
 """
 from __future__ import annotations
 
@@ -16,7 +22,8 @@ import numpy as np
 
 from .core import EdgeSet, HierarchySequence, all_pairs, clique_edges, sym_diff_size
 from .core import _condensed, _pair_ends, _pair_vector
-from .simplex import SimplexStall, SimplexTooLarge, solve_dense
+from .simplex import SimplexResult, SimplexStall, SimplexTooLarge, check_tableau_size
+from .simplex import solve_dense
 
 DEFAULT_FEAS_TOL = 1e-7
 
@@ -242,10 +249,13 @@ def solve_lp(lp: LinearProgram, feas_tol: float = DEFAULT_FEAS_TOL, *,
     starts from the monotonicity rows alone and adds the violated triangle
     rows after each solve until none is left; the final point is still
     checked against every row, so the objective is the optimum of the full
-    LP. HiGHS solves each round's rows afresh. The simplex solves the first
-    round cold and continues each later one from the last round's tableau,
-    given the new rows only. iteration_cap bounds the simplex pivots of each
-    round.
+    LP. HiGHS solves each round's rows afresh. On the simplex the first
+    round, the monotonicity and box rows, is one chain per pair: it solves
+    each distinct cost chain once, cached across LPs, and assembles the cold
+    solve of those rows from them (`solve_first_round`). Each later round
+    continues from the last round's tableau, given the new rows only.
+    iteration_cap bounds the simplex pivots of each round; a first round
+    that needs more stalls at the origin.
 
     The solution's `rounds` is the number of solves, its `rows_used` the
     number of rows in the last one and its `pivots` their pivots summed. A
@@ -267,8 +277,11 @@ def solve_lp(lp: LinearProgram, feas_tol: float = DEFAULT_FEAS_TOL, *,
 
         def solve_rows(active: np.ndarray, new: np.ndarray) -> tuple[np.ndarray, int]:
             nonlocal last
-            last = solve_dense(lp.c, lp.dense_matrix(new), np.zeros(len(new)),
-                               iteration_cap=iteration_cap, start=last)
+            if last is None:
+                last = solve_first_round(lp, iteration_cap)
+            else:
+                last = solve_dense(lp.c, lp.dense_matrix(new), np.zeros(len(new)),
+                                   iteration_cap=iteration_cap, start=last)
             return last.x, last.iterations
     else:
         from scipy.optimize import linprog
@@ -311,6 +324,8 @@ def _solve_lazily(lp: LinearProgram, solve_rows, feas_tol: float
     against all rows has room to spare.
     """
     tri = lp.tri
+    in_active = np.zeros(lp.n_rows, dtype=bool)
+    in_active[len(tri):] = True
     active = new = np.arange(len(tri), lp.n_rows)
     rounds = pivots = 0
     while True:
@@ -319,11 +334,81 @@ def _solve_lazily(lp: LinearProgram, solve_rows, feas_tol: float
         pivots += round_pivots
         xc = np.clip(x, 0.0, 1.0)
         lhs = xc[tri[:, 0]] - xc[tri[:, 1]] - xc[tri[:, 2]]
-        new = np.setdiff1d(np.flatnonzero(lhs > feas_tol / 100), active,
-                           assume_unique=True)
+        new = np.flatnonzero((lhs > feas_tol / 100) & ~in_active[: len(tri)])
         if not len(new):
             return x, rounds, len(active), pivots
-        active = np.union1d(active, new)
+        in_active[new] = True
+        active = np.flatnonzero(in_active)
+
+
+def solve_first_round(lp: LinearProgram, iteration_cap: int | None = None
+                      ) -> SimplexResult:
+    """The cold simplex solve of lp's monotonicity and box rows.
+
+    Those rows split into one chain per pair p: min c_p.x subject to
+    x_{t+1} <= x_t and 0 <= x <= 1 over p's variable at each level t. A
+    pivot of the cold solve reads and changes the entries of one chain
+    only, and its entering and leaving rules pick the same pivot as a solve
+    of that chain alone. So the cold tableau is the chain solves placed side
+    by side: chain row r and column j of pair p are row r P + p and column
+    j P + p of the full solve (P pairs), whose basis, x and pivot count
+    follow. Only the objective's rhs cell, which no pivot reads, is summed
+    in another order: over the pairs here, pivot by pivot there.
+
+    Pairs with equal costs share one chain solve, cached across calls. The
+    pivots are those of the cold solve; if they exceed iteration_cap (by
+    default 10 per row, as in `solve_dense`), the solve stalls at the origin,
+    which meets every row.
+    """
+    n_levels = lp.n_levels
+    n_pairs = lp.n_vars // n_levels
+    m = (2 * n_levels - 1) * n_pairs  # n_levels - 1 monotonicity rows, n_levels box rows
+    ncols = lp.n_vars + m
+    check_tableau_size(m, ncols)
+    if iteration_cap is None:
+        iteration_cap = 10 * m
+
+    chains = lp.c.reshape(n_levels, n_pairs).T
+    order = np.lexsort(chains.T[::-1])
+    ranked = chains[order]
+    first = np.ones(n_pairs, dtype=bool)
+    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    group = np.empty(n_pairs, dtype=np.intp)
+    group[order] = np.cumsum(first) - 1
+    solved = [_solve_chain(cost.tobytes()) for cost in ranked[first]]
+    iterations = int(np.bincount(group) @ [s.iterations for s in solved])
+    if iterations > iteration_cap:
+        raise SimplexStall("iteration cap reached", np.zeros(lp.n_vars), 0.0, 0)
+
+    pair = np.arange(n_pairs)
+    rows = np.arange(2 * n_levels) * n_pairs + pair[:, None]
+    rows[:, -1] = m
+    cols = np.arange(3 * n_levels) * n_pairs + pair[:, None]
+    cols[:, -1] = ncols
+    tableaux = np.stack([s.tableau for s in solved])[group]
+    tableau = np.zeros((m + 1, ncols + 1))
+    tableau[rows[:, :, None], cols[:, None, :]] = tableaux
+    tableau[-1, -1] = tableaux[:, -1, -1].sum()
+    basis = np.empty(m, dtype=np.intp)
+    basis[rows[:, :-1]] = np.stack([s.basis for s in solved])[group] * n_pairs + pair[:, None]
+    x = np.stack([s.x for s in solved])[group].T.ravel()
+    return SimplexResult(x=x, objective=float(lp.c @ x), iterations=iterations,
+                         tableau=tableau, basis=basis)
+
+
+@functools.lru_cache(maxsize=64)
+def _solve_chain(cost: bytes) -> SimplexResult:
+    """Cold solve of one chain, min c.x s.t. x_{t+1} <= x_t, 0 <= x <= 1,
+    for the float64 costs c in `cost`; its arrays are read-only."""
+    c = np.frombuffer(cost)
+    steps = np.arange(len(c) - 1)
+    a = np.zeros((len(steps), len(c)))
+    a[steps, steps + 1] = 1.0
+    a[steps, steps] = -1.0
+    res = solve_dense(c, a, np.zeros(len(steps)))
+    for values in (res.x, res.tableau, res.basis):
+        values.flags.writeable = False
+    return res
 
 
 def _solution(lp: LinearProgram, x: np.ndarray, backend: str, rounds: int = 1,

@@ -4,7 +4,12 @@ A cold solve is a primal simplex. Upper bounds are appended as explicit rows,
 so the origin is always a basic feasible starting point (b >= 0, u >= 0).
 Entering variables follow the most-negative-reduced-cost rule; the leaving
 row is chosen by the lexicographic ratio test, which rules out cycling on the
-heavily degenerate bases these LPs start from.
+heavily degenerate bases these LPs start from. If the rows split into blocks
+on disjoint variables, each pivot reads and changes one block's entries,
+and it is the pivot a solve of that block alone makes next: ties go by
+index, and the blocks' columns keep their order. So the cold solve is the
+block solves side by side, bar the order in which the objective's rhs cell
+sums them; `lp.solve_first_round` builds the first lazy round this way.
 
 A warm solve continues from the optimal tableau of an earlier one and adds
 rows to it. Each new row gets its own slack column and is reduced against the
@@ -50,6 +55,7 @@ import numpy as np
 
 PIVOT_TOL = 1e-9
 LEX_TOL = 1e-12
+MAX_TABLEAU_ENTRIES = 20_000_000
 
 
 class SimplexTooLarge(RuntimeError):
@@ -87,7 +93,7 @@ class SimplexResult:
 
 
 def solve_dense(c, a, b, upper=None, *, iteration_cap: int | None = None,
-                max_tableau_entries: int = 20_000_000,
+                max_tableau_entries: int = MAX_TABLEAU_ENTRIES,
                 start: SimplexResult | None = None) -> SimplexResult:
     """Minimize c.x subject to a x <= b, 0 <= x <= upper (default 1).
 
@@ -122,9 +128,7 @@ def solve_dense(c, a, b, upper=None, *, iteration_cap: int | None = None,
                              f"variables, not {nvars}")
         m = m0 + a.shape[0]
     ncols = nvars + m
-    if (m + 1) * (ncols + 1) > max_tableau_entries:
-        raise SimplexTooLarge(
-            f"tableau of {(m + 1)} x {(ncols + 1)} exceeds the dense budget")
+    check_tableau_size(m, ncols, max_tableau_entries)
     if iteration_cap is None:
         iteration_cap = 10 * m
 
@@ -210,6 +214,15 @@ def solve_dense(c, a, b, upper=None, *, iteration_cap: int | None = None,
     x = _extract(tableau, basis, nvars)
     return SimplexResult(x=x, objective=float(c @ x), iterations=iterations,
                          tableau=tableau, basis=basis)
+
+
+def check_tableau_size(m: int, ncols: int,
+                       max_entries: int = MAX_TABLEAU_ENTRIES) -> None:
+    """Raise SimplexTooLarge if a tableau of m rows and ncols columns, with
+    its objective row and rhs column, exceeds max_entries."""
+    if (m + 1) * (ncols + 1) > max_entries:
+        raise SimplexTooLarge(
+            f"tableau of {(m + 1)} x {(ncols + 1)} exceeds the dense budget")
 
 
 def _append_rows(start: SimplexResult, a: np.ndarray, b: np.ndarray

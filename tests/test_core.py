@@ -164,6 +164,15 @@ class TestUltrametricTree:
                 ("1", "2", "3"),
                 {("1", "2"): 1.0, ("1", "3"): 2.0, ("2", "3"): 3.0})
 
+    @pytest.mark.parametrize("values", [[1.0, math.nan, 2.0], [math.inf] * 3],
+                             ids=["nan", "all-inf"])
+    def test_rejects_non_finite_distances(self, values):
+        labels = ("a", "b", "c")
+        with pytest.raises(ValueError, match="finite"):
+            UltrametricTree.from_distances(labels, values)
+        with pytest.raises(ValueError, match="finite"):
+            UltrametricTree.from_map(labels, dict(zip(all_pairs(labels), values)))
+
     def test_heights_strictly_increase(self, rng):
         labels = tuple(f"s{k}" for k in range(7))
         m = random_ultrametric_map(rng, labels)

@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import pytest
@@ -126,6 +127,30 @@ class TestNewick:
         back = parse_newick(newick_string(t))
         for (i, j), v in t.distance_map().items():
             assert back.distance(i, j) == v
+
+    @pytest.mark.parametrize("text, labels, distances", [
+        ("(@1:1,b:1);", ("@1", "b"), {("@1", "b"): 2.0}),
+        ("((a:1,b:1):1,@1:2);", ("a", "b", "@1"),
+         {("a", "b"): 2.0, ("a", "@1"): 4.0, ("b", "@1"): 4.0}),
+    ])
+    def test_unnamed_nodes_skip_taken_labels(self, tmp_path, capsys, text, labels,
+                                             distances):
+        tree = parse_newick(text)
+        assert tree.labels == labels
+        assert "@1" not in {u for u, _, _ in tree.edges}
+        for (i, j), v in distances.items():
+            assert tree.distance(i, j) == v
+        nwk, src, out = tmp_path / "t.nwk", tmp_path / "t.csv", tmp_path / "e.json"
+        nwk.write_text(text + "\n")
+        write_matrix_csv(DistanceMatrix.from_pairs(labels, distances), src)
+        assert main(["eval", str(nwk), str(src), "--json-out", str(out)]) == 0
+        assert json.loads(out.read_text())["l1_error"] == 0.0
+
+    def test_unnamed_nodes_keep_their_names_without_clashes(self):
+        tree = parse_newick("((a:1,b:1):1,c:2);")
+        assert tree.root == "@2"
+        assert tree.edges == (("@1", "a", 1.0), ("@1", "b", 1.0),
+                              ("@2", "@1", 1.0), ("@2", "c", 2.0))
 
     def test_rejects_unterminated(self):
         with pytest.raises(DataError):

@@ -1,4 +1,5 @@
 import itertools
+import os
 import random
 import subprocess
 import sys
@@ -21,11 +22,19 @@ from treefit.lp import (
     hierarchy_cost,
     integral_solution,
     lp_cost,
+    solve_first_round,
     solve_lp,
 )
 from treefit.oracle import exact_hcc
 import treefit.simplex as simplex_module
-from treefit.simplex import LEX_TOL, PIVOT_TOL, SimplexResult, SimplexStall, solve_dense
+from treefit.simplex import (
+    LEX_TOL,
+    PIVOT_TOL,
+    SimplexResult,
+    SimplexStall,
+    SimplexTooLarge,
+    solve_dense,
+)
 from treefit.ultrametric import hcc_instance_from_distances
 from conftest import feasible_lp_maps, random_matrix, random_partition
 
@@ -153,28 +162,21 @@ class TestSolveLp:
         # them. It continues from the last tableau, so its point may violate
         # the rows it added; it is handed back only if it meets every row of
         # the full LP. A loose feas_tol lets some stalled points pass.
-        iterations = []
-
-        def recording_solve_dense(*args, **kwargs):
-            res = solve_dense(*args, **kwargs)
-            iterations.append(res.iterations)
-            return res
-
-        monkeypatch.setattr(lp_module, "solve_dense", recording_solve_dense)
+        rounds = record_rounds(monkeypatch)
         seen = set()
         for feas_tol in (lp_module.DEFAULT_FEAS_TOL, 0.5):
             for _ in range(20):
                 lp = build_lp(table_instance(rng, rng.randint(5, 8), False))
-                iterations.clear()
+                rounds.clear()
                 solve_lp(lp, feas_tol, backend="simplex")
-                per_round = list(iterations)
+                per_round = [pivots for _, pivots in rounds]
                 for cap in range(per_round[0], max(per_round[1:], default=0)):
-                    iterations.clear()
+                    rounds.clear()
                     with pytest.raises(SolverError) as err:
                         solve_lp(lp, feas_tol, backend="simplex", iteration_cap=cap)
                     stalled_round = next(k for k, p in enumerate(per_round) if p > cap)
                     assert stalled_round >= 1
-                    assert iterations == per_round[:stalled_round]
+                    assert [pivots for _, pivots in rounds] == per_round[:stalled_round]
                     assert err.value.__cause__.iterations == cap
                     stalled = np.clip(err.value.__cause__.x, 0.0, 1.0)
                     point = LpSolution(labels=lp.labels,
@@ -908,6 +910,28 @@ def full_row_objective(lp) -> float:
     return float(res.fun + lp.const)
 
 
+def record_rounds(monkeypatch) -> list[tuple[np.ndarray, int]]:
+    """The rows added and the pivots of each simplex round solved from now
+    on: lp.solve_first_round makes the first round and lp.solve_dense, given
+    a start, each later one (the first round's chain solves get no start)."""
+    rounds = []
+
+    def first_round(lp, iteration_cap=None):
+        res = solve_first_round(lp, iteration_cap)
+        rounds.append((lp.dense_matrix(np.arange(len(lp.tri), lp.n_rows)), res.iterations))
+        return res
+
+    def later_round(c, a, b, **kwargs):
+        res = solve_dense(c, a, b, **kwargs)
+        if kwargs.get("start") is not None:
+            rounds.append((a, res.iterations))
+        return res
+
+    monkeypatch.setattr(lp_module, "solve_first_round", first_round)
+    monkeypatch.setattr(lp_module, "solve_dense", later_round)
+    return rounds
+
+
 def fits_dense_budget(lp) -> bool:
     m = lp.n_rows + lp.n_vars
     return (m + 1) * (lp.n_vars + m + 1) <= DENSE_TABLEAU_BUDGET
@@ -934,15 +958,7 @@ class TestLazyRows:
         # the simplex continues each later round from the last tableau; its
         # optimum is that of HiGHS on every row and of a cold solve on the
         # rows the rounds added
-        added = []
-
-        def recording_solve_dense(c, a, b, **kwargs):
-            if kwargs.get("start") is None:
-                added.clear()
-            added.append(a)
-            return solve_dense(c, a, b, **kwargs)
-
-        monkeypatch.setattr(lp_module, "solve_dense", recording_solve_dense)
+        added = record_rounds(monkeypatch)
         rounds = []
         for _ in range(40):
             n, n_levels = rng.randint(3, 9), rng.randint(1, 4)
@@ -952,10 +968,11 @@ class TestLazyRows:
                                                       for _ in range(n_levels)),
                                    inst.edge_sets)
             lp = build_lp(inst)
+            added.clear()
             sol = solve_lp(lp, backend="simplex")
             assert max(sol.max_violation().values()) <= 1e-7
             assert sol.objective == pytest.approx(full_row_objective(lp), rel=1e-9, abs=1e-12)
-            final = np.vstack(added)
+            final = np.vstack([rows for rows, _ in added])
             assert len(final) == sol.rows_used
             cold = solve_dense(lp.c, final, np.zeros(len(final)))
             assert sol.objective == pytest.approx(cold.objective + lp.const,
@@ -965,12 +982,17 @@ class TestLazyRows:
 
     def test_solve_dense_hook_sees_every_round_and_pivot(self, rng, monkeypatch):
         # the benchmark times and counts the simplex by wrapping
-        # lp.solve_dense: one call per round, whose pivots add up to the solve's
-        calls = []
+        # lp.solve_dense: it sees one call per later round and, with the
+        # chain cache empty, one per distinct cost chain of the first round;
+        # each chain's pivots count once per pair it stands for
+        chains, warm = [], []
 
-        def recording_solve_dense(*args, **kwargs):
-            res = solve_dense(*args, **kwargs)
-            calls.append(res.iterations)
+        def recording_solve_dense(c, a, b, **kwargs):
+            res = solve_dense(c, a, b, **kwargs)
+            if kwargs.get("start") is None:
+                chains.append((np.asarray(c).tobytes(), res.iterations))
+            else:
+                warm.append(res.iterations)
             return res
 
         monkeypatch.setattr(lp_module, "solve_dense", recording_solve_dense)
@@ -979,11 +1001,16 @@ class TestLazyRows:
             lp = build_lp(table_instance(rng, rng.randint(4, 8), rng.random() < 0.3))
             if not fits_dense_budget(lp):
                 continue
-            calls.clear()
+            chains.clear()
+            warm.clear()
+            lp_module._solve_chain.cache_clear()
             sol = solve_lp(lp)
             assert sol.backend == "simplex"
-            assert len(calls) == sol.rounds
-            assert sum(calls) == sol.pivots
+            assert len(warm) == sol.rounds - 1
+            costs = [col.tobytes() for col in lp.c.reshape(lp.n_levels, -1).T]
+            pivots = dict(chains)
+            assert len(pivots) == len(chains) and set(pivots) == set(costs)
+            assert sum(pivots[cost] for cost in costs) + sum(warm) == sol.pivots
             rounds.append(sol.rounds)
         assert max(rounds) >= 2
 
@@ -1049,3 +1076,98 @@ class TestLazyRows:
         proc = subprocess.run([sys.executable, str(script), str(dump)],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stdout
+
+
+def first_round_instance(rng, n, n_levels, integer) -> HccInstance:
+    """A seeded instance of the bound LP's kind (nested threshold edge sets
+    of a random integer table) or the agreement LP's (clique edges of
+    random partitions), with integer or continuous level weights."""
+    labels = tuple(f"s{k}" for k in range(n))
+    if integer:  # tied prefix sums of the chains' costs
+        deltas = [float(rng.randint(1, 3)) for _ in range(n_levels)]
+    else:
+        deltas = [rng.uniform(0.3, 2.5) for _ in range(n_levels)]
+    if rng.random() < 0.5:
+        values = {p: rng.randint(1, n_levels + 1) for p in all_pairs(labels)}
+        sets = tuple(es(labels, [p for p, v in values.items() if v <= t + 1])
+                     for t in range(n_levels))
+        return HccInstance(labels, tuple(deltas), sets)
+    return HccInstance.from_partitions(
+        labels, deltas, [random_partition(rng, labels) for _ in range(n_levels)])
+
+
+class TestFirstRound:
+    def test_matches_cold_solve(self, rng):
+        # the chain solves placed side by side are the cold solve of the
+        # monotonicity and box rows, bit for bit, but for the objective's rhs
+        for k in range(240):
+            lp = build_lp(first_round_instance(rng, rng.randint(2, 9), rng.randint(1, 6),
+                                               k % 2 == 0))
+            mono = np.arange(len(lp.tri), lp.n_rows)
+            want = solve_dense(lp.c, lp.dense_matrix(mono), np.zeros(len(mono)))
+            for got in (solve_first_round(lp), solve_first_round(lp)):  # then cached
+                assert got.tableau.shape == want.tableau.shape
+                same = np.ones(want.tableau.shape, dtype=bool)
+                same[-1, -1] = False
+                assert got.tableau[same].tobytes() == want.tableau[same].tobytes()
+                assert got.tableau[-1, -1] == pytest.approx(want.tableau[-1, -1],
+                                                            rel=1e-12, abs=1e-12)
+                assert np.array_equal(got.basis, want.basis)
+                assert got.x.tobytes() == want.x.tobytes()
+                assert got.iterations == want.iterations
+                assert got.objective == want.objective
+
+    def test_over_the_cap_stalls_at_the_origin(self, rng):
+        # a first round that needs more pivots than the cap stops at the
+        # origin, which meets every row, so solve_lp hands it back as best
+        stalled = 0
+        for _ in range(20):
+            lp = build_lp(table_instance(rng, rng.randint(4, 8), False))
+            need = solve_first_round(lp).iterations
+            assert solve_first_round(lp, need).iterations == need
+            if not need:
+                continue
+            with pytest.raises(SimplexStall) as err:
+                solve_first_round(lp, need - 1)
+            assert err.value.x.tobytes() == np.zeros(lp.n_vars).tobytes()
+            assert (err.value.objective, err.value.iterations) == (0.0, 0)
+            with pytest.raises(SolverError) as err:
+                solve_lp(lp, backend="simplex", iteration_cap=need - 1)
+            assert not err.value.best.x.any()
+            assert err.value.best.objective == lp.const
+            stalled += 1
+        assert stalled >= 15
+
+    def test_too_large_before_any_chain_solve(self, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved a chain of a tableau over the budget")
+
+        monkeypatch.setattr(lp_module, "solve_dense", no_solve)
+        labels = tuple(f"s{k}" for k in range(40))
+        q = Partition.from_parts(labels, [set(labels[:20]), set(labels[20:])])
+        lp = build_lp(HccInstance.from_partitions(labels, (1.0, 2.0, 1.5), [q, q, q]))
+        with pytest.raises(SimplexTooLarge):
+            solve_first_round(lp)
+        with pytest.raises(SolverError, match="dense budget"):
+            solve_lp(lp, backend="simplex")
+
+    def test_desk_fit_imports_neither_scipy_nor_numpy_ma(self):
+        # the simplex path and its lazy-row bookkeeping stay within numpy's core
+        code = (
+            "import random, sys\n"
+            "from treefit import DistanceMatrix, fit_ultrametric\n"
+            "from treefit.core import all_pairs\n"
+            "rng = random.Random(0)\n"
+            "labels = tuple(f's{k}' for k in range(8))\n"
+            "d = DistanceMatrix.from_pairs(labels, {p: float(rng.randint(1, 3))\n"
+            "                                       for p in all_pairs(labels)})\n"
+            "fit = fit_ultrametric(d)\n"
+            "print(fit.details['hcc'].lp_solution.rounds,\n"
+            "      *[m for m in ('scipy', 'numpy.ma') if m in sys.modules])\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": str(src)},
+                              check=True)
+        rounds, *imported = proc.stdout.split()
+        assert int(rounds) >= 2 and imported == []
