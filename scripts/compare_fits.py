@@ -1,0 +1,99 @@
+#!/usr/bin/env python3
+"""Fit a fixed seeded grid of random tables and compare two such runs.
+
+    PYTHONPATH=<checkout>/src python scripts/compare_fits.py > fits.jsonl
+    python scripts/compare_fits.py --diff old.jsonl new.jsonl
+
+The first form fits every table of the grid through the public API and
+writes one JSON line per fit: its id, the `repr` of `l1_error` and of
+`lp_lower_bound`, and the sha256 of the Newick string. The grid holds
+ultrametric fits for n = 3..20 and tree fits for n = 3..12, each with
+integer values 1..4 and with values drawn from 8 random ones in [1, 9]
+(continuous level gaps, few enough levels that n = 20 stays fast), so it
+reaches both LP backends. Run it once against each checkout to compare.
+
+`--diff A B` prints how many fits changed (Newick or error), how many
+errors rose or fell, each changed fit with its old -> new error, and every
+bound that changed. It exits 1 when the two runs do not hold the same fits.
+"""
+import argparse
+import hashlib
+import json
+import random
+import sys
+from itertools import combinations
+
+
+def grid(reps: int, max_n: int):
+    """(id, mode, labels, values) of each fit, in a fixed order."""
+    for mode, top in (("ultrametric", 20), ("tree", 12)):
+        for n in range(3, min(top, max_n) + 1):
+            for kind in ("int", "cont"):
+                for rep in range(reps):
+                    fit_id = f"{mode}-n{n}-{kind}-{rep}"
+                    rng = random.Random(fit_id)
+                    labels = [f"s{k}" for k in range(n)]
+                    pool = ([1.0, 2.0, 3.0, 4.0] if kind == "int" else
+                            [round(rng.uniform(1.0, 9.0), 3) for _ in range(8)])
+                    values = {p: rng.choice(pool) for p in combinations(labels, 2)}
+                    yield fit_id, mode, labels, values
+
+
+def run(reps: int, max_n: int, out) -> None:
+    from treefit import DistanceMatrix, fit_tree_metric, fit_ultrametric
+    from treefit.io import newick_string
+
+    fits = {"ultrametric": fit_ultrametric, "tree": fit_tree_metric}
+    for fit_id, mode, labels, values in grid(reps, max_n):
+        fitted = fits[mode](DistanceMatrix.from_pairs(labels, values))
+        newick = newick_string(fitted).encode()
+        out.write(json.dumps({"id": fit_id, "l1_error": repr(fitted.l1_error),
+                              "lp_lower_bound": repr(fitted.lp_lower_bound),
+                              "newick_sha256": hashlib.sha256(newick).hexdigest()}) + "\n")
+
+
+def load(path: str) -> dict:
+    with open(path) as fh:
+        records = [json.loads(line) for line in fh if line.strip()]
+    return {r["id"]: r for r in records}
+
+
+def diff(path_a: str, path_b: str, out) -> int:
+    a, b = load(path_a), load(path_b)
+    if a.keys() != b.keys():
+        out.write(f"different fits: {len(a.keys() - b.keys())} only in {path_a}, "
+                  f"{len(b.keys() - a.keys())} only in {path_b}\n")
+        return 1
+    changed = [k for k in a if (a[k]["l1_error"], a[k]["newick_sha256"])
+               != (b[k]["l1_error"], b[k]["newick_sha256"])]
+    rose = [k for k in changed if float(b[k]["l1_error"]) > float(a[k]["l1_error"])]
+    fell = [k for k in changed if float(b[k]["l1_error"]) < float(a[k]["l1_error"])]
+    bounds = [k for k in a if a[k]["lp_lower_bound"] != b[k]["lp_lower_bound"]]
+    out.write(f"{len(a)} fits, {len(changed)} changed: "
+              f"{len(rose)} errors rose, {len(fell)} fell\n")
+    for k in changed:
+        out.write(f"  {k}: l1_error {a[k]['l1_error']} -> {b[k]['l1_error']}\n")
+    out.write(f"{len(bounds)} bounds changed\n")
+    for k in bounds:
+        out.write(f"  {k}: lp_lower_bound {a[k]['lp_lower_bound']} -> "
+                  f"{b[k]['lp_lower_bound']}\n")
+    return 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--diff", nargs=2, metavar=("A", "B"),
+                        help="compare two runs instead of fitting")
+    parser.add_argument("--reps", type=int, default=10,
+                        help="tables per mode, size and value kind (default 10)")
+    parser.add_argument("--max-n", type=int, default=20,
+                        help="largest table size fitted (default 20)")
+    args = parser.parse_args(argv)
+    if args.diff:
+        return diff(*args.diff, sys.stdout)
+    run(args.reps, args.max_n, sys.stdout)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -6,10 +6,11 @@ The objective charges x on in-edges and (1 - x) on non-edges, weighted per
 level.
 
 `solve_lp` adds the triangle rows lazily. Its first round holds only the
-monotonicity and box rows, each on one pair's variables, so on the dense
-simplex it is one small chain LP per pair; `solve_first_round` solves each
-distinct chain once and places the results side by side, which is the cold
-solve of those rows.
+monotonicity and box rows, each on one pair's variables, so it is one small
+chain LP per pair. Both backends solve each distinct chain once, with the
+dense simplex, and take the round's point from those solves; for the
+simplex, `solve_first_round` also places the chain tableaux side by side,
+which is the cold solve of those rows.
 """
 from __future__ import annotations
 
@@ -249,18 +250,21 @@ def solve_lp(lp: LinearProgram, feas_tol: float = DEFAULT_FEAS_TOL, *,
     starts from the monotonicity rows alone and adds the violated triangle
     rows after each solve until none is left; the final point is still
     checked against every row, so the objective is the optimum of the full
-    LP. HiGHS solves each round's rows afresh. On the simplex the first
-    round, the monotonicity and box rows, is one chain per pair: it solves
-    each distinct cost chain once, cached across LPs, and assembles the cold
-    solve of those rows from them (`solve_first_round`). Each later round
-    continues from the last round's tableau, given the new rows only.
-    iteration_cap bounds the simplex pivots of each round; a first round
-    that needs more stalls at the origin.
+    LP. The first round, the monotonicity and box rows, is one chain per
+    pair: each distinct cost chain is solved once with the dense simplex,
+    cached across LPs. The simplex assembles the cold solve's tableau from
+    them (`solve_first_round`) and continues each later round from the last
+    round's tableau, given the new rows only. HiGHS takes the same first
+    point from the chain solves and solves each later round's rows afresh,
+    so an LP whose chain point meets every triangle row makes no HiGHS call.
+    iteration_cap bounds the simplex pivots of each round on the simplex
+    backend only; a first round that needs more stalls at the origin. An LP
+    without pairs (0 or 1 labels) has the empty point.
 
-    The solution's `rounds` is the number of solves, its `rows_used` the
-    number of rows in the last one and its `pivots` their pivots summed. A
-    SolverError carries a `best` point only if that point satisfies every row
-    of the full LP.
+    The solution's `rounds` is the number of solves, the chain round
+    counting as one, its `rows_used` the number of rows in the last one and
+    its `pivots` their pivots summed. A SolverError carries a `best` point
+    only if that point satisfies every row of the full LP.
     """
     if backend not in ("auto", "simplex", "highs"):
         raise ValueError(f"unknown backend {backend!r}")
@@ -271,6 +275,8 @@ def solve_lp(lp: LinearProgram, feas_tol: float = DEFAULT_FEAS_TOL, *,
         m = lp.n_rows + lp.n_vars
         entries = (m + 1) * (lp.n_vars + m + 1)
         chosen = "simplex" if entries <= DENSE_TABLEAU_BUDGET else "highs"
+    if not lp.n_vars:
+        return _solution(lp, lp.c, chosen)
 
     if chosen == "simplex":
         last = None
@@ -285,8 +291,14 @@ def solve_lp(lp: LinearProgram, feas_tol: float = DEFAULT_FEAS_TOL, *,
             return last.x, last.iterations
     else:
         from scipy.optimize import linprog
+        chained = False
 
         def solve_rows(active: np.ndarray, new: np.ndarray) -> tuple[np.ndarray, int]:
+            nonlocal chained
+            if not chained:
+                chained = True
+                _, x, pivots = _solve_chains(*_chain_groups(lp))
+                return x, pivots
             res = linprog(lp.c, A_ub=lp.sparse_matrix(active),
                           b_ub=np.zeros(len(active)), bounds=(0.0, 1.0),
                           method="highs")
@@ -368,15 +380,8 @@ def solve_first_round(lp: LinearProgram, iteration_cap: int | None = None
     if iteration_cap is None:
         iteration_cap = 10 * m
 
-    chains = lp.c.reshape(n_levels, n_pairs).T
-    order = np.lexsort(chains.T[::-1])
-    ranked = chains[order]
-    first = np.ones(n_pairs, dtype=bool)
-    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    group = np.empty(n_pairs, dtype=np.intp)
-    group[order] = np.cumsum(first) - 1
-    solved = [_solve_chain(cost.tobytes()) for cost in ranked[first]]
-    iterations = int(np.bincount(group) @ [s.iterations for s in solved])
+    chains, group = _chain_groups(lp)
+    solved, x, iterations = _solve_chains(chains, group)
     if iterations > iteration_cap:
         raise SimplexStall("iteration cap reached", np.zeros(lp.n_vars), 0.0, 0)
 
@@ -391,9 +396,34 @@ def solve_first_round(lp: LinearProgram, iteration_cap: int | None = None
     tableau[-1, -1] = tableaux[:, -1, -1].sum()
     basis = np.empty(m, dtype=np.intp)
     basis[rows[:, :-1]] = np.stack([s.basis for s in solved])[group] * n_pairs + pair[:, None]
-    x = np.stack([s.x for s in solved])[group].T.ravel()
     return SimplexResult(x=x, objective=float(lp.c @ x), iterations=iterations,
                          tableau=tableau, basis=basis)
+
+
+def _chain_groups(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray]:
+    """lp's distinct cost chains, one row of levels each, and the index of
+    each pair's chain among them."""
+    n_levels = lp.n_levels
+    n_pairs = lp.n_vars // n_levels
+    chains = lp.c.reshape(n_levels, n_pairs).T
+    order = np.lexsort(chains.T[::-1])
+    ranked = chains[order]
+    first = np.ones(n_pairs, dtype=bool)
+    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    group = np.empty(n_pairs, dtype=np.intp)
+    group[order] = np.cumsum(first) - 1
+    return ranked[first], group
+
+
+def _solve_chains(chains: np.ndarray, group: np.ndarray
+                  ) -> tuple[list[SimplexResult], np.ndarray, int]:
+    """The first lazy round from its chain solves, on either backend: the
+    solves of the distinct `chains`, the round's point in lp's variable
+    order and its pivots, each chain's once per pair that shares it."""
+    solved = [_solve_chain(cost.tobytes()) for cost in chains]
+    iterations = int(np.bincount(group) @ [s.iterations for s in solved])
+    x = np.stack([s.x for s in solved])[group].T.ravel()
+    return solved, x, iterations
 
 
 @functools.lru_cache(maxsize=64)

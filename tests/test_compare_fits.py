@@ -1,0 +1,47 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPT = ROOT / "scripts" / "compare_fits.py"
+
+
+def run_script(*args):
+    return subprocess.run([sys.executable, str(SCRIPT), *args], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+
+
+def test_tiny_grid_and_diff(tmp_path):
+    proc = run_script("--reps", "1", "--max-n", "4")
+    assert proc.returncode == 0, proc.stderr
+    records = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [r["id"] for r in records] == [
+        f"{mode}-n{n}-{kind}-0" for mode in ("ultrametric", "tree")
+        for n in (3, 4) for kind in ("int", "cont")]
+    for r in records:
+        assert float(r["lp_lower_bound"]) <= float(r["l1_error"])
+        assert len(r["newick_sha256"]) == 64
+    old, new = tmp_path / "old.jsonl", tmp_path / "new.jsonl"
+    old.write_text(proc.stdout)
+    assert run_script("--reps", "1", "--max-n", "4").stdout == proc.stdout  # seeded
+
+    new.write_text(proc.stdout)
+    same = run_script("--diff", str(old), str(new))
+    assert same.returncode == 0
+    assert same.stdout == "8 fits, 0 changed: 0 errors rose, 0 fell\n0 bounds changed\n"
+
+    records[1] |= {"l1_error": repr(float(records[1]["l1_error"]) + 1.0),
+                   "lp_lower_bound": "0.5"}
+    records[5]["newick_sha256"] = "0" * 64
+    new.write_text("".join(json.dumps(r) + "\n" for r in records))
+    lines = run_script("--diff", str(old), str(new)).stdout.splitlines()
+    assert lines[0] == "8 fits, 2 changed: 1 errors rose, 0 fell"
+    assert lines[1].startswith("  ultrametric-n3-cont-0: l1_error ")
+    assert lines[2].startswith("  tree-n3-cont-0: l1_error ")
+    assert lines[3:] == ["1 bounds changed", "  ultrametric-n3-cont-0: lp_lower_bound "
+                         f"{json.loads(proc.stdout.splitlines()[1])['lp_lower_bound']} -> 0.5"]
+
+    new.write_text("".join(json.dumps(r) + "\n" for r in records[:-1]))
+    assert run_script("--diff", str(old), str(new)).returncode == 1

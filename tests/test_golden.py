@@ -126,7 +126,7 @@ DUMP_GOLDEN = {
     "int6-tree": "43acbe875e169abcbb388f6a497892c203200066e77c0c03028ba904e3d0b8a5",
     "int9-tree": "b8c7a675c8a089d07e80077f160d767cfe843a322b1344147329a68ca1bb5624",
     "one-tree": "b983d5f0e9be76f774244a2e16a8c215d0f231560e3b38dcbd83aceefd151dad",
-    "planted12-tree": "3c914e978466f5fa2ce157b8d673a96c114e0fd8eb508928a0becf570a077b47",
+    "planted12-tree": "7c6d97f2b8e1f13ec34661a48905d472cc1ce6d211c57a6c2afa2833acfb1fba",
     "two-tree": "d9ff9420212bca351a7cc7d7120ef50482e28d4aa6c428cea36c3b3c218d2168",
     "two8-tree": "ff35d1b002266bc15eb92bfa8049b7094177795d2fb6b087f6f7c13ecc4e5341",
     "cont8-corrclust": "4117b623085a2fef4f863f60dd3d6bf7ae7e0a5bf7e6d14f19fa655ffc2c5b75",

@@ -29,6 +29,7 @@ from treefit.oracle import exact_hcc
 import treefit.simplex as simplex_module
 from treefit.simplex import (
     LEX_TOL,
+    MAX_TABLEAU_ENTRIES,
     PIVOT_TOL,
     SimplexResult,
     SimplexStall,
@@ -1028,7 +1029,9 @@ class TestLazyRows:
         monkeypatch.setattr(scipy.optimize, "linprog", recording_linprog)
         lp = build_lp(table_instance(rng, 8, False))
         sol = solve_lp(lp, backend="highs")
-        assert len(nits) == sol.rounds and sol.pivots == sum(nits) > 0
+        # the chain round makes no HiGHS call and counts the chain pivots
+        assert len(nits) == sol.rounds - 1 and sum(nits) > 0
+        assert sol.pivots == solve_first_round(lp).iterations + sum(nits)
         assert solve_lp(lp, backend="simplex").pivots > 0
         q = Partition.from_parts("abcd", [{"a", "b"}, {"c", "d"}])
         inst = HccInstance.from_partitions("abcd", (3.0, 1.0), [q, q])
@@ -1050,6 +1053,15 @@ class TestLazyRows:
                 rounds[backend].append(sol.rounds)
         assert max(rounds["highs"]) >= 2
         assert max(rounds["simplex"]) >= 2
+
+    @pytest.mark.parametrize("backend", ["simplex", "highs"])
+    @pytest.mark.parametrize("labels", [(), ("a",)])
+    def test_lp_without_pairs_has_the_empty_point(self, backend, labels):
+        inst = HccInstance(labels, (1.0, 2.0), (es(labels, []), es(labels, [])))
+        lp = build_lp(inst)
+        sol = solve_lp(lp, backend=backend)
+        assert sol.x.shape == (2, 0) and sol.objective == lp.const
+        assert (sol.rounds, sol.pivots, sol.rows_used, sol.backend) == (1, 0, 0, backend)
 
     def test_no_rows_needed_for_one_clique_level(self):
         q = Partition.from_parts("abcdef", [{"a", "b", "c"}, {"d", "e"}, {"f"}])
@@ -1171,3 +1183,54 @@ class TestFirstRound:
                               check=True)
         rounds, *imported = proc.stdout.split()
         assert int(rounds) >= 2 and imported == []
+
+
+class TestHighsRounds:
+    def test_starts_from_the_chain_point(self, rng, monkeypatch):
+        # HiGHS takes round 1 from the chain solves: that round makes no
+        # linprog call and its point is the simplex's first-round point bit
+        # for bit, and the lazy objective is that of one linprog on every row
+        import scipy.optimize
+
+        calls, points = [], []
+        real_linprog = scipy.optimize.linprog
+        real_solve_chains = lp_module._solve_chains
+
+        def recording_linprog(*args, **kwargs):
+            calls.append(1)
+            return real_linprog(*args, **kwargs)
+
+        def recording_solve_chains(chains, group):
+            got = real_solve_chains(chains, group)
+            points.append(got[1])
+            return got
+
+        monkeypatch.setattr(scipy.optimize, "linprog", recording_linprog)
+        monkeypatch.setattr(lp_module, "_solve_chains", recording_solve_chains)
+        rounds = []
+        for k in range(140):
+            n_levels = rng.randint(1, 5) if k < 100 else rng.randint(8, 14)
+            lp = build_lp(first_round_instance(rng, rng.randint(3, 16), n_levels, k % 2 == 0))
+            calls.clear()
+            points.clear()
+            sol = solve_lp(lp, backend="highs")
+            assert len(points) == 1 and len(calls) == sol.rounds - 1
+            assert points[0].tobytes() == solve_first_round(lp).x.tobytes()
+            assert sol.objective == pytest.approx(full_row_objective(lp), rel=1e-9, abs=1e-12)
+            rounds.append(sol.rounds)
+        assert rounds.count(1) >= 10 and sum(r >= 2 for r in rounds) >= 50
+
+    def test_solves_an_lp_over_the_dense_budget(self, rng, monkeypatch):
+        # the HiGHS path never sizes or builds the first-round tableau
+        def no_tableau(*args, **kwargs):
+            raise AssertionError("sized the first-round tableau on the HiGHS path")
+
+        monkeypatch.setattr(lp_module, "check_tableau_size", no_tableau)
+        labels = tuple(f"s{k}" for k in range(48))
+        lp = build_lp(HccInstance.from_partitions(
+            labels, (1.0, 2.0, 1.5, 1.0), [random_partition(rng, labels) for _ in range(4)]))
+        m = (2 * lp.n_levels - 1) * (lp.n_vars // lp.n_levels)
+        assert (m + 1) * (lp.n_vars + m + 1) > MAX_TABLEAU_ENTRIES
+        sol = solve_lp(lp, backend="highs")
+        assert sol.backend == "highs" and sol.rounds >= 2
+        assert max(sol.max_violation().values()) <= 1e-7
