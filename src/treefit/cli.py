@@ -46,6 +46,13 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _threshold(text: str) -> float:
+    value = float(text)
+    if math.isnan(value):  # `d <= nan` would make every label a singleton
+        raise argparse.ArgumentTypeError(f"must be a number, got {text!r}")
+    return value
+
+
 def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
@@ -75,7 +82,7 @@ def _build_parser() -> _Parser:
                         help="cluster one thresholded level")
     cc.add_argument("matrix", type=Path)
     cc.add_argument("--format", choices=["auto", "csv", "phylip"], default="auto")
-    cc.add_argument("--threshold", type=float, default=None,
+    cc.add_argument("--threshold", type=_threshold, default=None,
                     help="edges are pairs at distance <= threshold (default: min)")
     cc.add_argument("--exact", action="store_true", help="exact enumeration")
 
@@ -85,7 +92,7 @@ def _build_parser() -> _Parser:
     orc.add_argument("path", type=Path,
                      help="distance matrix, or a JSON instance for hca")
     orc.add_argument("--format", choices=["auto", "csv", "phylip"], default="auto")
-    orc.add_argument("--threshold", type=float, default=None)
+    orc.add_argument("--threshold", type=_threshold, default=None)
 
     ev = sub.add_parser("eval", parents=[common],
                         help="L1 error of a Newick tree against a matrix")

@@ -10,7 +10,9 @@ monotonicity and box rows, each on one pair's variables, so it is one small
 chain LP per pair. Both backends solve each distinct chain once, with the
 dense simplex, and take the round's point from those solves; for the
 simplex, `solve_first_round` also places the chain tableaux side by side,
-which is the cold solve of those rows.
+which is the cold solve of those rows. Later HiGHS rounds go through scipy's
+bundled binding with `linprog`'s options (`_solve_highs`), which gives the
+same points and iteration counts as `linprog` without its input handling.
 """
 from __future__ import annotations
 
@@ -245,12 +247,13 @@ def solve_lp(lp: LinearProgram, feas_tol: float = DEFAULT_FEAS_TOL, *,
     """Solve to optimality; the result is clamped into [0,1] and re-checked.
 
     backend "auto" uses the built-in dense simplex while the tableau of the
-    full LP fits the memory budget and scipy's HiGHS beyond that; both are
-    deterministic, and the simplex path never imports scipy. Either backend
-    starts from the monotonicity rows alone and adds the violated triangle
-    rows after each solve until none is left; the final point is still
-    checked against every row, so the objective is the optimum of the full
-    LP. The first round, the monotonicity and box rows, is one chain per
+    full LP fits the memory budget and HiGHS beyond that, through scipy's
+    bundled binding with `linprog`'s options, so with the same points and
+    iteration counts as `linprog`; both are deterministic, and the simplex
+    path never imports scipy. Either backend starts from the monotonicity
+    rows alone and adds the violated triangle rows after each solve until
+    none is left; the final point is still checked against every row, so
+    the objective is the optimum of the full LP. The first round, the monotonicity and box rows, is one chain per
     pair: each distinct cost chain is solved once with the dense simplex,
     cached across LPs. The simplex assembles the cold solve's tableau from
     them (`solve_first_round`) and continues each later round from the last
@@ -290,7 +293,6 @@ def solve_lp(lp: LinearProgram, feas_tol: float = DEFAULT_FEAS_TOL, *,
                                    iteration_cap=iteration_cap, start=last)
             return last.x, last.iterations
     else:
-        from scipy.optimize import linprog
         chained = False
 
         def solve_rows(active: np.ndarray, new: np.ndarray) -> tuple[np.ndarray, int]:
@@ -299,12 +301,7 @@ def solve_lp(lp: LinearProgram, feas_tol: float = DEFAULT_FEAS_TOL, *,
                 chained = True
                 _, x, pivots = _solve_chains(*_chain_groups(lp))
                 return x, pivots
-            res = linprog(lp.c, A_ub=lp.sparse_matrix(active),
-                          b_ub=np.zeros(len(active)), bounds=(0.0, 1.0),
-                          method="highs")
-            if not res.success:
-                raise SolverError(f"highs failed: {res.message}")
-            return np.asarray(res.x), int(res.nit)
+            return _solve_highs(lp, active)
 
     try:
         x, rounds, rows_used, pivots = _solve_lazily(lp, solve_rows, feas_tol)
@@ -439,6 +436,46 @@ def _solve_chain(cost: bytes) -> SimplexResult:
     for values in (res.x, res.tableau, res.basis):
         values.flags.writeable = False
     return res
+
+
+def _solve_highs(lp: LinearProgram, rows: np.ndarray) -> tuple[np.ndarray, int]:
+    """HiGHS's point and simplex iterations for lp restricted to the sorted
+    row indices `rows`.
+
+    It drives the binding that `scipy.optimize.linprog(method="highs")`
+    calls, with the options linprog sets, so the point and the iteration
+    count are linprog's; the rows go in row-wise, straight from `_coo`.
+    """
+    from scipy.optimize._highspy import _core as highspy
+
+    r, cols, data = lp._coo(rows)
+    model = highspy.HighsLp()
+    model.num_col_ = model.a_matrix_.num_col_ = lp.n_vars
+    model.num_row_ = model.a_matrix_.num_row_ = len(rows)
+    model.col_cost_ = lp.c
+    model.col_lower_ = np.zeros(lp.n_vars)
+    model.col_upper_ = np.ones(lp.n_vars)
+    model.row_lower_ = np.full(len(rows), -np.inf)
+    model.row_upper_ = np.zeros(len(rows))
+    model.a_matrix_.format_ = highspy.MatrixFormat.kRowwise
+    model.a_matrix_.start_ = np.searchsorted(r, np.arange(len(rows) + 1))
+    model.a_matrix_.index_ = cols
+    model.a_matrix_.value_ = data
+
+    options = highspy.HighsOptions()
+    options.presolve = "on"
+    options.output_flag = False
+    options.log_to_console = False
+    options.highs_debug_level = highspy.kHighsDebugLevelNone
+    options.simplex_strategy = highspy.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    highs = highspy._Highs()
+    highs.passOptions(options)
+    highs.passModel(model)
+    highs.run()
+    status = highs.getModelStatus()
+    if status != highspy.HighsModelStatus.kOptimal:
+        raise SolverError(f"highs failed: {highs.modelStatusToString(status)}")
+    return np.array(highs.getSolution().col_value), highs.getInfo().simplex_iteration_count
 
 
 def _solution(lp: LinearProgram, x: np.ndarray, backend: str, rounds: int = 1,

@@ -152,6 +152,13 @@ class TestExitCodes:
         assert run_cli("fit", "ultrametric", fix123, f"--lp-tol={tol}") == 1
         assert "--lp-tol" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["corrclust"], ["oracle", "corrclust"]])
+    @pytest.mark.parametrize("threshold", ["nan", "NaN", "-nan"])
+    def test_nan_threshold_is_a_usage_error(self, command, threshold, fix123, capsys):
+        # `d <= nan` is False everywhere, so every label came out a singleton
+        assert run_cli(*command, fix123, f"--threshold={threshold}") == 1
+        assert "--threshold" in capsys.readouterr().err
+
     def test_zero_lp_tol_accepted(self, fix123, tmp_path, capsys):
         out = tmp_path / "r.json"
         assert run_cli("fit", "ultrametric", fix123, "--lp-tol", "0",

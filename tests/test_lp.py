@@ -1016,17 +1016,15 @@ class TestLazyRows:
         assert max(rounds) >= 2
 
     def test_pivots_per_backend(self, rng, monkeypatch):
-        import scipy.optimize
-
         nits = []
-        real_linprog = scipy.optimize.linprog
+        real_solve_highs = lp_module._solve_highs
 
-        def recording_linprog(*args, **kwargs):
-            res = real_linprog(*args, **kwargs)
-            nits.append(res.nit)
-            return res
+        def recording_solve_highs(lp, rows):
+            x, nit = real_solve_highs(lp, rows)
+            nits.append(nit)
+            return x, nit
 
-        monkeypatch.setattr(scipy.optimize, "linprog", recording_linprog)
+        monkeypatch.setattr(lp_module, "_solve_highs", recording_solve_highs)
         lp = build_lp(table_instance(rng, 8, False))
         sol = solve_lp(lp, backend="highs")
         # the chain round makes no HiGHS call and counts the chain pivots
@@ -1188,24 +1186,22 @@ class TestFirstRound:
 class TestHighsRounds:
     def test_starts_from_the_chain_point(self, rng, monkeypatch):
         # HiGHS takes round 1 from the chain solves: that round makes no
-        # linprog call and its point is the simplex's first-round point bit
+        # HiGHS call and its point is the simplex's first-round point bit
         # for bit, and the lazy objective is that of one linprog on every row
-        import scipy.optimize
-
         calls, points = [], []
-        real_linprog = scipy.optimize.linprog
+        real_solve_highs = lp_module._solve_highs
         real_solve_chains = lp_module._solve_chains
 
-        def recording_linprog(*args, **kwargs):
+        def recording_solve_highs(lp, rows):
             calls.append(1)
-            return real_linprog(*args, **kwargs)
+            return real_solve_highs(lp, rows)
 
         def recording_solve_chains(chains, group):
             got = real_solve_chains(chains, group)
             points.append(got[1])
             return got
 
-        monkeypatch.setattr(scipy.optimize, "linprog", recording_linprog)
+        monkeypatch.setattr(lp_module, "_solve_highs", recording_solve_highs)
         monkeypatch.setattr(lp_module, "_solve_chains", recording_solve_chains)
         rounds = []
         for k in range(140):
@@ -1234,3 +1230,51 @@ class TestHighsRounds:
         sol = solve_lp(lp, backend="highs")
         assert sol.backend == "highs" and sol.rounds >= 2
         assert max(sol.max_violation().values()) <= 1e-7
+
+
+class TestHighsBinding:
+    def test_matches_linprog(self, rng, monkeypatch):
+        # _solve_highs drives scipy's private HiGHS binding with linprog's
+        # options: on every call of a lazy HiGHS solve, and on all rows of
+        # the smaller LPs, its point and iteration count are linprog's, so a
+        # scipy release that changes the binding fails here
+        real_solve_highs = lp_module._solve_highs
+        budgets = []
+
+        def linprog_outcome(lp, rows):
+            res = linprog(lp.c, A_ub=lp.sparse_matrix(rows), b_ub=np.zeros(len(rows)),
+                          bounds=(0.0, 1.0), method="highs")
+            return res.x.tobytes(), res.nit
+
+        def compared_solve_highs(lp, rows):
+            x, nit = real_solve_highs(lp, rows)
+            assert (x.tobytes(), nit) == linprog_outcome(lp, rows)
+            budgets.append(fits_dense_budget(lp))
+            return x, nit
+
+        monkeypatch.setattr(lp_module, "_solve_highs", compared_solve_highs)
+        for k in range(60):
+            n_levels = rng.randint(1, 5) if k < 40 else rng.randint(8, 14)
+            lp = build_lp(first_round_instance(rng, rng.randint(3, 16), n_levels, k % 2 == 0))
+            solve_lp(lp, backend="highs")
+            if lp.n_rows <= 2000:
+                rows = np.arange(lp.n_rows)
+                x, nit = real_solve_highs(lp, rows)
+                assert (x.tobytes(), nit) == linprog_outcome(lp, rows)
+        # calls on LPs the auto backend gives the simplex and on LPs over
+        # its budget, which it gives HiGHS
+        assert len(budgets) >= 40 and any(budgets) and not all(budgets)
+
+    def test_a_status_other_than_optimal_raises(self, rng, monkeypatch):
+        from scipy.optimize._highspy import _core as highspy
+
+        class Infeasible(highspy._Highs):
+            def getModelStatus(self):
+                return highspy.HighsModelStatus.kInfeasible
+
+        monkeypatch.setattr(highspy, "_Highs", Infeasible)
+        lp = build_lp(table_instance(rng, 8, False))
+        with pytest.raises(SolverError, match="^highs failed: Infeasible$"):
+            lp_module._solve_highs(lp, np.arange(lp.n_rows))
+        with pytest.raises(SolverError, match="^highs failed: Infeasible$"):
+            solve_lp(lp, backend="highs")
