@@ -7,10 +7,13 @@
 The first form fits every table of the grid through the public API and
 writes one JSON line per fit: its id, the `repr` of `l1_error` and of
 `lp_lower_bound`, and the sha256 of the Newick string. The grid holds
-ultrametric fits for n = 3..20 and tree fits for n = 3..12, each with
-integer values 1..4 and with values drawn from 8 random ones in [1, 9]
-(continuous level gaps, few enough levels that n = 20 stays fast), so it
-reaches both LP backends. Run it once against each checkout to compare.
+ultrametric fits for n = 3..20 and tree fits for n = 3..12, each with three
+kinds of values: `int`, integers 1..4; `cont`, drawn from 8 random ones in
+[1, 9] (continuous level gaps, few enough levels that n = 20 stays fast), so
+the grid reaches both LP backends; and `exact`, a table the mode fits with
+no error (a planted ultrametric, or the path metric of a random tree with
+integer edge weights 1..3), so clustering levels with no disagreements are
+reached too. Run it once against each checkout to compare.
 
 `--diff A B` prints how many fits changed (Newick or error), how many
 errors rose or fell, each changed fit with its old -> new error, and every
@@ -24,15 +27,54 @@ import sys
 from itertools import combinations
 
 
+def planted_ultrametric(rng: random.Random, labels: list[str]) -> dict:
+    """Random merges, each one to three units above its higher part."""
+    parts = [([lab], 0) for lab in labels]
+    values = {}
+    while len(parts) > 1:
+        (a, ha), (b, hb) = (parts.pop(rng.randrange(len(parts))) for _ in range(2))
+        height = max(ha, hb) + rng.randint(1, 3)
+        values.update(((x, y), float(height)) for x in a for y in b)
+        parts.append((a + b, height))
+    return values
+
+
+def tree_path_metric(rng: random.Random, labels: list[str]) -> dict:
+    """Path lengths between the labelled nodes of a random tree: each node
+    hangs from an earlier one by an edge of weight 1..3, and the labels sit
+    on a random n of the nodes, up to half as many again."""
+    n_nodes = len(labels) + rng.randrange(len(labels) // 2 + 1)
+    depth, paths = [0], [[]]  # the edges from the root to each node
+    for node in range(1, n_nodes):
+        up = rng.randrange(node)
+        depth.append(depth[up] + rng.randint(1, 3))
+        paths.append(paths[up] + [node])
+    at = dict(zip(labels, rng.sample(range(n_nodes), len(labels))))
+
+    def distance(u: int, v: int) -> float:
+        common = 0
+        for a, b in zip(paths[u], paths[v]):
+            if a != b:
+                break
+            common = a
+        return float(depth[u] + depth[v] - 2 * depth[common])
+
+    return {(x, y): distance(at[x], at[y]) for x, y in combinations(labels, 2)}
+
+
 def grid(reps: int, max_n: int):
     """(id, mode, labels, values) of each fit, in a fixed order."""
+    exact = {"ultrametric": planted_ultrametric, "tree": tree_path_metric}
     for mode, top in (("ultrametric", 20), ("tree", 12)):
         for n in range(3, min(top, max_n) + 1):
-            for kind in ("int", "cont"):
+            for kind in ("int", "cont", "exact"):
                 for rep in range(reps):
                     fit_id = f"{mode}-n{n}-{kind}-{rep}"
                     rng = random.Random(fit_id)
                     labels = [f"s{k}" for k in range(n)]
+                    if kind == "exact":
+                        yield fit_id, mode, labels, exact[mode](rng, labels)
+                        continue
                     pool = ([1.0, 2.0, 3.0, 4.0] if kind == "int" else
                             [round(rng.uniform(1.0, 9.0), 3) for _ in range(8)])
                     values = {p: rng.choice(pool) for p in combinations(labels, 2)}

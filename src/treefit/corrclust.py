@@ -16,7 +16,9 @@ The sweep does not repeat work. After its first cluster nb[first] | bit(first)
 a run takes pivots in label order, so first pivots with the same first
 cluster give the same run: it is made once, from the earliest such pivot, and
 the others are skipped. A cluster's cost does not depend on the run that
-emits it, so each distinct cluster is scored once per call.
+emits it, so each distinct cluster is scored once per call. The sweep stops at
+the first run with no disagreements: no run costs less and every earlier run
+cost more, so that run is the first cheapest one.
 """
 from __future__ import annotations
 
@@ -112,7 +114,8 @@ def corr_cluster(universe: Sequence[str], edges: EdgeSet, *,
     """Cluster the universe against the edge set.
 
     strategy:
-      pivot-sweep  deterministic; best of the runs from each first pivot
+      pivot-sweep  deterministic; first cheapest of the runs from each first
+                   pivot, stopping at a run with no disagreements
       kwik         randomized pivots drawn from the given seed
       exact        exact_corr_cluster, n <= EXACT_CAP
     """
@@ -131,15 +134,20 @@ def corr_cluster(universe: Sequence[str], edges: EdgeSet, *,
         random.Random(seed).shuffle(order)
         best = _pivot_rounds(nb, order)
     elif strategy == "pivot-sweep":
-        # the earliest first pivot of each distinct first cluster; min keeps
-        # the first of the cheapest runs
+        # the earliest first pivot of each distinct first cluster; keep the
+        # first of the cheapest runs, and stop at a run with no disagreements
         firsts: dict[int, int] = {}
         for v in range(n):
             firsts.setdefault(nb[v] | 1 << v, v)
         n_edges, costs = len(edges), {}
-        best = min((_pivot_rounds(nb, [first, *range(n)]) for first in firsts.values()),
-                   key=lambda clusters: _disagreements(nb, n_edges, clusters, costs),
-                   default=[])
+        best, best_cost = [], None
+        for first in firsts.values():
+            clusters = _pivot_rounds(nb, [first, *range(n)])
+            cost = _disagreements(nb, n_edges, clusters, costs)
+            if best_cost is None or cost < best_cost:
+                best, best_cost = clusters, cost
+                if not cost:
+                    break
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
     return Partition(universe, tuple(

@@ -45,12 +45,11 @@ def parse_matrix(path: str | Path, fmt: str = "auto") -> DistanceMatrix:
 
 
 def _check_labels(labels: list[str], where: str) -> None:
+    if not all(labels):
+        raise DataError(f"{where}: empty label")
     if len(set(labels)) != len(labels):
         dup = sorted({x for x in labels if labels.count(x) > 1})
         raise DataError(f"{where}: duplicate labels {dup}")
-    for lab in labels:
-        if not lab:
-            raise DataError(f"{where}: empty label")
 
 
 def _build(labels: list[str], grid: np.ndarray, where: str) -> DistanceMatrix:
@@ -75,8 +74,7 @@ def _build(labels: list[str], grid: np.ndarray, where: str) -> DistanceMatrix:
 
 
 def _parse_csv(lines: list[str], where: str) -> DistanceMatrix:
-    header = [c.strip() for c in lines[0].split(",")]
-    labels = [c for c in header[1:] if c]
+    labels = [c.strip() for c in lines[0].split(",")[1:]]
     if not labels:
         raise DataError(f"{where}: header row has no labels")
     _check_labels(labels, where)
@@ -85,20 +83,26 @@ def _parse_csv(lines: list[str], where: str) -> DistanceMatrix:
         raise DataError(f"{where}: expected {n} data rows, found {len(lines) - 1}")
     grid: list[list[float]] = []
     for rownum, line in enumerate(lines[1:], start=2):
-        cells = [c.strip() for c in line.split(",")]
+        cells = line.split(",")
         if len(cells) != n + 1:
             raise DataError(f"{where}: line {rownum} has {len(cells) - 1} cells, expected {n}")
-        if cells[0] != labels[rownum - 2]:
+        label = cells[0].strip()
+        if label != labels[rownum - 2]:
             raise DataError(
-                f"{where}: line {rownum} row label {cells[0]!r} does not match"
+                f"{where}: line {rownum} row label {label!r} does not match"
                 f" header order ({labels[rownum - 2]!r})")
         try:
-            row = [float(c) for c in cells[1:]]
-        except ValueError as exc:
-            raise DataError(f"{where}: line {rownum}: {exc}") from exc
-        grid.append(row)
+            # float ignores surrounding whitespace; strip only for the message
+            grid.append(list(map(float, cells[1:])))
+        except ValueError:
+            for c in cells[1:]:
+                try:
+                    float(c.strip())
+                except ValueError as exc:
+                    raise DataError(f"{where}: line {rownum}: {exc}") from exc
+            raise
     for k in range(n):
-        if abs(grid[k][k]) > SYMMETRY_TOL:
+        if not abs(grid[k][k]) <= SYMMETRY_TOL:
             raise DataError(f"{where}: diagonal for {labels[k]!r} is {grid[k][k]}, expected 0")
     return _build(labels, np.array(grid, dtype=np.float64), where)
 

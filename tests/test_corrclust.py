@@ -222,6 +222,21 @@ def tied_edge_sets():
     return out
 
 
+def planted_level_edge_sets():
+    """The levels of seeded planted hierarchies, each as it is (a union of
+    cliques, so the sweep stops at its first run) and with one pair flipped."""
+    rng = random.Random(4099)
+    for n in (2, 5, 12, 30):
+        universe = tuple(f"v{k}" for k in range(n))
+        for level in random_hierarchy(rng, universe, 5):
+            cliques = clique_edges(level)
+            yield universe, cliques
+            mask = list(cliques.mask)
+            pos = rng.randrange(len(mask))
+            mask[pos] = not mask[pos]
+            yield universe, EdgeSet(universe, mask)
+
+
 def cliques_mask(part_of):
     """Clique edges of the labels with equal part_of entries."""
     return [part_of[a] == part_of[b] for a, b in all_pairs(range(len(part_of)))]
@@ -260,7 +275,6 @@ class TestMatchesReference:
             assert corr_cluster(universe, e) == reference_sweep(universe, e)
 
     def test_one_run_per_distinct_first_cluster(self, monkeypatch):
-        # k disjoint cliques: one run each, from the clique's first label
         firsts = []
         real = corrclust._pivot_rounds
 
@@ -271,13 +285,34 @@ class TestMatchesReference:
         monkeypatch.setattr(corrclust, "_pivot_rounds", counting)
         universe = tuple(f"v{k}" for k in range(12))
         for k in (1, 3, 5, 12):
+            # k disjoint cliques: the run from v0 has no disagreements, and
+            # the sweep stops there
             firsts.clear()
             e = EdgeSet(universe, cliques_mask([v % k for v in range(12)]))
             assert corr_cluster(universe, e) == reference_sweep(universe, e)
-            assert firsts == list(range(k))
+            assert firsts == [0]
+        for k in (3, 5):
+            # the same with a pair missing from each of the first two cliques:
+            # every run costs at least 2, so every distinct first cluster is
+            # swept once, from its earliest label
+            firsts.clear()
+            mask = cliques_mask([v % k for v in range(12)])
+            pairs = list(all_pairs(universe))
+            for missing in (("v0", f"v{k}"), ("v1", f"v{k + 1}")):
+                mask[pairs.index(missing)] = False
+            e = EdgeSet(universe, mask)
+            assert min(cost for _, cost in reference_sweep_runs(universe, e)) >= 2
+            first_clusters = {}
+            for v in universe:
+                first_clusters.setdefault(
+                    frozenset(x for pair in e.edges if v in pair for x in pair) | {v},
+                    universe.index(v))
+            assert corr_cluster(universe, e) == reference_sweep(universe, e)
+            assert firsts == list(first_clusters.values())
+            assert len(firsts) > k
 
     def test_pivot_sweep_matches_reference(self):
-        for universe, e in random_edge_sets():
+        for universe, e in [*random_edge_sets(), *planted_level_edge_sets()]:
             assert corr_cluster(universe, e) == reference_sweep(universe, e)
 
     def test_kwik_matches_reference(self):

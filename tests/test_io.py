@@ -75,6 +75,36 @@ class TestParseMatrix:
         with pytest.raises(DataError, match="diagonal"):
             parse_matrix(p)
 
+    def test_nan_diagonal_rejected(self, tmp_path):
+        p = tmp_path / "m.csv"
+        p.write_text(",a,b,c\na,nan,1,2\nb,1,0,3\nc,2,3,0\n")
+        with pytest.raises(DataError, match="diagonal for 'a' is nan"):
+            parse_matrix(p)
+
+    @pytest.mark.parametrize("header", [",a,,b", ",a,b,"])
+    def test_empty_header_cell_rejected(self, tmp_path, header):
+        # a trailing comma is an empty label too
+        p = tmp_path / "m.csv"
+        p.write_text(f"{header}\na,0,1\nb,1,0\n")
+        with pytest.raises(DataError, match="empty label"):
+            parse_matrix(p)
+
+    def test_padded_cells_parse_the_same(self, tmp_path):
+        plain, padded = tmp_path / "plain.csv", tmp_path / "padded.csv"
+        plain.write_text(",a,b,c\na,0,0.1,2e3\nb,0.1,0,3.25\nc,2e3,3.25,0\n")
+        padded.write_text(" , a ,\tb, c\na ,0, 0.1 ,\t2e3\n\tb, 0.1,0 , 3.25 \n"
+                          "c,2e3 ,3.25,  0\n")
+        want, got = parse_matrix(plain), parse_matrix(padded)
+        assert got.labels == want.labels
+        assert got.values.tobytes() == want.values.tobytes()
+
+    def test_bad_cell_message_shows_it_stripped(self, tmp_path):
+        p = tmp_path / "m.csv"
+        p.write_text(",a,b\na,0, 1 \nb, x ,0\n")
+        with pytest.raises(DataError, match=r"m\.csv: line 3: could not convert "
+                                            r"string to float: 'x'$"):
+            parse_matrix(p)
+
     def test_asymmetry_averaged_with_warning(self, tmp_path):
         p = tmp_path / "m.csv"
         p.write_text(",a,b\na,0,1.0\nb,1.2,0\n")
