@@ -40,11 +40,11 @@ def planted_ultrametric(rng: random.Random, labels: list[str]) -> dict:
 
 
 def tree_path_metric(rng: random.Random, labels: list[str]) -> dict:
-    """Path lengths between the labelled nodes of a random tree: each node
-    hangs from an earlier one by an edge of weight 1..3, and the labels sit
-    on a random n of the nodes, up to half as many again."""
+    """Path lengths between the labelled nodes of a random tree of n to 1.5 n
+    nodes: each node hangs from an earlier one by an edge of weight 1..3, and
+    the n labels sit on distinct random nodes."""
     n_nodes = len(labels) + rng.randrange(len(labels) // 2 + 1)
-    depth, paths = [0], [[]]  # the edges from the root to each node
+    depth, paths = [0], [[]]  # each node's path from the root, root left out
     for node in range(1, n_nodes):
         up = rng.randrange(node)
         depth.append(depth[up] + rng.randint(1, 3))

@@ -303,10 +303,9 @@ class TestMatchesReference:
             e = EdgeSet(universe, mask)
             assert min(cost for _, cost in reference_sweep_runs(universe, e)) >= 2
             first_clusters = {}
-            for v in universe:
+            for pos, v in enumerate(universe):
                 first_clusters.setdefault(
-                    frozenset(x for pair in e.edges if v in pair for x in pair) | {v},
-                    universe.index(v))
+                    frozenset(x for pair in e.edges if v in pair for x in pair) | {v}, pos)
             assert corr_cluster(universe, e) == reference_sweep(universe, e)
             assert firsts == list(first_clusters.values())
             assert len(firsts) > k
