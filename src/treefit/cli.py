@@ -16,7 +16,7 @@ from pathlib import Path
 from .core import DistanceMatrix, EdgeSet, WeightedTree, lp_norm_error
 from .corrclust import corr_cluster, corr_cluster_cost, exact_corr_cluster
 from .io import DataError, newick_string, parse_matrix, parse_newick, write_newick
-from .lp import HccInstance, SolverError, build_lp, solve_lp
+from .lp import DEFAULT_FEAS_TOL, HccInstance, SolverError, build_lp, solve_lp
 from .oracle import exact_hca, exact_ultrametric_l1
 from .treemetric import fit_tree_metric
 from .ultrametric import fit_ultrametric
@@ -36,7 +36,8 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-GLOBAL_DEFAULTS = {"seed": None, "lp_tol": 1e-7, "json_out": None, "dump_lp": None}
+GLOBAL_DEFAULTS = {"seed": None, "lp_tol": DEFAULT_FEAS_TOL, "json_out": None,
+                   "dump_lp": None}
 
 
 def _tolerance(text: str) -> float:

@@ -43,6 +43,12 @@ class UniverseMismatch(ValueError):
     """Raised when two objects over different label universes are combined."""
 
 
+def _check_tol(name: str, tol: float) -> None:
+    """Reject a tolerance that is NaN, infinite or negative."""
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"{name} must be finite and >= 0, got {tol}")
+
+
 def all_pairs(labels: Sequence[str]) -> Iterator[Pair]:
     return itertools.combinations(labels, 2)
 
@@ -548,6 +554,7 @@ class UltrametricTree(_RootedTree):
         same components at each value. The realized distances are then
         verified against the input within tol.
         """
+        _check_tol("tol", tol)
         labels = tuple(labels)
         values = _pair_vector(values, len(labels))
         if not np.isfinite(values).all():
@@ -684,7 +691,7 @@ def lp_norm_error(tree, d: DistanceMatrix, p: float) -> float:
     tree is a tree over d's labels, in any order, or a vector in
     `all_pairs(d.labels)` order; the terms are summed one by one in that order.
     """
-    if p != math.inf and p < 1:
+    if not p >= 1:  # inf passes, NaN does not
         raise ValueError("p must be >= 1 or inf")
     if isinstance(tree, _RootedTree):
         realized = tree.distances_in(d.labels)
@@ -703,6 +710,7 @@ def lp_norm_error(tree, d: DistanceMatrix, p: float) -> float:
 def is_ultrametric(mapping: Mapping, tol: float = DEFAULT_TOL) -> bool:
     """True iff U(i,j) <= max(U(i,k), U(k,j)) + tol for all triples: in one
     pass per label, no triple's largest value exceeds its middle one by tol."""
+    _check_tol("tol", tol)
     labels = sorted({x for key in mapping for x in tuple(key)})
     square = _square(np.array([lookup_pair(mapping, i, j) for i, j in all_pairs(labels)],
                               dtype=np.float64), len(labels))

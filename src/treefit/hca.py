@@ -4,7 +4,8 @@ Input: one partition per level plus level weights. The LP relaxation is
 solved once; each input cluster is then cleaned independently using the
 fractional distances (species must be near half their own cluster and far
 from almost everything else), and the surviving clusters are stitched into a
-hierarchy by an incremental forest.
+hierarchy, bottom up. A map from each label to the forest root above it
+gives each cluster's children, the roots whose cores it meets.
 """
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ import numpy as np
 
 from .core import HierarchySequence, Partition, _pair_ends, _square
 from .lp import (
+    DEFAULT_FEAS_TOL,
     HccInstance,
     LpSolution,
     build_lp,
@@ -49,9 +51,15 @@ class LpClusterFamilies:
     levels: tuple[tuple[LpCluster, ...], ...]
 
     def __post_init__(self):
-        for fam in self.levels:
+        universe = set(self.universe)
+        for t, fam in enumerate(self.levels):
             seen: set[str] = set()
             for cluster in fam:
+                if not cluster.members:
+                    raise ValueError(f"empty cluster at level {t + 1}")
+                outside = cluster.members - universe
+                if outside:
+                    raise ValueError(f"label {min(outside)!r} outside the universe")
                 if cluster.members & seen:
                     raise ValueError("same-level clusters overlap")
                 seen |= cluster.members
@@ -105,12 +113,13 @@ def lp_cleaning(partitions: Sequence[Partition], sol: LpSolution) -> LpClusterFa
 
 def check_hierarchy_friendly(families: LpClusterFamilies) -> bool:
     """No lower-level cluster may intersect two distinct same-level clusters."""
-    for t_low in range(families.n_levels()):
-        for low in families.levels[t_low]:
-            for t_high in range(t_low + 1, families.n_levels()):
-                hits = sum(1 for high in families.levels[t_high]
-                           if low.members & high.members)
-                if hits >= 2:
+    # per level above the first, the index of the cluster holding each label
+    owners = [{x: k for k, cluster in enumerate(fam) for x in cluster.members}
+              for fam in families.levels[1:]]
+    for t, fam in enumerate(families.levels):
+        for low in fam:
+            for owner in owners[t:]:
+                if len({owner[x] for x in low.members if x in owner}) >= 2:
                     return False
     return True
 
@@ -153,69 +162,51 @@ class ClusterForest:
         return frozenset(out)
 
 
-def derive_hierarchy(universe: Sequence[str], families: LpClusterFamilies, *,
-                     order: str = "canonical") -> tuple[HierarchySequence, ClusterForest]:
+def derive_hierarchy(universe: Sequence[str], families: LpClusterFamilies
+                     ) -> tuple[HierarchySequence, ClusterForest]:
     """Assemble hierarchical partitions bottom-up from cleaned clusters.
 
-    order "canonical" processes same-level clusters by (size desc, smallest
-    label); "given" keeps the order stored in the families, which is useful
-    for exercising order invariance.
+    Each level's clusters are taken in the order the families store them. A
+    cluster's children are the current roots whose cores meet it, its core
+    its members below them and its extended set every label below them. A
+    cluster that meets no root's core would have an empty core and is
+    skipped. On hierarchy-friendly families a root's core meets at most one
+    cluster of a level, so the order changes only how nodes are numbered.
     """
     universe = tuple(universe)
     if families.universe != universe:
         raise ValueError("family universe does not match")
     if not check_hierarchy_friendly(families):
         raise ValueError("families are not hierarchy-friendly")
-    if order not in ("canonical", "given"):
-        raise ValueError(f"unknown order {order!r}")
 
-    label_pos = {lab: k for k, lab in enumerate(universe)}
     forest = ClusterForest(universe=universe)
-    root_ids: list[int] = []
-    for lab in universe:
-        nid = len(forest.nodes)
-        forest.nodes.append(ForestNode(
-            node_id=nid, level=0, core=frozenset([lab]),
+    nodes = forest.nodes
+    for k, lab in enumerate(universe):
+        nodes.append(ForestNode(
+            node_id=k, level=0, core=frozenset([lab]),
             extended=frozenset([lab]), lp_cluster=None, input_cluster=None))
-        root_ids.append(nid)
+    root = {lab: k for k, lab in enumerate(universe)}  # the root above each label
 
     out_levels: list[Partition] = []
-    for t in range(families.n_levels()):
-        fam = families.levels[t]
-        if order == "canonical":
-            fam = tuple(sorted(
-                fam, key=lambda c: (-len(c.members),
-                                    min(label_pos[x] for x in c.members))))
+    for t, fam in enumerate(families.levels):
         for cluster in fam:
-            core = set(cluster.members)
-            removers = []
-            children = []
-            for rid in root_ids:
-                root = forest.nodes[rid]
-                if root.core & cluster.members:
-                    children.append(rid)
-                else:
-                    removers.append(rid)
-            for rid in removers:
-                core -= forest.nodes[rid].extended
-            if not core:
+            # ids only grow, so sorted ids are the order the roots were made in
+            children = sorted({root[x] for x in cluster.members if x in nodes[root[x]].core})
+            if not children:
                 # outside the guarantees of cleaned input; an empty core would
                 # make an empty part, so the cluster is skipped
                 continue
-            extended = set(core)
-            for rid in children:
-                extended |= forest.nodes[rid].extended
-            nid = len(forest.nodes)
-            forest.nodes.append(ForestNode(
-                node_id=nid, level=t + 1, core=frozenset(core),
-                extended=frozenset(extended), lp_cluster=cluster.members,
+            nid = len(nodes)
+            extended = frozenset().union(*(nodes[c].extended for c in children))
+            nodes.append(ForestNode(
+                node_id=nid, level=t + 1, core=cluster.members & extended,
+                extended=extended, lp_cluster=cluster.members,
                 input_cluster=cluster.input_cluster, children=tuple(children)))
-            for rid in children:
-                forest.nodes[rid].parent = nid
-            root_ids = [r for r in root_ids if r not in set(children)]
-            root_ids.append(nid)
+            for c in children:
+                nodes[c].parent = nid
+            root.update(dict.fromkeys(extended, nid))
         out_levels.append(Partition(
-            universe, tuple(forest.nodes[r].extended for r in root_ids)))
+            universe, tuple(nodes[r].extended for r in dict.fromkeys(root.values()))))
     return HierarchySequence(tuple(out_levels)), forest
 
 
@@ -240,7 +231,7 @@ def is_hierarchical(partitions: Sequence[Partition]) -> bool:
 
 
 def fit_hca_report(universe: Sequence[str], partitions: Sequence[Partition],
-                   deltas: Sequence[float], *, feas_tol: float = 1e-7,
+                   deltas: Sequence[float], *, feas_tol: float = DEFAULT_FEAS_TOL,
                    fast_path: bool = True) -> HcaResult:
     """Solve LP, clean, derive; returns the hierarchy with diagnostics.
 

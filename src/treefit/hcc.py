@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .core import HierarchySequence, Partition, clique_edges, sym_diff_size
 from .corrclust import corr_cluster
 from .hca import HcaResult, fit_hca_report
-from .lp import HccInstance, LpSolution, build_lp, hierarchy_cost, solve_lp
+from .lp import DEFAULT_FEAS_TOL, HccInstance, LpSolution, build_lp, hierarchy_cost, solve_lp
 
 
 @dataclass
@@ -28,7 +28,7 @@ class HccResult:
 
 
 def lp_lower_bound(inst: HccInstance, cost: float, *,
-                   feas_tol: float = 1e-7) -> tuple[float, LpSolution | None]:
+                   feas_tol: float = DEFAULT_FEAS_TOL) -> tuple[float, LpSolution | None]:
     """Optimum of the instance's LP relaxation, and the point reaching it.
 
     cost is that of a hierarchy for the instance. The optimum lies between 0
@@ -42,7 +42,7 @@ def lp_lower_bound(inst: HccInstance, cost: float, *,
 
 
 def fit_hcc(inst: HccInstance, *, strategy: str = "pivot-sweep",
-            seed: int | None = None, feas_tol: float = 1e-7,
+            seed: int | None = None, feas_tol: float = DEFAULT_FEAS_TOL,
             fast_path: bool = True, lower_bound: bool = True) -> HccResult:
     """Cluster each level, then reconcile the levels into a hierarchy."""
     partitions = tuple(

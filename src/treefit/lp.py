@@ -24,13 +24,13 @@ from typing import Sequence
 import numpy as np
 
 from .core import EdgeSet, HierarchySequence, all_pairs, clique_edges, sym_diff_size
-from .core import _condensed, _pair_ends, _pair_vector
+from .core import _check_tol, _condensed, _pair_ends, _pair_vector
 from .simplex import SimplexResult, SimplexStall, SimplexTooLarge, check_tableau_size
 from .simplex import solve_dense
 
 DEFAULT_FEAS_TOL = 1e-7
 
-# above this many dense-tableau entries, auto solves switch to scipy's HiGHS
+# above this many dense-tableau entries, solve_lp switches to scipy's HiGHS
 DENSE_TABLEAU_BUDGET = 1_200_000
 
 
@@ -243,11 +243,11 @@ def build_lp(inst: HccInstance) -> LinearProgram:
 
 
 def solve_lp(lp: LinearProgram, feas_tol: float = DEFAULT_FEAS_TOL, *,
-             backend: str = "auto", iteration_cap: int | None = None) -> LpSolution:
+             iteration_cap: int | None = None) -> LpSolution:
     """Solve to optimality; the result is clamped into [0,1] and re-checked.
 
-    backend "auto" uses the built-in dense simplex while the tableau of the
-    full LP fits the memory budget and HiGHS beyond that, through scipy's
+    The backend is the built-in dense simplex while the tableau of the full
+    LP fits DENSE_TABLEAU_BUDGET and HiGHS beyond that, through scipy's
     bundled binding with `linprog`'s options, so with the same points and
     iteration counts as `linprog`; both are deterministic, and the simplex
     path never imports scipy. Either backend starts from the monotonicity
@@ -269,19 +269,14 @@ def solve_lp(lp: LinearProgram, feas_tol: float = DEFAULT_FEAS_TOL, *,
     its `pivots` their pivots summed. A SolverError carries a `best` point
     only if that point satisfies every row of the full LP.
     """
-    if backend not in ("auto", "simplex", "highs"):
-        raise ValueError(f"unknown backend {backend!r}")
-    if not 0.0 <= feas_tol < np.inf:
-        raise ValueError(f"feas_tol must be finite and >= 0, got {feas_tol}")
-    chosen = backend
-    if backend == "auto":
-        m = lp.n_rows + lp.n_vars
-        entries = (m + 1) * (lp.n_vars + m + 1)
-        chosen = "simplex" if entries <= DENSE_TABLEAU_BUDGET else "highs"
+    _check_tol("feas_tol", feas_tol)
+    m = lp.n_rows + lp.n_vars
+    entries = (m + 1) * (lp.n_vars + m + 1)
+    backend = "simplex" if entries <= DENSE_TABLEAU_BUDGET else "highs"
     if not lp.n_vars:
-        return _solution(lp, lp.c, chosen)
+        return _solution(lp, lp.c, backend)
 
-    if chosen == "simplex":
+    if backend == "simplex":
         last = None
 
         def solve_rows(active: np.ndarray, new: np.ndarray) -> tuple[np.ndarray, int]:
@@ -310,11 +305,11 @@ def solve_lp(lp: LinearProgram, feas_tol: float = DEFAULT_FEAS_TOL, *,
     except SimplexStall as exc:
         # a stalled point need not meet the rows not yet added, and one
         # stalled in a later round's dual phase not even the rows added
-        best = _solution(lp, exc.x, chosen)
+        best = _solution(lp, exc.x, backend)
         if max(best.max_violation().values()) > feas_tol:
             best = None
         raise SolverError("simplex hit its iteration cap", best) from exc
-    sol = _solution(lp, x, chosen, rounds, rows_used, pivots)
+    sol = _solution(lp, x, backend, rounds, rows_used, pivots)
     worst = max(sol.max_violation().values())
     if worst > feas_tol:
         raise SolverError(f"solution infeasible by {worst:.3e}")

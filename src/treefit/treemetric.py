@@ -26,6 +26,7 @@ from .core import (
     lp_norm_error,
 )
 from .hcc import lp_lower_bound
+from .lp import DEFAULT_FEAS_TOL
 from .ultrametric import fit_ultrametric
 
 RESTRICTION_TOL = 1e-6
@@ -172,7 +173,7 @@ def pseudometric_to_metric(tree: WeightedTree, d: DistanceMatrix,
 
 def fit_tree_metric(d: DistanceMatrix, *, pivot_mode: str = "all",
                     pivot: str | None = None, strategy: str = "pivot-sweep",
-                    seed: int | None = None, feas_tol: float = 1e-7) -> FittedTree:
+                    seed: int | None = None, feas_tol: float = DEFAULT_FEAS_TOL) -> FittedTree:
     """Fit a weighted tree spanning the labels, minimizing total error.
 
     pivot_mode "all" tries every label as the pivot and keeps the best

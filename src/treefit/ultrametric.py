@@ -24,7 +24,7 @@ from .core import (
     nested_components,
 )
 from .hcc import HccResult, fit_hcc
-from .lp import HccInstance
+from .lp import DEFAULT_FEAS_TOL, HccInstance
 
 VALUE_TOL = 1e-9
 
@@ -130,7 +130,7 @@ def ultrametric_to_hierarchy(tree: UltrametricTree,
 
 
 def fit_ultrametric(d: DistanceMatrix, *, strategy: str = "pivot-sweep",
-                    seed: int | None = None, feas_tol: float = 1e-7,
+                    seed: int | None = None, feas_tol: float = DEFAULT_FEAS_TOL,
                     lower_bound: bool = True) -> FittedTree:
     """Fit an ultrametric minimizing total error, reporting the LP lower bound."""
     if d.n == 1:

@@ -2,10 +2,13 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
+from unittest import mock
 
 import pytest
 
+import treefit.lp as lp_module
 from treefit.core import (
     DistanceMatrix,
     Partition,
@@ -185,6 +188,14 @@ def feasible_lp_maps(rng: random.Random, labels, n_levels: int) -> list[dict]:
                     for pair, v in base.items()})
     out.reverse()  # larger shifts (smaller x) at higher levels
     return out
+
+
+def solve_on(backend: str, lp, *args, **kwargs):
+    """solve_lp on the given backend: a dense-tableau budget of inf gives
+    every LP to the simplex, one of 0 every LP to HiGHS."""
+    budget = {"simplex": math.inf, "highs": 0}[backend]
+    with mock.patch.object(lp_module, "DENSE_TABLEAU_BUDGET", budget):
+        return lp_module.solve_lp(lp, *args, **kwargs)
 
 
 @pytest.fixture

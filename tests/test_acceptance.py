@@ -210,7 +210,7 @@ def test_criterion_5_order_invariance():
             shuffled = LpClusterFamilies(labels, tuple(
                 tuple(sorted(fam, key=lambda _: rng.random()))
                 for fam in res.families.levels))
-            assert derive_hierarchy(labels, shuffled, order="given")[0] == reference
+            assert derive_hierarchy(labels, shuffled)[0] == reference
     assert checked >= 50
     report(5, f"{checked} cleaned inputs x 20 shuffles, output always identical")
 

@@ -121,6 +121,10 @@ class TestLpNormError:
         with pytest.raises(ValueError):
             lp_norm_error(self.u, self.d, 0.5)
 
+    def test_nan_p_rejected(self):
+        with pytest.raises(ValueError, match="p must be >= 1 or inf"):
+            lp_norm_error(self.u, self.d, math.nan)
+
     def test_vector_in_pair_order(self):
         assert lp_norm_error(self.u.distances(), self.d, 1) == lp_norm_error(self.u, self.d, 1)
 
@@ -140,6 +144,12 @@ class TestIsUltrametric:
 
     def test_two_points_vacuous(self):
         assert is_ultrametric({("a", "b"): 5.0})
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+    def test_rejects_bad_tolerance(self, tol):
+        # a NaN tolerance made every comparison false: the triple passed
+        with pytest.raises(ValueError, match="^tol must be finite and >= 0"):
+            is_ultrametric({("1", "2"): 1.0, ("1", "3"): 2.0, ("2", "3"): 3.0}, tol)
 
     def test_random_generated_maps(self, rng):
         for _ in range(30):
@@ -172,6 +182,15 @@ class TestUltrametricTree:
             UltrametricTree.from_distances(labels, values)
         with pytest.raises(ValueError, match="finite"):
             UltrametricTree.from_map(labels, dict(zip(all_pairs(labels), values)))
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+    def test_rejects_bad_tolerance(self, tol):
+        # a NaN tolerance let a table that is no ultrametric pass the check
+        labels, values = ("a", "b", "c"), [1.0, 2.0, 3.0]
+        with pytest.raises(ValueError, match="^tol must be finite and >= 0"):
+            UltrametricTree.from_distances(labels, values, tol=tol)
+        with pytest.raises(ValueError, match="^tol must be finite and >= 0"):
+            UltrametricTree.from_map(labels, dict(zip(all_pairs(labels), values)), tol=tol)
 
     def test_heights_strictly_increase(self, rng):
         labels = tuple(f"s{k}" for k in range(7))

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,8 @@ from treefit.hca import (
     HALF_FRACTION,
     KEEP_FRACTION,
     OUTSIDE_FRACTION,
+    ClusterForest,
+    ForestNode,
     HcaResult,
     LpCluster,
     LpClusterFamilies,
@@ -24,7 +28,13 @@ from treefit.hca import (
 from treefit.lp import HccInstance, LpSolution, build_lp, hierarchy_cost, solve_lp
 from treefit.oracle import exact_hca
 from treefit.ultrametric import TrivialInstance, hcc_instance_from_distances
-from conftest import feasible_lp_maps, random_hierarchy, random_matrix, random_partition
+from conftest import (
+    feasible_lp_maps,
+    random_hierarchy,
+    random_matrix,
+    random_partition,
+    solve_on,
+)
 
 UNI4 = ("a", "b", "c", "d")
 
@@ -86,6 +96,16 @@ class TestLpCleaning:
         sol = solution_from_maps(labels, [level])
         fams = lp_cleaning([Partition.from_parts(labels, [set(labels)])], sol)
         assert fams.levels[0] == ()
+
+
+class TestClusterFamilies:
+    def test_rejects_a_label_outside_the_universe(self):
+        with pytest.raises(ValueError, match="label 'z' outside the universe"):
+            LpClusterFamilies(UNI4, ((LpCluster(frozenset("az"), frozenset("az")),),))
+
+    def test_rejects_an_empty_cluster(self):
+        with pytest.raises(ValueError, match="empty cluster at level 2"):
+            LpClusterFamilies(UNI4, ((), (LpCluster(frozenset(), frozenset("ab")),)))
 
 
 class TestHierarchyFriendly:
@@ -170,9 +190,123 @@ class TestDeriveHierarchy:
                 shuffled = LpClusterFamilies(labels, tuple(
                     tuple(sorted(fam, key=lambda _: rng.random()))
                     for fam in res.families.levels))
-                again = derive_hierarchy(labels, shuffled, order="given")[0]
+                again = derive_hierarchy(labels, shuffled)[0]
                 assert again == reference
         assert seen >= 5
+
+
+def reference_check_hierarchy_friendly(families):
+    """check_hierarchy_friendly, by intersecting every pair of clusters."""
+    for t_low in range(families.n_levels()):
+        for low in families.levels[t_low]:
+            for t_high in range(t_low + 1, families.n_levels()):
+                hits = sum(1 for high in families.levels[t_high]
+                           if low.members & high.members)
+                if hits >= 2:
+                    return False
+    return True
+
+
+def reference_derive_hierarchy(universe, families):
+    """derive_hierarchy by a scan over every root for each cluster, with each
+    level's clusters sorted by size, then by their first label."""
+    universe = tuple(universe)
+    assert reference_check_hierarchy_friendly(families)
+    label_pos = {lab: k for k, lab in enumerate(universe)}
+    forest = ClusterForest(universe=universe)
+    root_ids = []
+    for lab in universe:
+        nid = len(forest.nodes)
+        forest.nodes.append(ForestNode(
+            node_id=nid, level=0, core=frozenset([lab]),
+            extended=frozenset([lab]), lp_cluster=None, input_cluster=None))
+        root_ids.append(nid)
+
+    out_levels = []
+    for t in range(families.n_levels()):
+        fam = tuple(sorted(
+            families.levels[t], key=lambda c: (-len(c.members),
+                                               min(label_pos[x] for x in c.members))))
+        for cluster in fam:
+            core = set(cluster.members)
+            removers = []
+            children = []
+            for rid in root_ids:
+                root = forest.nodes[rid]
+                if root.core & cluster.members:
+                    children.append(rid)
+                else:
+                    removers.append(rid)
+            for rid in removers:
+                core -= forest.nodes[rid].extended
+            if not core:
+                continue
+            extended = set(core)
+            for rid in children:
+                extended |= forest.nodes[rid].extended
+            nid = len(forest.nodes)
+            forest.nodes.append(ForestNode(
+                node_id=nid, level=t + 1, core=frozenset(core),
+                extended=frozenset(extended), lp_cluster=cluster.members,
+                input_cluster=cluster.input_cluster, children=tuple(children)))
+            for rid in children:
+                forest.nodes[rid].parent = nid
+            root_ids = [r for r in root_ids if r not in set(children)]
+            root_ids.append(nid)
+        out_levels.append(Partition(
+            universe, tuple(forest.nodes[r].extended for r in root_ids)))
+    return HierarchySequence(tuple(out_levels)), forest
+
+
+def node_records(forest):
+    """Each node as its level, core, extended set, LP and input clusters and
+    the extended sets of its children and parent: what does not depend on
+    how the nodes are numbered."""
+    nodes = forest.nodes
+    return Counter(
+        (nd.level, nd.core, nd.extended, nd.lp_cluster, nd.input_cluster,
+         frozenset(nodes[c].extended for c in nd.children),
+         None if nd.parent is None else nodes[nd.parent].extended)
+        for nd in nodes)
+
+
+class TestAssemblyMatchesReference:
+    def test_random_families(self, rng):
+        # the levels are a refinement chain half of the time, else unrelated
+        # partitions; clusters are dropped and thinned at random, so families
+        # that are not hierarchy-friendly and clusters with an empty core,
+        # which cleaning does not build, both occur
+        unfriendly = skips = 0
+        for _ in range(3000):
+            labels = tuple(f"s{k}" for k in range(rng.randint(2, 10)))
+            n_levels = rng.randint(1, 4)
+            if rng.random() < 0.5:
+                qs = random_hierarchy(rng, labels, n_levels)
+            else:
+                qs = [random_partition(rng, labels) for _ in range(n_levels)]
+            levels = []
+            for q in qs:
+                fam = []
+                for part in q.parts:
+                    members = frozenset(x for x in part if rng.random() < 0.8)
+                    if members and rng.random() < 0.9:
+                        fam.append(LpCluster(members, part))
+                rng.shuffle(fam)
+                levels.append(tuple(fam))
+            fams = LpClusterFamilies(labels, tuple(levels))
+            friendly = check_hierarchy_friendly(fams)
+            assert friendly == reference_check_hierarchy_friendly(fams)
+            if not friendly:
+                unfriendly += 1
+                with pytest.raises(ValueError, match="not hierarchy-friendly"):
+                    derive_hierarchy(labels, fams)
+                continue
+            hierarchy, forest = derive_hierarchy(labels, fams)
+            want, want_forest = reference_derive_hierarchy(labels, fams)
+            assert hierarchy == want
+            assert node_records(forest) == node_records(want_forest)
+            skips += len(forest.internal()) < sum(len(fam) for fam in levels)
+        assert unfriendly >= 1 and skips >= 1
 
 
 class TestFitHca:
@@ -242,7 +376,7 @@ class TestOptimalVertex:
             lp = build_lp(inst)
             families = []
             for backend in ("simplex", "highs"):
-                sol = solve_lp(lp, backend=backend)
+                sol = solve_on(backend, lp)
                 fam = lp_cleaning(qs, sol)
                 hierarchy, forest = derive_hierarchy(labels, fam)
                 result = HcaResult(hierarchy=hierarchy,

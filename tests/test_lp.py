@@ -37,7 +37,7 @@ from treefit.simplex import (
     solve_dense,
 )
 from treefit.ultrametric import hcc_instance_from_distances
-from conftest import feasible_lp_maps, random_matrix, random_partition
+from conftest import feasible_lp_maps, random_matrix, random_partition, solve_on
 
 LABELS3 = ("a", "b", "c")
 
@@ -123,8 +123,8 @@ class TestSolveLp:
         for _ in range(6):
             inst = random_instance(rng, rng.randint(3, 6), rng.randint(1, 2))
             lp = build_lp(inst)
-            a = solve_lp(lp, backend="simplex").objective
-            b = solve_lp(lp, backend="highs").objective
+            a = solve_on("simplex", lp).objective
+            b = solve_on("highs", lp).objective
             assert a == pytest.approx(b, abs=1e-6)
 
     def test_objective_scaling(self, rng):
@@ -169,12 +169,12 @@ class TestSolveLp:
             for _ in range(20):
                 lp = build_lp(table_instance(rng, rng.randint(5, 8), False))
                 rounds.clear()
-                solve_lp(lp, feas_tol, backend="simplex")
+                solve_on("simplex", lp, feas_tol)
                 per_round = [pivots for _, pivots in rounds]
                 for cap in range(per_round[0], max(per_round[1:], default=0)):
                     rounds.clear()
                     with pytest.raises(SolverError) as err:
-                        solve_lp(lp, feas_tol, backend="simplex", iteration_cap=cap)
+                        solve_on("simplex", lp, feas_tol, iteration_cap=cap)
                     stalled_round = next(k for k, p in enumerate(per_round) if p > cap)
                     assert stalled_round >= 1
                     assert [pivots for _, pivots in rounds] == per_round[:stalled_round]
@@ -944,12 +944,12 @@ class TestLazyRows:
             for continuous in (False, True):
                 inst = table_instance(rng, n, continuous)
                 lp = build_lp(inst)
-                sol = solve_lp(lp, backend="highs")
+                sol = solve_on("highs", lp)
                 assert sol.objective == pytest.approx(full_row_objective(lp),
                                                       rel=1e-9, abs=1e-12)
                 assert max(sol.max_violation().values()) <= 1e-7
                 if fits_dense_budget(lp):
-                    sol = solve_lp(lp, backend="simplex")
+                    sol = solve_on("simplex", lp)
                     full = solve_dense(lp.c, lp.dense_matrix(), np.zeros(lp.n_rows))
                     assert sol.objective == pytest.approx(full.objective + lp.const,
                                                           rel=1e-9, abs=1e-12)
@@ -970,7 +970,7 @@ class TestLazyRows:
                                    inst.edge_sets)
             lp = build_lp(inst)
             added.clear()
-            sol = solve_lp(lp, backend="simplex")
+            sol = solve_on("simplex", lp)
             assert max(sol.max_violation().values()) <= 1e-7
             assert sol.objective == pytest.approx(full_row_objective(lp), rel=1e-9, abs=1e-12)
             final = np.vstack([rows for rows, _ in added])
@@ -1026,11 +1026,11 @@ class TestLazyRows:
 
         monkeypatch.setattr(lp_module, "_solve_highs", recording_solve_highs)
         lp = build_lp(table_instance(rng, 8, False))
-        sol = solve_lp(lp, backend="highs")
+        sol = solve_on("highs", lp)
         # the chain round makes no HiGHS call and counts the chain pivots
         assert len(nits) == sol.rounds - 1 and sum(nits) > 0
         assert sol.pivots == solve_first_round(lp).iterations + sum(nits)
-        assert solve_lp(lp, backend="simplex").pivots > 0
+        assert solve_on("simplex", lp).pivots > 0
         q = Partition.from_parts("abcd", [{"a", "b"}, {"c", "d"}])
         inst = HccInstance.from_partitions("abcd", (3.0, 1.0), [q, q])
         assert integral_solution(inst, HierarchySequence((q, q))).pivots == 0
@@ -1043,7 +1043,7 @@ class TestLazyRows:
             for backend in ("highs", "simplex"):
                 if backend == "simplex" and lp.n_rows > 400:
                     continue
-                sol = solve_lp(lp, backend=backend)
+                sol = solve_on(backend, lp)
                 assert sol.rounds >= 1
                 assert 0 <= sol.rows_used <= lp.n_rows
                 if inst.n_levels > 1:  # the monotonicity rows are always used
@@ -1057,7 +1057,7 @@ class TestLazyRows:
     def test_lp_without_pairs_has_the_empty_point(self, backend, labels):
         inst = HccInstance(labels, (1.0, 2.0), (es(labels, []), es(labels, [])))
         lp = build_lp(inst)
-        sol = solve_lp(lp, backend=backend)
+        sol = solve_on(backend, lp)
         assert sol.x.shape == (2, 0) and sol.objective == lp.const
         assert (sol.rounds, sol.pivots, sol.rows_used, sol.backend) == (1, 0, 0, backend)
 
@@ -1065,7 +1065,7 @@ class TestLazyRows:
         q = Partition.from_parts("abcdef", [{"a", "b", "c"}, {"d", "e"}, {"f"}])
         inst = HccInstance.from_partitions("abcdef", (2.0,), [q])
         lp = build_lp(inst)
-        sol = solve_lp(lp, backend="highs")
+        sol = solve_on("highs", lp)
         assert (sol.rounds, sol.rows_used) == (1, 0)
         assert sol.objective == pytest.approx(0.0, abs=1e-12)
 
@@ -1078,7 +1078,7 @@ class TestLazyRows:
     def test_lazy_dump_accepted_by_external_checker(self, rng, tmp_path):
         inst = table_instance(rng, 9, False)
         lp = build_lp(inst)
-        sol = solve_lp(lp, backend="highs")
+        sol = solve_on("highs", lp)
         assert sol.rows_used < lp.n_rows
         dump = tmp_path / "lp.txt"
         dump.write_text(lp.dump_text(sol.x.reshape(-1), sol.objective))
@@ -1142,7 +1142,7 @@ class TestFirstRound:
             assert err.value.x.tobytes() == np.zeros(lp.n_vars).tobytes()
             assert (err.value.objective, err.value.iterations) == (0.0, 0)
             with pytest.raises(SolverError) as err:
-                solve_lp(lp, backend="simplex", iteration_cap=need - 1)
+                solve_on("simplex", lp, iteration_cap=need - 1)
             assert not err.value.best.x.any()
             assert err.value.best.objective == lp.const
             stalled += 1
@@ -1159,7 +1159,7 @@ class TestFirstRound:
         with pytest.raises(SimplexTooLarge):
             solve_first_round(lp)
         with pytest.raises(SolverError, match="dense budget"):
-            solve_lp(lp, backend="simplex")
+            solve_on("simplex", lp)
 
     def test_desk_fit_imports_neither_scipy_nor_numpy_ma(self):
         # the simplex path and its lazy-row bookkeeping stay within numpy's core
@@ -1209,7 +1209,7 @@ class TestHighsRounds:
             lp = build_lp(first_round_instance(rng, rng.randint(3, 16), n_levels, k % 2 == 0))
             calls.clear()
             points.clear()
-            sol = solve_lp(lp, backend="highs")
+            sol = solve_on("highs", lp)
             assert len(points) == 1 and len(calls) == sol.rounds - 1
             assert points[0].tobytes() == solve_first_round(lp).x.tobytes()
             assert sol.objective == pytest.approx(full_row_objective(lp), rel=1e-9, abs=1e-12)
@@ -1227,7 +1227,7 @@ class TestHighsRounds:
             labels, (1.0, 2.0, 1.5, 1.0), [random_partition(rng, labels) for _ in range(4)]))
         m = (2 * lp.n_levels - 1) * (lp.n_vars // lp.n_levels)
         assert (m + 1) * (lp.n_vars + m + 1) > MAX_TABLEAU_ENTRIES
-        sol = solve_lp(lp, backend="highs")
+        sol = solve_on("highs", lp)
         assert sol.backend == "highs" and sol.rounds >= 2
         assert max(sol.max_violation().values()) <= 1e-7
 
@@ -1256,12 +1256,12 @@ class TestHighsBinding:
         for k in range(60):
             n_levels = rng.randint(1, 5) if k < 40 else rng.randint(8, 14)
             lp = build_lp(first_round_instance(rng, rng.randint(3, 16), n_levels, k % 2 == 0))
-            solve_lp(lp, backend="highs")
+            solve_on("highs", lp)
             if lp.n_rows <= 2000:
                 rows = np.arange(lp.n_rows)
                 x, nit = real_solve_highs(lp, rows)
                 assert (x.tobytes(), nit) == linprog_outcome(lp, rows)
-        # calls on LPs the auto backend gives the simplex and on LPs over
+        # calls on LPs that solve_lp gives the simplex and on LPs over
         # its budget, which it gives HiGHS
         assert len(budgets) >= 40 and any(budgets) and not all(budgets)
 
@@ -1277,4 +1277,4 @@ class TestHighsBinding:
         with pytest.raises(SolverError, match="^highs failed: Infeasible$"):
             lp_module._solve_highs(lp, np.arange(lp.n_rows))
         with pytest.raises(SolverError, match="^highs failed: Infeasible$"):
-            solve_lp(lp, backend="highs")
+            solve_on("highs", lp)
