@@ -59,6 +59,9 @@ def _build(labels: list[str], grid: np.ndarray, where: str) -> DistanceMatrix:
     upper, lower = grid[i, j], grid[j, i]
     with np.errstate(all="ignore"):  # inf - inf is nan, which fails every comparison
         values = (upper + lower) / 2.0
+        # finite cells whose sum overflows are halved first
+        big = np.isinf(values) & np.isfinite(upper) & np.isfinite(lower)
+        values[big] = upper[big] / 2.0 + lower[big] / 2.0
         skewed = np.abs(upper - lower) > SYMMETRY_TOL
     bad = np.flatnonzero(~(values > 0))
     last = bad[0] if len(bad) else len(values)

@@ -13,12 +13,18 @@ simplex, `solve_first_round` also places the chain tableaux side by side,
 which is the cold solve of those rows. Later HiGHS rounds go through scipy's
 bundled binding with `linprog`'s options (`_solve_highs`), which gives the
 same points and iteration counts as `linprog` without its input handling.
+The binding's extension file is loaded on its own (`_highspy`), so the
+HiGHS path imports neither `scipy.optimize` nor the rest of scipy.
 """
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import operator
+import sys
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -249,8 +255,9 @@ def solve_lp(lp: LinearProgram, feas_tol: float = DEFAULT_FEAS_TOL, *,
     The backend is the built-in dense simplex while the tableau of the full
     LP fits DENSE_TABLEAU_BUDGET and HiGHS beyond that, through scipy's
     bundled binding with `linprog`'s options, so with the same points and
-    iteration counts as `linprog`; both are deterministic, and the simplex
-    path never imports scipy. Either backend starts from the monotonicity
+    iteration counts as `linprog`; both are deterministic. The HiGHS path
+    loads only the binding's extension file, not `scipy.optimize`, and the
+    simplex path never imports scipy. Either backend starts from the monotonicity
     rows alone and adds the violated triangle rows after each solve until
     none is left; the final point is still checked against every row, so
     the objective is the optimum of the full LP. The first round, the monotonicity and box rows, is one chain per
@@ -433,38 +440,76 @@ def _solve_chain(cost: bytes) -> SimplexResult:
     return res
 
 
-def _solve_highs(lp: LinearProgram, rows: np.ndarray) -> tuple[np.ndarray, int]:
-    """HiGHS's point and simplex iterations for lp restricted to the sorted
-    row indices `rows`.
+def _highspy():
+    """scipy's bundled HiGHS binding, `scipy.optimize._highspy._core`.
 
-    It drives the binding that `scipy.optimize.linprog(method="highs")`
-    calls, with the options linprog sets, so the point and the iteration
-    count are linprog's; the rows go in row-wise, straight from `_coo`.
+    The extension file is loaded on its own, which imports neither scipy nor
+    `scipy.optimize`, and registered in `sys.modules` under its own name, so
+    a later `import scipy.optimize` uses this module and its pybind11 types
+    are registered once; a module already there is returned as it is.
     """
-    from scipy.optimize._highspy import _core as highspy
+    name = "scipy.optimize._highspy._core"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy = importlib.util.find_spec("scipy")  # finds the package, imports nothing
+    if scipy is None:
+        raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
+    folder = Path(scipy.submodule_search_locations[0], "optimize", "_highspy")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = folder / f"_core{suffix}"
+        if path.is_file():
+            break
+    else:
+        raise ImportError(f"no HiGHS extension module in {folder}", name=name)
+    spec = importlib.util.spec_from_file_location(
+        name, path, loader=importlib.machinery.ExtensionFileLoader(name, str(path)))
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
 
-    r, cols, data = lp._coo(rows)
-    model = highspy.HighsLp()
-    model.num_col_ = model.a_matrix_.num_col_ = lp.n_vars
-    model.num_row_ = model.a_matrix_.num_row_ = len(rows)
-    model.col_cost_ = lp.c
-    model.col_lower_ = np.zeros(lp.n_vars)
-    model.col_upper_ = np.ones(lp.n_vars)
-    model.row_lower_ = np.full(len(rows), -np.inf)
-    model.row_upper_ = np.zeros(len(rows))
-    model.a_matrix_.format_ = highspy.MatrixFormat.kRowwise
-    model.a_matrix_.start_ = np.searchsorted(r, np.arange(len(rows) + 1))
-    model.a_matrix_.index_ = cols
-    model.a_matrix_.value_ = data
 
+@functools.cache
+def _highs_options():
+    """The options `linprog(method="highs")` sets: presolve on, no output or
+    logging, no debug checks, dual simplex."""
+    highspy = _highspy()
     options = highspy.HighsOptions()
     options.presolve = "on"
     options.output_flag = False
     options.log_to_console = False
     options.highs_debug_level = highspy.kHighsDebugLevelNone
     options.simplex_strategy = highspy.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    return options
+
+
+def _solve_highs(lp: LinearProgram, rows: np.ndarray) -> tuple[np.ndarray, int]:
+    """HiGHS's point and simplex iterations for lp restricted to the sorted
+    row indices `rows`.
+
+    It drives the binding that `scipy.optimize.linprog(method="highs")`
+    calls, with the options linprog sets, so the point and the iteration
+    count are linprog's; the rows go in row-wise, straight from `_coo`. The
+    vectors go in as lists, which the binding copies faster than arrays.
+    """
+    highspy = _highspy()
+    r, cols, data = lp._coo(rows)
+    n_rows = len(rows)
+    model = highspy.HighsLp()
+    model.num_col_ = model.a_matrix_.num_col_ = lp.n_vars
+    model.num_row_ = model.a_matrix_.num_row_ = n_rows
+    model.col_cost_ = lp.c.tolist()
+    model.col_lower_ = [0.0] * lp.n_vars
+    model.col_upper_ = [1.0] * lp.n_vars
+    model.row_lower_ = [-np.inf] * n_rows
+    model.row_upper_ = [0.0] * n_rows
+    model.a_matrix_.format_ = highspy.MatrixFormat.kRowwise
+    model.a_matrix_.start_ = np.searchsorted(r, np.arange(n_rows + 1)).tolist()
+    model.a_matrix_.index_ = cols.tolist()
+    model.a_matrix_.value_ = data.tolist()
+
     highs = highspy._Highs()
-    highs.passOptions(options)
+    highs.passOptions(_highs_options())
     highs.passModel(model)
     highs.run()
     status = highs.getModelStatus()

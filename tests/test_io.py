@@ -112,6 +112,22 @@ class TestParseMatrix:
             d = parse_matrix(p)
         assert d.value("a", "b") == pytest.approx(1.1)
 
+    @pytest.mark.parametrize("name, text", [
+        ("m.csv", ",a,b\na,0,1e308\nb,1e308,0\n"),
+        ("m.phy", "2\na\nb 1e308\n"),
+    ])
+    def test_huge_finite_distance_kept_exactly(self, tmp_path, name, text):
+        # the two cells' sum overflows, their average does not
+        p = tmp_path / name
+        p.write_text(text)
+        assert parse_matrix(p).d == DistanceMatrix.from_pairs(("a", "b"), {("a", "b"): 1e308}).d
+
+    def test_huge_asymmetric_pair_averaged(self, tmp_path):
+        p = tmp_path / "m.csv"
+        p.write_text(",a,b\na,0,1.5e308\nb,1.7e308,0\n")
+        with pytest.warns(UserWarning, match="asymmetry"):
+            assert parse_matrix(p).d[("a", "b")] == 1.6e308
+
     def test_round_trip_writer(self, tmp_path, rng):
         d, _ = random_tree_metric(rng, 6)
         p = tmp_path / "round.csv"

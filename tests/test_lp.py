@@ -1182,6 +1182,32 @@ class TestFirstRound:
         rounds, *imported = proc.stdout.split()
         assert int(rounds) >= 2 and imported == []
 
+    def test_highs_fit_loads_only_the_binding(self):
+        # a fit that reaches HiGHS loads scipy's HiGHS extension alone; a
+        # later scipy.optimize import reuses that module, and linprog works
+        code = (
+            "import random, sys\n"
+            "from treefit import DistanceMatrix, fit_tree_metric\n"
+            "from treefit.core import all_pairs\n"
+            "rng = random.Random(0)\n"
+            "labels = tuple(f's{k}' for k in range(16))\n"
+            "d = DistanceMatrix.from_pairs(labels, {p: float(rng.randint(1, 4))\n"
+            "                                       for p in all_pairs(labels)})\n"
+            "fit = fit_tree_metric(d, pivot_mode='fixed', pivot='s0')\n"
+            "name = 'scipy.optimize._highspy._core'\n"
+            "core = sys.modules.get(name)\n"
+            "print(core is not None,\n"
+            "      *[m for m in ('scipy.optimize', 'scipy.sparse') if m in sys.modules])\n"
+            "from scipy.optimize import linprog\n"
+            "res = linprog([1.0, 2.0], A_ub=[[-1.0, -1.0]], b_ub=[-1.0], method='highs')\n"
+            "print(res.status, res.x.tolist(), sys.modules[name] is core)\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": str(src)},
+                              check=True)
+        assert proc.stdout.splitlines() == ["True", "0 [1.0, 0.0] True"]
+
 
 class TestHighsRounds:
     def test_starts_from_the_chain_point(self, rng, monkeypatch):
