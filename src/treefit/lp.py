@@ -257,11 +257,11 @@ def solve_lp(lp: LinearProgram, feas_tol: float = DEFAULT_FEAS_TOL, *,
     bundled binding with `linprog`'s options, so with the same points and
     iteration counts as `linprog`; both are deterministic. The HiGHS path
     loads only the binding's extension file, not `scipy.optimize`, and the
-    simplex path never imports scipy. Either backend starts from the monotonicity
-    rows alone and adds the violated triangle rows after each solve until
-    none is left; the final point is still checked against every row, so
-    the objective is the optimum of the full LP. The first round, the monotonicity and box rows, is one chain per
-    pair: each distinct cost chain is solved once with the dense simplex,
+    simplex path never imports scipy. Either backend starts from the
+    monotonicity rows alone and adds the violated triangle rows after each
+    solve until none is left; the final point is still checked against
+    every row, so the objective is the optimum of the full LP. The first
+    round, the monotonicity and box rows, is one chain per pair: each distinct cost chain is solved once with the dense simplex,
     cached across LPs. The simplex assembles the cold solve's tableau from
     them (`solve_first_round`) and continues each later round from the last
     round's tableau, given the new rows only. HiGHS takes the same first
