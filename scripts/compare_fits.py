@@ -7,13 +7,15 @@
 The first form fits every table of the grid through the public API and
 writes one JSON line per fit: its id, the `repr` of `l1_error` and of
 `lp_lower_bound`, and the sha256 of the Newick string. The grid holds
-ultrametric fits for n = 3..20 and tree fits for n = 3..12, each with three
+ultrametric fits for n = 3..20 and tree fits for n = 3..12, each with four
 kinds of values: `int`, integers 1..4; `cont`, drawn from 8 random ones in
 [1, 9] (continuous level gaps, few enough levels that n = 20 stays fast), so
-the grid reaches both LP backends; and `exact`, a table the mode fits with
-no error (a planted ultrametric, or the path metric of a random tree with
+the grid reaches both LP backends; `exact`, a table the mode fits with no
+error (a planted ultrametric, or the path metric of a random tree with
 integer edge weights 1..3), so clustering levels with no disagreements are
-reached too. Run it once against each checkout to compare.
+reached too; and `near`, values clustered around a few centres with gaps
+on both sides of the 1e-12 tolerance within which near ties merge, so the
+merge rule is reached. Run it once against each checkout to compare.
 
 `--diff A B` prints how many fits changed (Newick or error), how many
 errors rose or fell, each changed fit with its old -> new error, and every
@@ -62,12 +64,25 @@ def tree_path_metric(rng: random.Random, labels: list[str]) -> dict:
     return {(x, y): distance(at[x], at[y]) for x, y in combinations(labels, 2)}
 
 
+def near_values(rng: random.Random) -> list[float]:
+    """Three clusters, each an integer centre c in 1..9 and two values above
+    it, c + g1 and c + g1 + g2, with gaps g from 0.5e-12 to 1.5e-12."""
+    pool = []
+    for centre in rng.sample(range(1, 10), 3):
+        value = float(centre)
+        pool.append(value)
+        for _ in range(2):
+            value += rng.uniform(0.5e-12, 1.5e-12)
+            pool.append(value)
+    return pool
+
+
 def grid(reps: int, max_n: int):
     """(id, mode, labels, values) of each fit, in a fixed order."""
     exact = {"ultrametric": planted_ultrametric, "tree": tree_path_metric}
     for mode, top in (("ultrametric", 20), ("tree", 12)):
         for n in range(3, min(top, max_n) + 1):
-            for kind in ("int", "cont", "exact"):
+            for kind in ("int", "cont", "exact", "near"):
                 for rep in range(reps):
                     fit_id = f"{mode}-n{n}-{kind}-{rep}"
                     rng = random.Random(fit_id)
@@ -75,8 +90,12 @@ def grid(reps: int, max_n: int):
                     if kind == "exact":
                         yield fit_id, mode, labels, exact[mode](rng, labels)
                         continue
-                    pool = ([1.0, 2.0, 3.0, 4.0] if kind == "int" else
-                            [round(rng.uniform(1.0, 9.0), 3) for _ in range(8)])
+                    if kind == "near":
+                        pool = near_values(rng)
+                    elif kind == "int":
+                        pool = [1.0, 2.0, 3.0, 4.0]
+                    else:
+                        pool = [round(rng.uniform(1.0, 9.0), 3) for _ in range(8)]
                     values = {p: rng.choice(pool) for p in combinations(labels, 2)}
                     yield fit_id, mode, labels, values
 

@@ -13,7 +13,7 @@ import sys
 import time
 from pathlib import Path
 
-from .core import DistanceMatrix, EdgeSet, WeightedTree, lp_norm_error
+from .core import VALUE_MERGE_TOL, DistanceMatrix, EdgeSet, WeightedTree, lp_norm_error
 from .corrclust import corr_cluster, corr_cluster_cost, exact_corr_cluster
 from .io import DataError, newick_string, parse_matrix, parse_newick, write_newick
 from .lp import DEFAULT_FEAS_TOL, HccInstance, SolverError, build_lp, solve_lp
@@ -133,7 +133,7 @@ def _emit(args, report: dict) -> None:
 def _edges_from_threshold(d: DistanceMatrix, threshold: float | None) -> EdgeSet:
     if threshold is None:
         threshold = min(d.values.tolist(), default=0.0)  # one label: no pairs
-    return EdgeSet(d.labels, d.values <= threshold + 1e-12)
+    return EdgeSet(d.labels, d.values <= threshold + VALUE_MERGE_TOL)
 
 
 NO_LP_SINGLE_LABEL = "# lp-dump v1\n# no LP: single label\n"
@@ -238,7 +238,7 @@ def _cmd_oracle(args) -> int:
         wall_ms = int(round((time.perf_counter() - t0) * 1000))
         _emit(args, _report(args, n=d.n, mode="oracle-ultrametric",
                             l1_error=cost, lp_lower_bound=None,
-                            num_levels=len(d.distinct_values()) - 1,
+                            num_levels=max(len(d.distinct_values()) - 1, 0),
                             tree_newick=newick_string(tree), wall_ms=wall_ms))
         return EXIT_OK
     edges = _edges_from_threshold(d, args.threshold)

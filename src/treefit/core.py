@@ -75,6 +75,18 @@ def _pair_position(index: Mapping[str, int], i: str, j: str) -> int:
     return _condensed(len(index), min(a, b), max(a, b))
 
 
+def _key_positions(index: Mapping[str, int], keys: Iterable) -> list[int]:
+    """The `all_pairs` position of each key, a 2-element tuple or frozenset
+    of labels; any other key raises a ValueError that names it."""
+    out = []
+    for key in keys:
+        pair = tuple(key)
+        if len(pair) != 2 or not all(lab in index for lab in pair):
+            raise ValueError(f"bad pair keys: {key!r} is not a pair of labels")
+        out.append(_pair_position(index, *pair))
+    return out
+
+
 def _nth_pair(labels: Sequence[str], k: int) -> Pair:
     return next(itertools.islice(all_pairs(labels), k, None))
 
@@ -137,10 +149,15 @@ class DistanceMatrix:
 
     @classmethod
     def from_pairs(cls, labels: Sequence[str], values: Mapping) -> "DistanceMatrix":
-        """Build from any mapping keyed by 2-element tuples or frozensets."""
+        """Build from any mapping keyed by 2-element tuples or frozensets; a
+        pair keyed in both orientations must have one value in both."""
         labels = tuple(labels)
-        idx = _label_index(labels)
-        keyed = {_pair_position(idx, *tuple(key)): float(v) for key, v in values.items()}
+        keyed: dict[int, float] = {}
+        for key, k in zip(values, _key_positions(_label_index(labels), values)):
+            v = float(values[key])
+            if keyed.setdefault(k, v) != v:
+                raise ValueError(f"bad pair keys: {key!r} gives {v}, "
+                                 f"its other orientation {keyed[k]}")
         missing = [p for k, p in enumerate(all_pairs(labels)) if k not in keyed]
         if missing:
             raise ValueError(f"bad pair keys: missing={missing[:3]}")
@@ -169,20 +186,22 @@ class DistanceMatrix:
 
     def distinct_values(self) -> tuple[float, ...]:
         """Sorted distinct distances, with near ties merged (see merge_ties)."""
-        return merge_ties(self.values)
+        return merge_ties(self.values)[0]
 
 
-def merge_ties(values: np.ndarray) -> tuple[float, ...]:
-    """Sorted distinct values; a value within VALUE_MERGE_TOL of the last kept
-    value merges into it."""
-    ordered = np.sort(values)
-    distinct = np.ones(len(ordered), dtype=bool)
-    distinct[1:] = ordered[1:] != ordered[:-1]
-    out: list[float] = []
-    for v in ordered[distinct].tolist():
-        if not out or v - out[-1] > VALUE_MERGE_TOL:
-            out.append(v)
-    return tuple(out)
+def merge_ties(values: np.ndarray) -> tuple[tuple[float, ...], np.ndarray]:
+    """The sorted distinct values kept, and for each value the index of the
+    kept one it merged into: going up, a value within VALUE_MERGE_TOL above
+    the last kept value merges into it. Every level a distance is put on,
+    in slicing and in `UltrametricTree.from_distances`, is this index."""
+    distinct, inverse = np.unique(values, return_inverse=True)
+    kept: list[float] = []
+    for v in distinct.tolist():
+        if not kept or v - kept[-1] > VALUE_MERGE_TOL:
+            kept.append(v)
+    # each distinct value merged into the last kept value at or below it
+    into = np.searchsorted(kept, distinct, side="right") - 1
+    return tuple(kept), into[inverse]
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +232,7 @@ class EdgeSet:
         universe = tuple(universe)
         idx = {lab: k for k, lab in enumerate(universe)}
         mask = np.zeros(len(universe) * (len(universe) - 1) // 2, dtype=bool)
-        mask[[_pair_position(idx, *tuple(p)) for p in pairs]] = True
+        mask[_key_positions(idx, pairs)] = True
         return cls(universe, mask)
 
     @property
@@ -433,6 +452,7 @@ class _RootedTree:
     docstring), with its distances cached from `_fill_distances`."""
 
     labels: tuple[str, ...]
+    _index: dict[str, int]
 
     def _set_arrays(self, labels: tuple[str, ...], index: dict[str, int], parent: list[int],
                     length: np.ndarray, label: list[int]) -> None:
@@ -466,14 +486,14 @@ class _RootedTree:
             raise UniverseMismatch("tree labels do not match the distance matrix")
         if labels == self.labels:
             return self.distances()
-        pos = [self._index[lab] for lab in labels]  # type: ignore[attr-defined]
+        pos = [self._index[lab] for lab in labels]
         return _square(self.distances(), len(pos))[np.ix_(pos, pos)][_pair_ends(len(pos))]
 
     def distance_map(self) -> dict[Pair, float]:
         return dict(zip(all_pairs(self.labels), self.distances().tolist()))
 
     def distance(self, i: str, j: str) -> float:
-        return float(self.distances()[_pair_position(self._index, i, j)])  # type: ignore[attr-defined]
+        return float(self.distances()[_pair_position(self._index, i, j)])
 
 
 @dataclass(frozen=True)
@@ -549,18 +569,17 @@ class UltrametricTree(_RootedTree):
         """Build the canonical tree realizing an ultrametric given in
         `all_pairs(labels)` order.
 
-        Each pair joins at the first distinct (tie-merged) value it is within
-        VALUE_MERGE_TOL of; a minimum spanning tree of those levels joins the
-        same components at each value. The realized distances are then
-        verified against the input within tol.
+        Each pair joins at the kept value its distance merged into (see
+        merge_ties); a minimum spanning tree of those levels joins the same
+        components at each value. The realized distances are then verified
+        against the input within tol.
         """
         _check_tol("tol", tol)
         labels = tuple(labels)
         values = _pair_vector(values, len(labels))
         if not np.isfinite(values).all():
             raise ValueError("ultrametric distances must be finite")
-        merged = merge_ties(values)
-        level = np.searchsorted(np.add(merged, VALUE_MERGE_TOL), values)
+        merged, level = merge_ties(values)
         tree = cls._from_joins(labels, merged, _level_steps(len(labels), level, len(merged)))
         realized = tree.distances()
         off = np.flatnonzero(np.abs(realized - values) > tol)

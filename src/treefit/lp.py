@@ -31,8 +31,7 @@ import numpy as np
 
 from .core import EdgeSet, HierarchySequence, all_pairs, clique_edges, sym_diff_size
 from .core import _check_tol, _condensed, _pair_ends, _pair_vector
-from .simplex import SimplexResult, SimplexStall, SimplexTooLarge, check_tableau_size
-from .simplex import solve_dense
+from .simplex import SimplexResult, SimplexStall, solve_dense
 
 DEFAULT_FEAS_TOL = 1e-7
 
@@ -253,7 +252,7 @@ def solve_lp(lp: LinearProgram, feas_tol: float = DEFAULT_FEAS_TOL, *,
     """Solve to optimality; the result is clamped into [0,1] and re-checked.
 
     The backend is the built-in dense simplex while the tableau of the full
-    LP fits DENSE_TABLEAU_BUDGET and HiGHS beyond that, through scipy's
+    LP fits DENSE_TABLEAU_BUDGET, and HiGHS beyond that, through scipy's
     bundled binding with `linprog`'s options, so with the same points and
     iteration counts as `linprog`; both are deterministic. The HiGHS path
     loads only the binding's extension file, not `scipy.optimize`, and the
@@ -261,12 +260,15 @@ def solve_lp(lp: LinearProgram, feas_tol: float = DEFAULT_FEAS_TOL, *,
     monotonicity rows alone and adds the violated triangle rows after each
     solve until none is left; the final point is still checked against
     every row, so the objective is the optimum of the full LP. The first
-    round, the monotonicity and box rows, is one chain per pair: each distinct cost chain is solved once with the dense simplex,
-    cached across LPs. The simplex assembles the cold solve's tableau from
-    them (`solve_first_round`) and continues each later round from the last
-    round's tableau, given the new rows only. HiGHS takes the same first
-    point from the chain solves and solves each later round's rows afresh,
-    so an LP whose chain point meets every triangle row makes no HiGHS call.
+    round, the monotonicity and box rows, is one chain per pair: each
+    distinct cost chain is solved once with the dense simplex, cached across
+    LPs. The simplex assembles the cold solve's tableau from them
+    (`solve_first_round`) and continues each later round from the last
+    round's tableau, given the new rows only. Each of those tableaux holds a
+    subset of the full LP's rows, so the budget bounds them all. HiGHS takes
+    the same first point from the chain solves and solves each later round's
+    rows afresh, so an LP whose chain point meets every triangle row makes
+    no HiGHS call.
     iteration_cap bounds the simplex pivots of each round on the simplex
     backend only; a first round that needs more stalls at the origin. An LP
     without pairs (0 or 1 labels) has the empty point.
@@ -307,8 +309,6 @@ def solve_lp(lp: LinearProgram, feas_tol: float = DEFAULT_FEAS_TOL, *,
 
     try:
         x, rounds, rows_used, pivots = _solve_lazily(lp, solve_rows, feas_tol)
-    except SimplexTooLarge as exc:
-        raise SolverError(str(exc)) from exc
     except SimplexStall as exc:
         # a stalled point need not meet the rows not yet added, and one
         # stalled in a later round's dual phase not even the rows added
@@ -369,13 +369,12 @@ def solve_first_round(lp: LinearProgram, iteration_cap: int | None = None
     Pairs with equal costs share one chain solve, cached across calls. The
     pivots are those of the cold solve; if they exceed iteration_cap (by
     default 10 per row, as in `solve_dense`), the solve stalls at the origin,
-    which meets every row.
+    which meets every row. Its tableau is bounded as `solve_lp` says.
     """
     n_levels = lp.n_levels
     n_pairs = lp.n_vars // n_levels
     m = (2 * n_levels - 1) * n_pairs  # n_levels - 1 monotonicity rows, n_levels box rows
     ncols = lp.n_vars + m
-    check_tableau_size(m, ncols)
     if iteration_cap is None:
         iteration_cap = 10 * m
 

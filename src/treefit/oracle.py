@@ -96,9 +96,10 @@ def exact_ultrametric_l1(d: DistanceMatrix) -> tuple[UltrametricTree, float]:
     try:
         inst, levels = hcc_instance_from_distances(d)
     except TrivialInstance as trivial:
-        return star_tree(d.labels, trivial.levels.values[0]), 0.0
-    hierarchy, _ = exact_hcc(inst, cap=ULTRAMETRIC_CAP)
-    tree = hierarchy_to_ultrametric(hierarchy, levels)
+        tree = star_tree(d.labels, trivial.levels.values[0])
+    else:
+        hierarchy, _ = exact_hcc(inst, cap=ULTRAMETRIC_CAP)
+        tree = hierarchy_to_ultrametric(hierarchy, levels)
     return tree, lp_norm_error(tree, d, 1)
 
 

@@ -1,10 +1,10 @@
-"""Dense simplex for small LPs of the form min c.x, A x <= b, 0 <= x <= u.
+"""Dense simplex for small LPs of the form min c.x, A x <= b, 0 <= x <= 1.
 
-A cold solve is a primal simplex. Upper bounds are appended as explicit rows,
-so the origin is always a basic feasible starting point (b >= 0, u >= 0).
-Entering variables follow the most-negative-reduced-cost rule; the leaving
-row is chosen by the lexicographic ratio test, which rules out cycling on the
-heavily degenerate bases these LPs start from. If the rows split into blocks
+A cold solve is a primal simplex. The upper bounds x <= 1 are appended as
+explicit rows, so the origin is always a basic feasible starting point
+(b >= 0). Entering variables follow the most-negative-reduced-cost rule;
+the leaving row is chosen by the lexicographic ratio test, which rules out
+cycling on the heavily degenerate bases these LPs start from. If the rows split into blocks
 on disjoint variables, each pivot reads and changes one block's entries,
 and it is the pivot a solve of that block alone makes next: ties go by
 index, and the blocks' columns keep their order. So the cold solve is the
@@ -55,11 +55,6 @@ import numpy as np
 
 PIVOT_TOL = 1e-9
 LEX_TOL = 1e-12
-MAX_TABLEAU_ENTRIES = 20_000_000
-
-
-class SimplexTooLarge(RuntimeError):
-    """The dense tableau would not fit in the configured memory budget."""
 
 
 class SimplexStall(RuntimeError):
@@ -92,34 +87,28 @@ class SimplexResult:
     basis: np.ndarray = field(repr=False)
 
 
-def solve_dense(c, a, b, upper=None, *, iteration_cap: int | None = None,
-                max_tableau_entries: int = MAX_TABLEAU_ENTRIES,
+def solve_dense(c, a, b, *, iteration_cap: int | None = None,
                 start: SimplexResult | None = None) -> SimplexResult:
-    """Minimize c.x subject to a x <= b, 0 <= x <= upper (default 1).
+    """Minimize c.x subject to a x <= b, 0 <= x <= 1.
 
     Without `start`, b must be nonnegative so that x = 0 is feasible. With
-    `start`, the result of an optimal solve with the same c and upper, the
-    rows a x <= b are added to that solve's rows and the solve continues from
-    its tableau, which is left as it was; b may then have any sign.
+    `start`, the result of an optimal solve with the same c, the rows
+    a x <= b are added to that solve's rows and the solve continues from its
+    tableau, which is left as it was; b may then have any sign.
     iteration_cap bounds the pivots of this call, dual and primal together.
+    The caller bounds the tableau's size, as `lp.solve_lp` does.
     """
     c = np.asarray(c, dtype=float)
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     nvars = c.shape[0]
-    if upper is None:
-        upper = np.ones(nvars)
-    else:
-        upper = np.asarray(upper, dtype=float)
-    for name, values in (("c", c), ("a", a), ("b", b), ("upper", upper)):
+    for name, values in (("c", c), ("a", a), ("b", b)):
         if not np.isfinite(values).all():
             raise ValueError(f"{name} must be finite")
 
     if start is None:
         if np.any(b < 0):
             raise ValueError("rhs b must be nonnegative (origin must be feasible)")
-        if np.any(upper < 0):
-            raise ValueError("upper must be nonnegative (origin must be feasible)")
         m = a.shape[0] + nvars
     else:
         m0 = start.tableau.shape[0] - 1
@@ -128,7 +117,6 @@ def solve_dense(c, a, b, upper=None, *, iteration_cap: int | None = None,
                              f"variables, not {nvars}")
         m = m0 + a.shape[0]
     ncols = nvars + m
-    check_tableau_size(m, ncols, max_tableau_entries)
     if iteration_cap is None:
         iteration_cap = 10 * m
 
@@ -138,7 +126,7 @@ def solve_dense(c, a, b, upper=None, *, iteration_cap: int | None = None,
         tableau[a.shape[0] : m, :nvars] = np.eye(nvars)
         tableau[:m, nvars : nvars + m] = np.eye(m)
         tableau[: a.shape[0], -1] = b
-        tableau[a.shape[0] : m, -1] = upper
+        tableau[a.shape[0] : m, -1] = 1.0
         tableau[-1, :nvars] = c
         tableau += 0.0  # -0.0 becomes 0.0
         basis = np.arange(nvars, nvars + m)
@@ -214,15 +202,6 @@ def solve_dense(c, a, b, upper=None, *, iteration_cap: int | None = None,
     x = _extract(tableau, basis, nvars)
     return SimplexResult(x=x, objective=float(c @ x), iterations=iterations,
                          tableau=tableau, basis=basis)
-
-
-def check_tableau_size(m: int, ncols: int,
-                       max_entries: int = MAX_TABLEAU_ENTRIES) -> None:
-    """Raise SimplexTooLarge if a tableau of m rows and ncols columns, with
-    its objective row and rhs column, exceeds max_entries."""
-    if (m + 1) * (ncols + 1) > max_entries:
-        raise SimplexTooLarge(
-            f"tableau of {(m + 1)} x {(ncols + 1)} exceeds the dense budget")
 
 
 def _append_rows(start: SimplexResult, a: np.ndarray, b: np.ndarray

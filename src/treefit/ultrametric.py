@@ -14,6 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
+    DEFAULT_TOL,
     DistanceMatrix,
     EdgeSet,
     FittedTree,
@@ -21,16 +22,17 @@ from .core import (
     UltrametricTree,
     _nth_pair,
     lp_norm_error,
+    merge_ties,
     nested_components,
 )
 from .hcc import HccResult, fit_hcc
 from .lp import DEFAULT_FEAS_TOL, HccInstance
 
-VALUE_TOL = 1e-9
-
 
 class TrivialInstance(Exception):
-    """All distances equal: a star at that height fits with zero error."""
+    """At most one distinct distance, after merging near ties: the star at
+    that value is the best fit, with no LP to solve. One label has no
+    distance, and its `levels` hold the value 0.0, its star's."""
 
     def __init__(self, levels: "UltrametricLevels"):
         super().__init__("single distinct distance")
@@ -85,13 +87,15 @@ def _level_index(values: tuple[float, ...], labels: Sequence[str],
 def hcc_instance_from_distances(d: DistanceMatrix) -> tuple[HccInstance, UltrametricLevels]:
     """Level weights from consecutive value gaps; level edges by thresholding.
 
-    Each pair is snapped to its own (tie-merged) value, so near-duplicate
-    values cannot leak into the wrong level.
+    Each pair sits on the level of the kept value its distance merged into
+    (see merge_ties), the values `d.distinct_values()` keeps, so a near tie
+    cannot leak into another level. A table with at most one distinct value,
+    one label included, raises TrivialInstance.
     """
-    levels = UltrametricLevels(d.distinct_values())
+    values, level = merge_ties(d.values)
+    levels = UltrametricLevels(values or (0.0,))  # one label: its star at 0.0
     if levels.n_levels == 0:
         raise TrivialInstance(levels)
-    level = _level_index(levels.values, d.labels, d.values, 2e-12)
     edge_sets = tuple(EdgeSet(d.labels, level <= t) for t in range(levels.n_levels))
     return HccInstance(d.labels, levels.deltas(), edge_sets), levels
 
@@ -125,7 +129,7 @@ def star_tree(labels: Sequence[str], height_distance: float) -> UltrametricTree:
 def ultrametric_to_hierarchy(tree: UltrametricTree,
                              levels: UltrametricLevels) -> HierarchySequence:
     """Inverse construction: level-t parts are components under <= D^(t)."""
-    level = _level_index(levels.values, tree.labels, tree.distances(), VALUE_TOL)
+    level = _level_index(levels.values, tree.labels, tree.distances(), DEFAULT_TOL)
     return HierarchySequence(tuple(nested_components(tree.labels, level, levels.n_levels)))
 
 
@@ -133,10 +137,6 @@ def fit_ultrametric(d: DistanceMatrix, *, strategy: str = "pivot-sweep",
                     seed: int | None = None, feas_tol: float = DEFAULT_FEAS_TOL,
                     lower_bound: bool = True) -> FittedTree:
     """Fit an ultrametric minimizing total error, reporting the LP lower bound."""
-    if d.n == 1:
-        return FittedTree(kind="ultrametric", tree=star_tree(d.labels, 0.0),
-                          l1_error=0.0, lp_lower_bound=0.0, num_levels=0,
-                          details={"fast_path": True, "hcc_cost": 0.0})
     try:
         inst, levels = hcc_instance_from_distances(d)
     except TrivialInstance as trivial:

@@ -120,6 +120,14 @@ class TestOtherCommands:
         assert run_cli("oracle", "ultrametric", fix123, "--json-out", out) == 0
         assert json.loads(out.read_text())["l1_error"] == pytest.approx(1.0)
 
+    def test_oracle_ultrametric_one_label(self, tmp_path, capsys):
+        src, out = tmp_path / "one.csv", tmp_path / "r.json"
+        write_matrix_csv(DistanceMatrix.from_pairs(("a",), {}), src)
+        assert run_cli("oracle", "ultrametric", src, "--seed", "7", "--json-out", out) == 0
+        report = json.loads(out.read_text())
+        assert (report["l1_error"], report["num_levels"], report["tree_newick"]) \
+            == (0.0, 0, "(a:0.0);")
+
     def test_oracle_hca_json_instance(self, tmp_path, capsys):
         inst = {"labels": ["a", "b", "c", "d"],
                 "deltas": [1.0, 1.0],

@@ -19,7 +19,7 @@ def test_tiny_grid_and_diff(tmp_path):
     records = [json.loads(line) for line in proc.stdout.splitlines()]
     assert [r["id"] for r in records] == [
         f"{mode}-n{n}-{kind}-0" for mode in ("ultrametric", "tree")
-        for n in (3, 4) for kind in ("int", "cont", "exact")]
+        for n in (3, 4) for kind in ("int", "cont", "exact", "near")]
     for r in records:
         assert float(r["lp_lower_bound"]) <= float(r["l1_error"])
         assert len(r["newick_sha256"]) == 64
@@ -32,14 +32,14 @@ def test_tiny_grid_and_diff(tmp_path):
     new.write_text(proc.stdout)
     same = run_script("--diff", str(old), str(new))
     assert same.returncode == 0
-    assert same.stdout == "12 fits, 0 changed: 0 errors rose, 0 fell\n0 bounds changed\n"
+    assert same.stdout == "16 fits, 0 changed: 0 errors rose, 0 fell\n0 bounds changed\n"
 
     records[1] |= {"l1_error": repr(float(records[1]["l1_error"]) + 1.0),
                    "lp_lower_bound": "0.5"}
-    records[7]["newick_sha256"] = "0" * 64
+    records[9]["newick_sha256"] = "0" * 64
     new.write_text("".join(json.dumps(r) + "\n" for r in records))
     lines = run_script("--diff", str(old), str(new)).stdout.splitlines()
-    assert lines[0] == "12 fits, 2 changed: 1 errors rose, 0 fell"
+    assert lines[0] == "16 fits, 2 changed: 1 errors rose, 0 fell"
     assert lines[1].startswith("  ultrametric-n3-cont-0: l1_error ")
     assert lines[2].startswith("  tree-n3-cont-0: l1_error ")
     assert lines[3:] == ["1 bounds changed", "  ultrametric-n3-cont-0: lp_lower_bound "

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -285,6 +286,23 @@ class TestDistanceMatrix:
     def test_rejects_missing_pair(self):
         with pytest.raises(ValueError):
             DistanceMatrix.from_pairs(("a", "b", "c"), {("a", "b"): 1.0})
+
+    @pytest.mark.parametrize("key", [("a", "z"), ("a", "b", "c"), ("a",)])
+    def test_rejects_bad_pair_keys(self, key):
+        # an unknown label, or a key that is not a pair, is named
+        message = f"bad pair keys: {re.escape(repr(key))}"
+        values = {("a", "b"): 1.0, ("a", "c"): 1.0, ("b", "c"): 1.0, key: 2.0}
+        with pytest.raises(ValueError, match=message):
+            DistanceMatrix.from_pairs("abc", values)
+        with pytest.raises(ValueError, match=message):
+            EdgeSet.from_pairs("abc", [("a", "b"), key])
+
+    def test_rejects_both_orientations_with_other_values(self):
+        with pytest.raises(ValueError, match=r"bad pair keys: \('b', 'a'\) gives 5.0"):
+            DistanceMatrix.from_pairs("ab", {("a", "b"): 1.0, ("b", "a"): 5.0})
+        d = DistanceMatrix.from_pairs("ab", {("a", "b"): 2.0, ("b", "a"): 2.0,
+                                             frozenset("ab"): 2.0})
+        assert d.values.tolist() == [2.0]
 
     def test_distinct_values_merge_near_ties(self):
         d = DistanceMatrix.from_pairs("abc", {

@@ -29,11 +29,9 @@ from treefit.oracle import exact_hcc
 import treefit.simplex as simplex_module
 from treefit.simplex import (
     LEX_TOL,
-    MAX_TABLEAU_ENTRIES,
     PIVOT_TOL,
     SimplexResult,
     SimplexStall,
-    SimplexTooLarge,
     solve_dense,
 )
 from treefit.ultrametric import hcc_instance_from_distances
@@ -269,15 +267,11 @@ class TestCostEdges:
 # Reference simplex: the full-tableau loop with the column-by-column tie-break
 # ---------------------------------------------------------------------------
 
-def reference_solve_dense(c, a, b, upper=None, *, iteration_cap=None):
+def reference_solve_dense(c, a, b, *, iteration_cap=None):
     c = np.asarray(c, dtype=float)
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     nvars = c.shape[0]
-    if upper is None:
-        upper = np.ones(nvars)
-    else:
-        upper = np.asarray(upper, dtype=float)
     if np.any(b < 0):
         raise ValueError("rhs must be nonnegative (origin must be feasible)")
 
@@ -291,7 +285,7 @@ def reference_solve_dense(c, a, b, upper=None, *, iteration_cap=None):
     tableau[a.shape[0] : m, :nvars] = np.eye(nvars)
     tableau[:m, nvars : nvars + m] = np.eye(m)
     tableau[: a.shape[0], -1] = b
-    tableau[a.shape[0] : m, -1] = upper
+    tableau[a.shape[0] : m, -1] = 1.0
     tableau[-1, :nvars] = c
 
     basis = list(range(nvars, nvars + m))
@@ -542,20 +536,15 @@ class TestSimplexDirect:
         with pytest.raises(ValueError):
             solve_dense(np.array([1.0]), np.array([[1.0]]), np.array([-1.0]))
 
-    def test_rejects_negative_upper(self):
-        # no x >= 0 meets x <= -1, so the origin is no feasible start
-        with pytest.raises(ValueError, match="upper"):
-            solve_dense([-1.0], [[1.0]], [1.0], upper=[-1.0])
-
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("name", ["c", "a", "b", "upper"])
+    @pytest.mark.parametrize("name", ["c", "a", "b"])
     def test_rejects_non_finite_input(self, name, bad):
-        args = {"c": [-1.0, -1.0], "a": [[1.0, 1.0]], "b": [1.5], "upper": [1.0, 1.0]}
+        args = {"c": [-1.0, -1.0], "a": [[1.0, 1.0]], "b": [1.5]}
         values = np.array(args[name])
         values.flat[0] = bad
         args[name] = values
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
-            solve_dense(args["c"], args["a"], args["b"], upper=args["upper"])
+            solve_dense(args["c"], args["a"], args["b"])
 
     def test_warm_start_needs_the_same_variables(self):
         res = solve_dense([-1.0, -1.0], [[1.0, 1.0]], [1.5])
@@ -1148,18 +1137,33 @@ class TestFirstRound:
             stalled += 1
         assert stalled >= 15
 
-    def test_too_large_before_any_chain_solve(self, monkeypatch):
-        def no_solve(*args, **kwargs):
-            raise AssertionError("solved a chain of a tableau over the budget")
+    def test_every_tableau_fits_the_dense_budget(self, rng, monkeypatch):
+        # each tableau of a simplex solve holds a subset of the full LP's
+        # rows, so on LPs whose full tableau sits just under the budget that
+        # picks the simplex, every tableau built stays within it
+        sizes = []
 
-        monkeypatch.setattr(lp_module, "solve_dense", no_solve)
-        labels = tuple(f"s{k}" for k in range(40))
-        q = Partition.from_parts(labels, [set(labels[:20]), set(labels[20:])])
-        lp = build_lp(HccInstance.from_partitions(labels, (1.0, 2.0, 1.5), [q, q, q]))
-        with pytest.raises(SimplexTooLarge):
-            solve_first_round(lp)
-        with pytest.raises(SolverError, match="dense budget"):
-            solve_on("simplex", lp)
+        def first_round(lp, iteration_cap=None):
+            res = solve_first_round(lp, iteration_cap)
+            sizes.append(res.tableau.size)
+            return res
+
+        def recording_solve_dense(c, a, b, **kwargs):
+            res = solve_dense(c, a, b, **kwargs)
+            sizes.append(res.tableau.size)
+            return res
+
+        monkeypatch.setattr(lp_module, "solve_first_round", first_round)
+        monkeypatch.setattr(lp_module, "solve_dense", recording_solve_dense)
+        for n, n_levels in ((7, 7), (9, 3), (13, 1)):
+            lp = build_lp(random_instance(rng, n, n_levels))
+            m = lp.n_rows + lp.n_vars
+            assert 0.75 < (m + 1) * (lp.n_vars + m + 1) / DENSE_TABLEAU_BUDGET <= 1.0
+            sizes.clear()
+            sol = solve_lp(lp)
+            assert sol.backend == "simplex" and sol.rounds >= 2
+            assert len(sizes) >= sol.rounds
+            assert max(sizes) <= DENSE_TABLEAU_BUDGET
 
     def test_desk_fit_imports_neither_scipy_nor_numpy_ma(self):
         # the simplex path and its lazy-row bookkeeping stay within numpy's core
@@ -1243,16 +1247,16 @@ class TestHighsRounds:
         assert rounds.count(1) >= 10 and sum(r >= 2 for r in rounds) >= 50
 
     def test_solves_an_lp_over_the_dense_budget(self, rng, monkeypatch):
-        # the HiGHS path never sizes or builds the first-round tableau
+        # the HiGHS path never builds the first-round tableau
         def no_tableau(*args, **kwargs):
-            raise AssertionError("sized the first-round tableau on the HiGHS path")
+            raise AssertionError("built the first-round tableau on the HiGHS path")
 
-        monkeypatch.setattr(lp_module, "check_tableau_size", no_tableau)
+        monkeypatch.setattr(lp_module, "solve_first_round", no_tableau)
         labels = tuple(f"s{k}" for k in range(48))
         lp = build_lp(HccInstance.from_partitions(
             labels, (1.0, 2.0, 1.5, 1.0), [random_partition(rng, labels) for _ in range(4)]))
         m = (2 * lp.n_levels - 1) * (lp.n_vars // lp.n_levels)
-        assert (m + 1) * (lp.n_vars + m + 1) > MAX_TABLEAU_ENTRIES
+        assert (m + 1) * (lp.n_vars + m + 1) > DENSE_TABLEAU_BUDGET
         sol = solve_on("highs", lp)
         assert sol.backend == "highs" and sol.rounds >= 2
         assert max(sol.max_violation().values()) <= 1e-7

@@ -1,5 +1,6 @@
 import inspect
 import itertools
+import random
 import sys
 
 import pytest
@@ -145,6 +146,17 @@ class TestExactUltrametric:
             ("1", "4"): 2.0, ("2", "3"): 2.0, ("2", "4"): 2.0})
         _, cost = exact_ultrametric_l1(d)
         assert cost == 0.0
+
+    def test_merged_star_error_is_measured(self):
+        # values 1..4 scaled by 1e-13 all merge, so the fit is a star at the
+        # least value; its error is measured, as fit_ultrametric measures it
+        rng = random.Random(3)
+        labels = tuple(f"s{k}" for k in range(7))
+        d = DistanceMatrix.from_pairs(labels, {p: rng.randint(1, 4) * 1e-13
+                                               for p in all_pairs(labels)})
+        tree, cost = exact_ultrametric_l1(d)
+        assert cost == lp_norm_error(tree, d, 1) > 0.0
+        assert cost == fit_ultrametric(d).l1_error
 
     def test_cap(self):
         labels = tuple(f"s{k}" for k in range(8))

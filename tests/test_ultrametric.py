@@ -5,6 +5,7 @@ import random
 import pytest
 
 from treefit.core import (
+    DEFAULT_TOL,
     DistanceMatrix,
     HierarchySequence,
     Partition,
@@ -18,7 +19,6 @@ from treefit.core import (
 from treefit.io import newick_string, parse_newick
 from treefit.lp import hierarchy_cost
 from treefit.ultrametric import (
-    VALUE_TOL,
     TrivialInstance,
     UltrametricLevels,
     fit_ultrametric,
@@ -320,6 +320,16 @@ class TestNearTieLevels:
         assert ("a", "c") in inst.edge_sets[0].edges
         assert ("b", "c") not in inst.edge_sets[0].edges
 
+    def test_level_is_the_value_a_distance_merged_into(self):
+        # a-c merges into 1.0 but lies nearer the kept 1 + 1.05e-12: it sits
+        # on 1.0's level, as distinct_values merges it
+        d = DistanceMatrix.from_pairs("abcd", {
+            ("a", "b"): 1.0, ("a", "c"): 1.0 + 0.9e-12, ("a", "d"): 1.0 + 1.05e-12,
+            ("b", "c"): 2.0, ("b", "d"): 3.0, ("c", "d"): 2.0})
+        inst, levels = hcc_instance_from_distances(d)
+        assert levels.values == d.distinct_values() == (1.0, 1.0 + 1.05e-12, 2.0, 3.0)
+        assert inst.edge_sets[0].edges == {("a", "b"), ("a", "c")}
+
     def test_exact_tie_snaps_to_the_lower_value(self):
         # mid merges into lo and lies exactly halfway between lo and hi
         ulp = math.ulp(1.0)
@@ -333,7 +343,7 @@ class TestNearTieLevels:
 
     def test_tree_distances_snap_within_value_tol_only(self):
         levels = UltrametricLevels((1.0, 3.0))
-        near = ultrametric_to_hierarchy(star_tree("abc", 3.0 + 0.5 * VALUE_TOL), levels)
+        near = ultrametric_to_hierarchy(star_tree("abc", 3.0 + 0.5 * DEFAULT_TOL), levels)
         assert all(len(p) == 1 for p in near.levels[0].parts)
         with pytest.raises(ValueError):
-            ultrametric_to_hierarchy(star_tree("abc", 3.0 + 1.5 * VALUE_TOL), levels)
+            ultrametric_to_hierarchy(star_tree("abc", 3.0 + 1.5 * DEFAULT_TOL), levels)
