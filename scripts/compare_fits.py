@@ -6,7 +6,10 @@
 
 The first form fits every table of the grid through the public API and
 writes one JSON line per fit: its id, the `repr` of `l1_error` and of
-`lp_lower_bound`, and the sha256 of the Newick string. The grid holds
+`lp_lower_bound`, the sha256 of the Newick string, and `opt`: the `repr` of
+the exact optimum from `oracle.exact_ultrametric_l1` for an ultrametric fit
+with n <= `oracle.ULTRAMETRIC_CAP`, null above the cap and in tree mode. The
+grid holds
 ultrametric fits for n = 3..20 and tree fits for n = 3..12, each with four
 kinds of values: `int`, integers 1..4; `cont`, drawn from 8 random ones in
 [1, 9] (continuous level gaps, few enough levels that n = 20 stays fast), so
@@ -19,7 +22,8 @@ merge rule is reached. Run it once against each checkout to compare.
 
 `--diff A B` prints how many fits changed (Newick or error), how many
 errors rose or fell, each changed fit with its old -> new error, and every
-bound that changed. It exits 1 when the two runs do not hold the same fits.
+bound and every optimum that changed. It exits 1 when the two runs do not
+hold the same fits.
 """
 import argparse
 import hashlib
@@ -103,14 +107,20 @@ def grid(reps: int, max_n: int):
 def run(reps: int, max_n: int, out) -> None:
     from treefit import DistanceMatrix, fit_tree_metric, fit_ultrametric
     from treefit.io import newick_string
+    from treefit.oracle import ULTRAMETRIC_CAP, exact_ultrametric_l1
 
     fits = {"ultrametric": fit_ultrametric, "tree": fit_tree_metric}
     for fit_id, mode, labels, values in grid(reps, max_n):
-        fitted = fits[mode](DistanceMatrix.from_pairs(labels, values))
+        d = DistanceMatrix.from_pairs(labels, values)
+        fitted = fits[mode](d)
         newick = newick_string(fitted).encode()
+        opt = None
+        if mode == "ultrametric" and d.n <= ULTRAMETRIC_CAP:
+            opt = repr(exact_ultrametric_l1(d)[1])
         out.write(json.dumps({"id": fit_id, "l1_error": repr(fitted.l1_error),
                               "lp_lower_bound": repr(fitted.lp_lower_bound),
-                              "newick_sha256": hashlib.sha256(newick).hexdigest()}) + "\n")
+                              "newick_sha256": hashlib.sha256(newick).hexdigest(),
+                              "opt": opt}) + "\n")
 
 
 def load(path: str) -> dict:
@@ -130,6 +140,7 @@ def diff(path_a: str, path_b: str, out) -> int:
     rose = [k for k in changed if float(b[k]["l1_error"]) > float(a[k]["l1_error"])]
     fell = [k for k in changed if float(b[k]["l1_error"]) < float(a[k]["l1_error"])]
     bounds = [k for k in a if a[k]["lp_lower_bound"] != b[k]["lp_lower_bound"]]
+    optima = [k for k in a if a[k]["opt"] != b[k]["opt"]]
     out.write(f"{len(a)} fits, {len(changed)} changed: "
               f"{len(rose)} errors rose, {len(fell)} fell\n")
     for k in changed:
@@ -138,6 +149,9 @@ def diff(path_a: str, path_b: str, out) -> int:
     for k in bounds:
         out.write(f"  {k}: lp_lower_bound {a[k]['lp_lower_bound']} -> "
                   f"{b[k]['lp_lower_bound']}\n")
+    out.write(f"{len(optima)} optima changed\n")
+    for k in optima:
+        out.write(f"  {k}: opt {a[k]['opt']} -> {b[k]['opt']}\n")
     return 0
 
 

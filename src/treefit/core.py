@@ -380,34 +380,45 @@ def _union_steps(n: int, steps: Iterable[Iterable[tuple[int, int]]]):
         yield joined, find
 
 
-def iter_partitions(items: Sequence[str]) -> Iterator[tuple[frozenset[str], ...]]:
-    """All set partitions of items, in restricted-growth-string order.
+@functools.lru_cache(maxsize=16)
+def partition_table(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every set partition of n positions, as restricted growth strings in
+    lexicographic order.
 
-    Parts come out ordered by first occurrence, which is the canonical
-    partition order used for deterministic tie-breaking.
+    Row r of `rgs`, shape (Bell(n), n), gives position k the index of its
+    part, parts numbered by first occurrence; row r of `same`, shape
+    (Bell(n), C(n,2)), is True for the pairs, in `all_pairs` order, that
+    partition r puts in one part.
     """
-    n = len(items)
-    if n == 0:
-        yield ()
-        return
-    a = [0] * n
-    while True:
-        nparts = max(a) + 1
-        parts: list[list[str]] = [[] for _ in range(nparts)]
-        for k, lab in enumerate(items):
-            parts[a[k]].append(lab)
-        yield tuple(frozenset(p) for p in parts)
-        k = n - 1
-        while k > 0:
-            if a[k] <= max(a[:k]):
-                a[k] += 1
-                for m in range(k + 1, n):
-                    a[m] = 0
-                break
-            a[k] = 0
-            k -= 1
-        else:
-            return
+    rgs = np.zeros((1, min(n, 1)), dtype=np.int8)
+    for _ in range(1, n):
+        # each string, in order, followed by every index up to one past its max
+        counts = rgs.max(axis=1) + 2
+        prefix = np.repeat(rgs, counts, axis=0)
+        starts = np.repeat(np.cumsum(counts) - counts, counts)
+        last = (np.arange(len(prefix)) - starts).astype(np.int8)
+        rgs = np.column_stack([prefix, last])
+    i, j = _pair_ends(n)
+    same = rgs[:, i] == rgs[:, j]
+    rgs.flags.writeable = same.flags.writeable = False
+    return rgs, same
+
+
+def partition_disagreements(masks: np.ndarray, n: int) -> np.ndarray:
+    """|E sym-diff cliques(P)| for each edge mask E, a row of masks, and each
+    partition P of `partition_table(n)`, shape (len(masks), Bell(n)): with
+    `same` the pairs P puts in one part, |E| + |same| - 2 |same & E|."""
+    same = partition_table(n)[1].astype(np.int64)
+    masks = np.asarray(masks, dtype=np.int64)
+    return masks.sum(axis=1)[:, None] + same.sum(axis=1) - 2 * (masks @ same.T)
+
+
+def partition_of_row(universe: tuple[str, ...], r: int) -> Partition:
+    """Row r of `partition_table(len(universe))` as a Partition."""
+    row = partition_table(len(universe))[0][r].tolist()
+    return Partition(universe, tuple(
+        frozenset(lab for lab, k in zip(universe, row) if k == part)
+        for part in range(max(row, default=-1) + 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -22,13 +22,13 @@ cost more, so that run is the first cheapest one.
 """
 from __future__ import annotations
 
-import functools
 import random
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .core import EdgeSet, Partition, _pair_ends, _square, clique_edges, sym_diff_size
+from .core import (EdgeSet, Partition, _square, clique_edges, partition_disagreements,
+                   partition_of_row, sym_diff_size)
 
 EXACT_CAP = 9
 
@@ -69,44 +69,18 @@ def _disagreements(nb: list[int], n_edges: int, clusters: list[int],
     return n_edges + sum(costs[c] for c in clusters)
 
 
-@functools.lru_cache(maxsize=EXACT_CAP + 1)
-def _restricted_growth_strings(n: int) -> np.ndarray:
-    """Every set partition of n positions as a row of part indices, shape
-    (Bell(n), n), in the order of `iter_partitions`: row r gives position k
-    the index of its part, parts numbered by first occurrence."""
-    rgs = np.zeros((1, min(n, 1)), dtype=np.int8)
-    for _ in range(1, n):
-        # each string, in order, followed by every index up to one past its max
-        counts = rgs.max(axis=1) + 2
-        prefix = np.repeat(rgs, counts, axis=0)
-        starts = np.repeat(np.cumsum(counts) - counts, counts)
-        last = (np.arange(len(prefix)) - starts).astype(np.int8)
-        rgs = np.column_stack([prefix, last])
-    rgs.flags.writeable = False
-    return rgs
-
-
 def exact_corr_cluster(universe: Sequence[str], edges: EdgeSet) -> tuple[Partition, int]:
-    """Minimum-disagreement partition by full enumeration; ties by first found.
-
-    Every partition is scored at once: with `same` the pairs it puts in one
-    part, its disagreements are |E| + |same| - 2 |same & E|.
-    """
+    """Minimum-disagreement partition by full enumeration of
+    `partition_table`, every partition scored at once; ties by first found."""
     universe = tuple(universe)
     n = len(universe)
     if n > EXACT_CAP:
         raise ValueError(f"exact correlation clustering capped at n={EXACT_CAP}")
     if edges.universe != universe:
         raise ValueError("edge set universe does not match")
-    rgs = _restricted_growth_strings(n)
-    i, j = _pair_ends(n)
-    same = rgs[:, i] == rgs[:, j]
-    costs = len(edges) + same.sum(axis=1) - 2 * (same & edges.mask).sum(axis=1)
+    costs = partition_disagreements(edges.mask[None], n)[0]
     best = int(costs.argmin())
-    row = rgs[best].tolist()
-    parts = tuple(frozenset(lab for lab, k in zip(universe, row) if k == part)
-                  for part in range(max(row, default=-1) + 1))
-    return Partition(universe, parts), int(costs[best])
+    return partition_of_row(universe, best), int(costs[best])
 
 
 def corr_cluster(universe: Sequence[str], edges: EdgeSet, *,

@@ -61,8 +61,8 @@ class HccInstance:
         if not self.deltas:
             raise ValueError("need at least one level")
         for d in self.deltas:
-            if not d > 0:
-                raise ValueError(f"level weights must be positive, got {d}")
+            if not 0 < d < np.inf:
+                raise ValueError(f"level weights must be positive and finite, got {d}")
         for es in self.edge_sets:
             if es.universe != self.labels:
                 raise ValueError("edge set universe does not match the labels")

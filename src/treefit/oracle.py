@@ -3,6 +3,9 @@
 The hierarchical solvers run a dynamic program over the full partition
 lattice: the objective splits per level, so the cheapest chain through the
 refinement relation is found level by level instead of enumerating chains.
+The lattice is `core.partition_table`: every level is scored over all its
+partitions at once, and partition a refines b when no pair is together in a
+and apart in b. Only the chosen chain becomes `Partition`s.
 """
 from __future__ import annotations
 
@@ -16,10 +19,10 @@ from .core import (
     Partition,
     UltrametricTree,
     _pair_ends,
-    clique_edges,
-    iter_partitions,
     lp_norm_error,
-    sym_diff_size,
+    partition_disagreements,
+    partition_of_row,
+    partition_table,
 )
 from .corrclust import exact_corr_cluster  # noqa: F401 (re-exported)
 from .lp import HccInstance
@@ -36,41 +39,29 @@ HCA_CAP_LEVELS = 3
 
 
 def exact_hcc(inst: HccInstance, cap: int = ULTRAMETRIC_CAP) -> tuple[HierarchySequence, float]:
-    """Exact optimum of the level-weighted hierarchical objective."""
+    """Exact optimum of the level-weighted hierarchical objective.
+
+    Ties go to the first chain in table order: each level keeps the first
+    cheapest coarser partition, and the first cheapest finest one starts.
+    """
     if inst.n > cap:
         raise ValueError(f"exact hierarchical solver capped at n={cap}")
-    partitions = [Partition(inst.labels, parts)
-                  for parts in iter_partitions(inst.labels)]
-    refines = [[fine.refines(coarse) for coarse in partitions] for fine in partitions]
-    n_levels = inst.n_levels
-    level_cost = [
-        [inst.deltas[t] * sym_diff_size(inst.edge_sets[t], clique_edges(p))
-         for p in partitions]
-        for t in range(n_levels)]
-
-    n_parts = len(partitions)
-    best_tail = level_cost[n_levels - 1][:]
-    choice: list[list[int]] = [[-1] * n_parts for _ in range(n_levels)]
-    for t in range(n_levels - 2, -1, -1):
-        new_tail = [0.0] * n_parts
-        for i in range(n_parts):
-            best_j = -1
-            best_val = None
-            for j in range(n_parts):
-                if refines[i][j]:
-                    if best_val is None or best_tail[j] < best_val:
-                        best_val, best_j = best_tail[j], j
-            assert best_val is not None
-            new_tail[i] = level_cost[t][i] + best_val
-            choice[t][i] = best_j
-        best_tail = new_tail
-    start = min(range(n_parts), key=lambda i: best_tail[i])
-    total = best_tail[start]
-    chain = [start]
-    for t in range(n_levels - 1):
-        chain.append(choice[t][chain[-1]])
-    hierarchy = HierarchySequence(tuple(partitions[i] for i in chain))
-    return hierarchy, float(total)
+    same = partition_table(inst.n)[1].astype(np.int64)
+    # refines[a, b]: no pair is together in partition a and apart in b
+    refines = same @ (1 - same).T == 0
+    level_cost = np.array(inst.deltas)[:, None] * partition_disagreements(
+        [e.mask for e in inst.edge_sets], inst.n)
+    best_tail = level_cost[-1]
+    choices = []
+    for cost in level_cost[-2::-1]:
+        choice = np.where(refines, best_tail, np.inf).argmin(axis=1)
+        best_tail = cost + best_tail[choice]
+        choices.append(choice)
+    chain = [int(best_tail.argmin())]
+    for choice in reversed(choices):
+        chain.append(int(choice[chain[-1]]))
+    hierarchy = HierarchySequence(tuple(partition_of_row(inst.labels, r) for r in chain))
+    return hierarchy, float(best_tail[chain[0]])
 
 
 def exact_hca(universe: Sequence[str], partitions: Sequence[Partition],

@@ -182,12 +182,6 @@ def fit_tree_metric(d: DistanceMatrix, *, pivot_mode: str = "all",
     """
     if pivot_mode not in ("all", "fixed"):
         raise ValueError(f"unknown pivot_mode {pivot_mode!r}")
-    if d.n == 1:
-        tree = WeightedTree(labels=d.labels, edges=(), root=d.labels[0])
-        return FittedTree(kind="tree", tree=tree, l1_error=0.0,
-                          lp_lower_bound=0.0, num_levels=0,
-                          details={"pivot": d.labels[0], "per_pivot_error": {},
-                                   "pre_fix_error": 0.0, "lp_solution": None})
     if pivot_mode == "fixed":
         if pivot is None or pivot not in d.labels:
             raise ValueError("fixed pivot_mode needs a valid pivot label")

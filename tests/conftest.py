@@ -1,6 +1,8 @@
-"""Shared generators: planted ultrametrics, random tree metrics, partitions."""
+"""Shared generators (planted ultrametrics, random tree metrics, partitions)
+and reference versions of replaced library code."""
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -11,11 +13,14 @@ import pytest
 import treefit.lp as lp_module
 from treefit.core import (
     DistanceMatrix,
+    HierarchySequence,
     Partition,
     UltraNode,
     UltrametricTree,
     WeightedTree,
     all_pairs,
+    clique_edges,
+    sym_diff_size,
 )
 
 
@@ -188,6 +193,88 @@ def feasible_lp_maps(rng: random.Random, labels, n_levels: int) -> list[dict]:
                     for pair, v in base.items()})
     out.reverse()  # larger shifts (smaller x) at higher levels
     return out
+
+
+def first_occurrence_strings(n: int) -> list[tuple[int, ...]]:
+    """Every set partition of n positions, by brute force: the sorted distinct
+    renumberings, parts numbered by first occurrence, of all n^n
+    assignments of the positions to n parts."""
+    def renumbered(assignment):
+        first: dict[int, int] = {}
+        return tuple(first.setdefault(k, len(first)) for k in assignment)
+
+    return sorted({renumbered(a) for a in itertools.product(range(n), repeat=n)})
+
+
+def iter_partitions(items):
+    """All set partitions of items, in restricted-growth-string order, parts
+    ordered by first occurrence: the reference for `core.partition_table`."""
+    n = len(items)
+    if n == 0:
+        yield ()
+        return
+    a = [0] * n
+    while True:
+        nparts = max(a) + 1
+        parts: list[list[str]] = [[] for _ in range(nparts)]
+        for k, lab in enumerate(items):
+            parts[a[k]].append(lab)
+        yield tuple(frozenset(p) for p in parts)
+        k = n - 1
+        while k > 0:
+            if a[k] <= max(a[:k]):
+                a[k] += 1
+                for m in range(k + 1, n):
+                    a[m] = 0
+                break
+            a[k] = 0
+            k -= 1
+        else:
+            return
+
+
+@functools.lru_cache(maxsize=8)
+def _reference_lattice(labels) -> tuple[list[Partition], list[list[bool]]]:
+    """The partitions of `iter_partitions(labels)` and the relation
+    refines[i][j], one `refines` call per pair; kept across calls."""
+    partitions = [Partition(labels, parts) for parts in iter_partitions(labels)]
+    return partitions, [[fine.refines(coarse) for coarse in partitions]
+                        for fine in partitions]
+
+
+def reference_exact_hcc(inst) -> tuple[HierarchySequence, float]:
+    """The level DP over `iter_partitions`, partition by partition: the
+    reference for `oracle.exact_hcc` (without its cap)."""
+    partitions, refines = _reference_lattice(inst.labels)
+    n_levels = inst.n_levels
+    level_cost = [
+        [inst.deltas[t] * sym_diff_size(inst.edge_sets[t], clique_edges(p))
+         for p in partitions]
+        for t in range(n_levels)]
+
+    n_parts = len(partitions)
+    best_tail = level_cost[n_levels - 1][:]
+    choice: list[list[int]] = [[-1] * n_parts for _ in range(n_levels)]
+    for t in range(n_levels - 2, -1, -1):
+        new_tail = [0.0] * n_parts
+        for i in range(n_parts):
+            best_j = -1
+            best_val = None
+            for j in range(n_parts):
+                if refines[i][j]:
+                    if best_val is None or best_tail[j] < best_val:
+                        best_val, best_j = best_tail[j], j
+            assert best_val is not None
+            new_tail[i] = level_cost[t][i] + best_val
+            choice[t][i] = best_j
+        best_tail = new_tail
+    start = min(range(n_parts), key=lambda i: best_tail[i])
+    total = best_tail[start]
+    chain = [start]
+    for t in range(n_levels - 1):
+        chain.append(choice[t][chain[-1]])
+    hierarchy = HierarchySequence(tuple(partitions[i] for i in chain))
+    return hierarchy, float(total)
 
 
 def solve_on(backend: str, lp, *args, **kwargs):

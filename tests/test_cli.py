@@ -138,6 +138,15 @@ class TestOtherCommands:
         assert run_cli("oracle", "hca", path, "--json-out", out) == 0
         assert json.loads(out.read_text())["l1_error"] == pytest.approx(2.0)
 
+    def test_oracle_hca_rejects_an_infinite_weight(self, tmp_path, capsys):
+        # an infinite weight times no disagreement is NaN, so no cost was defined
+        inst = {"labels": ["a", "b"], "deltas": [1.0, float("inf")],
+                "partitions": [[["a", "b"]], [["a"], ["b"]]]}
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(inst))
+        assert run_cli("oracle", "hca", path) == 2
+        assert "positive and finite" in capsys.readouterr().err
+
     def test_oracle_corrclust(self, fix123, capsys):
         assert run_cli("oracle", "corrclust", fix123, "--threshold", "1") == 0
 
@@ -172,6 +181,12 @@ class TestExitCodes:
         assert run_cli("fit", "ultrametric", fix123, "--lp-tol", "0",
                        "--json-out", out) == 0
         assert json.loads(out.read_text())["lp_lower_bound"] > 0
+
+    def test_unknown_pivot_on_one_label(self, tmp_path, capsys):
+        src = tmp_path / "one.csv"
+        write_matrix_csv(DistanceMatrix.from_pairs(("a",), {}), src)
+        assert run_cli("fit", "tree", src, "--pivot", "zzz") == 2
+        assert "valid pivot" in capsys.readouterr().err
 
     def test_missing_file(self, tmp_path, capsys):
         assert run_cli("fit", "ultrametric", tmp_path / "nope.csv") == 2

@@ -25,6 +25,10 @@ def test_tiny_grid_and_diff(tmp_path):
         assert len(r["newick_sha256"]) == 64
         if "-exact-" in r["id"]:
             assert float(r["l1_error"]) == 0.0
+        if r["id"].startswith("tree-"):
+            assert r["opt"] is None
+        else:
+            assert float(r["lp_lower_bound"]) - 1e-9 <= float(r["opt"]) <= float(r["l1_error"])
     old, new = tmp_path / "old.jsonl", tmp_path / "new.jsonl"
     old.write_text(proc.stdout)
     assert run_script("--reps", "1", "--max-n", "4").stdout == proc.stdout  # seeded
@@ -32,10 +36,12 @@ def test_tiny_grid_and_diff(tmp_path):
     new.write_text(proc.stdout)
     same = run_script("--diff", str(old), str(new))
     assert same.returncode == 0
-    assert same.stdout == "16 fits, 0 changed: 0 errors rose, 0 fell\n0 bounds changed\n"
+    assert same.stdout == ("16 fits, 0 changed: 0 errors rose, 0 fell\n"
+                           "0 bounds changed\n0 optima changed\n")
 
     records[1] |= {"l1_error": repr(float(records[1]["l1_error"]) + 1.0),
                    "lp_lower_bound": "0.5"}
+    records[2]["opt"] = "0.5"
     records[9]["newick_sha256"] = "0" * 64
     new.write_text("".join(json.dumps(r) + "\n" for r in records))
     lines = run_script("--diff", str(old), str(new)).stdout.splitlines()
@@ -43,7 +49,8 @@ def test_tiny_grid_and_diff(tmp_path):
     assert lines[1].startswith("  ultrametric-n3-cont-0: l1_error ")
     assert lines[2].startswith("  tree-n3-cont-0: l1_error ")
     assert lines[3:] == ["1 bounds changed", "  ultrametric-n3-cont-0: lp_lower_bound "
-                         f"{json.loads(proc.stdout.splitlines()[1])['lp_lower_bound']} -> 0.5"]
+                         f"{json.loads(proc.stdout.splitlines()[1])['lp_lower_bound']} -> 0.5",
+                         "1 optima changed", "  ultrametric-n3-exact-0: opt 0.0 -> 0.5"]
 
     new.write_text("".join(json.dumps(r) + "\n" for r in records[:-1]))
     assert run_script("--diff", str(old), str(new)).returncode == 1

@@ -21,13 +21,14 @@ from treefit.core import (
     clique_edges,
     components,
     is_ultrametric,
-    iter_partitions,
     lookup_pair,
     lp_norm_error,
+    partition_table,
     sym_diff_size,
 )
 from treefit.io import parse_newick
 from conftest import (
+    first_occurrence_strings,
     partition_tree,
     path_sum_distances,
     random_newick,
@@ -259,11 +260,14 @@ class TestDuplicateLabels:
 
 
 class TestPartitions:
-    def test_iter_partitions_counts(self):
-        # Bell numbers 1, 2, 5, 15, 52
-        for n, bell in [(1, 1), (2, 2), (3, 5), (4, 15), (5, 52)]:
-            labels = tuple(f"x{k}" for k in range(n))
-            assert sum(1 for _ in iter_partitions(labels)) == bell
+    def test_partition_table(self):
+        # Bell numbers, and the rows in order against a brute-force enumeration
+        for n, bell in enumerate([1, 1, 2, 5, 15, 52, 203, 877]):
+            rgs, same = partition_table(n)
+            assert rgs.shape == (bell, n) and same.shape == (bell, n * (n - 1) // 2)
+            assert [tuple(row) for row in rgs.tolist()] == first_occurrence_strings(n)
+            assert same.tolist() == [[row[a] == row[b] for a, b in itertools.combinations(
+                range(n), 2)] for row in rgs.tolist()]
 
     def test_refinement(self):
         fine = Partition.from_parts("abcd", [{"a"}, {"b"}, {"c", "d"}])

@@ -4,10 +4,10 @@ import statistics
 import pytest
 
 from treefit import corrclust
-from treefit.core import EdgeSet, Partition, all_pairs, clique_edges, iter_partitions
+from treefit.core import EdgeSet, Partition, all_pairs, clique_edges
 from treefit.corrclust import corr_cluster, corr_cluster_cost
 from treefit.oracle import exact_corr_cluster
-from conftest import random_hierarchy
+from conftest import iter_partitions, random_hierarchy
 
 
 def es(universe, pairs):

@@ -5,6 +5,7 @@ changed digest. The tables come from one seeded generator, so they are the
 same on every run.
 """
 import hashlib
+import json
 import random
 import subprocess
 import sys
@@ -201,3 +202,40 @@ def test_seeded_eval_digest(table, tmp_path, capsys):
     assert parse_newick(nwk.read_text()).labels[:2] != TABLES[table].labels[:2]
     assert main(["--seed", "7", "eval", str(nwk), str(src), "--json-out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == EVAL_GOLDEN[table]
+
+
+# `oracle ultrametric` on the tables within its cap, and `oracle hca` on one
+# fixed instance: digests of the printed lines followed by the `--seed 7`
+# JSON report. The printed lines hold the chosen hierarchy of `oracle hca`,
+# which its report lacks.
+HCA_INSTANCE = {
+    "labels": ["s0", "s1", "s2", "s3", "s4", "s5"],
+    "deltas": [1.0, 0.5, 2.0],
+    "partitions": [[["s0", "s1"], ["s2", "s3"], ["s4"], ["s5"]],
+                   [["s0", "s2"], ["s1", "s3", "s4"], ["s5"]],
+                   [["s0", "s1", "s2"], ["s3", "s4", "s5"]]],
+}
+
+ORACLE_GOLDEN = {
+    "int6":
+        "0385c7bfb00fd84e5a34d4bb945e94070dc0d6e5fdee959d63144c9a109420d6",
+    "one":
+        "a3b0b48544b0ba09c0e0a7c68111db4aa912effe7993ba08216abe1ce7c72c47",
+    "two":
+        "a9077f0e4566ad8f7678336b9b28347d6d30ff88912c91f646c1c1c4cf65f43a",
+    "hca":
+        "29a3b20b833f44b8d2095935b707f0517b6d8e24d3d3493a9588404aa9169b8b",
+}
+
+
+@pytest.mark.parametrize("key", sorted(ORACLE_GOLDEN))
+def test_seeded_oracle_digest(key, tmp_path, capsys):
+    src, out = tmp_path / "in", tmp_path / "r.json"
+    if key == "hca":
+        src.write_text(json.dumps(HCA_INSTANCE))
+    else:
+        write_matrix_csv(TABLES[key], src)
+    assert main(["--seed", "7", "oracle", "ultrametric" if key in TABLES else "hca",
+                 str(src), "--json-out", str(out)]) == 0
+    printed = capsys.readouterr().out.encode()
+    assert hashlib.sha256(printed + out.read_bytes()).hexdigest() == ORACLE_GOLDEN[key]

@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -62,6 +63,11 @@ class TestBuildLp:
         assert lp.n_vars == 3
         assert len(lp.tri) == 3
         assert len(lp.mono) == 0
+
+    @pytest.mark.parametrize("delta", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_a_weight_not_positive_and_finite(self, delta):
+        with pytest.raises(ValueError, match="positive and finite"):
+            HccInstance(LABELS3, (1.0, delta), (es(LABELS3, []), es(LABELS3, [])))
 
     def test_counts_two_levels(self):
         inst = HccInstance(LABELS3, (1.0, 1.0),

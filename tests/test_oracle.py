@@ -26,10 +26,12 @@ from treefit.oracle import (
 )
 from treefit.ultrametric import fit_ultrametric
 from conftest import (
+    first_occurrence_strings,
     partition_tree,
     random_matrix,
     random_partition,
     random_ultrametric_map,
+    reference_exact_hcc,
 )
 
 
@@ -110,21 +112,46 @@ class TestExactHca:
 
     def test_dp_matches_explicit_chain_enumeration(self, rng):
         # independent check of the level DP against brute-force chains
-        from treefit.core import HierarchySequence, iter_partitions
-
         labels = tuple("abcd")
+        all_parts = [Partition(labels, tuple(
+            frozenset(lab for lab, k in zip(labels, row) if k == part)
+            for part in range(max(row) + 1))) for row in first_occurrence_strings(4)]
         for _ in range(4):
-            n_levels = 2
-            qs = [random_partition(rng, labels) for _ in range(n_levels)]
-            deltas = [1.0, 1.5]
-            inst = HccInstance.from_partitions(labels, deltas, qs)
+            qs = [random_partition(rng, labels) for _ in range(3)]
+            inst = HccInstance.from_partitions(labels, [1.0, 1.5, 0.75], qs)
             _, dp_cost = exact_hcc(inst)
-            all_parts = [Partition(labels, parts)
-                         for parts in iter_partitions(labels)]
             best = min(
-                hierarchy_cost(inst, HierarchySequence((p1, p2)))
-                for p1 in all_parts for p2 in all_parts if p1.refines(p2))
+                hierarchy_cost(inst, HierarchySequence((p1, p2, p3)))
+                for p1, p2, p3 in itertools.product(all_parts, repeat=3)
+                if p1.refines(p2) and p2.refines(p3))
             assert dp_cost == pytest.approx(best)
+
+    def test_matches_reference_dp(self):
+        # 312 seeded instances: n 1..7, 1..6 levels, random or clique edge
+        # sets, integer or continuous weights, two of each up to n = 6 and
+        # one at n = 7, where the reference is slow; the same cost and chain
+        rng = random.Random(20)
+        for n, n_levels, edges, weights, rep in itertools.product(
+                range(1, 8), range(1, 7), ("random", "clique"), ("int", "cont"), range(2)):
+            if n == 7 and rep:
+                continue
+            labels = tuple(f"s{k}" for k in range(n))
+            if edges == "random":
+                pool = list(all_pairs(labels))
+                density = rng.uniform(0.1, 0.9)
+                edge_sets = [es(labels, [p for p in pool if rng.random() < density])
+                             for _ in range(n_levels)]
+            else:
+                edge_sets = [clique_edges(random_partition(rng, labels))
+                             for _ in range(n_levels)]
+            deltas = [float(rng.randint(1, 5)) if weights == "int" else rng.uniform(0.1, 3.0)
+                      for _ in range(n_levels)]
+            inst = HccInstance(labels, tuple(deltas), tuple(edge_sets))
+            got, cost = exact_hcc(inst)
+            want, want_cost = reference_exact_hcc(inst)
+            assert cost == want_cost
+            assert [(p.parts, p.part_of) for p in got.levels] == \
+                [(p.parts, p.part_of) for p in want.levels]
 
 
 class TestExactUltrametric:

@@ -363,7 +363,13 @@ class TestEdgeCases:
     def test_single_label(self):
         d = DistanceMatrix.from_pairs(("solo",), {})
         fitted = fit_tree_metric(d)
-        assert fitted.l1_error == 0.0
+        assert fitted.tree == WeightedTree(("solo",), (), root="solo")
+        assert (fitted.l1_error, fitted.lp_lower_bound, fitted.num_levels) == (0.0, 0.0, 0)
+
+    def test_single_label_unknown_pivot(self):
+        d = DistanceMatrix.from_pairs(("solo",), {})
+        with pytest.raises(ValueError, match="valid pivot"):
+            fit_tree_metric(d, pivot_mode="fixed", pivot="zzz")
 
     def test_two_labels_exact(self):
         d = DistanceMatrix.from_pairs(("a", "b"), {("a", "b"): 3.0})
