@@ -22,8 +22,10 @@ merge rule is reached. Run it once against each checkout to compare.
 
 `--diff A B` prints how many fits changed (Newick or error), how many
 errors rose or fell, each changed fit with its old -> new error, and every
-bound and every optimum that changed. It exits 1 when the two runs do not
-hold the same fits.
+bound and every optimum that changed. Then it counts, in run B, the fits
+whose bound is above their error, whose bound is above their optimum, and
+whose error is below their optimum: a true bound and a true optimum make
+all three 0. It exits 1 when the two runs do not hold the same fits.
 """
 import argparse
 import hashlib
@@ -152,6 +154,15 @@ def diff(path_a: str, path_b: str, out) -> int:
     out.write(f"{len(optima)} optima changed\n")
     for k in optima:
         out.write(f"  {k}: opt {a[k]['opt']} -> {b[k]['opt']}\n")
+    known = [r for r in b.values() if r["opt"] is not None]
+    for count, what in (
+            (sum(float(r["lp_lower_bound"]) > float(r["l1_error"]) for r in b.values()),
+             "bounds above their error"),
+            (sum(float(r["lp_lower_bound"]) > float(r["opt"]) for r in known),
+             "bounds above their optimum"),
+            (sum(float(r["l1_error"]) < float(r["opt"]) for r in known),
+             "errors below their optimum")):
+        out.write(f"{count} {what}\n")
     return 0
 
 

@@ -105,12 +105,19 @@ def _build_parser() -> _Parser:
 
 def _report(args, *, n, mode, l1_error, lp_lower_bound, num_levels,
             tree_newick, wall_ms) -> dict:
+    """The fixed-schema report; a number in it that is not finite (a sum
+    of distances that overflowed) raises a DataError that names it."""
     if lp_lower_bound is None:
         ratio = None
     elif lp_lower_bound > RATIO_TOL:
         ratio = l1_error / lp_lower_bound
     else:
         ratio = 1.0 if (l1_error is not None and l1_error <= RATIO_TOL) else None
+    for name, value in (("l1_error", l1_error), ("lp_lower_bound", lp_lower_bound),
+                        ("ratio_to_lp", ratio)):
+        if value is not None and not math.isfinite(value):
+            raise DataError(f"{name} is {value}, not a finite number: "
+                            "the distances are too large")
     return {
         "n": n,
         "mode": mode,
@@ -127,7 +134,7 @@ def _emit(args, report: dict) -> None:
     for key, value in report.items():
         print(f"{key}: {value}")
     if args.json_out is not None:
-        args.json_out.write_text(json.dumps(report, indent=2) + "\n")
+        args.json_out.write_text(json.dumps(report, indent=2, allow_nan=False) + "\n")
 
 
 def _edges_from_threshold(d: DistanceMatrix, threshold: float | None) -> EdgeSet:
@@ -171,15 +178,14 @@ def _cmd_fit(args) -> int:
                                  strategy=args.strategy, seed=seed,
                                  feas_tol=args.lp_tol)
     wall_ms = int(round((time.perf_counter() - t0) * 1000))
-    newick = newick_string(fitted)
+    report = _report(args, n=d.n, mode=args.mode, l1_error=fitted.l1_error,
+                     lp_lower_bound=fitted.lp_lower_bound, num_levels=fitted.num_levels,
+                     tree_newick=newick_string(fitted), wall_ms=wall_ms)
     if args.tree_out is not None:
         write_newick(fitted, args.tree_out)
     if args.dump_lp is not None:
         _dump_requested_lp(args, d, fitted)
-    _emit(args, _report(args, n=d.n, mode=args.mode, l1_error=fitted.l1_error,
-                        lp_lower_bound=fitted.lp_lower_bound,
-                        num_levels=fitted.num_levels, tree_newick=newick,
-                        wall_ms=wall_ms))
+    _emit(args, report)
     return EXIT_OK
 
 
@@ -224,12 +230,12 @@ def _cmd_oracle(args) -> int:
             raise DataError(f"{args.path}: bad instance JSON: {exc}") from exc
         hierarchy, cost = exact_hca(labels, partitions, deltas)
         wall_ms = int(round((time.perf_counter() - t0) * 1000))
+        report = _report(args, n=len(labels), mode="oracle-hca", l1_error=cost,
+                         lp_lower_bound=None, num_levels=len(deltas),
+                         tree_newick=None, wall_ms=wall_ms)
         for t, part in enumerate(hierarchy.levels, start=1):
             print(f"level {t}:", " | ".join(" ".join(sorted(p)) for p in part.parts))
-        _emit(args, _report(args, n=len(labels), mode="oracle-hca",
-                            l1_error=cost, lp_lower_bound=None,
-                            num_levels=len(deltas), tree_newick=None,
-                            wall_ms=wall_ms))
+        _emit(args, report)
         return EXIT_OK
 
     d = parse_matrix(args.path, args.format)
@@ -292,13 +298,10 @@ def main(argv=None) -> int:
             return _cmd_eval(args)
         parser.error(f"unknown command {args.command!r}")
         return EXIT_USAGE
-    except (DataError, FileNotFoundError, json.JSONDecodeError) as exc:
-        print(f"treefit: data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except SolverError as exc:
         print(f"treefit: solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except ValueError as exc:
+    except (ValueError, FileNotFoundError) as exc:  # DataError and JSONDecodeError too
         print(f"treefit: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except RecursionError:

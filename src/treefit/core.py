@@ -338,23 +338,14 @@ def nested_components(universe: Sequence[str], level: np.ndarray,
 
 
 def _level_steps(n: int, level: np.ndarray, n_levels: int) -> list[list[tuple[int, int]]]:
-    """For each level t < n_levels, pairs of label positions that join the
-    same components as all the pairs of level t, on top of the levels below:
-    the pairs of a minimum spanning tree of the levels (Prim's algorithm)."""
-    joined = np.iinfo(np.intp).max  # the level to a label already in the tree
-    square = _square(np.asarray(level, dtype=np.intp), n)
-    square[:, 0] = joined
-    best = square[0].copy()  # the least level from each label to the tree
-    near = np.zeros(n, dtype=np.intp)  # the tree label that level leads to
-    steps: list[list[tuple[int, int]]] = [[] for _ in range(n_levels)]
-    for _ in range(n - 1):
-        v = int(best.argmin())
-        if best[v] < n_levels:
-            steps[best[v]].append((int(near[v]), v))
-        square[:, v] = best[v] = joined
-        near[square[v] < best] = v
-        np.minimum(best, square[v], out=best)
-    return steps
+    """For each level t < n_levels, the pairs of label positions whose level
+    is t, in `all_pairs` order."""
+    level = np.asarray(level, dtype=np.intp)
+    order = np.argsort(level, kind="stable")
+    i, j = _pair_ends(n)
+    pairs = list(zip(i[order].tolist(), j[order].tolist()))
+    cuts = np.searchsorted(level[order], np.arange(n_levels + 1)).tolist()
+    return [pairs[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
 def _union_steps(n: int, steps: Iterable[Iterable[tuple[int, int]]]):
@@ -581,9 +572,9 @@ class UltrametricTree(_RootedTree):
         `all_pairs(labels)` order.
 
         Each pair joins at the kept value its distance merged into (see
-        merge_ties); a minimum spanning tree of those levels joins the same
-        components at each value. The realized distances are then verified
-        against the input within tol.
+        merge_ties), and the pairs join value by value in one union-find
+        pass. The realized distances are then verified against the input
+        within tol.
         """
         _check_tol("tol", tol)
         labels = tuple(labels)

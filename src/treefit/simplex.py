@@ -31,21 +31,19 @@ lexicographic rule rests on rows that start lex-positive, which holds for a
 cold tableau and not after rows were appended, so in a warm solve that loop
 is bounded by the iteration cap.
 
-A pivot touches only the rows it must. Its pivot rule is that of a
-full-tableau update with a column-by-column tie-break, and it makes the same
-pivots, bit for bit. The ratio test divides the right-hand side by the positive
-entries of the entering column alone. Rows whose ratios tie within LEX_TOL go
-to the tie-break: it scales their rows by their pivot entries once, in
-lexicographic column order, and jumps straight to the first column where the
-surviving rows are not all within LEX_TOL of their least value; there the
-rows above it drop out, and the walk goes on from the next column. The dual
-tie-break walks its candidates' columns in the same way. The rank-1
-update subtracts the scaled pivot row from the rows with a nonzero entry in
-the entering column and leaves the others alone. The tableau starts with
-every -0.0 turned into 0.0 and its arithmetic makes no new one (barring
-underflow; a dual pivot row, divided by a negative entry, is reset at
-once), so a row left alone holds exactly what subtracting a zero
-multiple of the pivot row would have left.
+A pivot touches only the rows it must, and it makes the same pivots as a
+full-tableau update, bit for bit. The ratio test divides the right-hand side
+by the positive entries of the entering column alone. Rows whose ratios tie
+within LEX_TOL go to the tie-break, which walks the columns in lexicographic
+order: at each, the rows more than LEX_TOL above the least of their scaled
+entries drop out. The dual tie-break (`_lex_entering`) drops candidate
+columns in the same way, one perturbation term at a time. The rank-1 update
+subtracts the scaled pivot row from the rows with a nonzero entry in the
+entering column and leaves the others alone. The tableau starts with every
+-0.0 turned into 0.0 and its arithmetic makes no new one (barring underflow;
+a dual pivot row, divided by a negative entry, is reset at once), so a row
+left alone holds exactly what subtracting a zero multiple of the pivot row
+would have left.
 """
 from __future__ import annotations
 
@@ -253,24 +251,16 @@ def _pivot(tableau: np.ndarray, leaving: int, entering: int) -> None:
 
 def _lex_leaving(tableau: np.ndarray, tied: np.ndarray, entering: int,
                  lex_order: np.ndarray) -> int:
-    """Among tied rows, the one whose scaled row is lexicographically least.
-
-    At each column in lex_order, the rows more than LEX_TOL above the
-    survivors' least value drop out. Every column before the first one where
-    a row drops out keeps all rows, so one step finds that column.
-    """
-    vals = tableau[tied[:, None], lex_order] / tableau[tied, entering, None]
-    while vals.shape[1]:
-        keep = vals <= np.minimum.reduce(vals) + LEX_TOL
-        all_tie = np.logical_and.reduce(keep)
-        first = int(all_tie.argmin())
-        if all_tie[first]:
-            break
-        survivors = keep[:, first]
-        tied = tied[survivors]
+    """Among tied rows, the one whose scaled row is lexicographically least:
+    at each column in lex_order, the rows more than LEX_TOL above the least
+    value drop out."""
+    pivots = tableau[tied, entering]
+    for col in lex_order.tolist():
+        vals = tableau[tied, col] / pivots
+        keep = vals <= vals.min() + LEX_TOL
+        tied, pivots = tied[keep], pivots[keep]
         if len(tied) == 1:
             break
-        vals = vals[survivors, first + 1 :]
     return int(tied[0])
 
 

@@ -65,7 +65,8 @@ def gromov_transform(d: DistanceMatrix, pivot: str) -> RestrictedInstance:
     betas = {lab: m - v for lab, v in heights.items()}
     betas[pivot] = m
     i, j = _pair_ends(d.n)
-    out = m - (h[i] + h[j] - d.values) / 2.0
+    # halved term by term, exactly, so that h[i] + h[j] cannot overflow
+    out = m - (h[i] / 2.0 + h[j] / 2.0 - d.values / 2.0)
     out[(i == p) | (j == p)] = m
     transformed = DistanceMatrix(d.labels, out)
     return RestrictedInstance(pivot=pivot, gamma=m, betas=betas,

@@ -8,6 +8,7 @@ import math
 import random
 from unittest import mock
 
+import numpy as np
 import pytest
 
 import treefit.lp as lp_module
@@ -18,6 +19,7 @@ from treefit.core import (
     UltraNode,
     UltrametricTree,
     WeightedTree,
+    _square,
     all_pairs,
     clique_edges,
     sym_diff_size,
@@ -231,6 +233,27 @@ def iter_partitions(items):
             k -= 1
         else:
             return
+
+
+def reference_level_steps(n: int, level, n_levels: int) -> list[list[tuple[int, int]]]:
+    """For each level t < n_levels, pairs of label positions that join the
+    same components as all the pairs of level t, on top of the levels below:
+    the pairs of a minimum spanning tree of the levels (Prim's algorithm).
+    The reference for `core._level_steps`, which lists every pair."""
+    joined = np.iinfo(np.intp).max  # the level to a label already in the tree
+    square = _square(np.asarray(level, dtype=np.intp), n)
+    square[:, 0] = joined
+    best = square[0].copy()  # the least level from each label to the tree
+    near = np.zeros(n, dtype=np.intp)  # the tree label that level leads to
+    steps: list[list[tuple[int, int]]] = [[] for _ in range(n_levels)]
+    for _ in range(n - 1):
+        v = int(best.argmin())
+        if best[v] < n_levels:
+            steps[best[v]].append((int(near[v]), v))
+        square[:, v] = best[v] = joined
+        near[square[v] < best] = v
+        np.minimum(best, square[v], out=best)
+    return steps
 
 
 @functools.lru_cache(maxsize=8)

@@ -1,4 +1,6 @@
+import itertools
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -187,6 +189,27 @@ class TestExitCodes:
         write_matrix_csv(DistanceMatrix.from_pairs(("a",), {}), src)
         assert run_cli("fit", "tree", src, "--pivot", "zzz") == 2
         assert "valid pivot" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("command", [["fit", "ultrametric"], ["fit", "tree"],
+                                         ["oracle", "ultrametric"]])
+    def test_overflowing_error_is_a_data_error(self, command, tmp_path, capsys):
+        # values 1..4 times 2.5e307: every distance is finite, the error sum is not
+        rng = random.Random(3)
+        labels = [f"s{k}" for k in range(7)]
+        src = tmp_path / "big.csv"
+        write_matrix_csv(DistanceMatrix.from_pairs(labels, {
+            p: rng.randint(1, 4) * 2.5e307 for p in itertools.combinations(labels, 2)}), src)
+        written = {"--json-out": tmp_path / "r.json", "--dump-lp": tmp_path / "lp.txt"}
+        if command[0] == "fit":
+            written["--tree-out"] = tmp_path / "t.nwk"
+        options = [x for item in written.items() for x in item]
+        assert run_cli(*command, src, "--seed", "7", *options) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "data error: l1_error is inf, not a finite number" in captured.err
+        assert not any(path.exists() for path in written.values())
 
     def test_missing_file(self, tmp_path, capsys):
         assert run_cli("fit", "ultrametric", tmp_path / "nope.csv") == 2

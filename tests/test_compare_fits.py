@@ -37,10 +37,12 @@ def test_tiny_grid_and_diff(tmp_path):
     same = run_script("--diff", str(old), str(new))
     assert same.returncode == 0
     assert same.stdout == ("16 fits, 0 changed: 0 errors rose, 0 fell\n"
-                           "0 bounds changed\n0 optima changed\n")
+                           "0 bounds changed\n0 optima changed\n"
+                           "0 bounds above their error\n0 bounds above their optimum\n"
+                           "0 errors below their optimum\n")
 
     records[1] |= {"l1_error": repr(float(records[1]["l1_error"]) + 1.0),
-                   "lp_lower_bound": "0.5"}
+                   "lp_lower_bound": "2.5"}
     records[2]["opt"] = "0.5"
     records[9]["newick_sha256"] = "0" * 64
     new.write_text("".join(json.dumps(r) + "\n" for r in records))
@@ -49,8 +51,10 @@ def test_tiny_grid_and_diff(tmp_path):
     assert lines[1].startswith("  ultrametric-n3-cont-0: l1_error ")
     assert lines[2].startswith("  tree-n3-cont-0: l1_error ")
     assert lines[3:] == ["1 bounds changed", "  ultrametric-n3-cont-0: lp_lower_bound "
-                         f"{json.loads(proc.stdout.splitlines()[1])['lp_lower_bound']} -> 0.5",
-                         "1 optima changed", "  ultrametric-n3-exact-0: opt 0.0 -> 0.5"]
+                         f"{json.loads(proc.stdout.splitlines()[1])['lp_lower_bound']} -> 2.5",
+                         "1 optima changed", "  ultrametric-n3-exact-0: opt 0.0 -> 0.5",
+                         "1 bounds above their error", "1 bounds above their optimum",
+                         "1 errors below their optimum"]
 
     new.write_text("".join(json.dumps(r) + "\n" for r in records[:-1]))
     assert run_script("--diff", str(old), str(new)).returncode == 1

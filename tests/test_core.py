@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import treefit.core as core_module
 from treefit.core import (
     DistanceMatrix,
     EdgeSet,
@@ -23,17 +24,21 @@ from treefit.core import (
     is_ultrametric,
     lookup_pair,
     lp_norm_error,
+    merge_ties,
+    nested_components,
     partition_table,
     sym_diff_size,
 )
-from treefit.io import parse_newick
+from treefit.io import newick_string, parse_newick
 from conftest import (
     first_occurrence_strings,
     partition_tree,
     path_sum_distances,
+    planted_ultrametric,
     random_newick,
     random_tree_metric,
     random_ultrametric_map,
+    reference_level_steps,
 )
 
 
@@ -415,6 +420,67 @@ class TestTreeDistanceVectors:
         moved = tree.distances_in(order)
         for (i, j), v in zip(all_pairs(order), moved.tolist()):
             assert v == tree.distance(i, j)
+
+
+def single_linkage(n: int, values: np.ndarray) -> np.ndarray:
+    """The single-linkage ultrametric of a table in `all_pairs` order: for
+    each pair, the least over paths of the largest distance along the path."""
+    u = np.zeros((n, n))
+    i, j = np.triu_indices(n, 1)
+    u[i, j] = u[j, i] = values
+    for k in range(n):
+        np.minimum(u, np.maximum(u[:, k, None], u[None, k, :]), out=u)
+    return u[i, j]
+
+
+class TestLevelStepsReference:
+    """Every pair of a level, joined in one union-find pass, joins the same
+    components as the pairs of a minimum spanning tree of the levels."""
+
+    @staticmethod
+    def built(labels, values):
+        """The tree's arrays and Newick string, or the error's text."""
+        try:
+            tree = UltrametricTree.from_distances(labels, values)
+        except ValueError as exc:
+            return str(exc)
+        return (tree._parent.tobytes(), tree._height.tobytes(), tree._label.tobytes(),
+                newick_string(tree))
+
+    @staticmethod
+    def partitions(labels, level, n_levels):
+        return [(p.parts, p.part_of) for p in nested_components(labels, level, n_levels)]
+
+    def test_matches_spanning_tree_steps(self, rng, monkeypatch):
+        kinds = ["int", "cont", "near", "planted", "raw"]
+        raised = 0
+        for case in range(600):
+            kind = kinds[case % len(kinds)]
+            labels = tuple(f"s{k}" for k in range(rng.randint(1, 40)))
+            n = len(labels)
+            if kind == "planted":
+                d = planted_ultrametric(rng, labels, sorted(rng.sample(range(1, 60), 8)))
+                labels, values = d.labels, d.values
+            else:
+                if kind == "near":  # gaps on both sides of VALUE_MERGE_TOL
+                    pool = [c + g * 1e-12 for c in rng.sample(range(1, 10), 3)
+                            for g in (0.0, rng.uniform(0.5, 1.5), rng.uniform(1.5, 3.0))]
+                elif kind == "cont":
+                    pool = [rng.uniform(1.0, 9.0) for _ in range(n * n)]
+                else:
+                    pool = [1.0, 2.0, 3.0, 4.0]
+                values = np.array([rng.choice(pool) for _ in all_pairs(labels)])
+                if kind != "raw":
+                    values = single_linkage(n, values)
+            merged, level = merge_ties(values)
+            n_levels = rng.randint(0, len(merged))
+            got = self.built(labels, values), self.partitions(labels, level, n_levels)
+            with monkeypatch.context() as patch:
+                patch.setattr(core_module, "_level_steps", reference_level_steps)
+                want = self.built(labels, values), self.partitions(labels, level, n_levels)
+            assert got == want
+            raised += isinstance(got[0], str)
+        assert raised >= 100  # most raw tables are no ultrametric
 
 
 class TestLpNormErrorPermuted:

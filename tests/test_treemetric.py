@@ -74,6 +74,47 @@ class TestGromovTransform:
         assert r.transformed.value("a", "b") == 4.0
 
 
+def reference_transform_values(d, pivot):
+    """The transformed values as m - (h_i + h_j - d_ij) / 2, summing before
+    halving: equal to the library's wherever h_i + h_j stays normal."""
+    h = np.array([0.0 if lab == pivot else d.value(pivot, lab) for lab in d.labels])
+    i, j = np.triu_indices(d.n, 1)
+    out = h.max() - (h[i] + h[j] - d.values) / 2.0
+    p = d.index[pivot]
+    out[(i == p) | (j == p)] = h.max()
+    return out
+
+
+class TestGromovScale:
+    def test_matches_the_summed_formula(self, rng):
+        for _ in range(60):
+            labels = [f"s{k}" for k in range(rng.randint(2, 19))]
+            kind = rng.choice(["int", "cont", "tiny", "huge"])
+            if kind == "int":
+                d = random_matrix(rng, labels, [1.0, 2.0, 3.0, 4.0])
+            else:
+                scale = {"cont": 1.0, "tiny": 1e-300, "huge": 1e300}[kind]
+                d = DistanceMatrix.from_pairs(labels, {
+                    p: rng.uniform(0.1, 9.0) * scale for p in all_pairs(labels)})
+            for pivot in labels:
+                got = gromov_transform(d, pivot).transformed.values
+                assert got.tobytes() == reference_transform_values(d, pivot).tobytes()
+
+    def test_top_of_the_range_scales_exactly(self):
+        # values up to 4 * 2^1021 = 2^1023: h_i + h_j alone would overflow
+        rng = random.Random(3)
+        labels = [f"s{k}" for k in range(7)]
+        d = DistanceMatrix.from_pairs(
+            labels, {p: float(rng.randint(1, 4)) for p in all_pairs(labels)})
+        scale = 2.0 ** 1021
+        big = DistanceMatrix(d.labels, d.values * scale)
+        for pivot in labels:
+            want, got = gromov_transform(d, pivot), gromov_transform(big, pivot)
+            assert got.gamma == want.gamma * scale
+            assert got.transformed.values.tobytes() == (want.transformed.values
+                                                        * scale).tobytes()
+
+
 class TestSqueeze:
     """clamp_to_restricted on the input table: every value into [floor, cap]."""
 
