@@ -4,7 +4,8 @@
     PYTHONPATH=<checkout>/src python scripts/compare_fits.py > fits.jsonl
     python scripts/compare_fits.py --diff old.jsonl new.jsonl
 
-The first form fits every table of the grid through the public API and
+The first form writes every table of the grid to CSV, reads it back (the
+values must come back bit for bit), fits it through the public API and
 writes one JSON line per fit: its id, the `repr` of `l1_error` and of
 `lp_lower_bound`, the sha256 of the Newick string, and `opt`: the `repr` of
 the exact optimum from `oracle.exact_ultrametric_l1` for an ultrametric fit
@@ -32,7 +33,9 @@ import hashlib
 import json
 import random
 import sys
+import tempfile
 from itertools import combinations
+from pathlib import Path
 
 
 def planted_ultrametric(rng: random.Random, labels: list[str]) -> dict:
@@ -108,21 +111,27 @@ def grid(reps: int, max_n: int):
 
 def run(reps: int, max_n: int, out) -> None:
     from treefit import DistanceMatrix, fit_tree_metric, fit_ultrametric
-    from treefit.io import newick_string
+    from treefit.io import newick_string, parse_matrix, write_matrix_csv
     from treefit.oracle import ULTRAMETRIC_CAP, exact_ultrametric_l1
 
     fits = {"ultrametric": fit_ultrametric, "tree": fit_tree_metric}
-    for fit_id, mode, labels, values in grid(reps, max_n):
-        d = DistanceMatrix.from_pairs(labels, values)
-        fitted = fits[mode](d)
-        newick = newick_string(fitted).encode()
-        opt = None
-        if mode == "ultrametric" and d.n <= ULTRAMETRIC_CAP:
-            opt = repr(exact_ultrametric_l1(d)[1])
-        out.write(json.dumps({"id": fit_id, "l1_error": repr(fitted.l1_error),
-                              "lp_lower_bound": repr(fitted.lp_lower_bound),
-                              "newick_sha256": hashlib.sha256(newick).hexdigest(),
-                              "opt": opt}) + "\n")
+    with tempfile.TemporaryDirectory() as folder:
+        csv = Path(folder, "table.csv")
+        for fit_id, mode, labels, values in grid(reps, max_n):
+            table = DistanceMatrix.from_pairs(labels, values)
+            write_matrix_csv(table, csv)
+            d = parse_matrix(csv)  # so that a change in the parser shows too
+            if (d.labels, d.values.tobytes()) != (table.labels, table.values.tobytes()):
+                raise AssertionError(f"{fit_id}: the table reads back from CSV changed")
+            fitted = fits[mode](d)
+            newick = newick_string(fitted).encode()
+            opt = None
+            if mode == "ultrametric" and d.n <= ULTRAMETRIC_CAP:
+                opt = repr(exact_ultrametric_l1(d)[1])
+            out.write(json.dumps({"id": fit_id, "l1_error": repr(fitted.l1_error),
+                                  "lp_lower_bound": repr(fitted.lp_lower_bound),
+                                  "newick_sha256": hashlib.sha256(newick).hexdigest(),
+                                  "opt": opt}) + "\n")
 
 
 def load(path: str) -> dict:

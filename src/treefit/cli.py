@@ -301,7 +301,7 @@ def main(argv=None) -> int:
     except SolverError as exc:
         print(f"treefit: solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except (ValueError, FileNotFoundError) as exc:  # DataError and JSONDecodeError too
+    except (ValueError, OSError) as exc:  # DataError, JSONDecodeError, a path not read or written
         print(f"treefit: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except RecursionError:

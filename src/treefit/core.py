@@ -67,6 +67,17 @@ def _pair_ends(n: int) -> tuple[np.ndarray, np.ndarray]:
     return ends
 
 
+@functools.lru_cache(maxsize=16)
+def _flat_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat positions i*n+j and j*n+i, in an n x n array, of every pair
+    i < j, in `all_pairs` order."""
+    i, j = _pair_ends(n)
+    flat = (i * n + j, j * n + i)
+    for a in flat:
+        a.flags.writeable = False
+    return flat
+
+
 def _pair_position(index: Mapping[str, int], i: str, j: str) -> int:
     """Position of the unordered pair {i, j} in `all_pairs` order."""
     a, b = index[i], index[j]
@@ -101,11 +112,11 @@ def _pair_vector(values, n: int) -> np.ndarray:
 
 def _square(values: np.ndarray, n: int) -> np.ndarray:
     """The symmetric n x n matrix of a condensed vector, with a zero diagonal."""
-    out = np.zeros((n, n), dtype=values.dtype)
-    i, j = _pair_ends(n)
-    out[i, j] = values
-    out[j, i] = values
-    return out
+    out = np.zeros(n * n, dtype=values.dtype)
+    upper, lower = _flat_pairs(n)
+    out[upper] = values
+    out[lower] = values
+    return out.reshape(n, n)
 
 
 def lookup_pair(mapping: Mapping, i: str, j: str) -> float:
@@ -488,8 +499,9 @@ class _RootedTree:
             raise UniverseMismatch("tree labels do not match the distance matrix")
         if labels == self.labels:
             return self.distances()
-        pos = [self._index[lab] for lab in labels]
-        return _square(self.distances(), len(pos))[np.ix_(pos, pos)][_pair_ends(len(pos))]
+        pos = np.array([self._index[lab] for lab in labels], dtype=np.intp)
+        i, j = _pair_ends(len(pos))
+        return _square(self.distances(), len(pos)).reshape(-1)[pos[i] * len(pos) + pos[j]]
 
     def distance_map(self) -> dict[Pair, float]:
         return dict(zip(all_pairs(self.labels), self.distances().tolist()))
@@ -606,7 +618,7 @@ class UltrametricTree(_RootedTree):
         rank = np.empty(n, dtype=np.intp)  # each label's place, left to right
         rank[self._label[leaves]] = np.arange(n)
         a, b = (rank[end] for end in _pair_ends(n))
-        return 2.0 * square[np.minimum(a, b), np.maximum(a, b)]
+        return 2.0 * square.reshape(-1)[np.minimum(a, b) * n + np.maximum(a, b)]
 
     def top_distance(self) -> float:
         return 2.0 * self.root.height

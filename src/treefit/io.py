@@ -1,4 +1,12 @@
-"""File formats: CSV / lower-triangular distance matrices and Newick trees."""
+"""File formats: CSV / lower-triangular distance matrices and Newick trees.
+
+A CSV table's data rows are read in one `np.loadtxt` call. When a row label
+differs from the header's, or loadtxt rejects the rows (a ragged row, a cell
+it cannot read), the rows are read again one by one with `float`: that loop
+raises the first error, row by row, and reads the cells that `float` accepts
+and loadtxt does not (`1_0`, non-ASCII digits). Either way a cell means what
+`float` makes of it.
+"""
 from __future__ import annotations
 
 import itertools
@@ -12,6 +20,7 @@ from .core import (
     FittedTree,
     UltrametricTree,
     WeightedTree,
+    _flat_pairs,
     _pair_ends,
     _square,
 )
@@ -56,7 +65,8 @@ def _build(labels: list[str], grid: np.ndarray, where: str) -> DistanceMatrix:
     """The table of a square grid, each pair's two cells averaged. In row order,
     asymmetric pairs warn up to the first nonpositive pair, which is the error."""
     i, j = _pair_ends(len(labels))
-    upper, lower = grid[i, j], grid[j, i]
+    flat = grid.reshape(-1)
+    upper, lower = (flat[at] for at in _flat_pairs(len(labels)))
     with np.errstate(all="ignore"):  # inf - inf is nan, which fails every comparison
         values = (upper + lower) / 2.0
         # finite cells whose sum overflows are halved first
@@ -84,8 +94,41 @@ def _parse_csv(lines: list[str], where: str) -> DistanceMatrix:
     n = len(labels)
     if len(lines) - 1 != n:
         raise DataError(f"{where}: expected {n} data rows, found {len(lines) - 1}")
+    grid = _loadtxt_grid(lines[1:], labels)
+    if grid is None:
+        grid = _row_grid(lines[1:], labels, where)
+    off = np.flatnonzero(~(np.abs(np.diagonal(grid)) <= SYMMETRY_TOL))
+    if len(off):
+        k = off[0]
+        raise DataError(f"{where}: diagonal for {labels[k]!r} is {float(grid[k, k])}, expected 0")
+    return _build(labels, grid, where)
+
+
+def _loadtxt_grid(rows: list[str], labels: list[str]) -> np.ndarray | None:
+    """The n x n grid of the data rows from one `np.loadtxt` call, or None
+    when a row's label is not the header's or loadtxt does not read n cells
+    from every row."""
+    bodies = []
+    for line, label in zip(rows, labels):
+        head, _, body = line.partition(",")
+        # loadtxt strips "\x1f" around a number as whitespace, float does not
+        if head.strip() != label or not body or "\x1f" in body:
+            return None
+        bodies.append(body)
+    try:
+        # comments=None: a "#" is part of the cell, as it is to float
+        grid = np.loadtxt(bodies, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
+    except ValueError:
+        return None
+    return grid if grid.shape == (len(labels), len(labels)) else None
+
+
+def _row_grid(rows: list[str], labels: list[str], where: str) -> np.ndarray:
+    """The grid of the data rows read row by row with `float`, raising a
+    DataError at the first row that is malformed."""
+    n = len(labels)
     grid: list[list[float]] = []
-    for rownum, line in enumerate(lines[1:], start=2):
+    for rownum, line in enumerate(rows, start=2):
         cells = line.split(",")
         if len(cells) != n + 1:
             raise DataError(f"{where}: line {rownum} has {len(cells) - 1} cells, expected {n}")
@@ -95,19 +138,17 @@ def _parse_csv(lines: list[str], where: str) -> DistanceMatrix:
                 f"{where}: line {rownum} row label {label!r} does not match"
                 f" header order ({labels[rownum - 2]!r})")
         try:
-            # float ignores surrounding whitespace; strip only for the message
             grid.append(list(map(float, cells[1:])))
-        except ValueError:
+        except ValueError as exc:
+            # float ignores surrounding whitespace; the message shows the cell
+            # stripped, unless only whitespace float keeps ("\x1f") made it bad
             for c in cells[1:]:
                 try:
                     float(c.strip())
-                except ValueError as exc:
-                    raise DataError(f"{where}: line {rownum}: {exc}") from exc
-            raise
-    for k in range(n):
-        if not abs(grid[k][k]) <= SYMMETRY_TOL:
-            raise DataError(f"{where}: diagonal for {labels[k]!r} is {grid[k][k]}, expected 0")
-    return _build(labels, np.array(grid, dtype=np.float64), where)
+                except ValueError as stripped:
+                    raise DataError(f"{where}: line {rownum}: {stripped}") from stripped
+            raise DataError(f"{where}: line {rownum}: {exc}") from exc
+    return np.array(grid, dtype=np.float64)
 
 
 def _parse_phylip(lines: list[str], where: str) -> DistanceMatrix:

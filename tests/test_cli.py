@@ -214,6 +214,24 @@ class TestExitCodes:
     def test_missing_file(self, tmp_path, capsys):
         assert run_cli("fit", "ultrametric", tmp_path / "nope.csv") == 2
 
+    @pytest.mark.parametrize("command", [["fit", "ultrametric"], ["oracle", "hca"]])
+    def test_directory_input_is_a_data_error(self, command, tmp_path, capsys):
+        assert run_cli(*command, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("treefit: data error: ") and "Is a directory" in err
+        assert err.count("\n") == 1
+
+    def test_directory_tree_is_a_data_error(self, fix123, tmp_path, capsys):
+        assert run_cli("eval", tmp_path, fix123) == 2
+        assert capsys.readouterr().err.startswith("treefit: data error: ")
+
+    @pytest.mark.parametrize("option", ["--json-out", "--tree-out", "--dump-lp"])
+    def test_directory_output_is_a_data_error(self, option, fix123, tmp_path, capsys):
+        assert run_cli("fit", "ultrametric", fix123, option, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("treefit: data error: ") and "Is a directory" in err
+        assert err.count("\n") == 1
+
     def test_deep_newick_evaluates(self, tmp_path, capsys):
         # a caterpillar nested 1500 deep, deeper than the recursion limit
         text = "x0:1"

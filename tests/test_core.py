@@ -422,6 +422,56 @@ class TestTreeDistanceVectors:
             assert v == tree.distance(i, j)
 
 
+
+def fancy_square(values: np.ndarray, n: int) -> np.ndarray:
+    """The reference for `_square`: two 2-D fancy-index assignments."""
+    out = np.zeros((n, n), dtype=values.dtype)
+    i, j = np.triu_indices(n, 1)
+    out[i, j] = values
+    out[j, i] = values
+    return out
+
+
+class TestFlatPairs:
+    def test_flat_pairs_are_the_pair_cells(self):
+        for n in range(12):
+            upper, lower = core_module._flat_pairs(n)
+            i, j = np.triu_indices(n, 1)
+            assert upper.tolist() == (i * n + j).tolist()
+            assert lower.tolist() == (j * n + i).tolist()
+            assert not upper.flags.writeable and not lower.flags.writeable
+
+    def test_square_matches_fancy_index_reference(self):
+        gen = np.random.default_rng(22)
+        for n in range(41):
+            m = n * (n - 1) // 2
+            for values in (gen.random(m) < 0.5, gen.integers(-128, 128, m, dtype=np.int8),
+                           gen.standard_normal(m)):
+                got, want = core_module._square(values, n), fancy_square(values, n)
+                assert got.dtype == want.dtype and got.shape == (n, n)
+                assert got.tobytes() == want.tobytes()
+                assert got.flags.c_contiguous and got.flags.writeable
+
+    def test_tree_distances_match_fancy_index_reference(self, rng):
+        # 200 random trees: the ultrametric fill against twice the lca
+        # heights, and distances_in in a shuffled order against square,
+        # np.ix_ and pair-index reads, bit for bit
+        for k in range(200):
+            n = rng.randint(1, 12)
+            if k % 2:
+                labels = [f"s{t}" for t in range(n)]
+                rng.shuffle(labels)
+                tree = UltrametricTree.from_map(labels, random_ultrametric_map(rng, sorted(labels)))
+                want = np.array(lca_distances(tree), dtype=np.float64)
+                assert tree.distances().tobytes() == want.tobytes()
+            else:
+                tree = random_tree_metric(rng, n)[1]
+            order = list(tree.labels)
+            rng.shuffle(order)
+            pos = [tree.labels.index(lab) for lab in order]
+            want = fancy_square(tree.distances(), n)[np.ix_(pos, pos)][np.triu_indices(n, 1)]
+            assert tree.distances_in(order).tobytes() == want.tobytes()
+
 def single_linkage(n: int, values: np.ndarray) -> np.ndarray:
     """The single-linkage ultrametric of a table in `all_pairs` order: for
     each pair, the least over paths of the largest distance along the path."""

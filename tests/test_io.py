@@ -1,8 +1,10 @@
 import json
+import random
 import warnings
 
 import pytest
 
+import treefit.io as io_module
 from treefit.cli import main
 from treefit.core import DistanceMatrix, UltraNode, UltrametricTree, WeightedTree
 from treefit.treemetric import fit_tree_metric
@@ -381,3 +383,102 @@ class TestParseMessages:
         p.write_text(text)
         assert main(["fit", "ultrametric", str(p)]) == 2
         assert "must be finite and > 0, got inf" in capsys.readouterr().err
+
+
+def csv_cell(rng, value: float) -> str:
+    """value in a repr, exponent, fixed or padded form."""
+    form = rng.randrange(5)
+    if form == 0:
+        return repr(value)
+    if form == 1:
+        return f"{value:.17e}"
+    if form == 2:
+        return f"{value:.16E}".replace("E+", "E")
+    if form == 3 and value < 1e20:
+        return f"{value:.6f}"
+    return f" {value!r}\t" if rng.random() < 0.5 else f"\t{value!r} "
+
+
+# cells that `float` and np.loadtxt may read differently, or reject
+ODD_CELLS = ["inf", "-inf", "Infinity", "nan", "+nan", "-nan", "1e400", "-1e400", "0", "-0.0",
+             "1_0", "1_000.5", "1__0", "_1", "٣", "1٣", "１", "1#x", "#1", "1 2",
+             "", " ", "1.", ".5", ".", "1e", "0x1p3", "1\x1f", "\x1f1", "1\xa0", " 1",
+             "\t 2 \t", "1e-400", "5e-324", "2.4703282292062328e-324", "1.7976931348623157e308",
+             "1.7976931348623159e308", "'1'", '"1"', "1,5", "nan(1)", "infinite"]
+
+
+def csv_corpus_file(rng) -> str:
+    """A seeded CSV table, clean or with one odd cell or line."""
+    n = rng.randint(1, 6)
+    labels = [f"s{k}" for k in range(n)]
+    rows = [["0"] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(a + 1, n):
+            value = 10.0 ** rng.uniform(-300, 300) * rng.uniform(1, 10)
+            rows[a][b] = csv_cell(rng, value)
+            rows[b][a] = rows[a][b] if rng.random() < 0.8 else csv_cell(rng, value)
+    kind = rng.choice([0, 0, 0, 1, 1, 2, 3, 4, 5, 6])
+    if kind == 1:  # an odd cell, off the diagonal or on it
+        a, b = rng.randrange(n), rng.randrange(n)
+        rows[a][b] = rng.choice(ODD_CELLS)
+    lines = [",".join([""] + labels)] + [",".join([lab] + row) for lab, row in zip(labels, rows)]
+    k = rng.randrange(1, n + 1)
+    if kind == 2:  # a trailing comma
+        lines[k] += ","
+    elif kind == 3:  # a ragged row
+        lines[k] = lines[k].rsplit(",", 1)[0]
+    elif kind == 4:  # a row label that is not the header's
+        lines[k] = "x" + lines[k]
+    elif kind == 5:  # a line without a comma
+        lines[k] = rng.choice([labels[k - 1], "0", "nan"])
+    elif kind == 6:  # one cell too many or too few on every row
+        lines[1:] = [line + ",1" if n % 2 else line.rsplit(",", 1)[0] for line in lines[1:]]
+    return "\n".join(lines) + "\n"
+
+
+class TestCsvFastPath:
+    """The one-call loadtxt read against the row loop it falls back to."""
+
+    def outcome(self, path):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                d = parse_matrix(path)
+            except ValueError as exc:
+                return [str(w.message) for w in caught], f"{type(exc).__name__}: {exc}"
+        return [str(w.message) for w in caught], (d.labels, d.values.tobytes())
+
+    def test_matches_the_row_loop(self, tmp_path, monkeypatch):
+        rng = random.Random(22)
+        fast = []
+
+        def recording_loadtxt_grid(rows, labels):
+            grid = loadtxt_grid(rows, labels)
+            fast.append(grid is not None)
+            return grid
+
+        loadtxt_grid = io_module._loadtxt_grid
+        path = tmp_path / "m.csv"
+        for _ in range(600):
+            path.write_text(csv_corpus_file(rng))
+            monkeypatch.setattr(io_module, "_loadtxt_grid", recording_loadtxt_grid)
+            got = self.outcome(path)
+            monkeypatch.setattr(io_module, "_loadtxt_grid", lambda rows, labels: None)
+            assert got == self.outcome(path), path.read_text()
+        assert 200 < sum(fast) < 400
+
+    @pytest.mark.parametrize("cell, value", [("1_0", 10.0), ("٣", 3.0),
+                                             (" 2 ", 2.0)])
+    def test_cells_float_reads(self, cell, value, tmp_path):
+        # loadtxt rejects the first two, so the row loop reads the table
+        p = tmp_path / "m.csv"
+        p.write_text(f",a,b\na,0,{cell}\nb,{cell},0\n")
+        assert parse_matrix(p).values.tolist() == [value]
+
+    @pytest.mark.parametrize("cell", ["1#x", "1\x1f", "#"])
+    def test_cells_float_rejects(self, cell, tmp_path):
+        # a "#" is no comment, and "\x1f" no whitespace, to float
+        p = tmp_path / "m.csv"
+        p.write_text(f",a,b,c\na,0,{cell},1\nb,1,0,1\nc,1,1,0\n")
+        with pytest.raises(DataError, match="line 2: could not convert string to float"):
+            parse_matrix(p)

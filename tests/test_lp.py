@@ -11,6 +11,7 @@ import pytest
 from scipy.optimize import linprog
 from scipy.sparse import csr_matrix
 
+from treefit import DistanceMatrix, fit_tree_metric
 from treefit.core import EdgeSet, HierarchySequence, Partition, all_pairs
 import treefit.lp as lp_module
 from treefit.lp import (
@@ -1121,6 +1122,24 @@ class TestFirstRound:
                 assert got.x.tobytes() == want.x.tobytes()
                 assert got.iterations == want.iterations
                 assert got.objective == want.objective
+
+    def test_chain_cache_holds_a_tree_fit_pass(self):
+        # three n=16 tables of values 1..4, drawn as the tree-pivots benchmark
+        # draws them, fitted as tree metrics over every pivot: the first pass
+        # solves 73 distinct chains, and the second finds every one cached
+        rng = random.Random("tree-pivots:0")
+        labels = tuple(f"s{k}" for k in range(16))
+        tables = [DistanceMatrix.from_pairs(labels, {p: float(rng.randint(1, 4))
+                                                     for p in all_pairs(labels)})
+                  for _ in range(3)]
+        lp_module._solve_chain.cache_clear()
+        misses = []
+        for _ in range(2):
+            before = lp_module._solve_chain.cache_info().misses
+            for d in tables:
+                fit_tree_metric(d)
+            misses.append(lp_module._solve_chain.cache_info().misses - before)
+        assert misses == [73, 0]
 
     def test_over_the_cap_stalls_at_the_origin(self, rng):
         # a first round that needs more pivots than the cap stops at the
