@@ -23,10 +23,11 @@ merge rule is reached. Run it once against each checkout to compare.
 
 `--diff A B` prints how many fits changed (Newick or error), how many
 errors rose or fell, each changed fit with its old -> new error, and every
-bound and every optimum that changed. Then it counts, in run B, the fits
-whose bound is above their error, whose bound is above their optimum, and
-whose error is below their optimum: a true bound and a true optimum make
-all three 0. It exits 1 when the two runs do not hold the same fits.
+bound and every optimum that changed. Then it counts, in run A and in run B
+(as `A -> B`), the fits whose bound is above their error, whose bound is
+above their optimum, and whose error is below their optimum: a true bound
+and a true optimum make all three 0. It exits 1 when the two runs do not
+hold the same fits.
 """
 import argparse
 import hashlib
@@ -140,6 +141,15 @@ def load(path: str) -> dict:
     return {r["id"]: r for r in records}
 
 
+def truth_counts(run: dict) -> tuple[int, int, int]:
+    """The fits of a run whose bound is above their error, whose bound is
+    above their optimum, and whose error is below their optimum."""
+    known = [r for r in run.values() if r["opt"] is not None]
+    return (sum(float(r["lp_lower_bound"]) > float(r["l1_error"]) for r in run.values()),
+            sum(float(r["lp_lower_bound"]) > float(r["opt"]) for r in known),
+            sum(float(r["l1_error"]) < float(r["opt"]) for r in known))
+
+
 def diff(path_a: str, path_b: str, out) -> int:
     a, b = load(path_a), load(path_b)
     if a.keys() != b.keys():
@@ -163,15 +173,10 @@ def diff(path_a: str, path_b: str, out) -> int:
     out.write(f"{len(optima)} optima changed\n")
     for k in optima:
         out.write(f"  {k}: opt {a[k]['opt']} -> {b[k]['opt']}\n")
-    known = [r for r in b.values() if r["opt"] is not None]
-    for count, what in (
-            (sum(float(r["lp_lower_bound"]) > float(r["l1_error"]) for r in b.values()),
-             "bounds above their error"),
-            (sum(float(r["lp_lower_bound"]) > float(r["opt"]) for r in known),
-             "bounds above their optimum"),
-            (sum(float(r["l1_error"]) < float(r["opt"]) for r in known),
-             "errors below their optimum")):
-        out.write(f"{count} {what}\n")
+    truths = ("bounds above their error", "bounds above their optimum",
+              "errors below their optimum")
+    for what, count_a, count_b in zip(truths, truth_counts(a), truth_counts(b)):
+        out.write(f"{count_a} -> {count_b} {what}\n")
     return 0
 
 

@@ -2,7 +2,9 @@
 
 Every command can emit a JSON report with a fixed key order; with --seed the
 report is byte-identical across runs (timing is suppressed), which is the
-determinism contract scripts rely on.
+determinism contract scripts rely on. Each command returns its checked
+report, the lines it prints and the files it writes; `main` writes every file
+before it prints, so a run that fails prints nothing.
 """
 from __future__ import annotations
 
@@ -13,10 +15,12 @@ import sys
 import time
 from pathlib import Path
 
-from .core import VALUE_MERGE_TOL, DistanceMatrix, EdgeSet, WeightedTree, lp_norm_error
+from .core import (VALUE_MERGE_TOL, DistanceMatrix, EdgeSet, Partition, WeightedTree,
+                   lp_norm_error)
 from .corrclust import corr_cluster, corr_cluster_cost, exact_corr_cluster
-from .io import DataError, newick_string, parse_matrix, parse_newick, write_newick
-from .lp import DEFAULT_FEAS_TOL, HccInstance, SolverError, build_lp, solve_lp
+from .hcc import lp_lower_bound
+from .io import DataError, newick_string, parse_matrix, parse_newick
+from .lp import DEFAULT_FEAS_TOL, HccInstance, LpSolution, SolverError, build_lp, solve_lp
 from .oracle import exact_hca, exact_ultrametric_l1
 from .treemetric import fit_tree_metric
 from .ultrametric import fit_ultrametric
@@ -67,39 +71,37 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="treefit", parents=[common],
                      description="Fit distance matrices by ultrametrics or tree metrics")
     sub = parser.add_subparsers(dest="command", required=True)
+    shared = argparse.ArgumentParser(add_help=False, parents=[common])  # of each subcommand
+    shared.add_argument("--format", choices=["auto", "csv", "phylip"], default="auto")
 
-    fit = sub.add_parser("fit", parents=[common],
+    fit = sub.add_parser("fit", parents=[shared],
                          help="fit a tree to a distance matrix")
     fit.add_argument("mode", choices=["ultrametric", "tree"])
     fit.add_argument("matrix", type=Path)
-    fit.add_argument("--format", choices=["auto", "csv", "phylip"], default="auto")
     fit.add_argument("--pivot", default=None, help="fixed pivot label (tree mode)")
     fit.add_argument("--strategy", choices=["pivot-sweep", "kwik", "exact"],
                      default="pivot-sweep", help="per-level clustering strategy")
     fit.add_argument("--tree-out", type=Path, default=None,
                      help="write the fitted tree as Newick")
 
-    cc = sub.add_parser("corrclust", parents=[common],
+    cc = sub.add_parser("corrclust", parents=[shared],
                         help="cluster one thresholded level")
     cc.add_argument("matrix", type=Path)
-    cc.add_argument("--format", choices=["auto", "csv", "phylip"], default="auto")
     cc.add_argument("--threshold", type=_threshold, default=None,
                     help="edges are pairs at distance <= threshold (default: min)")
     cc.add_argument("--exact", action="store_true", help="exact enumeration")
 
-    orc = sub.add_parser("oracle", parents=[common],
+    orc = sub.add_parser("oracle", parents=[shared],
                          help="exact brute-force solvers")
     orc.add_argument("which", choices=["ultrametric", "hca", "corrclust"])
     orc.add_argument("path", type=Path,
                      help="distance matrix, or a JSON instance for hca")
-    orc.add_argument("--format", choices=["auto", "csv", "phylip"], default="auto")
     orc.add_argument("--threshold", type=_threshold, default=None)
 
-    ev = sub.add_parser("eval", parents=[common],
+    ev = sub.add_parser("eval", parents=[shared],
                         help="L1 error of a Newick tree against a matrix")
     ev.add_argument("tree", type=Path)
     ev.add_argument("matrix", type=Path)
-    ev.add_argument("--format", choices=["auto", "csv", "phylip"], default="auto")
     return parser
 
 
@@ -130,11 +132,11 @@ def _report(args, *, n, mode, l1_error, lp_lower_bound, num_levels,
     }
 
 
-def _emit(args, report: dict) -> None:
-    for key, value in report.items():
-        print(f"{key}: {value}")
-    if args.json_out is not None:
-        args.json_out.write_text(json.dumps(report, indent=2, allow_nan=False) + "\n")
+def _timed(compute, *args, **kwargs):
+    """compute's result, and the milliseconds it took: a report's wall_ms."""
+    t0 = time.perf_counter()
+    result = compute(*args, **kwargs)
+    return result, int(round((time.perf_counter() - t0) * 1000))
 
 
 def _edges_from_threshold(d: DistanceMatrix, threshold: float | None) -> EdgeSet:
@@ -143,139 +145,129 @@ def _edges_from_threshold(d: DistanceMatrix, threshold: float | None) -> EdgeSet
     return EdgeSet(d.labels, d.values <= threshold + VALUE_MERGE_TOL)
 
 
-NO_LP_SINGLE_LABEL = "# lp-dump v1\n# no LP: single label\n"
+def _cluster_lines(partition: Partition) -> list[str]:
+    return [f"cluster: {' '.join(sorted(part))}" for part in partition.parts]
 
 
-def _dump_requested_lp(args, d: DistanceMatrix, fitted) -> None:
-    """Dump the level LP of the instance the fit solved, `details["hcc"]`:
-    in tree mode the winning pivot's subproblem.
-
-    The point is the one behind the fit's reported bound; the LP is solved
-    here only when the fit cost 0 and so skipped the solve.
-    """
-    if d.n == 1:
-        args.dump_lp.write_text(NO_LP_SINGLE_LABEL)
-        return
-    hcc_result = fitted.details.get("hcc")
-    if hcc_result is None:
-        args.dump_lp.write_text("# lp-dump v1\n# no LP: single distinct distance\n")
-        return
-    lp = build_lp(hcc_result.instance)
-    sol = hcc_result.lp_solution or solve_lp(lp, args.lp_tol)
-    args.dump_lp.write_text(lp.dump_text(sol.x.reshape(-1), sol.objective))
+NO_LP = "# lp-dump v1\n# no LP: {}\n"
 
 
-def _cmd_fit(args) -> int:
+def _lp_dump(inst: HccInstance, sol: LpSolution | None, feas_tol: float) -> str:
+    """The level LP of inst at sol, the point behind the reported bound; the
+    LP is solved here only when the caller skipped the solve (a cost of 0,
+    bound 0)."""
+    lp = build_lp(inst)
+    sol = sol or solve_lp(lp, feas_tol)
+    return lp.dump_text(sol.x.reshape(-1), sol.objective)
+
+
+def _cmd_fit(args):
     d = parse_matrix(args.matrix, args.format)
     seed = args.seed if args.seed is not None else 0  # keep kwik reproducible
-    t0 = time.perf_counter()
-    if args.mode == "ultrametric":
-        fitted = fit_ultrametric(d, strategy=args.strategy, seed=seed,
-                                 feas_tol=args.lp_tol)
-    else:
+    fit, kwargs = fit_ultrametric, {}
+    if args.mode == "tree":
         mode = "fixed" if args.pivot is not None else "all"
-        fitted = fit_tree_metric(d, pivot_mode=mode, pivot=args.pivot,
-                                 strategy=args.strategy, seed=seed,
-                                 feas_tol=args.lp_tol)
-    wall_ms = int(round((time.perf_counter() - t0) * 1000))
+        fit, kwargs = fit_tree_metric, {"pivot_mode": mode, "pivot": args.pivot}
+    fitted, wall_ms = _timed(fit, d, strategy=args.strategy, seed=seed,
+                             feas_tol=args.lp_tol, **kwargs)
+    newick = newick_string(fitted)
     report = _report(args, n=d.n, mode=args.mode, l1_error=fitted.l1_error,
                      lp_lower_bound=fitted.lp_lower_bound, num_levels=fitted.num_levels,
-                     tree_newick=newick_string(fitted), wall_ms=wall_ms)
+                     tree_newick=newick, wall_ms=wall_ms)
+    files = {}
     if args.tree_out is not None:
-        write_newick(fitted, args.tree_out)
+        files[args.tree_out] = newick + "\n"
     if args.dump_lp is not None:
-        _dump_requested_lp(args, d, fitted)
-    _emit(args, report)
-    return EXIT_OK
+        # the instance the fit solved: in tree mode the winning pivot's subproblem
+        hcc = fitted.details.get("hcc")
+        if hcc is None:
+            files[args.dump_lp] = NO_LP.format(
+                "single label" if d.n == 1 else "single distinct distance")
+        else:
+            files[args.dump_lp] = _lp_dump(hcc.instance, hcc.lp_solution, args.lp_tol)
+    return report, [], files
 
 
-def _cmd_corrclust(args) -> int:
+def _cmd_corrclust(args):
     d = parse_matrix(args.matrix, args.format)
     edges = _edges_from_threshold(d, args.threshold)
-    t0 = time.perf_counter()
-    if args.exact:
-        partition, cost = exact_corr_cluster(d.labels, edges)
-    else:
-        partition = corr_cluster(d.labels, edges, strategy="pivot-sweep",
-                                 seed=args.seed)
-        cost = corr_cluster_cost(edges, partition)
-    lp = sol = None
-    if d.n > 1:  # one label has no pairs, so no LP; its bound is 0, as `fit` reports
-        lp = build_lp(HccInstance(d.labels, (1.0,), (edges,)))
-        sol = solve_lp(lp, args.lp_tol)
-    wall_ms = int(round((time.perf_counter() - t0) * 1000))
-    for part in partition.parts:
-        print("cluster:", " ".join(sorted(part)))
+    # one label has no pairs, so cost 0 and bound 0, as `fit` reports
+    inst = HccInstance(d.labels, (1.0,), (edges,))
+
+    def solve():
+        if args.exact:
+            partition, cost = exact_corr_cluster(d.labels, edges)
+        else:
+            partition = corr_cluster(d.labels, edges, strategy="pivot-sweep",
+                                     seed=args.seed)
+            cost = corr_cluster_cost(edges, partition)
+        cost = float(cost)
+        return partition, cost, *lp_lower_bound(inst, cost, feas_tol=args.lp_tol)
+
+    (partition, cost, bound, sol), wall_ms = _timed(solve)
+    report = _report(args, n=d.n, mode="corrclust", l1_error=cost, lp_lower_bound=bound,
+                     num_levels=1, tree_newick=None, wall_ms=wall_ms)
+    files = {}
     if args.dump_lp is not None:
-        args.dump_lp.write_text(NO_LP_SINGLE_LABEL if lp is None
-                                else lp.dump_text(sol.x.reshape(-1), sol.objective))
-    _emit(args, _report(args, n=d.n, mode="corrclust", l1_error=float(cost),
-                        lp_lower_bound=0.0 if sol is None else sol.objective,
-                        num_levels=1, tree_newick=None, wall_ms=wall_ms))
-    return EXIT_OK
+        files[args.dump_lp] = (NO_LP.format("single label") if d.n == 1
+                               else _lp_dump(inst, sol, args.lp_tol))
+    return report, _cluster_lines(partition), files
 
 
-def _cmd_oracle(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_oracle(args):
     if args.which == "hca":
         payload = json.loads(Path(args.path).read_text())
         try:
             labels = tuple(payload["labels"])
             deltas = tuple(float(x) for x in payload["deltas"])
-            from .core import Partition
-
             partitions = [Partition.from_parts(labels, parts)
                           for parts in payload["partitions"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{args.path}: bad instance JSON: {exc}") from exc
-        hierarchy, cost = exact_hca(labels, partitions, deltas)
-        wall_ms = int(round((time.perf_counter() - t0) * 1000))
+        (hierarchy, cost), wall_ms = _timed(exact_hca, labels, partitions, deltas)
         report = _report(args, n=len(labels), mode="oracle-hca", l1_error=cost,
                          lp_lower_bound=None, num_levels=len(deltas),
                          tree_newick=None, wall_ms=wall_ms)
-        for t, part in enumerate(hierarchy.levels, start=1):
-            print(f"level {t}:", " | ".join(" ".join(sorted(p)) for p in part.parts))
-        _emit(args, report)
-        return EXIT_OK
+        return report, [f"level {t}: " + " | ".join(" ".join(sorted(p)) for p in part.parts)
+                        for t, part in enumerate(hierarchy.levels, start=1)], {}
 
     d = parse_matrix(args.path, args.format)
     if args.which == "ultrametric":
-        tree, cost = exact_ultrametric_l1(d)
-        wall_ms = int(round((time.perf_counter() - t0) * 1000))
-        _emit(args, _report(args, n=d.n, mode="oracle-ultrametric",
-                            l1_error=cost, lp_lower_bound=None,
-                            num_levels=max(len(d.distinct_values()) - 1, 0),
-                            tree_newick=newick_string(tree), wall_ms=wall_ms))
-        return EXIT_OK
+        (tree, cost), wall_ms = _timed(exact_ultrametric_l1, d)
+        return _report(args, n=d.n, mode="oracle-ultrametric", l1_error=cost,
+                       lp_lower_bound=None,
+                       num_levels=max(len(d.distinct_values()) - 1, 0),
+                       tree_newick=newick_string(tree), wall_ms=wall_ms), [], {}
     edges = _edges_from_threshold(d, args.threshold)
-    partition, cost = exact_corr_cluster(d.labels, edges)
-    wall_ms = int(round((time.perf_counter() - t0) * 1000))
-    for part in partition.parts:
-        print("cluster:", " ".join(sorted(part)))
-    _emit(args, _report(args, n=d.n, mode="oracle-corrclust",
-                        l1_error=float(cost), lp_lower_bound=None,
-                        num_levels=1, tree_newick=None, wall_ms=wall_ms))
-    return EXIT_OK
+    (partition, cost), wall_ms = _timed(exact_corr_cluster, d.labels, edges)
+    report = _report(args, n=d.n, mode="oracle-corrclust", l1_error=float(cost),
+                     lp_lower_bound=None, num_levels=1, tree_newick=None,
+                     wall_ms=wall_ms)
+    return report, _cluster_lines(partition), {}
 
 
-def _cmd_eval(args) -> int:
+def _cmd_eval(args):
     d = parse_matrix(args.matrix, args.format)
     tree = parse_newick(Path(args.tree).read_text())
     named = set(tree.labels)
     missing = [lab for lab in d.labels if lab not in named]
     if missing:
         raise DataError(f"{args.tree}: tree is missing labels {missing}")
-    t0 = time.perf_counter()
-    # distances from the table's labels only, in the tree's label order so
-    # each path is summed from the same end as over the whole tree
-    wanted = set(d.labels)
-    tree = WeightedTree(tuple(lab for lab in tree.labels if lab in wanted), tree.edges)
-    total = lp_norm_error(tree, d, 1)
-    wall_ms = int(round((time.perf_counter() - t0) * 1000))
-    _emit(args, _report(args, n=d.n, mode="eval", l1_error=total,
-                        lp_lower_bound=None, num_levels=None,
-                        tree_newick=None, wall_ms=wall_ms))
-    return EXIT_OK
+
+    def error():
+        # distances from the table's labels only, in the tree's label order so
+        # each path is summed from the same end as over the whole tree
+        wanted = set(d.labels)
+        kept = WeightedTree(tuple(lab for lab in tree.labels if lab in wanted), tree.edges)
+        return lp_norm_error(kept, d, 1)
+
+    total, wall_ms = _timed(error)
+    return _report(args, n=d.n, mode="eval", l1_error=total, lp_lower_bound=None,
+                   num_levels=None, tree_newick=None, wall_ms=wall_ms), [], {}
+
+
+COMMANDS = {"fit": _cmd_fit, "corrclust": _cmd_corrclust, "oracle": _cmd_oracle,
+            "eval": _cmd_eval}
 
 
 def main(argv=None) -> int:
@@ -287,17 +279,17 @@ def main(argv=None) -> int:
     for key, value in GLOBAL_DEFAULTS.items():
         if not hasattr(args, key):
             setattr(args, key, value)
-    try:
-        if args.command == "fit":
-            return _cmd_fit(args)
-        if args.command == "corrclust":
-            return _cmd_corrclust(args)
-        if args.command == "oracle":
-            return _cmd_oracle(args)
-        if args.command == "eval":
-            return _cmd_eval(args)
-        parser.error(f"unknown command {args.command!r}")
-        return EXIT_USAGE
+    try:  # write every file, then print: a failure on the way prints nothing
+        report, lines, files = COMMANDS[args.command](args)
+        if args.json_out is not None:
+            files[args.json_out] = json.dumps(report, indent=2, allow_nan=False) + "\n"
+        if args.dump_lp is not None:  # a command that solves no LP says so
+            files.setdefault(args.dump_lp, NO_LP.format(f"{report['mode']} solves none"))
+        for path, text in files.items():
+            path.write_text(text)
+        for line in [*lines, *(f"{key}: {value}" for key, value in report.items())]:
+            print(line)
+        return EXIT_OK
     except SolverError as exc:
         print(f"treefit: solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER

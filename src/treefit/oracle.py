@@ -9,12 +9,14 @@ and apart in b. Only the chosen chain becomes `Partition`s.
 """
 from __future__ import annotations
 
+import functools
 from typing import Sequence
 
 import numpy as np
 
 from .core import (
     DistanceMatrix,
+    EdgeSet,
     HierarchySequence,
     Partition,
     UltrametricTree,
@@ -26,16 +28,21 @@ from .core import (
 )
 from .corrclust import exact_corr_cluster  # noqa: F401 (re-exported)
 from .lp import HccInstance
-from .ultrametric import (
-    TrivialInstance,
-    hcc_instance_from_distances,
-    hierarchy_to_ultrametric,
-    star_tree,
-)
+from .ultrametric import UltrametricLevels, hierarchy_to_ultrametric, star_tree
 
 ULTRAMETRIC_CAP = 7
 HCA_CAP_N = 6
 HCA_CAP_LEVELS = 3
+
+
+@functools.lru_cache(maxsize=8)
+def _refines(n: int) -> np.ndarray:
+    """refines[a, b]: no pair is together in partition a of
+    `partition_table(n)` and apart in partition b."""
+    same = partition_table(n)[1].astype(np.int64)
+    refines = same @ (1 - same).T == 0
+    refines.flags.writeable = False
+    return refines
 
 
 def exact_hcc(inst: HccInstance, cap: int = ULTRAMETRIC_CAP) -> tuple[HierarchySequence, float]:
@@ -46,9 +53,7 @@ def exact_hcc(inst: HccInstance, cap: int = ULTRAMETRIC_CAP) -> tuple[HierarchyS
     """
     if inst.n > cap:
         raise ValueError(f"exact hierarchical solver capped at n={cap}")
-    same = partition_table(inst.n)[1].astype(np.int64)
-    # refines[a, b]: no pair is together in partition a and apart in b
-    refines = same @ (1 - same).T == 0
+    refines = _refines(inst.n)
     level_cost = np.array(inst.deltas)[:, None] * partition_disagreements(
         [e.mask for e in inst.edge_sets], inst.n)
     best_tail = level_cost[-1]
@@ -80,15 +85,19 @@ def exact_ultrametric_l1(d: DistanceMatrix) -> tuple[UltrametricTree, float]:
     """Best ultrametric restricted to input values; optimal overall for L1.
 
     Some optimal ultrametric uses only distances present in the input, so
-    searching chains over the input's own levels is exact.
+    searching chains over the input's own distinct values is exact. They are
+    sliced unmerged: every fit's tree, whose values are kept input values,
+    lies in the search space, however close two values are.
     """
     if d.n > ULTRAMETRIC_CAP:
         raise ValueError(f"exact ultrametric solver capped at n={ULTRAMETRIC_CAP}")
-    try:
-        inst, levels = hcc_instance_from_distances(d)
-    except TrivialInstance as trivial:
-        tree = star_tree(d.labels, trivial.levels.values[0])
+    values = tuple(np.unique(d.values).tolist()) or (0.0,)  # one label: its star at 0.0
+    if len(values) == 1:
+        tree = star_tree(d.labels, values[0])
     else:
+        levels = UltrametricLevels(values)
+        inst = HccInstance(d.labels, levels.deltas(), tuple(
+            EdgeSet(d.labels, d.values <= v) for v in values[:-1]))
         hierarchy, _ = exact_hcc(inst, cap=ULTRAMETRIC_CAP)
         tree = hierarchy_to_ultrametric(hierarchy, levels)
     return tree, lp_norm_error(tree, d, 1)

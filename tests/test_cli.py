@@ -29,6 +29,21 @@ def run_cli(*argv):
     return main([str(a) for a in argv])
 
 
+def _inputs(command, table, tmp_path):
+    """The input paths of a command that reads the table: `oracle hca` reads
+    an instance and `eval` a tree over the table's labels."""
+    if command == ["oracle", "hca"]:
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps({"labels": ["1", "2", "3"], "deltas": [1.0],
+                                    "partitions": [[["1", "2"], ["3"]]]}))
+        return [path]
+    if command == ["eval"]:
+        path = tmp_path / "t.nwk"
+        path.write_text("((1:1,2:1):1,3:2);\n")
+        return [path, table]
+    return [table]
+
+
 class TestFit:
     def test_ultrametric_report_schema(self, fix123, tmp_path, capsys):
         out = tmp_path / "r.json"
@@ -225,12 +240,25 @@ class TestExitCodes:
         assert run_cli("eval", tmp_path, fix123) == 2
         assert capsys.readouterr().err.startswith("treefit: data error: ")
 
-    @pytest.mark.parametrize("option", ["--json-out", "--tree-out", "--dump-lp"])
-    def test_directory_output_is_a_data_error(self, option, fix123, tmp_path, capsys):
-        assert run_cli("fit", "ultrametric", fix123, option, tmp_path) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("treefit: data error: ") and "Is a directory" in err
-        assert err.count("\n") == 1
+    @pytest.mark.parametrize("command, option", [
+        *(pytest.param(["fit", "ultrametric"], option, id=option)
+          for option in ("--json-out", "--tree-out", "--dump-lp")),
+        *(pytest.param(command, option, id="-".join(command) + option)
+          for command in (["corrclust"], ["oracle", "ultrametric"], ["oracle", "hca"],
+                          ["oracle", "corrclust"], ["eval"])
+          for option in ("--json-out", "--dump-lp"))])
+    def test_directory_output_is_a_data_error(self, command, option, fix123, tmp_path,
+                                              capsys):
+        # nothing is printed before every file is written
+        outputs = tmp_path / "outputs"
+        outputs.mkdir()
+        assert run_cli(*command, *_inputs(command, fix123, tmp_path),
+                       option, outputs) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("treefit: data error: ")
+        assert "Is a directory" in captured.err
+        assert captured.err.count("\n") == 1
 
     def test_deep_newick_evaluates(self, tmp_path, capsys):
         # a caterpillar nested 1500 deep, deeper than the recursion limit
@@ -348,6 +376,14 @@ class TestTreeDump:
         for extra in (["--exact"], ["--threshold", "1"]):
             assert run_cli("corrclust", src, *extra) == 0
         assert run_cli("oracle", "corrclust", src) == 0
+
+    @pytest.mark.parametrize("command", [["oracle", "ultrametric"], ["oracle", "hca"],
+                                         ["oracle", "corrclust"], ["eval"]], ids="-".join)
+    def test_command_without_lp_dump_notes_no_lp(self, command, fix123, tmp_path, capsys):
+        dump = tmp_path / "lp.txt"
+        assert run_cli(*command, *_inputs(command, fix123, tmp_path), "--dump-lp", dump) == 0
+        mode = "-".join(command) if command[0] == "oracle" else "eval"
+        assert dump.read_text() == f"# lp-dump v1\n# no LP: {mode} solves none\n"
 
     def test_trivial_dump_notes_no_lp(self, tmp_path, capsys):
         d = DistanceMatrix.from_pairs("ab", {("a", "b"): 2.0})

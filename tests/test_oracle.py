@@ -21,6 +21,7 @@ from treefit.oracle import (
     exact_hca,
     exact_hcc,
     _interior_nodes,
+    _refines,
     exact_ultrametric_l1,
     flatten_to_12,
 )
@@ -126,6 +127,17 @@ class TestExactHca:
                 if p1.refines(p2) and p2.refines(p3))
             assert dp_cost == pytest.approx(best)
 
+    def test_refinement_relation_is_built_once_per_n(self):
+        labels = tuple(f"s{k}" for k in range(5))
+        inst = HccInstance.from_partitions(
+            labels, [1.0, 2.0], [Partition.singletons(labels),
+                                 Partition.from_parts(labels, [labels])])
+        _refines.cache_clear()
+        assert exact_hcc(inst)[1] == exact_hcc(inst)[1] == 0.0
+        info = _refines.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert not _refines(5).flags.writeable
+
     def test_matches_reference_dp(self):
         # 312 seeded instances: n 1..7, 1..6 levels, random or clique edge
         # sets, integer or continuous weights, two of each up to n = 6 and
@@ -175,15 +187,35 @@ class TestExactUltrametric:
         assert cost == 0.0
 
     def test_merged_star_error_is_measured(self):
-        # values 1..4 scaled by 1e-13 all merge, so the fit is a star at the
-        # least value; its error is measured, as fit_ultrametric measures it
+        # values 1..4 scaled by 1e-13 all merge for the fit, which returns a
+        # star; the oracle slices the values unmerged, so it finds the
+        # optimum at this scale too, 14 times the scale as at scale 1
         rng = random.Random(3)
         labels = tuple(f"s{k}" for k in range(7))
         d = DistanceMatrix.from_pairs(labels, {p: rng.randint(1, 4) * 1e-13
                                                for p in all_pairs(labels)})
         tree, cost = exact_ultrametric_l1(d)
-        assert cost == lp_norm_error(tree, d, 1) > 0.0
-        assert cost == fit_ultrametric(d).l1_error
+        assert cost == lp_norm_error(tree, d, 1)
+        assert cost <= fit_ultrametric(d).l1_error
+        assert cost == pytest.approx(14e-13, rel=1e-12)
+
+    def test_never_above_a_fit_on_near_ties(self):
+        # 50 tables drawn like the `near` kind of scripts/compare_fits.py:
+        # three integer centres, each with two values 0.5e-12 to 1.5e-12
+        # apart above it, so the fit merges some of them. Searching merged
+        # levels put the optimum above the fit on 4 of these tables, among
+        # them ultrametric-n5-near-9 (6.000000000004304 vs 6.000000000003055)
+        for n, rep in itertools.product(range(3, 8), range(10)):
+            rng = random.Random(f"ultrametric-n{n}-near-{rep}")
+            pool = []
+            for centre in rng.sample(range(1, 10), 3):
+                pool.append(float(centre))
+                for _ in range(2):
+                    pool.append(pool[-1] + rng.uniform(0.5e-12, 1.5e-12))
+            labels = [f"s{k}" for k in range(n)]
+            d = DistanceMatrix.from_pairs(labels, {
+                p: rng.choice(pool) for p in itertools.combinations(labels, 2)})
+            assert exact_ultrametric_l1(d)[1] <= fit_ultrametric(d).l1_error, (n, rep)
 
     def test_cap(self):
         labels = tuple(f"s{k}" for k in range(8))
