@@ -11,7 +11,7 @@ writes one JSON line per fit: its id, the `repr` of `l1_error` and of
 the exact optimum from `oracle.exact_ultrametric_l1` for an ultrametric fit
 with n <= `oracle.ULTRAMETRIC_CAP`, null above the cap and in tree mode. The
 grid holds
-ultrametric fits for n = 3..20 and tree fits for n = 3..12, each with four
+ultrametric fits for n = 3..20 and tree fits for n = 3..12, each with five
 kinds of values: `int`, integers 1..4; `cont`, drawn from 8 random ones in
 [1, 9] (continuous level gaps, few enough levels that n = 20 stays fast), so
 the grid reaches both LP backends; `exact`, a table the mode fits with no
@@ -19,7 +19,11 @@ error (a planted ultrametric, or the path metric of a random tree with
 integer edge weights 1..3), so clustering levels with no disagreements are
 reached too; and `near`, values clustered around a few centres with gaps
 on both sides of the 1e-12 tolerance within which near ties merge, so the
-merge rule is reached. Run it once against each checkout to compare.
+merge rule is reached; and `flat`, one integer centre with some pairs nudged
+above it by less than 1e-12, so every value merges into one: the one-value
+star of an ultrametric fit and a near-tie transform in tree mode, while
+`opt` searches the raw values unmerged. Run it once against each checkout
+to compare.
 
 `--diff A B` prints how many fits changed (Newick or error), how many
 errors rose or fell, each changed fit with its old -> new error, and every
@@ -87,12 +91,19 @@ def near_values(rng: random.Random) -> list[float]:
     return pool
 
 
+def flat_values(rng: random.Random) -> list[float]:
+    """An integer centre c in 1..9, three times, and three values c + g with
+    g from 0.1e-12 to 0.9e-12, all within 1e-12 of each other."""
+    centre = float(rng.randint(1, 9))
+    return [centre] * 3 + [centre + rng.uniform(0.1e-12, 0.9e-12) for _ in range(3)]
+
+
 def grid(reps: int, max_n: int):
     """(id, mode, labels, values) of each fit, in a fixed order."""
     exact = {"ultrametric": planted_ultrametric, "tree": tree_path_metric}
     for mode, top in (("ultrametric", 20), ("tree", 12)):
         for n in range(3, min(top, max_n) + 1):
-            for kind in ("int", "cont", "exact", "near"):
+            for kind in ("int", "cont", "exact", "near", "flat"):
                 for rep in range(reps):
                     fit_id = f"{mode}-n{n}-{kind}-{rep}"
                     rng = random.Random(fit_id)
@@ -102,6 +113,8 @@ def grid(reps: int, max_n: int):
                         continue
                     if kind == "near":
                         pool = near_values(rng)
+                    elif kind == "flat":
+                        pool = flat_values(rng)
                     elif kind == "int":
                         pool = [1.0, 2.0, 3.0, 4.0]
                     else:

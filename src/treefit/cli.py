@@ -9,8 +9,10 @@ before it prints, so a run that fails prints nothing.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -270,6 +272,32 @@ COMMANDS = {"fit": _cmd_fit, "corrclust": _cmd_corrclust, "oracle": _cmd_oracle,
             "eval": _cmd_eval}
 
 
+def _write_all(files: dict[Path, str]) -> None:
+    """Write every file or none: each text goes to a temporary file beside its
+    destination, and all move into place once every write succeeded. A path
+    that exists but is no regular file, such as /dev/null, cannot be swapped:
+    it is written in place, after the others."""
+    swaps, in_place = [], []  # swaps: (destination, temporary file, text)
+    for k, (path, text) in enumerate(files.items()):
+        if path.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        if path.exists() and not path.is_file():
+            in_place.append((path, text))
+        else:
+            real = path.resolve()  # a symlink keeps pointing at the file written
+            swaps.append((real, real.with_name(f".{real.name}.{os.getpid()}-{k}.tmp"), text))
+    try:
+        for _, temp, text in swaps:
+            temp.write_text(text)
+        for real, temp, _ in swaps:
+            os.replace(temp, real)
+    finally:
+        for _, temp, _ in swaps:
+            temp.unlink(missing_ok=True)
+    for path, text in in_place:
+        path.write_text(text)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -285,8 +313,7 @@ def main(argv=None) -> int:
             files[args.json_out] = json.dumps(report, indent=2, allow_nan=False) + "\n"
         if args.dump_lp is not None:  # a command that solves no LP says so
             files.setdefault(args.dump_lp, NO_LP.format(f"{report['mode']} solves none"))
-        for path, text in files.items():
-            path.write_text(text)
+        _write_all(files)
         for line in [*lines, *(f"{key}: {value}" for key, value in report.items())]:
             print(line)
         return EXIT_OK

@@ -148,6 +148,8 @@ class LinearProgram:
         a[r, cols] = data
         return a
 
+    # Unused by the library, but perfbench/layers.py wraps it by name: it can
+    # go only together with that wrap, in a change to the benchmark.
     def sparse_matrix(self, rows: np.ndarray | None = None):
         """CSR matrix of all rows, or of the given sorted row indices only."""
         from scipy.sparse import csr_matrix

@@ -5,7 +5,8 @@ lattice: the objective splits per level, so the cheapest chain through the
 refinement relation is found level by level instead of enumerating chains.
 The lattice is `core.partition_table`: every level is scored over all its
 partitions at once, and partition a refines b when no pair is together in a
-and apart in b. Only the chosen chain becomes `Partition`s.
+and apart in b. Only the chosen chain becomes `Partition`s. The ultrametric
+oracle cuts the raw distinct values with the fit's `ultrametric.slice_levels`.
 """
 from __future__ import annotations
 
@@ -16,7 +17,6 @@ import numpy as np
 
 from .core import (
     DistanceMatrix,
-    EdgeSet,
     HierarchySequence,
     Partition,
     UltrametricTree,
@@ -28,7 +28,7 @@ from .core import (
 )
 from .corrclust import exact_corr_cluster  # noqa: F401 (re-exported)
 from .lp import HccInstance
-from .ultrametric import UltrametricLevels, hierarchy_to_ultrametric, star_tree
+from .ultrametric import hierarchy_to_ultrametric, slice_levels, star_tree
 
 ULTRAMETRIC_CAP = 7
 HCA_CAP_N = 6
@@ -45,14 +45,14 @@ def _refines(n: int) -> np.ndarray:
     return refines
 
 
-def exact_hcc(inst: HccInstance, cap: int = ULTRAMETRIC_CAP) -> tuple[HierarchySequence, float]:
+def exact_hcc(inst: HccInstance) -> tuple[HierarchySequence, float]:
     """Exact optimum of the level-weighted hierarchical objective.
 
     Ties go to the first chain in table order: each level keeps the first
     cheapest coarser partition, and the first cheapest finest one starts.
     """
-    if inst.n > cap:
-        raise ValueError(f"exact hierarchical solver capped at n={cap}")
+    if inst.n > ULTRAMETRIC_CAP:
+        raise ValueError(f"exact hierarchical solver capped at n={ULTRAMETRIC_CAP}")
     refines = _refines(inst.n)
     level_cost = np.array(inst.deltas)[:, None] * partition_disagreements(
         [e.mask for e in inst.edge_sets], inst.n)
@@ -78,7 +78,7 @@ def exact_hca(universe: Sequence[str], partitions: Sequence[Partition],
     if len(partitions) > HCA_CAP_LEVELS:
         raise ValueError(f"exact agreement solver capped at {HCA_CAP_LEVELS} levels")
     inst = HccInstance.from_partitions(universe, deltas, partitions)
-    return exact_hcc(inst, cap=HCA_CAP_N)
+    return exact_hcc(inst)
 
 
 def exact_ultrametric_l1(d: DistanceMatrix) -> tuple[UltrametricTree, float]:
@@ -91,15 +91,12 @@ def exact_ultrametric_l1(d: DistanceMatrix) -> tuple[UltrametricTree, float]:
     """
     if d.n > ULTRAMETRIC_CAP:
         raise ValueError(f"exact ultrametric solver capped at n={ULTRAMETRIC_CAP}")
-    values = tuple(np.unique(d.values).tolist()) or (0.0,)  # one label: its star at 0.0
-    if len(values) == 1:
-        tree = star_tree(d.labels, values[0])
+    values, level = np.unique(d.values, return_inverse=True)
+    inst, levels = slice_levels(d.labels, values.tolist(), level)
+    if inst is None:
+        tree = star_tree(d.labels, levels.values[0])
     else:
-        levels = UltrametricLevels(values)
-        inst = HccInstance(d.labels, levels.deltas(), tuple(
-            EdgeSet(d.labels, d.values <= v) for v in values[:-1]))
-        hierarchy, _ = exact_hcc(inst, cap=ULTRAMETRIC_CAP)
-        tree = hierarchy_to_ultrametric(hierarchy, levels)
+        tree = hierarchy_to_ultrametric(exact_hcc(inst)[0], levels)
     return tree, lp_norm_error(tree, d, 1)
 
 

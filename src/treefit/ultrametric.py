@@ -4,7 +4,8 @@ A matrix with distinct values D^(1) < ... < D^(l+1) turns into l weighted
 levels: level t has weight D^(t+1) - D^(t) and contains every pair at
 distance <= D^(t). A hierarchy over those levels maps back to an ultrametric
 tree with exactly the same total error, which is what makes the reduction
-lossless.
+lossless. `slice_levels` is the one cut, of the fit's merged values and of
+the raw ones `oracle.exact_ultrametric_l1` searches.
 """
 from __future__ import annotations
 
@@ -25,18 +26,8 @@ from .core import (
     merge_ties,
     nested_components,
 )
-from .hcc import HccResult, fit_hcc
+from .hcc import fit_hcc
 from .lp import DEFAULT_FEAS_TOL, HccInstance
-
-
-class TrivialInstance(Exception):
-    """At most one distinct distance, after merging near ties: the star at
-    that value is the best fit, with no LP to solve. One label has no
-    distance, and its `levels` hold the value 0.0, its star's."""
-
-    def __init__(self, levels: "UltrametricLevels"):
-        super().__init__("single distinct distance")
-        self.levels = levels
 
 
 @dataclass(frozen=True)
@@ -51,10 +42,6 @@ class UltrametricLevels:
         for lo, hi in zip(self.values, self.values[1:]):
             if not hi > lo:
                 raise ValueError("values must be strictly increasing")
-
-    @property
-    def delta0(self) -> float:
-        return self.values[0]
 
     @property
     def n_levels(self) -> int:
@@ -84,20 +71,27 @@ def _level_index(values: tuple[float, ...], labels: Sequence[str],
     return level
 
 
-def hcc_instance_from_distances(d: DistanceMatrix) -> tuple[HccInstance, UltrametricLevels]:
+def slice_levels(labels: Sequence[str], values: Sequence[float],
+                 level: np.ndarray) -> tuple[HccInstance | None, UltrametricLevels]:
     """Level weights from consecutive value gaps; level edges by thresholding.
 
-    Each pair sits on the level of the kept value its distance merged into
-    (see merge_ties), the values `d.distinct_values()` keeps, so a near tie
-    cannot leak into another level. A table with at most one distinct value,
-    one label included, raises TrivialInstance.
+    `values` are the sorted level values and level[k] the index of the value
+    the k-th pair of `all_pairs(labels)` sits on; level t holds the pairs on
+    values 0..t. With at most one value there is no level and no instance:
+    `(None, levels)`, where one label's levels hold 0.0, its star's value.
     """
-    values, level = merge_ties(d.values)
-    levels = UltrametricLevels(values or (0.0,))  # one label: its star at 0.0
+    levels = UltrametricLevels(tuple(values) or (0.0,))
     if levels.n_levels == 0:
-        raise TrivialInstance(levels)
-    edge_sets = tuple(EdgeSet(d.labels, level <= t) for t in range(levels.n_levels))
-    return HccInstance(d.labels, levels.deltas(), edge_sets), levels
+        return None, levels
+    edge_sets = tuple(EdgeSet(labels, level <= t) for t in range(levels.n_levels))
+    return HccInstance(labels, levels.deltas(), edge_sets), levels
+
+
+def hcc_instance_from_distances(d: DistanceMatrix) -> tuple[HccInstance | None, UltrametricLevels]:
+    """The fit's levels: `slice_levels` on the values `d.distinct_values()`
+    keeps, each pair on the kept value its distance merged into (see
+    merge_ties), so a near tie cannot leak into another level."""
+    return slice_levels(d.labels, *merge_ties(d.values))
 
 
 def hierarchy_to_ultrametric(hierarchy: HierarchySequence,
@@ -137,22 +131,16 @@ def fit_ultrametric(d: DistanceMatrix, *, strategy: str = "pivot-sweep",
                     seed: int | None = None, feas_tol: float = DEFAULT_FEAS_TOL,
                     lower_bound: bool = True) -> FittedTree:
     """Fit an ultrametric minimizing total error, reporting the LP lower bound."""
-    try:
-        inst, levels = hcc_instance_from_distances(d)
-    except TrivialInstance as trivial:
+    inst, levels = hcc_instance_from_distances(d)
+    if inst is None:
         # values merged within VALUE_MERGE_TOL still differ from the star
-        tree = star_tree(d.labels, trivial.levels.values[0])
-        return FittedTree(kind="ultrametric", tree=tree,
-                          l1_error=lp_norm_error(tree, d, 1),
-                          lp_lower_bound=0.0, num_levels=0,
-                          details={"fast_path": True, "hcc_cost": 0.0})
-    result: HccResult = fit_hcc(inst, strategy=strategy, seed=seed,
-                                feas_tol=feas_tol, lower_bound=lower_bound)
-    tree = hierarchy_to_ultrametric(result.hierarchy, levels)
-    error = lp_norm_error(tree, d, 1)
-    return FittedTree(kind="ultrametric", tree=tree, l1_error=error,
-                      lp_lower_bound=result.lp_lower_bound,
-                      num_levels=levels.n_levels,
-                      details={"fast_path": result.hca.fast_path,
-                               "hcc_cost": result.cost,
-                               "hcc": result})
+        tree = star_tree(d.labels, levels.values[0])
+        bound, details = 0.0, {"fast_path": True, "hcc_cost": 0.0}
+    else:
+        result = fit_hcc(inst, strategy=strategy, seed=seed,
+                         feas_tol=feas_tol, lower_bound=lower_bound)
+        tree = hierarchy_to_ultrametric(result.hierarchy, levels)
+        bound, details = result.lp_lower_bound, {
+            "fast_path": result.hca.fast_path, "hcc_cost": result.cost, "hcc": result}
+    return FittedTree(kind="ultrametric", tree=tree, l1_error=lp_norm_error(tree, d, 1),
+                      lp_lower_bound=bound, num_levels=levels.n_levels, details=details)

@@ -1,5 +1,6 @@
 import itertools
 import json
+import os
 import random
 import subprocess
 import sys
@@ -164,6 +165,18 @@ class TestOtherCommands:
         assert run_cli("oracle", "hca", path) == 2
         assert "positive and finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n, n_levels, message", [
+        (7, 1, "capped at n=6"), (4, 4, "capped at 3 levels")])
+    def test_oracle_hca_over_its_caps(self, n, n_levels, message, tmp_path, capsys):
+        labels = [f"s{k}" for k in range(n)]
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps({"labels": labels, "deltas": [1.0] * n_levels,
+                                    "partitions": [[[lab] for lab in labels]] * n_levels}))
+        assert run_cli("oracle", "hca", path) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("treefit: data error: ") and message in captured.err
+
     def test_oracle_corrclust(self, fix123, capsys):
         assert run_cli("oracle", "corrclust", fix123, "--threshold", "1") == 0
 
@@ -259,6 +272,35 @@ class TestExitCodes:
         assert captured.err.startswith("treefit: data error: ")
         assert "Is a directory" in captured.err
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("failing", ["outputs", "missing/r.json"])
+    def test_failed_run_leaves_every_output_as_it_was(self, failing, fix123, tmp_path,
+                                                      capsys):
+        # --json-out is written last: its failure keeps --tree-out unwritten
+        (tmp_path / "outputs").mkdir()
+        tree = tmp_path / "t.nwk"
+        argv = ["fit", "ultrametric", fix123, "--tree-out", tree,
+                "--json-out", tmp_path / failing]
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr().out == ""
+        assert not tree.exists()
+        tree.write_bytes(b"an earlier tree\n")
+        assert run_cli(*argv) == 2
+        assert tree.read_bytes() == b"an earlier tree\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fix123.csv", "outputs", "t.nwk"]
+        assert not any((tmp_path / "outputs").iterdir())
+
+    def test_outputs_through_a_link_and_a_device(self, fix123, tmp_path, capsys):
+        # a link keeps pointing at the file written, and a device is written in place
+        tree, link, null = tmp_path / "t.nwk", tmp_path / "link.nwk", tmp_path / "null"
+        link.symlink_to(tree)
+        null.symlink_to(os.devnull)
+        assert run_cli("fit", "ultrametric", fix123, "--tree-out", link, "--json-out", null) == 0
+        assert link.is_symlink() and null.is_symlink()
+        printed = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+        assert tree.read_text() == printed["tree_newick"] + "\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fix123.csv", "link.nwk",
+                                                                "null", "t.nwk"]
 
     def test_deep_newick_evaluates(self, tmp_path, capsys):
         # a caterpillar nested 1500 deep, deeper than the recursion limit

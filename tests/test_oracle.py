@@ -3,8 +3,10 @@ import itertools
 import random
 import sys
 
+import numpy as np
 import pytest
 
+from treefit import oracle
 from treefit.core import (
     DistanceMatrix,
     EdgeSet,
@@ -25,7 +27,7 @@ from treefit.oracle import (
     exact_ultrametric_l1,
     flatten_to_12,
 )
-from treefit.ultrametric import fit_ultrametric
+from treefit.ultrametric import fit_ultrametric, hcc_instance_from_distances
 from conftest import (
     first_occurrence_strings,
     partition_tree,
@@ -110,6 +112,18 @@ class TestExactHca:
         partitions = [Partition.singletons(small)] * 4
         with pytest.raises(ValueError):
             exact_hca(small, partitions, [1.0] * 4)
+
+    def test_caps_keep_their_messages(self):
+        # exact_hca checks its own caps first; exact_hcc checks its n=7 one
+        labels = tuple(f"s{k}" for k in range(8))
+        inst = HccInstance.from_partitions(labels, [1.0], [Partition.singletons(labels)])
+        with pytest.raises(ValueError, match="capped at n=7"):
+            exact_hcc(inst)
+        with pytest.raises(ValueError, match="agreement solver capped at n=6"):
+            exact_hca(labels[:7], [Partition.singletons(labels[:7])], [1.0])
+        small = tuple("abcd")
+        with pytest.raises(ValueError, match="agreement solver capped at 3 levels"):
+            exact_hca(small, [Partition.singletons(small)] * 4, [1.0] * 4)
 
     def test_dp_matches_explicit_chain_enumeration(self, rng):
         # independent check of the level DP against brute-force chains
@@ -216,6 +230,35 @@ class TestExactUltrametric:
             d = DistanceMatrix.from_pairs(labels, {
                 p: rng.choice(pool) for p in itertools.combinations(labels, 2)})
             assert exact_ultrametric_l1(d)[1] <= fit_ultrametric(d).l1_error, (n, rep)
+
+    def test_slices_the_fits_levels_when_nothing_merges(self, monkeypatch):
+        # 240 seeded tables, n 2..7, integer or continuous values, no two
+        # values within 1e-12: the oracle's unmerged slicing is the fit's
+        sliced = []
+
+        def recorded(*args):
+            sliced.append(oracle_slice(*args))
+            return sliced[-1]
+
+        oracle_slice = oracle.slice_levels
+        monkeypatch.setattr(oracle, "slice_levels", recorded)
+        rng = random.Random(24)
+        for n, kind, _ in itertools.product(range(2, 8), ("int", "cont"), range(20)):
+            labels = tuple(f"s{k}" for k in range(n))
+            choices = range(1, 5) if kind == "int" else [rng.uniform(1.0, 9.0)
+                                                         for _ in range(n * n)]
+            d = random_matrix(rng, labels, choices)
+            assert np.all(np.diff(np.unique(d.values)) > 1e-12)
+            exact_ultrametric_l1(d)
+            inst, levels = sliced.pop()
+            fit_inst, fit_levels = hcc_instance_from_distances(d)
+            assert levels == fit_levels
+            if inst is None:
+                assert fit_inst is None
+                continue
+            assert inst.deltas == fit_inst.deltas
+            assert all(np.array_equal(a.mask, b.mask)
+                       for a, b in zip(inst.edge_sets, fit_inst.edge_sets, strict=True))
 
     def test_cap(self):
         labels = tuple(f"s{k}" for k in range(8))

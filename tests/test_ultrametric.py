@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from treefit.core import (
@@ -18,12 +19,13 @@ from treefit.core import (
 )
 from treefit.io import newick_string, parse_newick
 from treefit.lp import hierarchy_cost
+from treefit.oracle import exact_ultrametric_l1
 from treefit.ultrametric import (
-    TrivialInstance,
     UltrametricLevels,
     fit_ultrametric,
     hcc_instance_from_distances,
     hierarchy_to_ultrametric,
+    slice_levels,
     star_tree,
     ultrametric_to_hierarchy,
 )
@@ -61,9 +63,22 @@ class TestInstanceFromDistances:
     def test_all_equal_short_circuits(self):
         d = DistanceMatrix.from_pairs("abc", dict.fromkeys(
             [("a", "b"), ("a", "c"), ("b", "c")], 2.0))
-        with pytest.raises(TrivialInstance) as err:
-            hcc_instance_from_distances(d)
-        assert err.value.levels.values == (2.0,)
+        inst, levels = hcc_instance_from_distances(d)
+        assert inst is None
+        assert levels.values == (2.0,)
+
+    @pytest.mark.parametrize("labels, value", [(("a",), 0.0), (tuple("abcd"), 2.5)])
+    def test_one_value_slices_to_its_star(self, labels, value):
+        # one label has no distance, and its star sits at 0.0
+        d = DistanceMatrix.from_pairs(labels, dict.fromkeys(all_pairs(labels), value))
+        assert slice_levels(labels, d.values[:1].tolist(), np.zeros(len(d.values), int)) \
+            == hcc_instance_from_distances(d) == (None, UltrametricLevels((value,)))
+        fitted = fit_ultrametric(d)
+        tree, cost = exact_ultrametric_l1(d)
+        assert newick_string(fitted.tree) == newick_string(tree) \
+            == newick_string(star_tree(labels, value))
+        assert fitted.l1_error == cost == 0.0
+        assert (fitted.lp_lower_bound, fitted.num_levels) == (0.0, 0)
 
     def test_edge_sets_nest(self, rng):
         for _ in range(10):
@@ -78,7 +93,7 @@ class TestInstanceFromDistances:
         d = DistanceMatrix.from_pairs("abc", {
             ("a", "b"): 1.0, ("a", "c"): 2.0, ("b", "c"): 4.0})
         inst, levels = hcc_instance_from_distances(d)
-        assert levels.delta0 == 1.0
+        assert levels.values[0] == 1.0  # delta0, the lowest value
         assert inst.deltas == (1.0, 2.0)
 
 
