@@ -17,7 +17,7 @@ kinds of values: `int`, integers 1..4; `cont`, drawn from 8 random ones in
 the grid reaches both LP backends; `exact`, a table the mode fits with no
 error (a planted ultrametric, or the path metric of a random tree with
 integer edge weights 1..3), so clustering levels with no disagreements are
-reached too; and `near`, values clustered around a few centres with gaps
+reached too; `near`, values clustered around a few centres with gaps
 on both sides of the 1e-12 tolerance within which near ties merge, so the
 merge rule is reached; and `flat`, one integer centre with some pairs nudged
 above it by less than 1e-12, so every value merges into one: the one-value
