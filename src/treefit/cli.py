@@ -314,8 +314,15 @@ def main(argv=None) -> int:
         if args.dump_lp is not None:  # a command that solves no LP says so
             files.setdefault(args.dump_lp, NO_LP.format(f"{report['mode']} solves none"))
         _write_all(files)
-        for line in [*lines, *(f"{key}: {value}" for key, value in report.items())]:
-            print(line)
+        try:
+            for line in [*lines, *(f"{key}: {value}" for key, value in report.items())]:
+                print(line)
+            sys.stdout.flush()
+        except BrokenPipeError:  # every file is written; only the reader stopped reading
+            # what is left in the buffer goes to devnull at exit, not to a second error
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         return EXIT_OK
     except SolverError as exc:
         print(f"treefit: solver error: {exc}", file=sys.stderr)

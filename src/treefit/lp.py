@@ -103,19 +103,25 @@ def _level_triangles(n: int) -> np.ndarray:
     return rows
 
 
+def _triangle_lhs(n: int, x: np.ndarray) -> np.ndarray:
+    """Left sides x_a - x_b - x_c of the triangle rows at a (levels, pairs)
+    point x over n labels, one row per level: its ravel runs in row order."""
+    rows = _level_triangles(n)
+    return x[:, rows[:, 0]] - x[:, rows[:, 1]] - x[:, rows[:, 2]]
+
+
 @dataclass
 class LinearProgram:
     """Explicit formulation: rows are `coeffs . x <= 0`, x in [0,1].
 
-    All triangle rows come first, then all monotonicity rows. Row r < n_tri
-    reads x[tri[r, 0]] - x[tri[r, 1]] - x[tri[r, 2]] <= 0; monotonicity row
-    n_tri + m reads x[mono[m, 0]] - x[mono[m, 1]] <= 0.
+    All triangle rows come first, then all monotonicity rows; both follow
+    from n labels and n_levels, so neither is stored. With P pairs and R rows
+    (a, b, c) in `_level_triangles(n)`, row t R + r reads x[t P + a] -
+    x[t P + b] - x[t P + c] <= 0, and row n_tri + m reads x[m + P] - x[m] <= 0.
     """
 
     labels: tuple[str, ...]
     n_levels: int
-    tri: np.ndarray  # (n_tri, 3) variable indices
-    mono: np.ndarray  # (n_mono, 2) variable indices
     c: np.ndarray  # one entry per variable: level-major, pairs in `all_pairs` order
     const: float
 
@@ -124,22 +130,27 @@ class LinearProgram:
         return len(self.c)
 
     @property
+    def n_tri(self) -> int:
+        n = len(self.labels)
+        return self.n_levels * (n * (n - 1) * (n - 2) // 2)
+
+    @property
     def n_rows(self) -> int:
-        return len(self.tri) + len(self.mono)
+        return self.n_tri + (self.n_levels - 1) * self.n_vars // self.n_levels
 
     def _coo(self, rows: np.ndarray | None = None):
-        """Row, column and coefficient arrays of the given rows, in row order."""
-        tri, mono = self.tri, self.mono
-        if rows is not None:
-            n_tri = len(tri)
-            tri = tri[rows[rows < n_tri]]
-            mono = mono[rows[rows >= n_tri] - n_tri]
-        r_tri = np.repeat(np.arange(len(tri)), 3)
-        r_mono = np.repeat(np.arange(len(tri), len(tri) + len(mono)), 2)
-        return (np.concatenate([r_tri, r_mono]),
-                np.concatenate([tri.ravel(), mono.ravel()]),
-                np.concatenate([np.tile([1.0, -1.0, -1.0], len(tri)),
-                                np.tile([1.0, -1.0], len(mono))]))
+        """Row, column and coefficient arrays of the given sorted rows, or of
+        all, in row order."""
+        n_tri, n_pairs = self.n_tri, self.n_vars // self.n_levels
+        rows = np.arange(self.n_rows) if rows is None else rows
+        per_level = _level_triangles(len(self.labels))
+        is_tri = rows < n_tri
+        t, r = np.divmod(rows[is_tri], len(per_level))
+        m = rows[~is_tri] - n_tri
+        cols = np.concatenate([(per_level[r] + (t * n_pairs)[:, None]).ravel(),
+                               np.stack([m + n_pairs, m], axis=1).ravel()])
+        data = np.concatenate([np.tile([1.0, -1.0, -1.0], len(t)), np.tile([1.0, -1.0], len(m))])
+        return np.repeat(np.arange(len(rows)), np.where(is_tri, 3, 2)), cols, data
 
     def dense_matrix(self, rows: np.ndarray | None = None) -> np.ndarray:
         """Dense matrix of all rows, or of the given sorted row indices only."""
@@ -173,10 +184,11 @@ class LinearProgram:
             lines += [f"var {name} = {float(v)!r}" for name, v in zip(names, x, strict=True)]
         terms = " + ".join(f"{c!r}*{name}" for c, name in zip(self.c.tolist(), names))
         lines.append(f"min: {terms} + {float(self.const)!r}")
+        tri, mono = np.split(self._coo()[1], [3 * self.n_tri])
         lines += [f"subject_to[triangle]: 1.0*{names[a]} + -1.0*{names[b]} + -1.0*{names[c]}"
-                  " <= 0.0" for a, b, c in self.tri.tolist()]
+                  " <= 0.0" for a, b, c in tri.reshape(-1, 3).tolist()]
         lines += [f"subject_to[monotone]: 1.0*{names[a]} + -1.0*{names[b]} <= 0.0"
-                  for a, b in self.mono.tolist()]
+                  for a, b in mono.reshape(-1, 2).tolist()]
         lines.append("bounds: 0 <= all_vars <= 1")
         if objective is not None:
             lines.append(f"objective_value: {float(objective)!r}")
@@ -223,30 +235,20 @@ class LpSolution:
 
     def max_violation(self) -> dict[str, float]:
         """Largest triangle / monotonicity / box violations of this point."""
-        x = self.x
-        rows = _level_triangles(len(self.labels))
-        lhs = x[:, rows[:, 0]] - x[:, rows[:, 1]] - x[:, rows[:, 2]]
-        tri = max(0.0, float(lhs.max(initial=0.0)))
+        tri = max(0.0, float(_triangle_lhs(len(self.labels), self.x).max(initial=0.0)))
         mono = max(0.0, float((self.x[1:] - self.x[:-1]).max(initial=0.0)))
         box = max(0.0, float(np.max(self.x - 1.0)), float(np.max(-self.x)))
         return {"triangle": tri, "monotone": mono, "box": box}
 
 
 def build_lp(inst: HccInstance) -> LinearProgram:
-    """Variables, triangle and monotonicity rows, and the level-weighted objective."""
+    """The LP of inst: its level-weighted objective, as its rows follow from its size."""
     edges = np.array([es.mask for es in inst.edge_sets])
-    n_levels, n_pairs = edges.shape
-    offsets = np.arange(n_levels) * n_pairs
-    tri = (offsets[:, None, None] + _level_triangles(inst.n)[None]).reshape(-1, 3)
-    lower = np.arange((n_levels - 1) * n_pairs)
-    mono = np.stack([lower + n_pairs, lower], axis=1)
-
     deltas = np.broadcast_to(np.array(inst.deltas)[:, None], edges.shape)
     c = np.where(edges, deltas, -deltas).ravel()
     # summed one variable at a time, as the objective's terms come
     const = functools.reduce(operator.add, deltas[~edges].tolist(), 0.0)
-    return LinearProgram(labels=inst.labels, n_levels=n_levels, tri=tri, mono=mono,
-                         c=c, const=const)
+    return LinearProgram(labels=inst.labels, n_levels=inst.n_levels, c=c, const=const)
 
 
 def solve_lp(lp: LinearProgram, feas_tol: float = DEFAULT_FEAS_TOL, *,
@@ -336,18 +338,16 @@ def _solve_lazily(lp: LinearProgram, solve_rows, feas_tol: float
     violates it by more than a hundredth of feas_tol, so the final check
     against all rows has room to spare.
     """
-    tri = lp.tri
-    in_active = np.zeros(lp.n_rows, dtype=bool)
-    in_active[len(tri):] = True
-    active = new = np.arange(len(tri), lp.n_rows)
+    n_tri = lp.n_tri
+    in_active = np.arange(lp.n_rows) >= n_tri
+    active = new = np.arange(n_tri, lp.n_rows)
     rounds = pivots = 0
     while True:
         rounds += 1
         x, round_pivots = solve_rows(active, new)
         pivots += round_pivots
-        xc = np.clip(x, 0.0, 1.0)
-        lhs = xc[tri[:, 0]] - xc[tri[:, 1]] - xc[tri[:, 2]]
-        new = np.flatnonzero((lhs > feas_tol / 100) & ~in_active[: len(tri)])
+        lhs = _triangle_lhs(len(lp.labels), np.clip(x, 0.0, 1.0).reshape(lp.n_levels, -1))
+        new = np.flatnonzero((lhs.ravel() > feas_tol / 100) & ~in_active[:n_tri])
         if not len(new):
             return x, rounds, len(active), pivots
         in_active[new] = True

@@ -242,6 +242,32 @@ class TestExitCodes:
     def test_missing_file(self, tmp_path, capsys):
         assert run_cli("fit", "ultrametric", tmp_path / "nope.csv") == 2
 
+    def test_closed_stdout_is_no_error(self, fix123, tmp_path, capsys):
+        # every file is written before the print finds its reader gone
+        src = Path(__file__).resolve().parents[1] / "src"
+
+        def run_into_closed_pipe(table, out):
+            read, write = os.pipe()
+            os.close(read)
+            try:
+                return subprocess.run(
+                    [sys.executable, "-m", "treefit.cli", "fit", "ultrametric", table,
+                     "--tree-out", out / "t.nwk", "--json-out", out / "r.json", "--seed", "1"],
+                    stdout=write, stderr=subprocess.PIPE, text=True,
+                    env={**os.environ, "PYTHONPATH": str(src)})
+            finally:
+                os.close(write)
+
+        (tmp_path / "piped").mkdir()
+        proc = run_into_closed_pipe(fix123, tmp_path / "piped")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert run_cli("fit", "ultrametric", fix123, "--tree-out", tmp_path / "t.nwk",
+                       "--json-out", tmp_path / "r.json", "--seed", "1") == 0
+        for name in ("t.nwk", "r.json"):
+            assert (tmp_path / "piped" / name).read_text() == (tmp_path / name).read_text()
+        proc = run_into_closed_pipe(tmp_path / "nope.csv", tmp_path / "piped")
+        assert proc.returncode == 2 and proc.stderr.startswith("treefit: data error: ")
+
     @pytest.mark.parametrize("command", [["fit", "ultrametric"], ["oracle", "hca"]])
     def test_directory_input_is_a_data_error(self, command, tmp_path, capsys):
         assert run_cli(*command, tmp_path) == 2

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import os
@@ -17,6 +18,7 @@ import treefit.lp as lp_module
 from treefit.lp import (
     DENSE_TABLEAU_BUDGET,
     HccInstance,
+    LinearProgram,
     LpSolution,
     SolverError,
     build_lp,
@@ -62,8 +64,8 @@ class TestBuildLp:
         inst = HccInstance(LABELS3, (1.0,), (es(LABELS3, [("a", "b"), ("b", "c")]),))
         lp = build_lp(inst)
         assert lp.n_vars == 3
-        assert len(lp.tri) == 3
-        assert len(lp.mono) == 0
+        assert lp.n_tri == 3
+        assert lp.n_rows - lp.n_tri == 0
 
     @pytest.mark.parametrize("delta", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_a_weight_not_positive_and_finite(self, delta):
@@ -75,8 +77,18 @@ class TestBuildLp:
                            (es(LABELS3, []), es(LABELS3, [("a", "b")])))
         lp = build_lp(inst)
         assert lp.n_vars == 6
-        assert len(lp.tri) == 6
-        assert len(lp.mono) == 3
+        assert lp.n_tri == 6
+        assert lp.n_rows - lp.n_tri == 3
+
+    def test_stores_no_row_arrays(self, rng):
+        # the rows follow from the label count and n_levels, so only the
+        # objective is held: no array larger than c
+        assert [f.name for f in dataclasses.fields(LinearProgram)] == [
+            "labels", "n_levels", "c", "const"]
+        lp = build_lp(random_instance(rng, 40, 3))
+        assert lp.n_rows > lp.n_vars
+        arrays = [v for v in vars(lp).values() if isinstance(v, np.ndarray)]
+        assert arrays and all(a.nbytes <= lp.c.nbytes for a in arrays)
 
     def test_two_point_objective(self):
         inst = HccInstance(("a", "b"), (2.0,), (es("ab", [("a", "b")]),))
@@ -744,11 +756,13 @@ def var_name(inst: HccInstance, v: int) -> str:
 
 
 def lp_rows(lp):
-    """The LP's rows as (columns, coefficients) and kinds, as its docstring reads
-    `tri` and `mono`."""
-    rows = ([(tuple(cols), (1.0, -1.0, -1.0)) for cols in lp.tri.tolist()]
-            + [(tuple(cols), (1.0, -1.0)) for cols in lp.mono.tolist()])
-    return rows, ["triangle"] * len(lp.tri) + ["monotone"] * len(lp.mono)
+    """The LP's rows as (columns, coefficients) and kinds, read from the
+    coordinate arrays `_coo` derives: the first `n_tri` are triangle rows."""
+    r, cols, data = lp._coo()
+    ends = np.searchsorted(r, np.arange(lp.n_rows + 1))
+    rows = [(tuple(cols[a:b].tolist()), tuple(data[a:b].tolist()))
+            for a, b in zip(ends[:-1], ends[1:])]
+    return rows, ["triangle"] * lp.n_tri + ["monotone"] * (lp.n_rows - lp.n_tri)
 
 
 def reference_rows(inst: HccInstance):
@@ -915,7 +929,7 @@ def record_rounds(monkeypatch) -> list[tuple[np.ndarray, int]]:
 
     def first_round(lp, iteration_cap=None):
         res = solve_first_round(lp, iteration_cap)
-        rounds.append((lp.dense_matrix(np.arange(len(lp.tri), lp.n_rows)), res.iterations))
+        rounds.append((lp.dense_matrix(np.arange(lp.n_tri, lp.n_rows)), res.iterations))
         return res
 
     def later_round(c, a, b, **kwargs):
@@ -1057,6 +1071,25 @@ class TestLazyRows:
         assert sol.x.shape == (2, 0) and sol.objective == lp.const
         assert (sol.rounds, sol.pivots, sol.rows_used, sol.backend) == (1, 0, 0, backend)
 
+    def test_an_active_row_never_joins_again(self):
+        # the second point violates the row the first one added by 1e-8, more
+        # than a hundredth of feas_tol: were it added again, the loop would
+        # solve the same rows forever
+        lp = build_lp(HccInstance(LABELS3, (1.0,), (es(LABELS3, []),)))
+        points = [np.array([0.5, 0.0, 0.0]), np.array([1e-8, 0.0, 0.0])]
+        calls = []
+
+        def solve_rows(active, new):
+            if not points:
+                raise AssertionError("a third round")
+            calls.append((active.tolist(), new.tolist()))
+            return points.pop(0), 0
+
+        _, rounds, rows_used, _ = lp_module._solve_lazily(
+            lp, solve_rows, lp_module.DEFAULT_FEAS_TOL)
+        assert (rounds, rows_used) == (2, 1)
+        assert calls == [([], []), ([0], [0])]
+
     def test_no_rows_needed_for_one_clique_level(self):
         q = Partition.from_parts("abcdef", [{"a", "b", "c"}, {"d", "e"}, {"f"}])
         inst = HccInstance.from_partitions("abcdef", (2.0,), [q])
@@ -1109,7 +1142,7 @@ class TestFirstRound:
         for k in range(240):
             lp = build_lp(first_round_instance(rng, rng.randint(2, 9), rng.randint(1, 6),
                                                k % 2 == 0))
-            mono = np.arange(len(lp.tri), lp.n_rows)
+            mono = np.arange(lp.n_tri, lp.n_rows)
             want = solve_dense(lp.c, lp.dense_matrix(mono), np.zeros(len(mono)))
             for got in (solve_first_round(lp), solve_first_round(lp)):  # then cached
                 assert got.tableau.shape == want.tableau.shape
