@@ -31,6 +31,16 @@ from .core import (EdgeSet, Partition, _square, clique_edges, partition_disagree
                    partition_of_row, sym_diff_size)
 
 EXACT_CAP = 9
+STRATEGIES = ("pivot-sweep", "kwik", "exact")
+
+
+def check_strategy(strategy: str, n: int) -> None:
+    """Reject a strategy `corr_cluster` does not know, or "exact" over
+    EXACT_CAP labels."""
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    if strategy == "exact" and n > EXACT_CAP:
+        raise ValueError(f"exact correlation clustering capped at n={EXACT_CAP}")
 
 
 def corr_cluster_cost(edges: EdgeSet, partition: Partition) -> int:
@@ -74,8 +84,7 @@ def exact_corr_cluster(universe: Sequence[str], edges: EdgeSet) -> tuple[Partiti
     `partition_table`, every partition scored at once; ties by first found."""
     universe = tuple(universe)
     n = len(universe)
-    if n > EXACT_CAP:
-        raise ValueError(f"exact correlation clustering capped at n={EXACT_CAP}")
+    check_strategy("exact", n)
     if edges.universe != universe:
         raise ValueError("edge set universe does not match")
     costs = partition_disagreements(edges.mask[None], n)[0]
@@ -94,12 +103,13 @@ def corr_cluster(universe: Sequence[str], edges: EdgeSet, *,
       exact        exact_corr_cluster, n <= EXACT_CAP
     """
     universe = tuple(universe)
+    n = len(universe)
+    check_strategy(strategy, n)
     if edges.universe != universe:
         raise ValueError("edge set universe does not match")
     if strategy == "exact":
         return exact_corr_cluster(universe, edges)[0]
 
-    n = len(universe)
     nb = [int.from_bytes(row.tobytes(), "little")
           for row in np.packbits(_square(edges.mask, n), axis=1, bitorder="little")]
     if strategy == "kwik":
@@ -107,7 +117,7 @@ def corr_cluster(universe: Sequence[str], edges: EdgeSet, *,
         order = list(range(n))
         random.Random(seed).shuffle(order)
         best = _pivot_rounds(nb, order)
-    elif strategy == "pivot-sweep":
+    else:  # pivot-sweep
         # the earliest first pivot of each distinct first cluster; keep the
         # first of the cheapest runs, and stop at a run with no disagreements
         firsts: dict[int, int] = {}
@@ -122,7 +132,5 @@ def corr_cluster(universe: Sequence[str], edges: EdgeSet, *,
                 best, best_cost = clusters, cost
                 if not cost:
                     break
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
     return Partition(universe, tuple(
         frozenset(universe[v] for v in _members(cluster)) for cluster in best))

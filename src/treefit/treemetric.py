@@ -27,7 +27,7 @@ from .core import (
 )
 from .hcc import lp_lower_bound
 from .lp import DEFAULT_FEAS_TOL
-from .ultrametric import fit_ultrametric
+from .ultrametric import check_fit_args, fit_ultrametric
 
 RESTRICTION_TOL = 1e-6
 
@@ -77,6 +77,12 @@ def clamp_to_restricted(u: np.ndarray, r: RestrictedInstance) -> np.ndarray:
     """Force an ultrametric, given in `all_pairs` order, to satisfy the floors
     and the cap; it stays ultrametric."""
     return np.minimum(r.gamma, np.maximum(u, r.floors()))
+
+
+def pivot_subproblem(r: RestrictedInstance) -> DistanceMatrix:
+    """The table a pivot's ultrametric sub-fit fits: the transform clamped
+    to the floors and the cap."""
+    return DistanceMatrix(r.transformed.labels, clamp_to_restricted(r.transformed.values, r))
 
 
 def restricted_to_tree(u: np.ndarray, r: RestrictedInstance,
@@ -181,6 +187,7 @@ def fit_tree_metric(d: DistanceMatrix, *, pivot_mode: str = "all",
     candidate (the approximation guarantee needs this); "fixed" uses one
     pivot and is faster but forfeits the guarantee.
     """
+    check_fit_args(d, strategy, feas_tol)
     if pivot_mode not in ("all", "fixed"):
         raise ValueError(f"unknown pivot_mode {pivot_mode!r}")
     if pivot_mode == "fixed":
@@ -194,8 +201,7 @@ def fit_tree_metric(d: DistanceMatrix, *, pivot_mode: str = "all",
     per_pivot: dict[str, float] = {}
     for a in pivots:
         r = gromov_transform(d, a)
-        clamped_input = DistanceMatrix(d.labels, clamp_to_restricted(r.transformed.values, r))
-        sub = fit_ultrametric(clamped_input, strategy=strategy, seed=seed,
+        sub = fit_ultrametric(pivot_subproblem(r), strategy=strategy, seed=seed,
                               feas_tol=feas_tol, lower_bound=False)
         assert isinstance(sub.tree, UltrametricTree)
         clamped = clamp_to_restricted(sub.tree.distances_in(d.labels), r)

@@ -6,6 +6,14 @@ distance <= D^(t). A hierarchy over those levels maps back to an ultrametric
 tree with exactly the same total error, which is what makes the reduction
 lossless. `slice_levels` is the one cut, of the fit's merged values and of
 the raw ones `oracle.exact_ultrametric_l1` searches.
+
+An input that is already an ultrametric, up to merged values, skips the
+clustering: each of its levels is a union of cliques, which is the partition
+every strategy finds at cost 0 and a hierarchy as it stands, so the tree is
+read straight off the levels with error 0 against the merged values and
+bound 0. It is the tree the clustering pipeline gives, built by the same
+join steps. A table with one value is the case without levels: its tree is
+the star at that value.
 """
 from __future__ import annotations
 
@@ -15,17 +23,17 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
-    DEFAULT_TOL,
     DistanceMatrix,
     EdgeSet,
     FittedTree,
     HierarchySequence,
     UltrametricTree,
-    _nth_pair,
+    _check_tol,
+    _square,
     lp_norm_error,
     merge_ties,
-    nested_components,
 )
+from .corrclust import check_strategy
 from .hcc import fit_hcc
 from .lp import DEFAULT_FEAS_TOL, HccInstance
 
@@ -51,26 +59,6 @@ class UltrametricLevels:
         return tuple(hi - lo for lo, hi in zip(self.values, self.values[1:]))
 
 
-def _level_index(values: tuple[float, ...], labels: Sequence[str],
-                 dist: np.ndarray, tol: float) -> np.ndarray:
-    """Index of the level value each pair's distance snaps to.
-
-    dist holds one distance per pair of labels, in `all_pairs` order. Each
-    snaps to the nearest value, the lower one on a tie; a distance farther
-    than tol from every value is an error.
-    """
-    vals = np.asarray(values)
-    above = np.searchsorted(vals, dist).clip(max=len(vals) - 1)
-    below = (above - 1).clip(min=0)
-    level = np.where(np.abs(vals[below] - dist) <= np.abs(vals[above] - dist),
-                     below, above)
-    off = np.flatnonzero(np.abs(vals[level] - dist) > tol)
-    if len(off):
-        pair = _nth_pair(labels, off[0])
-        raise ValueError(f"distance {dist[off[0]]} for {pair} is not one of the level values")
-    return level
-
-
 def slice_levels(labels: Sequence[str], values: Sequence[float],
                  level: np.ndarray) -> tuple[HccInstance | None, UltrametricLevels]:
     """Level weights from consecutive value gaps; level edges by thresholding.
@@ -94,47 +82,95 @@ def hcc_instance_from_distances(d: DistanceMatrix) -> tuple[HccInstance | None, 
     return slice_levels(d.labels, *merge_ties(d.values))
 
 
+def _first_labels(part_of: Sequence[int]) -> list[int]:
+    """The position of the first label of each label's part, part_of[k]
+    being the index of label k's part."""
+    first: dict[int, int] = {}
+    return [first.setdefault(part, k) for k, part in enumerate(part_of)]
+
+
+def clique_levels(inst: HccInstance) -> list[list[int]] | None:
+    """The first labels of every level's parts when each level's edge set is
+    a union of cliques, else None, checked level by level up to the first
+    that is not.
+
+    With joined[a, b] true when level t holds the pair {a, b} or a == b,
+    rep[a] is the first label joined to a. The level is a union of cliques
+    exactly when every label is joined to the same labels as its rep: then
+    joined labels share their rep, and so are joined to the same labels.
+    """
+    n_levels = inst.n_levels
+    # the levels holding each pair, counted: the edge sets nest upward
+    held = _square(np.sum([es.mask for es in inst.edge_sets], axis=0), len(inst.labels))
+    np.fill_diagonal(held, n_levels)
+    reps = []
+    for t in range(n_levels):
+        joined = held >= n_levels - t
+        rep = joined.argmax(axis=1)
+        if not np.array_equal(joined, joined[rep]):
+            return None
+        reps.append(rep.tolist())
+    return reps
+
+
+def levels_to_ultrametric(labels: Sequence[str], levels: UltrametricLevels,
+                          reps: Sequence[Sequence[int]]) -> UltrametricTree:
+    """The tree of nested parts given, level by level, as the first label of
+    each label's part (see `_first_labels`): lca on level t means distance
+    D^(t), and labels never joined meet at the largest value.
+
+    Level t joins the first label of each part below to the first label of
+    the part holding it, which is the first of those it holds.
+    """
+    steps, firsts = [], range(len(labels))  # the first label of each part below
+    for rep in reps:
+        steps.append([(rep[k], k) for k in firsts])
+        firsts = [k for k in firsts if rep[k] == k]
+    steps.append([(0, k) for k in firsts])
+    return UltrametricTree._from_joins(tuple(labels), levels.values, steps)
+
+
 def hierarchy_to_ultrametric(hierarchy: HierarchySequence,
                              levels: UltrametricLevels) -> UltrametricTree:
     """Realize a hierarchy as a tree: lca on level t means distance D^(t).
 
     The hierarchy is completed with singletons below and the whole set above,
-    so pairs never merged by the hierarchy end up at the largest value. Level
-    t joins the first label of each part below to the first label of the part
-    holding it, which is the first of those it holds.
+    so pairs never merged by the hierarchy end up at the largest value.
     """
     if len(hierarchy) != levels.n_levels:
         raise ValueError("hierarchy level count does not match the values")
-    n = len(hierarchy.universe)
-    steps, firsts = [], range(n)  # the first label of each part below
-    for level in hierarchy.levels:
-        head: dict[int, int] = {}  # the first label of each part above
-        steps.append([(head.setdefault(level.part_of[k], k), k) for k in firsts])
-        firsts = head.values()
-    steps.append([(0, k) for k in firsts])
-    return UltrametricTree._from_joins(hierarchy.universe, levels.values, steps)
+    return levels_to_ultrametric(hierarchy.universe, levels,
+                                 [_first_labels(level.part_of) for level in hierarchy.levels])
 
 
 def star_tree(labels: Sequence[str], height_distance: float) -> UltrametricTree:
-    return UltrametricTree._from_joins(
-        tuple(labels), (height_distance,), [[(0, k) for k in range(1, len(labels))]])
+    return levels_to_ultrametric(labels, UltrametricLevels((height_distance,)), [])
 
 
-def ultrametric_to_hierarchy(tree: UltrametricTree,
-                             levels: UltrametricLevels) -> HierarchySequence:
-    """Inverse construction: level-t parts are components under <= D^(t)."""
-    level = _level_index(levels.values, tree.labels, tree.distances(), DEFAULT_TOL)
-    return HierarchySequence(tuple(nested_components(tree.labels, level, levels.n_levels)))
+def check_fit_args(d: DistanceMatrix, strategy: str, feas_tol: float) -> None:
+    """Reject an empty table, a bad strategy or a bad tolerance before any
+    shortcut skips the calls that would."""
+    if not d.n:
+        raise ValueError("cannot fit a table with no labels")
+    _check_tol("feas_tol", feas_tol)
+    check_strategy(strategy, d.n)
 
 
 def fit_ultrametric(d: DistanceMatrix, *, strategy: str = "pivot-sweep",
                     seed: int | None = None, feas_tol: float = DEFAULT_FEAS_TOL,
                     lower_bound: bool = True) -> FittedTree:
-    """Fit an ultrametric minimizing total error, reporting the LP lower bound."""
+    """Fit an ultrametric minimizing total error, reporting the LP lower bound.
+
+    When every level is already a union of cliques (and when there is no
+    level), those cliques are the hierarchy each strategy finds, at cost 0,
+    so the tree is built from them directly: bound 0, no `hcc` entry.
+    """
+    check_fit_args(d, strategy, feas_tol)
     inst, levels = hcc_instance_from_distances(d)
-    if inst is None:
-        # values merged within VALUE_MERGE_TOL still differ from the star
-        tree = star_tree(d.labels, levels.values[0])
+    reps = [] if inst is None else clique_levels(inst)
+    if reps is not None:
+        # values merged within VALUE_MERGE_TOL still differ from the tree
+        tree = levels_to_ultrametric(d.labels, levels, reps)
         bound, details = 0.0, {"fast_path": True, "hcc_cost": 0.0}
     else:
         result = fit_hcc(inst, strategy=strategy, seed=seed,

@@ -13,15 +13,18 @@ import pytest
 
 import treefit.lp as lp_module
 from treefit.core import (
+    DEFAULT_TOL,
     DistanceMatrix,
     HierarchySequence,
     Partition,
     UltraNode,
     UltrametricTree,
     WeightedTree,
+    _nth_pair,
     _square,
     all_pairs,
     clique_edges,
+    nested_components,
     sym_diff_size,
 )
 
@@ -254,6 +257,33 @@ def reference_level_steps(n: int, level, n_levels: int) -> list[list[tuple[int, 
         near[square[v] < best] = v
         np.minimum(best, square[v], out=best)
     return steps
+
+
+def _level_index(values: tuple[float, ...], labels, dist: np.ndarray,
+                 tol: float) -> np.ndarray:
+    """Index of the level value each pair's distance snaps to.
+
+    dist holds one distance per pair of labels, in `all_pairs` order. Each
+    snaps to the nearest value, the lower one on a tie; a distance farther
+    than tol from every value is an error.
+    """
+    vals = np.asarray(values)
+    above = np.searchsorted(vals, dist).clip(max=len(vals) - 1)
+    below = (above - 1).clip(min=0)
+    level = np.where(np.abs(vals[below] - dist) <= np.abs(vals[above] - dist),
+                     below, above)
+    off = np.flatnonzero(np.abs(vals[level] - dist) > tol)
+    if len(off):
+        pair = _nth_pair(labels, off[0])
+        raise ValueError(f"distance {dist[off[0]]} for {pair} is not one of the level values")
+    return level
+
+
+def ultrametric_to_hierarchy(tree: UltrametricTree, levels) -> HierarchySequence:
+    """Inverse of `ultrametric.hierarchy_to_ultrametric`: level-t parts are
+    the components under <= D^(t) of the tree's distances."""
+    level = _level_index(levels.values, tree.labels, tree.distances(), DEFAULT_TOL)
+    return HierarchySequence(tuple(nested_components(tree.labels, level, levels.n_levels)))
 
 
 @functools.lru_cache(maxsize=8)

@@ -1,24 +1,31 @@
 import itertools
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from treefit import ultrametric
 from treefit.core import (
     DEFAULT_TOL,
+    VALUE_MERGE_TOL,
     DistanceMatrix,
     HierarchySequence,
     Partition,
     UltrametricTree,
+    WeightedTree,
     all_pairs,
     clique_edges,
     is_ultrametric,
     lp_norm_error,
     sym_diff_size,
 )
+from treefit.corrclust import EXACT_CAP
+from treefit.hcc import fit_hcc
 from treefit.io import newick_string, parse_newick
 from treefit.lp import hierarchy_cost
+from treefit.treemetric import fit_tree_metric
 from treefit.oracle import exact_ultrametric_l1
 from treefit.ultrametric import (
     UltrametricLevels,
@@ -27,9 +34,9 @@ from treefit.ultrametric import (
     hierarchy_to_ultrametric,
     slice_levels,
     star_tree,
-    ultrametric_to_hierarchy,
 )
-from conftest import partition_tree, planted_ultrametric, random_hierarchy
+from conftest import (partition_tree, planted_ultrametric, random_hierarchy, random_matrix,
+                      ultrametric_to_hierarchy)
 
 
 def caterpillar(n):
@@ -362,3 +369,164 @@ class TestNearTieLevels:
         assert all(len(p) == 1 for p in near.levels[0].parts)
         with pytest.raises(ValueError):
             ultrametric_to_hierarchy(star_tree("abc", 3.0 + 1.5 * DEFAULT_TOL), levels)
+
+
+def shuffled(rng, d):
+    """d with its labels in a random order."""
+    labels = list(d.labels)
+    rng.shuffle(labels)
+    return DistanceMatrix.from_pairs(labels, d.d)
+
+
+def integer_tree_metric(rng, n):
+    """Path lengths of a random tree with integer edge weights 1..3, each
+    label hanging from an earlier one: every pivot transform of it is an
+    ultrametric in exact float arithmetic."""
+    labels = [f"t{k:02d}" for k in range(n)]
+    edges = tuple((labels[rng.randrange(k)], labels[k], float(rng.randint(1, 3)))
+                  for k in range(1, n))
+    return DistanceMatrix.from_pairs(labels, WeightedTree(tuple(labels), edges).distance_map())
+
+
+def strategies(n, rng):
+    """Each strategy the exact cap allows for n labels, with its seed."""
+    out = [("pivot-sweep", None), ("kwik", rng.randrange(1000))]
+    return out + [("exact", None)] if n <= EXACT_CAP else out
+
+
+def pipeline_fit(d, strategy, seed):
+    """The reference: fit_hcc on the fit's own instance, then
+    hierarchy_to_ultrametric, as (Newick, l1_error, bound, levels)."""
+    inst, levels = hcc_instance_from_distances(d)
+    result = fit_hcc(inst, strategy=strategy, seed=seed)
+    tree = hierarchy_to_ultrametric(result.hierarchy, levels)
+    return newick_string(tree), lp_norm_error(tree, d, 1), result.lp_lower_bound, \
+        levels.n_levels
+
+
+def exact_path_fit(d, strategy, seed):
+    fitted = fit_ultrametric(d, strategy=strategy, seed=seed)
+    assert fitted.details == {"fast_path": True, "hcc_cost": 0.0}
+    return newick_string(fitted.tree), fitted.l1_error, fitted.lp_lower_bound, \
+        fitted.num_levels
+
+
+class TestExactPath:
+    """An input whose every level is a union of cliques skips clustering and
+    gets the tree, error, bound and level count of the pipeline."""
+
+    def test_planted_tables_in_any_label_order(self):
+        rng = random.Random(26)
+        for n in range(1, 41):
+            for _ in range(3):
+                k = rng.randint(1, 6)
+                values = sorted({float(rng.randint(1, 40)) / 4 for _ in range(k)})
+                d = shuffled(rng, planted_ultrametric(
+                    rng, [f"s{x:02d}" for x in range(n)], values))
+                if len(d.distinct_values()) < 2:
+                    continue  # no levels, so no pipeline to compare with
+                for strategy, seed in strategies(n, rng):
+                    assert exact_path_fit(d, strategy, seed) == pipeline_fit(d, strategy, seed)
+
+    def test_one_label_and_one_value(self):
+        for labels in (("solo",), tuple("dcab")):
+            d = DistanceMatrix.from_pairs(labels, dict.fromkeys(all_pairs(labels), 2.5))
+            got = exact_path_fit(d, "pivot-sweep", None)
+            assert got == (newick_string(star_tree(labels, 2.5 if len(labels) > 1 else 0.0)),
+                           0.0, 0.0, 0)
+
+    def test_values_merged_within_the_tolerance(self):
+        rng = random.Random(7)
+        checked = 0
+        for n in range(3, 25):
+            d = planted_ultrametric(rng, [f"s{x:02d}" for x in range(n)], [1.0, 2.0, 4.0])
+            # nudge each value up by less than the merge tolerance
+            d = shuffled(rng, DistanceMatrix(d.labels, d.values + np.array(
+                [rng.choice([0.0, 0.3, 0.6, 0.9]) * VALUE_MERGE_TOL for _ in d.values])))
+            if len(set(d.values.tolist())) == len(d.distinct_values()):
+                continue
+            for strategy, seed in strategies(n, rng):
+                got = exact_path_fit(d, strategy, seed)
+                assert got == pipeline_fit(d, strategy, seed)
+                assert 0.0 < got[1] < VALUE_MERGE_TOL * len(d.values)
+            checked += 1
+        assert checked >= 15
+
+    def test_exact_tree_metrics_in_tree_mode(self):
+        rng = random.Random(11)
+        subfits = 0
+        real = ultrametric.fit_ultrametric
+
+        def counting(*args, **kwargs):
+            nonlocal subfits
+            fitted = real(*args, **kwargs)
+            subfits += "hcc" not in fitted.details
+            return fitted
+
+        for n in range(2, 13):
+            for _ in range(4):
+                d = shuffled(rng, integer_tree_metric(rng, n))
+                strategy, seed = rng.choice(strategies(n, rng))
+                with mock.patch("treefit.treemetric.fit_ultrametric", counting):
+                    fitted = fit_tree_metric(d, strategy=strategy, seed=seed)
+                with mock.patch.object(ultrametric, "clique_levels", lambda inst: None):
+                    reference = fit_tree_metric(d, strategy=strategy, seed=seed)
+                assert newick_string(fitted) == newick_string(reference)
+                assert (fitted.l1_error, fitted.lp_lower_bound, fitted.num_levels) == \
+                    (reference.l1_error, reference.lp_lower_bound, reference.num_levels)
+                assert fitted.details["per_pivot_error"] == reference.details["per_pivot_error"]
+                assert fitted.l1_error == 0.0 and fitted.details["hcc"] is None
+        assert subfits == sum(n for n in range(2, 13)) * 4
+
+    def test_one_pair_away_from_exact_takes_the_pipeline(self):
+        rng = random.Random(5)
+        d = planted_ultrametric(rng, [f"s{x:02d}" for x in range(12)], [1.0, 2.0, 3.5, 5.0])
+        assert "hcc" not in fit_ultrametric(d).details
+        top = max(d.values)
+        # the first pair that breaks the ultrametric when raised to the top value
+        for k in np.flatnonzero(d.values < top):
+            moved = d.values.copy()
+            moved[k] = top
+            near = DistanceMatrix(d.labels, moved)
+            if not is_ultrametric(near.d):
+                break
+        else:
+            pytest.fail("no pair breaks the ultrametric")
+        fitted = fit_ultrametric(near)
+        assert "hcc" in fitted.details and fitted.l1_error > 0
+        assert ultrametric.clique_levels(hcc_instance_from_distances(near)[0]) is None
+
+
+class TestArgumentChecks:
+    """Bad arguments raise before any shortcut, on every kind of table."""
+
+    @staticmethod
+    def tables(n):
+        labels = [f"s{x:02d}" for x in range(n)]
+        one_value = DistanceMatrix.from_pairs(labels, dict.fromkeys(all_pairs(labels), 2.0))
+        exact = planted_ultrametric(random.Random(1), labels, [1.0, 2.0, 3.0])
+        return one_value, exact, random_matrix(random.Random(2), labels, (1.0, 2.0, 3.0))
+
+    @pytest.mark.parametrize("mode", ["ultrametric", "tree"])
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"strategy": "bogus"}, "unknown strategy 'bogus'"),
+        ({"feas_tol": -1.0}, "feas_tol must be finite"),
+        ({"feas_tol": math.nan}, "feas_tol must be finite"),
+        ({"strategy": "exact"}, f"capped at n={EXACT_CAP}"),
+    ])
+    def test_bad_argument_raises(self, mode, kwargs, message):
+        n = EXACT_CAP + 1 if kwargs.get("strategy") == "exact" else 6
+        for d in self.tables(n):
+            if mode == "tree":
+                with pytest.raises(ValueError, match=message):
+                    fit_tree_metric(d, **kwargs)
+            else:
+                for lower_bound in (True, False):
+                    with pytest.raises(ValueError, match=message):
+                        fit_ultrametric(d, lower_bound=lower_bound, **kwargs)
+
+    @pytest.mark.parametrize("fit", [fit_ultrametric, fit_tree_metric])
+    def test_empty_table_raises(self, fit):
+        d = DistanceMatrix.from_pairs([], {})
+        with pytest.raises(ValueError, match="no labels"):
+            fit(d)
