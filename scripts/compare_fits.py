@@ -36,6 +36,7 @@ hold the same fits.
 import argparse
 import hashlib
 import json
+import os
 import random
 import sys
 import tempfile
@@ -202,10 +203,20 @@ def main(argv=None) -> int:
     parser.add_argument("--max-n", type=int, default=20,
                         help="largest table size fitted (default 20)")
     args = parser.parse_args(argv)
-    if args.diff:
-        return diff(*args.diff, sys.stdout)
-    run(args.reps, args.max_n, sys.stdout)
-    return 0
+    try:
+        code = 0
+        if args.diff:
+            code = diff(*args.diff, sys.stdout)
+        else:
+            run(args.reps, args.max_n, sys.stdout)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:  # the reader stopped reading, as `| head` does
+        # what is left in the buffer goes to devnull at exit, not to a second error
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
 
 
 if __name__ == "__main__":

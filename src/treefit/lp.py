@@ -10,9 +10,12 @@ monotonicity and box rows, each on one pair's variables, so it is one small
 chain LP per pair. Both backends solve each distinct chain once, with the
 dense simplex, and take the round's point from those solves; for the
 simplex, `solve_first_round` also places the chain tableaux side by side,
-which is the cold solve of those rows. Later HiGHS rounds go through scipy's
-bundled binding with `linprog`'s options (`_solve_highs`), which gives the
-same points and iteration counts as `linprog` without its input handling.
+which is the cold solve of those rows. A later HiGHS round solves only the
+pairs that its triangle rows couple, with those rows and the pairs'
+monotonicity rows; every other pair keeps its chain value. It goes through
+scipy's bundled binding with `linprog`'s options (`_solve_highs`), which
+gives the same points and iteration counts as `linprog` without its input
+handling.
 The binding's extension file is loaded on its own (`_highspy`), so the
 HiGHS path imports neither `scipy.optimize` nor the rest of scipy.
 """
@@ -201,10 +204,10 @@ class LpSolution:
 
     Row t of `x` is level t, its columns the pairs in `all_pairs(labels)`
     order. `rounds` counts the lazy solves behind the point, `rows_used` the
-    rows of the last one and `pivots` the pivots of all of them (the simplex
-    pivots, or HiGHS's iteration counts), on either backend; a point not
-    found by a solve, such as the `integral` one, reports 1 round, every row
-    of the full LP and 0 pivots.
+    rows active in the last one and `pivots` the pivots of all of them (the
+    simplex pivots, or HiGHS's iteration counts), on either backend; a point
+    built without a solve reports by default 1 round, every row of the full
+    LP and 0 pivots.
     """
 
     labels: tuple[str, ...]
@@ -270,15 +273,23 @@ def solve_lp(lp: LinearProgram, feas_tol: float = DEFAULT_FEAS_TOL, *,
     (`solve_first_round`) and continues each later round from the last
     round's tableau, given the new rows only. Each of those tableaux holds a
     subset of the full LP's rows, so the budget bounds them all. HiGHS takes
-    the same first point from the chain solves and solves each later round's
-    rows afresh, so an LP whose chain point meets every triangle row makes
-    no HiGHS call.
+    the same first point from the chain solves, so an LP whose chain point
+    meets every triangle row makes no HiGHS call. Each later HiGHS round
+    solves only the pairs that some active triangle row touches: every
+    level of those pairs, under the active triangle rows and the pairs'
+    monotonicity rows. The round's rows leave every other pair a chain of
+    its own, which the chain round has solved, so the point that keeps its
+    chain values there is optimal for the round's rows. The simplex's dual
+    rounds leave those chains alone too, as they share no column with the
+    rows added, so on both backends the pairs that no added row touches
+    hold their chain values.
     iteration_cap bounds the simplex pivots of each round on the simplex
     backend only; a first round that needs more stalls at the origin. An LP
     without pairs (0 or 1 labels) has the empty point.
 
     The solution's `rounds` is the number of solves, the chain round
-    counting as one, its `rows_used` the number of rows in the last one and
+    counting as one, its `rows_used` the number of rows active in the last
+    one (on HiGHS also those of the pairs it left at their chain values) and
     its `pivots` their pivots summed. A SolverError carries a `best` point
     only if that point satisfies every row of the full LP.
     """
@@ -301,15 +312,17 @@ def solve_lp(lp: LinearProgram, feas_tol: float = DEFAULT_FEAS_TOL, *,
                                    iteration_cap=iteration_cap, start=last)
             return last.x, last.iterations
     else:
-        chained = False
+        chain_x = None
 
         def solve_rows(active: np.ndarray, new: np.ndarray) -> tuple[np.ndarray, int]:
-            nonlocal chained
-            if not chained:
-                chained = True
-                _, x, pivots = _solve_chains(*_chain_groups(lp))
-                return x, pivots
-            return _solve_highs(lp, active)
+            nonlocal chain_x
+            if chain_x is None:
+                _, chain_x, pivots = _solve_chains(*_chain_groups(lp))
+                return chain_x, pivots
+            rows, cols = _coupled(lp, active)
+            x = chain_x.copy()
+            x[cols], iterations = _solve_highs(lp, rows, cols)
+            return x, iterations
 
     try:
         x, rounds, rows_used, pivots = _solve_lazily(lp, solve_rows, feas_tol)
@@ -325,6 +338,21 @@ def solve_lp(lp: LinearProgram, feas_tol: float = DEFAULT_FEAS_TOL, *,
     if worst > feas_tol:
         raise SolverError(f"solution infeasible by {worst:.3e}")
     return sol
+
+
+def _coupled(lp: LinearProgram, active: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows and columns of the pairs that the triangle rows among the
+    sorted row indices `active` touch: those triangle rows, then the pairs'
+    monotonicity rows, and every level of each pair, all in the LP's order."""
+    n_tri, n_pairs = lp.n_tri, lp.n_vars // lp.n_levels
+    tri = active[active < n_tri]
+    touched = np.zeros(n_pairs, dtype=bool)
+    per_level = _level_triangles(len(lp.labels))
+    touched[per_level[tri % len(per_level)]] = True
+    pairs = np.flatnonzero(touched)
+    cols = (np.arange(lp.n_levels)[:, None] * n_pairs + pairs).ravel()
+    # monotonicity row n_tri + m reads x[m + P] - x[m]: one per column below the top level
+    return np.concatenate([tri, n_tri + cols[:len(cols) - len(pairs)]]), cols
 
 
 def _solve_lazily(lp: LinearProgram, solve_rows, feas_tol: float
@@ -487,29 +515,32 @@ def _highs_options():
     return options
 
 
-def _solve_highs(lp: LinearProgram, rows: np.ndarray) -> tuple[np.ndarray, int]:
-    """HiGHS's point and simplex iterations for lp restricted to the sorted
-    row indices `rows`.
+def _solve_highs(lp: LinearProgram, rows: np.ndarray, cols: np.ndarray
+                 ) -> tuple[np.ndarray, int]:
+    """HiGHS's point over the sorted variable indices `cols` and its simplex
+    iterations, for lp restricted to the sorted row indices `rows`, whose
+    every variable is among `cols`, and to those variables.
 
     It drives the binding that `scipy.optimize.linprog(method="highs")`
     calls, with the options linprog sets, so the point and the iteration
-    count are linprog's; the rows go in row-wise, straight from `_coo`. The
-    vectors go in as lists, which the binding copies faster than arrays.
+    count are linprog's on the costs `c[cols]` and the matrix
+    `A[rows][:, cols]`; the rows go in row-wise, from `_coo`. The vectors go
+    in as lists, which the binding copies faster than arrays.
     """
     highspy = _highspy()
-    r, cols, data = lp._coo(rows)
-    n_rows = len(rows)
+    r, at, data = lp._coo(rows)
+    n_rows, n_cols = len(rows), len(cols)
     model = highspy.HighsLp()
-    model.num_col_ = model.a_matrix_.num_col_ = lp.n_vars
+    model.num_col_ = model.a_matrix_.num_col_ = n_cols
     model.num_row_ = model.a_matrix_.num_row_ = n_rows
-    model.col_cost_ = lp.c.tolist()
-    model.col_lower_ = [0.0] * lp.n_vars
-    model.col_upper_ = [1.0] * lp.n_vars
+    model.col_cost_ = lp.c[cols].tolist()
+    model.col_lower_ = [0.0] * n_cols
+    model.col_upper_ = [1.0] * n_cols
     model.row_lower_ = [-np.inf] * n_rows
     model.row_upper_ = [0.0] * n_rows
     model.a_matrix_.format_ = highspy.MatrixFormat.kRowwise
     model.a_matrix_.start_ = np.searchsorted(r, np.arange(n_rows + 1)).tolist()
-    model.a_matrix_.index_ = cols.tolist()
+    model.a_matrix_.index_ = np.searchsorted(cols, at).tolist()
     model.a_matrix_.value_ = data.tolist()
 
     highs = highspy._Highs()
@@ -586,10 +617,3 @@ def hierarchy_cost(inst: HccInstance, hierarchy: HierarchySequence) -> float:
     for t, part in enumerate(hierarchy.levels):
         total += inst.deltas[t] * sym_diff_size(inst.edge_sets[t], clique_edges(part))
     return total
-
-
-def integral_solution(inst: HccInstance, hierarchy: HierarchySequence) -> LpSolution:
-    """The 0/1 point encoding a hierarchical sequence; feasible by construction."""
-    x = np.array([~clique_edges(part).mask for part in hierarchy.levels], dtype=float)
-    return LpSolution(labels=inst.labels, x=x,
-                      objective=hierarchy_cost(inst, hierarchy), backend="integral")

@@ -279,6 +279,14 @@ def _level_index(values: tuple[float, ...], labels, dist: np.ndarray,
     return level
 
 
+def integral_solution(inst, hierarchy: HierarchySequence) -> lp_module.LpSolution:
+    """The 0/1 point encoding a hierarchical sequence; feasible by construction."""
+    x = np.array([~clique_edges(part).mask for part in hierarchy.levels], dtype=float)
+    return lp_module.LpSolution(labels=inst.labels, x=x,
+                                objective=lp_module.hierarchy_cost(inst, hierarchy),
+                                backend="integral")
+
+
 def ultrametric_to_hierarchy(tree: UltrametricTree, levels) -> HierarchySequence:
     """Inverse of `ultrametric.hierarchy_to_ultrametric`: level-t parts are
     the components under <= D^(t) of the tree's distances."""

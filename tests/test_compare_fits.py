@@ -60,3 +60,21 @@ def test_tiny_grid_and_diff(tmp_path):
 
     new.write_text("".join(json.dumps(r) + "\n" for r in records[:-1]))
     assert run_script("--diff", str(old), str(new)).returncode == 1
+
+
+def test_closed_stdout_is_no_error(tmp_path):
+    # `--diff A B | head` stops reading early: the script exits 0 quietly
+    run = tmp_path / "run.jsonl"
+    run.write_text("".join(json.dumps({"id": f"fit-{k}", "l1_error": "1.0",
+                                       "lp_lower_bound": "0.5", "newick_sha256": "0" * 64,
+                                       "opt": None}) + "\n" for k in range(5)))
+    for args in (["--diff", run, run], ["--reps", "1", "--max-n", "3"]):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run([sys.executable, str(SCRIPT), *args], stdout=write,
+                                  stderr=subprocess.PIPE, text=True,
+                                  env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (0, "")

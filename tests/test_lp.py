@@ -24,7 +24,6 @@ from treefit.lp import (
     build_lp,
     cost_edges,
     hierarchy_cost,
-    integral_solution,
     lp_cost,
     solve_first_round,
     solve_lp,
@@ -39,7 +38,8 @@ from treefit.simplex import (
     solve_dense,
 )
 from treefit.ultrametric import hcc_instance_from_distances
-from conftest import feasible_lp_maps, random_matrix, random_partition, solve_on
+from conftest import (feasible_lp_maps, integral_solution, random_matrix, random_partition,
+                      solve_on)
 
 LABELS3 = ("a", "b", "c")
 
@@ -943,6 +943,41 @@ def record_rounds(monkeypatch) -> list[tuple[np.ndarray, int]]:
     return rounds
 
 
+def record_active(monkeypatch) -> list[np.ndarray]:
+    """The sorted row indices of each lazy round solved from now on, on
+    either backend."""
+    actives = []
+    real_solve_lazily = lp_module._solve_lazily
+
+    def recording_solve_lazily(lp, solve_rows, feas_tol):
+        def recording_solve_rows(active, new):
+            actives.append(active)
+            return solve_rows(active, new)
+
+        return real_solve_lazily(lp, recording_solve_rows, feas_tol)
+
+    monkeypatch.setattr(lp_module, "_solve_lazily", recording_solve_lazily)
+    return actives
+
+
+def touched_pairs(lp, rows) -> np.ndarray:
+    """The pairs, as indices into one level, that the given triangle rows touch."""
+    return np.unique(lp.dense_matrix(rows).nonzero()[1] % (lp.n_vars // lp.n_levels))
+
+
+def tiny_weight_instance(seed) -> HccInstance:
+    """Nested threshold edge sets of a random integer table, with some level
+    weights near 1e-12, as near-tied values give: chains whose costs tie
+    within HiGHS's tolerances."""
+    rng = random.Random(seed)
+    n, n_levels = rng.randint(4, 10), rng.randint(2, 6)
+    labels = tuple(f"s{k}" for k in range(n))
+    deltas = tuple(rng.choice([1.0, 2.0, 1e-12, 0.7e-12]) for _ in range(n_levels))
+    values = {p: rng.randint(1, n_levels + 1) for p in all_pairs(labels)}
+    return HccInstance(labels, deltas, tuple(
+        es(labels, [p for p, v in values.items() if v <= t + 1]) for t in range(n_levels)))
+
+
 def fits_dense_budget(lp) -> bool:
     m = lp.n_rows + lp.n_vars
     return (m + 1) * (lp.n_vars + m + 1) <= DENSE_TABLEAU_BUDGET
@@ -1029,8 +1064,8 @@ class TestLazyRows:
         nits = []
         real_solve_highs = lp_module._solve_highs
 
-        def recording_solve_highs(lp, rows):
-            x, nit = real_solve_highs(lp, rows)
+        def recording_solve_highs(lp, rows, cols):
+            x, nit = real_solve_highs(lp, rows, cols)
             nits.append(nit)
             return x, nit
 
@@ -1061,6 +1096,33 @@ class TestLazyRows:
                 rounds[backend].append(sol.rounds)
         assert max(rounds["highs"]) >= 2
         assert max(rounds["simplex"]) >= 2
+
+    @pytest.mark.parametrize("backend", ["simplex", "highs"])
+    def test_untouched_pairs_hold_the_chain_point(self, backend, rng, monkeypatch):
+        # the rows a solve adds couple only the pairs they touch; every
+        # other pair keeps its chain-round value bit for bit, on both
+        # backends, among them a pair whose chain costs tie within HiGHS's
+        # tolerances, which a HiGHS solve of every pair moves
+        actives = record_active(monkeypatch)
+        lps = [build_lp(tiny_weight_instance(7))]
+        while len(lps) < 40:
+            n = rng.randint(4, 12)
+            lp = build_lp(table_instance(rng, n, False) if len(lps) % 2 else
+                          first_round_instance(rng, n, rng.randint(1, 5), len(lps) % 4 == 0))
+            if lp.n_rows <= 1500:
+                lps.append(lp)
+        held = []
+        for lp in lps:
+            actives.clear()
+            sol = solve_on(backend, lp)
+            assert len(actives) == sol.rounds
+            added = actives[-1][actives[-1] < lp.n_tri]
+            untouched = np.setdiff1d(np.arange(lp.n_vars // lp.n_levels),
+                                     touched_pairs(lp, added))
+            chain = np.clip(solve_first_round(lp).x, 0.0, 1.0).reshape(lp.n_levels, -1)
+            assert sol.x[:, untouched].tobytes() == chain[:, untouched].tobytes()
+            held.append(len(untouched) if sol.rounds >= 2 else 0)
+        assert held[0] >= 1 and sum(held) >= 50
 
     @pytest.mark.parametrize("backend", ["simplex", "highs"])
     @pytest.mark.parametrize("labels", [(), ("a",)])
@@ -1280,9 +1342,9 @@ class TestHighsRounds:
         real_solve_highs = lp_module._solve_highs
         real_solve_chains = lp_module._solve_chains
 
-        def recording_solve_highs(lp, rows):
+        def recording_solve_highs(lp, rows, cols):
             calls.append(1)
-            return real_solve_highs(lp, rows)
+            return real_solve_highs(lp, rows, cols)
 
         def recording_solve_chains(chains, group):
             got = real_solve_chains(chains, group)
@@ -1304,6 +1366,38 @@ class TestHighsRounds:
             rounds.append(sol.rounds)
         assert rounds.count(1) >= 10 and sum(r >= 2 for r in rounds) >= 50
 
+    def test_solves_only_the_coupled_pairs(self, rng, monkeypatch):
+        # a later round hands HiGHS every level of the pairs that its
+        # triangle rows touch, in the LP's variable order, under those rows
+        # and then those pairs' monotonicity rows, in row order
+        actives = record_active(monkeypatch)
+        calls = []
+        real_solve_highs = lp_module._solve_highs
+
+        def recording_solve_highs(lp, rows, cols):
+            calls.append((rows, cols))
+            return real_solve_highs(lp, rows, cols)
+
+        monkeypatch.setattr(lp_module, "_solve_highs", recording_solve_highs)
+        fewer = 0
+        for k in range(60):
+            n_levels = rng.randint(1, 5) if k < 40 else rng.randint(8, 14)
+            lp = build_lp(first_round_instance(rng, rng.randint(3, 16), n_levels, k % 2 == 0))
+            actives.clear()
+            calls.clear()
+            solve_on("highs", lp)
+            assert len(calls) == len(actives) - 1
+            n_pairs = lp.n_vars // lp.n_levels
+            for active, (rows, cols) in zip(actives[1:], calls):
+                tri = active[active < lp.n_tri]
+                pairs = touched_pairs(lp, tri)
+                assert cols.tolist() == [t * n_pairs + p for t in range(lp.n_levels)
+                                         for p in pairs]
+                assert rows.tolist() == tri.tolist() + [
+                    lp.n_tri + t * n_pairs + p for t in range(lp.n_levels - 1) for p in pairs]
+                fewer += len(pairs) < n_pairs
+        assert fewer >= 20
+
     def test_solves_an_lp_over_the_dense_budget(self, rng, monkeypatch):
         # the HiGHS path never builds the first-round tableau
         def no_tableau(*args, **kwargs):
@@ -1323,20 +1417,21 @@ class TestHighsRounds:
 class TestHighsBinding:
     def test_matches_linprog(self, rng, monkeypatch):
         # _solve_highs drives scipy's private HiGHS binding with linprog's
-        # options: on every call of a lazy HiGHS solve, and on all rows of
-        # the smaller LPs, its point and iteration count are linprog's, so a
-        # scipy release that changes the binding fails here
+        # options: on every call of a lazy HiGHS solve, each on the coupled
+        # pairs' sub-model, and on all rows and columns of the smaller LPs,
+        # its point and iteration count are linprog's, so a scipy release
+        # that changes the binding fails here
         real_solve_highs = lp_module._solve_highs
         budgets = []
 
-        def linprog_outcome(lp, rows):
-            res = linprog(lp.c, A_ub=lp.sparse_matrix(rows), b_ub=np.zeros(len(rows)),
-                          bounds=(0.0, 1.0), method="highs")
+        def linprog_outcome(lp, rows, cols):
+            res = linprog(lp.c[cols], A_ub=lp.sparse_matrix(rows)[:, cols],
+                          b_ub=np.zeros(len(rows)), bounds=(0.0, 1.0), method="highs")
             return res.x.tobytes(), res.nit
 
-        def compared_solve_highs(lp, rows):
-            x, nit = real_solve_highs(lp, rows)
-            assert (x.tobytes(), nit) == linprog_outcome(lp, rows)
+        def compared_solve_highs(lp, rows, cols):
+            x, nit = real_solve_highs(lp, rows, cols)
+            assert (x.tobytes(), nit) == linprog_outcome(lp, rows, cols)
             budgets.append(fits_dense_budget(lp))
             return x, nit
 
@@ -1346,9 +1441,9 @@ class TestHighsBinding:
             lp = build_lp(first_round_instance(rng, rng.randint(3, 16), n_levels, k % 2 == 0))
             solve_on("highs", lp)
             if lp.n_rows <= 2000:
-                rows = np.arange(lp.n_rows)
-                x, nit = real_solve_highs(lp, rows)
-                assert (x.tobytes(), nit) == linprog_outcome(lp, rows)
+                rows, cols = np.arange(lp.n_rows), np.arange(lp.n_vars)
+                x, nit = real_solve_highs(lp, rows, cols)
+                assert (x.tobytes(), nit) == linprog_outcome(lp, rows, cols)
         # calls on LPs that solve_lp gives the simplex and on LPs over
         # its budget, which it gives HiGHS
         assert len(budgets) >= 40 and any(budgets) and not all(budgets)
@@ -1363,6 +1458,6 @@ class TestHighsBinding:
         monkeypatch.setattr(highspy, "_Highs", Infeasible)
         lp = build_lp(table_instance(rng, 8, False))
         with pytest.raises(SolverError, match="^highs failed: Infeasible$"):
-            lp_module._solve_highs(lp, np.arange(lp.n_rows))
+            lp_module._solve_highs(lp, np.arange(lp.n_rows), np.arange(lp.n_vars))
         with pytest.raises(SolverError, match="^highs failed: Infeasible$"):
             solve_on("highs", lp)
