@@ -119,14 +119,6 @@ def _square(values: np.ndarray, n: int) -> np.ndarray:
     return out.reshape(n, n)
 
 
-def lookup_pair(mapping: Mapping, i: str, j: str) -> float:
-    """Fetch a pair value from a dict keyed by tuples in either orientation."""
-    try:
-        return mapping[(i, j)]
-    except KeyError:
-        return mapping[(j, i)]
-
-
 # ---------------------------------------------------------------------------
 # Distance matrices
 # ---------------------------------------------------------------------------
@@ -136,6 +128,25 @@ def _label_index(labels: tuple[str, ...]) -> dict[str, int]:
     if len(index) != len(labels):
         raise ValueError("duplicate labels")
     return index
+
+
+def _pair_map_values(labels: tuple[str, ...], mapping: Mapping) -> np.ndarray:
+    """The values of a mapping keyed by 2-element tuples or frozensets of
+    labels, in `all_pairs(labels)` order. Every pair needs a finite value,
+    and a pair keyed in both orientations one value in both; a ValueError
+    names the first key or pair that breaks this."""
+    keyed: dict[int, float] = {}
+    for key, k in zip(mapping, _key_positions(_label_index(labels), mapping)):
+        v = float(mapping[key])
+        if not math.isfinite(v):
+            raise ValueError(f"distance for {key!r} must be finite, got {v}")
+        if keyed.setdefault(k, v) != v:
+            raise ValueError(f"bad pair keys: {key!r} gives {v}, "
+                             f"its other orientation {keyed[k]}")
+    missing = [p for k, p in enumerate(all_pairs(labels)) if k not in keyed]
+    if missing:
+        raise ValueError(f"bad pair keys: missing={missing[:3]}")
+    return np.array([keyed[k] for k in range(len(keyed))], dtype=np.float64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,19 +171,9 @@ class DistanceMatrix:
 
     @classmethod
     def from_pairs(cls, labels: Sequence[str], values: Mapping) -> "DistanceMatrix":
-        """Build from any mapping keyed by 2-element tuples or frozensets; a
-        pair keyed in both orientations must have one value in both."""
+        """Build from a pair map (see `_pair_map_values`)."""
         labels = tuple(labels)
-        keyed: dict[int, float] = {}
-        for key, k in zip(values, _key_positions(_label_index(labels), values)):
-            v = float(values[key])
-            if keyed.setdefault(k, v) != v:
-                raise ValueError(f"bad pair keys: {key!r} gives {v}, "
-                                 f"its other orientation {keyed[k]}")
-        missing = [p for k, p in enumerate(all_pairs(labels)) if k not in keyed]
-        if missing:
-            raise ValueError(f"bad pair keys: missing={missing[:3]}")
-        return cls(labels, [keyed[k] for k in range(len(keyed))])
+        return cls(labels, _pair_map_values(labels, values))
 
     @functools.cached_property
     def d(self) -> dict[Pair, float]:
@@ -323,29 +324,6 @@ class HierarchySequence:
 
     def __len__(self) -> int:
         return len(self.levels)
-
-
-def components(universe: Sequence[str], pairs: Iterable[Pair]) -> Partition:
-    """Connected components of the pairs, as a partition of the universe."""
-    idx = {lab: k for k, lab in enumerate(universe)}
-    level = np.ones(len(idx) * (len(idx) - 1) // 2, dtype=np.intp)
-    level[[_pair_position(idx, i, j) for i, j in pairs]] = 0
-    return nested_components(universe, level, 1)[0]
-
-
-def nested_components(universe: Sequence[str], level: np.ndarray,
-                      n_levels: int) -> list[Partition]:
-    """Partition t is the components of the pairs whose level is <= t, level
-    holding each pair's level in `all_pairs(universe)` order."""
-    out, current = [], Partition.singletons(universe)
-    for joined, find in _union_steps(len(universe), _level_steps(len(universe), level, n_levels)):
-        if joined:
-            groups: dict[int, list[str]] = {}
-            for k, lab in enumerate(universe):
-                groups.setdefault(find(k), []).append(lab)
-            current = Partition.from_parts(universe, groups.values())
-        out.append(current)
-    return out
 
 
 def _level_steps(n: int, level: np.ndarray, n_levels: int) -> list[list[tuple[int, int]]]:
@@ -572,10 +550,9 @@ class UltrametricTree(_RootedTree):
     @classmethod
     def from_map(cls, labels: Sequence[str], mapping: Mapping, *,
                  tol: float = DEFAULT_TOL) -> "UltrametricTree":
-        """from_distances of a pair map keyed in either orientation."""
+        """from_distances of a pair map (see `_pair_map_values`)."""
         labels = tuple(labels)
-        return cls.from_distances(
-            labels, [lookup_pair(mapping, i, j) for i, j in all_pairs(labels)], tol=tol)
+        return cls.from_distances(labels, _pair_map_values(labels, mapping), tol=tol)
 
     @classmethod
     def from_distances(cls, labels: Sequence[str], values, *,
@@ -741,12 +718,12 @@ def lp_norm_error(tree, d: DistanceMatrix, p: float) -> float:
 
 
 def is_ultrametric(mapping: Mapping, tol: float = DEFAULT_TOL) -> bool:
-    """True iff U(i,j) <= max(U(i,k), U(k,j)) + tol for all triples: in one
-    pass per label, no triple's largest value exceeds its middle one by tol."""
+    """True iff U(i,j) <= max(U(i,k), U(k,j)) + tol for all triples of the
+    labels in the keys of a pair map (see `_pair_map_values`): in one pass
+    per label, no triple's largest value exceeds its middle one by tol."""
     _check_tol("tol", tol)
-    labels = sorted({x for key in mapping for x in tuple(key)})
-    square = _square(np.array([lookup_pair(mapping, i, j) for i, j in all_pairs(labels)],
-                              dtype=np.float64), len(labels))
+    labels = tuple(sorted({x for key in mapping for x in tuple(key)}))
+    square = _square(_pair_map_values(labels, mapping), len(labels))
     for i in range(len(labels) - 2):
         row, rest = square[i, i + 1:], square[i + 1:, i + 1:]
         lo, hi = np.minimum.outer(row, row), np.maximum.outer(row, row)

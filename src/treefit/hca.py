@@ -14,14 +14,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import HierarchySequence, Partition, _pair_ends, _square
+from .core import HierarchySequence, Partition, _square
 from .lp import (
     DEFAULT_FEAS_TOL,
     HccInstance,
     LpSolution,
     build_lp,
     hierarchy_cost,
-    lp_cost,
     solve_lp,
 )
 
@@ -81,13 +80,6 @@ def _ball_tests(sol: LpSolution, t: int, part_of: np.ndarray) -> list[bool]:
             & (far_outside <= OUTSIDE_FRACTION * size)).tolist()
 
 
-def cleaned_subset(sol: LpSolution, t: int, cluster: frozenset[str]) -> frozenset[str]:
-    """Members of one input cluster that pass both ball tests at level t."""
-    inside = [lab in cluster for lab in sol.labels]
-    keep = _ball_tests(sol, t, np.array(inside, dtype=np.intp))
-    return frozenset(lab for lab, a, ok in zip(sol.labels, inside, keep) if a and ok)
-
-
 def lp_cleaning(partitions: Sequence[Partition], sol: LpSolution) -> LpClusterFamilies:
     """Clean every input cluster independently; drop clusters losing > 10%."""
     if len(partitions) != sol.n_levels:
@@ -130,12 +122,12 @@ def check_hierarchy_friendly(families: LpClusterFamilies) -> bool:
 
 @dataclass
 class ForestNode:
-    node_id: int
+    """A node of the assembly forest; parent and children are positions in
+    `ClusterForest.nodes`. Level 0 holds one node per label."""
+
     level: int
     core: frozenset[str]
     extended: frozenset[str]
-    lp_cluster: frozenset[str] | None
-    input_cluster: frozenset[str] | None
     parent: int | None = None
     children: tuple[int, ...] = ()
 
@@ -145,21 +137,8 @@ class ClusterForest:
     universe: tuple[str, ...]
     nodes: list[ForestNode] = field(default_factory=list)
 
-    def roots(self) -> list[ForestNode]:
-        return [nd for nd in self.nodes if nd.parent is None]
-
     def internal(self) -> list[ForestNode]:
         return [nd for nd in self.nodes if nd.level > 0]
-
-    def descendant_leaves(self, node: ForestNode) -> frozenset[str]:
-        out: set[str] = set()
-        stack = [node.node_id]
-        while stack:
-            nd = self.nodes[stack.pop()]
-            if nd.level == 0:
-                out |= nd.core
-            stack.extend(nd.children)
-        return frozenset(out)
 
 
 def derive_hierarchy(universe: Sequence[str], families: LpClusterFamilies
@@ -181,16 +160,14 @@ def derive_hierarchy(universe: Sequence[str], families: LpClusterFamilies
 
     forest = ClusterForest(universe=universe)
     nodes = forest.nodes
-    for k, lab in enumerate(universe):
-        nodes.append(ForestNode(
-            node_id=k, level=0, core=frozenset([lab]),
-            extended=frozenset([lab]), lp_cluster=None, input_cluster=None))
+    for lab in universe:
+        nodes.append(ForestNode(level=0, core=frozenset([lab]), extended=frozenset([lab])))
     root = {lab: k for k, lab in enumerate(universe)}  # the root above each label
 
     out_levels: list[Partition] = []
     for t, fam in enumerate(families.levels):
         for cluster in fam:
-            # ids only grow, so sorted ids are the order the roots were made in
+            # positions only grow, so sorted ones are the order the roots were made in
             children = sorted({root[x] for x in cluster.members if x in nodes[root[x]].core})
             if not children:
                 # outside the guarantees of cleaned input; an empty core would
@@ -198,10 +175,8 @@ def derive_hierarchy(universe: Sequence[str], families: LpClusterFamilies
                 continue
             nid = len(nodes)
             extended = frozenset().union(*(nodes[c].extended for c in children))
-            nodes.append(ForestNode(
-                node_id=nid, level=t + 1, core=cluster.members & extended,
-                extended=extended, lp_cluster=cluster.members,
-                input_cluster=cluster.input_cluster, children=tuple(children)))
+            nodes.append(ForestNode(level=t + 1, core=cluster.members & extended,
+                                    extended=extended, children=tuple(children)))
             for c in children:
                 nodes[c].parent = nid
             root.update(dict.fromkeys(extended, nid))
@@ -260,74 +235,3 @@ def fit_hca_report(universe: Sequence[str], partitions: Sequence[Partition],
 def fit_hca(universe: Sequence[str], partitions: Sequence[Partition],
             deltas: Sequence[float], **kwargs) -> HierarchySequence:
     return fit_hca_report(universe, partitions, deltas, **kwargs).hierarchy
-
-
-# ---------------------------------------------------------------------------
-# Structural invariants (used by the test suite on every pipeline run)
-# ---------------------------------------------------------------------------
-
-CORE_GROWTH_LIMIT = 0.3       # |extended \ core| <= 0.3 |core|
-CORE_SHRINK_LIMIT = 0.1       # |lp_cluster \ core| < 0.1 |core|
-DIAMETER_LIMIT = 2 * BALL_NEAR
-REMOVED_COST_FACTOR = min(BALL_NEAR * HALF_FRACTION,
-                          (1.0 - BALL_FAR) * OUTSIDE_FRACTION)
-
-
-def invariant_violations(result: HcaResult, slack: float = 1e-6) -> list[str]:
-    """Check every structural invariant of a full (non-fast-path) run."""
-    if result.fast_path:
-        return []
-    assert result.forest is not None and result.families is not None
-    assert result.lp is not None
-    forest, families, sol = result.forest, result.families, result.lp
-    problems: list[str] = []
-
-    if not check_hierarchy_friendly(families):
-        problems.append("cleaned families are not hierarchy-friendly")
-
-    for below, above in zip(result.hierarchy.levels, result.hierarchy.levels[1:]):
-        if not below.refines(above):
-            problems.append("output partitions do not refine upward")
-
-    root_union: set[str] = set()
-    for root in forest.roots():
-        if root_union & root.extended:
-            problems.append("root extended-clusters overlap")
-        root_union |= root.extended
-    if root_union != set(forest.universe):
-        problems.append("root extended-clusters do not cover the universe")
-
-    for node in forest.internal():
-        assert node.lp_cluster is not None and node.input_cluster is not None
-        if not (node.core <= node.lp_cluster <= node.input_cluster):
-            problems.append(f"node {node.node_id}: core/LP/input nesting broken")
-        if not node.core <= node.extended:
-            problems.append(f"node {node.node_id}: core not within extended")
-        if forest.descendant_leaves(node) != node.extended:
-            problems.append(f"node {node.node_id}: extended != descendant leaves")
-        grown = node.extended - node.core
-        shrunk = node.lp_cluster - node.core
-        if len(grown) > CORE_GROWTH_LIMIT * len(node.core):
-            problems.append(f"node {node.node_id}: extension exceeds 0.3 |core|")
-        if not len(shrunk) < CORE_SHRINK_LIMIT * len(node.core) + 1e-12:
-            problems.append(f"node {node.node_id}: removal exceeds 0.1 |core|")
-        if shrunk & grown:
-            problems.append(f"node {node.node_id}: removal and extension overlap")
-        inside = np.array([lab in node.lp_cluster for lab in sol.labels], dtype=bool)
-        i, j = _pair_ends(len(inside))
-        wide = sol.x[node.level - 1:, inside[i] & inside[j]] >= DIAMETER_LIMIT + slack
-        for t in np.flatnonzero(wide.any(axis=1)) + node.level:
-            problems.append(
-                f"node {node.node_id}: LP diameter >= {DIAMETER_LIMIT} at level {t}")
-
-    costs = lp_cost(result.instance, sol)
-    for t, q in enumerate(result.partitions):
-        for cluster in q.parts:
-            survivors = cleaned_subset(sol, t, cluster)
-            bound = REMOVED_COST_FACTOR * result.instance.deltas[t] * len(cluster)
-            for i in sorted(cluster - survivors):
-                if costs.species(t, i) < bound - slack:
-                    problems.append(
-                        f"species {i} removed at level {t + 1} but its LP cost "
-                        f"{costs.species(t, i):.6f} is below {bound:.6f}")
-    return problems

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import HierarchySequence, Partition, clique_edges, sym_diff_size
+from .core import HierarchySequence, Partition
 from .corrclust import corr_cluster
 from .hca import HcaResult, fit_hca_report
 from .lp import DEFAULT_FEAS_TOL, HccInstance, LpSolution, build_lp, hierarchy_cost, solve_lp
@@ -59,14 +59,3 @@ def fit_hcc(inst: HccInstance, *, strategy: str = "pivot-sweep",
     return HccResult(hierarchy=hca.hierarchy, cost=cost, lp_lower_bound=bound,
                      lp_solution=lp_solution, partitions=partitions,
                      hca=hca, instance=inst)
-
-
-def triangle_switch_holds(result: HccResult) -> bool:
-    """|E sdiff P| <= |E sdiff Q| + |Q sdiff P| per level, always exact."""
-    for t in range(result.instance.n_levels):
-        e = result.instance.edge_sets[t]
-        q = clique_edges(result.partitions[t])
-        p = clique_edges(result.hierarchy.levels[t])
-        if sym_diff_size(e, p) > sym_diff_size(e, q) + sym_diff_size(q, p):
-            return False
-    return True

@@ -20,7 +20,6 @@ from .core import (
     HierarchySequence,
     Partition,
     UltrametricTree,
-    _pair_ends,
     lp_norm_error,
     partition_disagreements,
     partition_of_row,
@@ -98,54 +97,3 @@ def exact_ultrametric_l1(d: DistanceMatrix) -> tuple[UltrametricTree, float]:
     else:
         tree = hierarchy_to_ultrametric(exact_hcc(inst)[0], levels)
     return tree, lp_norm_error(tree, d, 1)
-
-
-# ---------------------------------------------------------------------------
-# Flattening onto two distance values
-# ---------------------------------------------------------------------------
-
-def _interior_nodes(tree: UltrametricTree):
-    """Internal nodes whose merge value lies strictly inside (1, 2), children
-    before parents.
-
-    Yields (value, min_leaf, cross, parent_value, max_child_value), where
-    cross lists the `all_pairs` positions of the pairs meeting at that node:
-    the pairs below it at its value.
-    """
-    parent, label, end = tree._parent.tolist(), tree._label, tree._end
-    value = (2.0 * tree._height).tolist()
-    i, j = _pair_ends(len(tree.labels))
-    found = []
-    for v in reversed(range(len(parent))):
-        if label[v] >= 0 or not 1.0 < value[v] < 2.0:
-            continue
-        below = np.zeros(len(tree.labels), dtype=bool)
-        below[label[v:end[v]][label[v:end[v]] >= 0]] = True
-        cross = np.flatnonzero(below[i] & below[j] & (tree.distances() == value[v]))
-        found.append((value[v], int(np.argmax(below)), cross.tolist(),
-                      value[parent[v]] if v else 2.0, max(value[v + 1:end[v]])))
-    return found
-
-
-def flatten_to_12(tree: UltrametricTree, d: DistanceMatrix) -> UltrametricTree:
-    """Push all tree distances into {1, 2} without increasing the error vs d.
-
-    Distances below 1 rise to 1 and above 2 drop to 2. Each remaining node
-    with a merge value strictly inside (1, 2) then moves to its parent's
-    value when at least half of its pairs prefer distance 2, and down onto
-    its highest child otherwise; every move merges the node away, so the
-    loop terminates with all values in {1, 2} and the error never increased.
-    """
-    if np.any((d.values != 1.0) & (d.values != 2.0)):
-        raise ValueError("reference distances must be exactly 1 or 2")
-    values = np.clip(tree.distances_in(d.labels), 1.0, 2.0)
-    while True:
-        current = UltrametricTree.from_distances(d.labels, values)
-        interior = _interior_nodes(current)
-        if not interior:
-            return current
-        _, _, cross, parent_value, max_child = min(
-            interior, key=lambda item: (item[0], item[1]))
-        ones = int(np.count_nonzero(d.values[cross] == 1.0))
-        twos = len(cross) - ones
-        values[cross] = parent_value if twos >= ones else max(1.0, max_child)

@@ -34,24 +34,20 @@ RESTRICTION_TOL = 1e-6
 
 @dataclass(frozen=True)
 class RestrictedInstance:
-    """Pivot, cap, per-point floors, and the transformed matrix."""
+    """Pivot, cap and the transformed matrix. `heights` and `betas` hold
+    h_i and the floor beta_i of each label, in `transformed.labels` order;
+    `floors` holds max(beta_i, beta_j) of every pair, in `all_pairs` order."""
 
     pivot: str
     gamma: float
-    betas: dict[str, float]
-    heights: dict[str, float]
+    betas: np.ndarray
+    heights: np.ndarray
+    floors: np.ndarray
     transformed: DistanceMatrix
 
     def __post_init__(self):
-        for lab, beta in self.betas.items():
-            if beta > self.gamma + RESTRICTION_TOL:
-                raise ValueError(f"floor for {lab!r} exceeds the cap")
-
-    def floors(self) -> np.ndarray:
-        """max(beta_i, beta_j) of every pair, in `all_pairs` order."""
-        beta = np.array([self.betas[lab] for lab in self.transformed.labels])
-        i, j = _pair_ends(len(beta))
-        return np.maximum(beta[i], beta[j])
+        for k in np.flatnonzero(self.betas > self.gamma + RESTRICTION_TOL)[:1]:
+            raise ValueError(f"floor for {self.transformed.labels[k]!r} exceeds the cap")
 
 
 def gromov_transform(d: DistanceMatrix, pivot: str) -> RestrictedInstance:
@@ -59,24 +55,24 @@ def gromov_transform(d: DistanceMatrix, pivot: str) -> RestrictedInstance:
     if pivot not in d.labels:
         raise ValueError(f"pivot {pivot!r} is not a label")
     p = d.index[pivot]
-    h = _square(d.values, d.n)[p]  # 0 at the pivot
-    heights = dict(zip(d.labels, h.tolist()))
-    m = max(heights.values())
-    betas = {lab: m - v for lab, v in heights.items()}
-    betas[pivot] = m
+    h = _square(d.values, d.n)[p].copy()  # 0 at the pivot
+    m = float(h.max())
+    betas = m - h
+    betas[p] = m
     i, j = _pair_ends(d.n)
     # halved term by term, exactly, so that h[i] + h[j] cannot overflow
     out = m - (h[i] / 2.0 + h[j] / 2.0 - d.values / 2.0)
     out[(i == p) | (j == p)] = m
     transformed = DistanceMatrix(d.labels, out)
-    return RestrictedInstance(pivot=pivot, gamma=m, betas=betas,
-                              heights=heights, transformed=transformed)
+    return RestrictedInstance(pivot=pivot, gamma=m, betas=betas, heights=h,
+                              floors=np.maximum(betas[i], betas[j]),
+                              transformed=transformed)
 
 
 def clamp_to_restricted(u: np.ndarray, r: RestrictedInstance) -> np.ndarray:
     """Force an ultrametric, given in `all_pairs` order, to satisfy the floors
     and the cap; it stays ultrametric."""
-    return np.minimum(r.gamma, np.maximum(u, r.floors()))
+    return np.minimum(r.gamma, np.maximum(u, r.floors))
 
 
 def pivot_subproblem(r: RestrictedInstance) -> DistanceMatrix:
@@ -98,7 +94,7 @@ def restricted_to_tree(u: np.ndarray, r: RestrictedInstance,
     u = _pair_vector(u, len(labels))
     i, j = _pair_ends(len(labels))
     p = r.transformed.index[r.pivot]
-    outside = (u > r.gamma + RESTRICTION_TOL) | (u < r.floors() - RESTRICTION_TOL)
+    outside = (u > r.gamma + RESTRICTION_TOL) | (u < r.floors - RESTRICTION_TOL)
     off_cap = ((i == p) | (j == p)) & (np.abs(u - r.gamma) > RESTRICTION_TOL)
     for k in np.flatnonzero(outside | off_cap)[:1]:
         if outside[k]:
@@ -111,8 +107,7 @@ def restricted_to_tree(u: np.ndarray, r: RestrictedInstance,
     # in preorder: the root is the pivot itself, an internal node sits at
     # depth gamma - 2 * height and each other species at its height
     label, parent = utree._label, utree._parent
-    heights = np.array([r.heights[lab] for lab in labels])
-    depth = np.where(label >= 0, heights[label], r.gamma - 2.0 * utree._height)
+    depth = np.where(label >= 0, r.heights[label], r.gamma - 2.0 * utree._height)
     depth[0] = 0.0
     keep = np.flatnonzero(label != p)[1:]  # every edge but the pivot's own
     weights = (depth - depth[parent])[keep]

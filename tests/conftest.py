@@ -1,5 +1,7 @@
-"""Shared generators (planted ultrametrics, random tree metrics, partitions)
-and reference versions of replaced library code."""
+"""Shared generators (planted ultrametrics, random tree metrics, partitions),
+reference versions of replaced library code, and the checkers and helpers
+that only the tests run: components of pairs, the structural invariants of
+an agreement run and the flattening of a tree onto the values 1 and 2."""
 from __future__ import annotations
 
 import functools
@@ -20,12 +22,23 @@ from treefit.core import (
     UltraNode,
     UltrametricTree,
     WeightedTree,
+    _level_steps,
     _nth_pair,
+    _pair_ends,
+    _pair_position,
     _square,
+    _union_steps,
     all_pairs,
     clique_edges,
-    nested_components,
     sym_diff_size,
+)
+from treefit.hca import (
+    BALL_FAR,
+    BALL_NEAR,
+    HALF_FRACTION,
+    OUTSIDE_FRACTION,
+    _ball_tests,
+    check_hierarchy_friendly,
 )
 
 
@@ -336,6 +349,185 @@ def reference_exact_hcc(inst) -> tuple[HierarchySequence, float]:
         chain.append(choice[t][chain[-1]])
     hierarchy = HierarchySequence(tuple(partitions[i] for i in chain))
     return hierarchy, float(total)
+
+
+def components(universe, pairs) -> Partition:
+    """Connected components of the pairs, as a partition of the universe."""
+    idx = {lab: k for k, lab in enumerate(universe)}
+    level = np.ones(len(idx) * (len(idx) - 1) // 2, dtype=np.intp)
+    level[[_pair_position(idx, i, j) for i, j in pairs]] = 0
+    return nested_components(universe, level, 1)[0]
+
+
+def nested_components(universe, level: np.ndarray, n_levels: int) -> list[Partition]:
+    """Partition t is the components of the pairs whose level is <= t, level
+    holding each pair's level in `all_pairs(universe)` order."""
+    out, current = [], Partition.singletons(universe)
+    for joined, find in _union_steps(len(universe), _level_steps(len(universe), level, n_levels)):
+        if joined:
+            groups: dict[int, list[str]] = {}
+            for k, lab in enumerate(universe):
+                groups.setdefault(find(k), []).append(lab)
+            current = Partition.from_parts(universe, groups.values())
+        out.append(current)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Structural invariants of a full agreement run (`hca.fit_hca_report`)
+# ---------------------------------------------------------------------------
+
+CORE_GROWTH_LIMIT = 0.3       # |extended \ core| <= 0.3 |core|
+CORE_SHRINK_LIMIT = 0.1       # |lp_cluster \ core| < 0.1 |core|
+DIAMETER_LIMIT = 2 * BALL_NEAR
+REMOVED_COST_FACTOR = min(BALL_NEAR * HALF_FRACTION,
+                          (1.0 - BALL_FAR) * OUTSIDE_FRACTION)
+
+
+def cleaned_subset(sol, t: int, cluster: frozenset[str]) -> frozenset[str]:
+    """Members of one input cluster that pass both ball tests at level t."""
+    inside = [lab in cluster for lab in sol.labels]
+    keep = _ball_tests(sol, t, np.array(inside, dtype=np.intp))
+    return frozenset(lab for lab, a, ok in zip(sol.labels, inside, keep) if a and ok)
+
+
+def node_cluster(families, node):
+    """The cleaned cluster that made an internal forest node: the cluster of
+    its level that holds its core, or None. Same-level clusters are disjoint
+    and cores are not empty, so at most one does."""
+    return next((c for c in families.levels[node.level - 1] if node.core <= c.members), None)
+
+
+def descendant_leaves(forest, k: int) -> frozenset[str]:
+    """The labels of the level-0 nodes below node k of the forest."""
+    out: set[str] = set()
+    stack = [k]
+    while stack:
+        nd = forest.nodes[stack.pop()]
+        if nd.level == 0:
+            out |= nd.core
+        stack.extend(nd.children)
+    return frozenset(out)
+
+
+def invariant_violations(result, slack: float = 1e-6) -> list[str]:
+    """Check every structural invariant of a full (non-fast-path) run.
+
+    A node's LP cluster is the cleaned cluster that holds its core, and its
+    input cluster the part of `result.partitions` at its level that does."""
+    if result.fast_path:
+        return []
+    assert result.forest is not None and result.families is not None
+    assert result.lp is not None
+    forest, families, sol = result.forest, result.families, result.lp
+    problems: list[str] = []
+
+    if not check_hierarchy_friendly(families):
+        problems.append("cleaned families are not hierarchy-friendly")
+
+    for below, above in zip(result.hierarchy.levels, result.hierarchy.levels[1:]):
+        if not below.refines(above):
+            problems.append("output partitions do not refine upward")
+
+    root_union: set[str] = set()
+    for root in forest.nodes:
+        if root.parent is not None:
+            continue
+        if root_union & root.extended:
+            problems.append("root extended-clusters overlap")
+        root_union |= root.extended
+    if root_union != set(forest.universe):
+        problems.append("root extended-clusters do not cover the universe")
+
+    for k, node in enumerate(forest.nodes):
+        if node.level == 0:
+            continue
+        cluster = node_cluster(families, node)
+        lp_cluster = frozenset() if cluster is None else cluster.members
+        input_cluster = next((part for part in result.partitions[node.level - 1].parts
+                              if node.core <= part), frozenset())
+        if not (node.core <= lp_cluster <= input_cluster):
+            problems.append(f"node {k}: core/LP/input nesting broken")
+        if not node.core <= node.extended:
+            problems.append(f"node {k}: core not within extended")
+        if descendant_leaves(forest, k) != node.extended:
+            problems.append(f"node {k}: extended != descendant leaves")
+        grown = node.extended - node.core
+        shrunk = lp_cluster - node.core
+        if len(grown) > CORE_GROWTH_LIMIT * len(node.core):
+            problems.append(f"node {k}: extension exceeds 0.3 |core|")
+        if not len(shrunk) < CORE_SHRINK_LIMIT * len(node.core) + 1e-12:
+            problems.append(f"node {k}: removal exceeds 0.1 |core|")
+        if shrunk & grown:
+            problems.append(f"node {k}: removal and extension overlap")
+        inside = np.array([lab in lp_cluster for lab in sol.labels], dtype=bool)
+        i, j = _pair_ends(len(inside))
+        wide = sol.x[node.level - 1:, inside[i] & inside[j]] >= DIAMETER_LIMIT + slack
+        for t in np.flatnonzero(wide.any(axis=1)) + node.level:
+            problems.append(f"node {k}: LP diameter >= {DIAMETER_LIMIT} at level {t}")
+
+    costs = lp_module.lp_cost(result.instance, sol)
+    for t, q in enumerate(result.partitions):
+        for cluster in q.parts:
+            survivors = cleaned_subset(sol, t, cluster)
+            bound = REMOVED_COST_FACTOR * result.instance.deltas[t] * len(cluster)
+            for i in sorted(cluster - survivors):
+                if costs.species(t, i) < bound - slack:
+                    problems.append(
+                        f"species {i} removed at level {t + 1} but its LP cost "
+                        f"{costs.species(t, i):.6f} is below {bound:.6f}")
+    return problems
+
+
+# ---------------------------------------------------------------------------
+# Flattening onto two distance values
+# ---------------------------------------------------------------------------
+
+def _interior_nodes(tree: UltrametricTree):
+    """Internal nodes whose merge value lies strictly inside (1, 2), children
+    before parents.
+
+    Yields (value, min_leaf, cross, parent_value, max_child_value), where
+    cross lists the `all_pairs` positions of the pairs meeting at that node:
+    the pairs below it at its value.
+    """
+    parent, label, end = tree._parent.tolist(), tree._label, tree._end
+    value = (2.0 * tree._height).tolist()
+    i, j = _pair_ends(len(tree.labels))
+    found = []
+    for v in reversed(range(len(parent))):
+        if label[v] >= 0 or not 1.0 < value[v] < 2.0:
+            continue
+        below = np.zeros(len(tree.labels), dtype=bool)
+        below[label[v:end[v]][label[v:end[v]] >= 0]] = True
+        cross = np.flatnonzero(below[i] & below[j] & (tree.distances() == value[v]))
+        found.append((value[v], int(np.argmax(below)), cross.tolist(),
+                      value[parent[v]] if v else 2.0, max(value[v + 1:end[v]])))
+    return found
+
+
+def flatten_to_12(tree: UltrametricTree, d: DistanceMatrix) -> UltrametricTree:
+    """Push all tree distances into {1, 2} without increasing the error vs d.
+
+    Distances below 1 rise to 1 and above 2 drop to 2. Each remaining node
+    with a merge value strictly inside (1, 2) then moves to its parent's
+    value when at least half of its pairs prefer distance 2, and down onto
+    its highest child otherwise; every move merges the node away, so the
+    loop terminates with all values in {1, 2} and the error never increased.
+    """
+    if np.any((d.values != 1.0) & (d.values != 2.0)):
+        raise ValueError("reference distances must be exactly 1 or 2")
+    values = np.clip(tree.distances_in(d.labels), 1.0, 2.0)
+    while True:
+        current = UltrametricTree.from_distances(d.labels, values)
+        interior = _interior_nodes(current)
+        if not interior:
+            return current
+        _, _, cross, parent_value, max_child = min(
+            interior, key=lambda item: (item[0], item[1]))
+        ones = int(np.count_nonzero(d.values[cross] == 1.0))
+        twos = len(cross) - ones
+        values[cross] = parent_value if twos >= ones else max(1.0, max_child)
 
 
 def solve_on(backend: str, lp, *args, **kwargs):

@@ -29,7 +29,6 @@ from treefit.hca import (
     check_hierarchy_friendly,
     derive_hierarchy,
     fit_hca_report,
-    invariant_violations,
 )
 from treefit.hcc import fit_hcc
 from treefit.lp import HccInstance, build_lp, hierarchy_cost, solve_lp
@@ -37,7 +36,6 @@ from treefit.oracle import (
     exact_corr_cluster,
     exact_hcc,
     exact_ultrametric_l1,
-    flatten_to_12,
 )
 from treefit.treemetric import (
     clamp_to_restricted,
@@ -47,6 +45,8 @@ from treefit.treemetric import (
 )
 from treefit.ultrametric import fit_ultrametric, hcc_instance_from_distances
 from conftest import (
+    flatten_to_12,
+    invariant_violations,
     planted_ultrametric,
     random_hierarchy,
     random_matrix,

@@ -20,18 +20,17 @@ from treefit.core import (
     WeightedTree,
     all_pairs,
     clique_edges,
-    components,
     is_ultrametric,
-    lookup_pair,
     lp_norm_error,
     merge_ties,
-    nested_components,
     partition_table,
     sym_diff_size,
 )
 from treefit.io import newick_string, parse_newick
 from conftest import (
+    components,
     first_occurrence_strings,
+    nested_components,
     partition_tree,
     path_sum_distances,
     planted_ultrametric,
@@ -162,6 +161,27 @@ class TestIsUltrametric:
         for _ in range(30):
             m = random_ultrametric_map(rng, [f"s{k}" for k in range(6)])
             assert is_ultrametric(m)
+
+
+class TestPairMaps:
+    """is_ultrametric, UltrametricTree.from_map and DistanceMatrix.from_pairs
+    read a pair map one way: a missing pair, a value that is not finite, and
+    a pair keyed in both orientations with two values each raise a
+    ValueError that names the pair or the key."""
+
+    @pytest.mark.parametrize("labels, mapping, message", [
+        ("abc", {("a", "b"): 1.0, ("a", "c"): 2.0}, r"missing=\[\('b', 'c'\)\]"),
+        ("abc", {("a", "b"): 1.0, ("a", "c"): math.nan, ("b", "c"): 2.0},
+         r"\('a', 'c'\) must be finite, got nan"),
+        ("ab", {("a", "b"): 1.0, ("b", "a"): 5.0}, r"\('b', 'a'\) gives 5.0"),
+    ], ids=["missing", "nan", "two-values"])
+    def test_bad_maps_name_the_pair(self, labels, mapping, message):
+        with pytest.raises(ValueError, match=message):
+            is_ultrametric(mapping)
+        with pytest.raises(ValueError, match=message):
+            UltrametricTree.from_map(labels, mapping)
+        with pytest.raises(ValueError, match=message):
+            DistanceMatrix.from_pairs(labels, mapping)
 
 
 class TestUltrametricTree:
@@ -321,10 +341,12 @@ class TestDistanceMatrix:
 
 def triple_loop_is_ultrametric(mapping, tol):
     """The per-triple reference for is_ultrametric."""
+    def lookup(i, j):
+        return mapping[(i, j)] if (i, j) in mapping else mapping[(j, i)]
+
     labels = sorted({x for key in mapping for x in key})
     for i, j, k in itertools.combinations(labels, 3):
-        top, mid, _ = sorted((lookup_pair(mapping, i, j), lookup_pair(mapping, i, k),
-                              lookup_pair(mapping, j, k)), reverse=True)
+        top, mid, _ = sorted((lookup(i, j), lookup(i, k), lookup(j, k)), reverse=True)
         if top > mid + tol:
             return False
     return True

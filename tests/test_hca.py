@@ -1,9 +1,10 @@
+import dataclasses
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from treefit.core import HierarchySequence, Partition, all_pairs, components
+from treefit.core import HierarchySequence, Partition, all_pairs
 from treefit.corrclust import corr_cluster
 from treefit.hca import (
     BALL_FAR,
@@ -17,11 +18,9 @@ from treefit.hca import (
     LpCluster,
     LpClusterFamilies,
     check_hierarchy_friendly,
-    cleaned_subset,
     derive_hierarchy,
     fit_hca,
     fit_hca_report,
-    invariant_violations,
     is_hierarchical,
     lp_cleaning,
 )
@@ -29,7 +28,11 @@ from treefit.lp import HccInstance, LpSolution, build_lp, hierarchy_cost, solve_
 from treefit.oracle import exact_hca
 from treefit.ultrametric import hcc_instance_from_distances
 from conftest import (
+    cleaned_subset,
+    components,
     feasible_lp_maps,
+    invariant_violations,
+    node_cluster,
     random_hierarchy,
     random_matrix,
     random_partition,
@@ -156,6 +159,10 @@ class TestDeriveHierarchy:
         top = [nd for nd in forest.internal() if nd.level == 3][0]
         assert top.core == frozenset("d")
 
+    def test_forest_node_holds_only_what_assembly_reads(self):
+        assert [f.name for f in dataclasses.fields(ForestNode)] == [
+            "level", "core", "extended", "parent", "children"]
+
     def test_rejects_unfriendly_input(self):
         fams = LpClusterFamilies(UNI4, (
             (LpCluster(frozenset("ab"), frozenset("ab")),),
@@ -217,9 +224,8 @@ def reference_derive_hierarchy(universe, families):
     root_ids = []
     for lab in universe:
         nid = len(forest.nodes)
-        forest.nodes.append(ForestNode(
-            node_id=nid, level=0, core=frozenset([lab]),
-            extended=frozenset([lab]), lp_cluster=None, input_cluster=None))
+        forest.nodes.append(ForestNode(level=0, core=frozenset([lab]),
+                                       extended=frozenset([lab])))
         root_ids.append(nid)
 
     out_levels = []
@@ -246,9 +252,8 @@ def reference_derive_hierarchy(universe, families):
                 extended |= forest.nodes[rid].extended
             nid = len(forest.nodes)
             forest.nodes.append(ForestNode(
-                node_id=nid, level=t + 1, core=frozenset(core),
-                extended=frozenset(extended), lp_cluster=cluster.members,
-                input_cluster=cluster.input_cluster, children=tuple(children)))
+                level=t + 1, core=frozenset(core),
+                extended=frozenset(extended), children=tuple(children)))
             for rid in children:
                 forest.nodes[rid].parent = nid
             root_ids = [r for r in root_ids if r not in set(children)]
@@ -258,13 +263,13 @@ def reference_derive_hierarchy(universe, families):
     return HierarchySequence(tuple(out_levels)), forest
 
 
-def node_records(forest):
-    """Each node as its level, core, extended set, LP and input clusters and
-    the extended sets of its children and parent: what does not depend on
-    how the nodes are numbered."""
+def node_records(forest, families):
+    """Each node as its level, core, extended set, the cleaned cluster that
+    made it and the extended sets of its children and parent: what does not
+    depend on how the nodes are numbered."""
     nodes = forest.nodes
     return Counter(
-        (nd.level, nd.core, nd.extended, nd.lp_cluster, nd.input_cluster,
+        (nd.level, nd.core, nd.extended, node_cluster(families, nd) if nd.level else None,
          frozenset(nodes[c].extended for c in nd.children),
          None if nd.parent is None else nodes[nd.parent].extended)
         for nd in nodes)
@@ -304,7 +309,7 @@ class TestAssemblyMatchesReference:
             hierarchy, forest = derive_hierarchy(labels, fams)
             want, want_forest = reference_derive_hierarchy(labels, fams)
             assert hierarchy == want
-            assert node_records(forest) == node_records(want_forest)
+            assert node_records(forest, fams) == node_records(want_forest, fams)
             skips += len(forest.internal()) < sum(len(fam) for fam in levels)
         assert unfriendly >= 1 and skips >= 1
 

@@ -6,20 +6,30 @@ from treefit.core import (
     HierarchySequence,
     all_pairs,
     clique_edges,
-    components,
     sym_diff_size,
 )
 from treefit.corrclust import EXACT_CAP
 from treefit.hca import is_hierarchical
-from treefit.hcc import fit_hcc, triangle_switch_holds
+from treefit.hcc import fit_hcc
 from treefit.lp import HccInstance, build_lp, hierarchy_cost, solve_lp
 from treefit.oracle import exact_corr_cluster, exact_hcc
 from treefit.ultrametric import hcc_instance_from_distances
-from conftest import random_hierarchy, random_partition
+from conftest import components, random_hierarchy, random_partition
 
 
 def es(universe, pairs):
     return EdgeSet.from_pairs(universe, pairs)
+
+
+def triangle_switch_holds(result) -> bool:
+    """|E sdiff P| <= |E sdiff Q| + |Q sdiff P| per level, always exact."""
+    for t in range(result.instance.n_levels):
+        e = result.instance.edge_sets[t]
+        q = clique_edges(result.partitions[t])
+        p = clique_edges(result.hierarchy.levels[t])
+        if sym_diff_size(e, p) > sym_diff_size(e, q) + sym_diff_size(q, p):
+            return False
+    return True
 
 
 def random_instance(rng, n, n_levels):

@@ -22,14 +22,14 @@ from treefit.oracle import (
     exact_corr_cluster,
     exact_hca,
     exact_hcc,
-    _interior_nodes,
     _refines,
     exact_ultrametric_l1,
-    flatten_to_12,
 )
 from treefit.ultrametric import fit_ultrametric, hcc_instance_from_distances
 from conftest import (
+    _interior_nodes,
     first_occurrence_strings,
+    flatten_to_12,
     partition_tree,
     random_matrix,
     random_partition,

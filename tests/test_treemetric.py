@@ -14,7 +14,6 @@ from treefit.core import (
     all_pairs,
     is_ultrametric,
     lp_norm_error,
-    lookup_pair,
 )
 from treefit.treemetric import (
     clamp_to_restricted,
@@ -34,15 +33,15 @@ AB, BC = 0, 2  # positions of ("a", "b") and ("b", "c") in all_pairs("abc")
 def random_metric(rng, labels):
     """Random metric via shortest-path closure of random positive values."""
     labels = tuple(labels)
-    raw = {p: rng.uniform(0.5, 4.0) for p in all_pairs(labels)}
+    raw = {frozenset(p): rng.uniform(0.5, 4.0) for p in all_pairs(labels)}
     # Floyd-Warshall closure
     for k in labels:
         for i in labels:
             for j in labels:
                 if len({i, j, k}) < 3:
                     continue
-                p = (i, j) if i < j else (j, i)
-                via = lookup_pair(raw, i, k) + lookup_pair(raw, k, j)
+                p = frozenset((i, j))
+                via = raw[frozenset((i, k))] + raw[frozenset((k, j))]
                 if raw[p] > via:
                     raw[p] = via
     return DistanceMatrix.from_pairs(labels, raw)
@@ -53,7 +52,8 @@ class TestGromovTransform:
         r = gromov_transform(STAR, "a")
         assert r.gamma == 3.0
         assert r.transformed.value("b", "c") == pytest.approx(2.0)
-        assert r.betas == {"a": 3.0, "b": 1.0, "c": 0.0}
+        assert r.betas.tolist() == [3.0, 1.0, 0.0]
+        assert r.floors.tolist() == [3.0, 3.0, 1.0]
         assert r.transformed.value("a", "b") == 3.0
         assert is_ultrametric(r.transformed.d)
 
@@ -65,7 +65,7 @@ class TestGromovTransform:
             assert is_ultrametric(r.transformed.d, tol=1e-9)
             for i, j, v in r.transformed.pairs():
                 assert v <= r.gamma + 1e-9
-                assert v >= max(r.betas[i], r.betas[j]) - 1e-9
+                assert v >= max(r.betas[d.index[i]], r.betas[d.index[j]]) - 1e-9
 
     def test_two_points(self):
         d = DistanceMatrix.from_pairs("ab", {("a", "b"): 4.0})
@@ -135,7 +135,7 @@ class TestSqueeze:
         lowered = self.r.transformed.values.copy()
         lowered[BC] = 0.25
         raised = clamp_to_restricted(lowered, self.r)
-        assert raised[BC] == max(self.r.betas["b"], self.r.betas["c"])
+        assert raised[BC] == max(self.r.betas[1], self.r.betas[2])
 
 
 class TestClamp:
@@ -176,7 +176,7 @@ def reference_tree_edges(u, r):
         if node.is_leaf:
             if node.label != r.pivot:
                 edges.append((parent_name, node.label,
-                              max(0.0, r.heights[node.label] - parent_depth)))
+                              max(0.0, r.heights[labels.index(node.label)] - parent_depth)))
             return
         if parent_name is None:
             name, depth = r.pivot, 0.0
@@ -225,7 +225,7 @@ class TestRestrictedToTree:
         u = np.full(len(r.transformed.values), r.gamma)
         tree = restricted_to_tree(u, r, STAR)
         h = r.heights
-        assert tree.distance("b", "c") == pytest.approx(h["b"] + h["c"])
+        assert tree.distance("b", "c") == pytest.approx(h[1] + h[2])
 
     def test_restriction_violation_rejected(self):
         r = gromov_transform(STAR, "a")
