@@ -24,8 +24,8 @@ from .hcc import lp_lower_bound
 from .io import DataError, newick_string, parse_matrix, parse_newick
 from .lp import DEFAULT_FEAS_TOL, HccInstance, LpSolution, SolverError, build_lp, solve_lp
 from .oracle import exact_hca, exact_ultrametric_l1
-from .treemetric import fit_tree_metric, gromov_transform, pivot_subproblem
-from .ultrametric import fit_ultrametric, hcc_instance_from_distances
+from .treemetric import fit_tree_metric
+from .ultrametric import fit_ultrametric
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -180,18 +180,11 @@ def _cmd_fit(args):
     if args.tree_out is not None:
         files[args.tree_out] = newick + "\n"
     if args.dump_lp is not None:
-        # the instance the fit solved: in tree mode the winning pivot's subproblem
-        hcc = fitted.details.get("hcc")
-        if hcc is not None:
-            files[args.dump_lp] = _lp_dump(hcc.instance, hcc.lp_solution, args.lp_tol)
-        elif fitted.num_levels:  # an exact input, which skips clustering: slice it again
-            sub = d if args.mode == "ultrametric" else pivot_subproblem(
-                gromov_transform(d, fitted.details["pivot"]))
-            files[args.dump_lp] = _lp_dump(hcc_instance_from_distances(sub)[0], None,
-                                           args.lp_tol)
-        else:
-            files[args.dump_lp] = NO_LP.format(
-                "single label" if d.n == 1 else "single distinct distance")
+        # the LP behind the bound: in tree mode the winning pivot's subproblem
+        inst = fitted.details["instance"]
+        files[args.dump_lp] = (
+            _lp_dump(inst, fitted.details["lp_solution"], args.lp_tol) if inst is not None
+            else NO_LP.format("single label" if d.n == 1 else "single distinct distance"))
     return report, [], files
 
 

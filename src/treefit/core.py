@@ -88,10 +88,10 @@ def _pair_position(index: Mapping[str, int], i: str, j: str) -> int:
 
 def _key_positions(index: Mapping[str, int], keys: Iterable) -> list[int]:
     """The `all_pairs` position of each key, a 2-element tuple or frozenset
-    of labels; any other key raises a ValueError that names it."""
+    of labels; any other key, a string too, raises a ValueError that names it."""
     out = []
     for key in keys:
-        pair = tuple(key)
+        pair = () if isinstance(key, str) else tuple(key)
         if len(pair) != 2 or not all(lab in index for lab in pair):
             raise ValueError(f"bad pair keys: {key!r} is not a pair of labels")
         out.append(_pair_position(index, *pair))
@@ -541,6 +541,8 @@ class UltrametricTree(_RootedTree):
         sit at values[t], values increasing: the components one step joins
         become one node at height values[t] / 2, its children in the order of
         their first labels. The steps must join every label."""
+        if not labels:
+            raise ValueError("an ultrametric tree needs at least one label")
         node = [UltraNode(0.0, (), lab) for lab in labels]  # of each component, by its root
         for value, (joined, _) in zip(values, _union_steps(len(labels), steps)):
             for r, roots in joined.items():

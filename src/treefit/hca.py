@@ -35,36 +35,25 @@ KEEP_FRACTION = 0.9
 
 
 @dataclass(frozen=True)
-class LpCluster:
-    """A cleaned cluster, remembering the input cluster it came from."""
-
-    members: frozenset[str]
-    input_cluster: frozenset[str]
-
-
-@dataclass(frozen=True)
 class LpClusterFamilies:
-    """Per level, the disjoint clusters that survived cleaning."""
+    """Per level, the disjoint label sets that survived cleaning."""
 
     universe: tuple[str, ...]
-    levels: tuple[tuple[LpCluster, ...], ...]
+    levels: tuple[tuple[frozenset[str], ...], ...]
 
     def __post_init__(self):
         universe = set(self.universe)
         for t, fam in enumerate(self.levels):
             seen: set[str] = set()
             for cluster in fam:
-                if not cluster.members:
+                if not cluster:
                     raise ValueError(f"empty cluster at level {t + 1}")
-                outside = cluster.members - universe
+                outside = cluster - universe
                 if outside:
                     raise ValueError(f"label {min(outside)!r} outside the universe")
-                if cluster.members & seen:
+                if cluster & seen:
                     raise ValueError("same-level clusters overlap")
-                seen |= cluster.members
-
-    def n_levels(self) -> int:
-        return len(self.levels)
+                seen |= cluster
 
 
 def _ball_tests(sol: LpSolution, t: int, part_of: np.ndarray) -> list[bool]:
@@ -95,23 +84,20 @@ def lp_cleaning(partitions: Sequence[Partition], sol: LpSolution) -> LpClusterFa
         for lab, k, ok in zip(universe, q.part_of, _ball_tests(sol, t, np.array(q.part_of))):
             if ok:
                 survivors[k].append(lab)
-        fam = []
-        for cluster, kept in zip(q.parts, survivors):
-            if len(kept) >= KEEP_FRACTION * len(cluster):
-                fam.append(LpCluster(members=frozenset(kept), input_cluster=cluster))
-        levels.append(tuple(fam))
+        levels.append(tuple(frozenset(kept) for cluster, kept in zip(q.parts, survivors)
+                            if len(kept) >= KEEP_FRACTION * len(cluster)))
     return LpClusterFamilies(universe=tuple(universe), levels=tuple(levels))
 
 
 def check_hierarchy_friendly(families: LpClusterFamilies) -> bool:
     """No lower-level cluster may intersect two distinct same-level clusters."""
     # per level above the first, the index of the cluster holding each label
-    owners = [{x: k for k, cluster in enumerate(fam) for x in cluster.members}
+    owners = [{x: k for k, cluster in enumerate(fam) for x in cluster}
               for fam in families.levels[1:]]
     for t, fam in enumerate(families.levels):
         for low in fam:
             for owner in owners[t:]:
-                if len({owner[x] for x in low.members if x in owner}) >= 2:
+                if len({owner[x] for x in low if x in owner}) >= 2:
                     return False
     return True
 
@@ -168,14 +154,14 @@ def derive_hierarchy(universe: Sequence[str], families: LpClusterFamilies
     for t, fam in enumerate(families.levels):
         for cluster in fam:
             # positions only grow, so sorted ones are the order the roots were made in
-            children = sorted({root[x] for x in cluster.members if x in nodes[root[x]].core})
+            children = sorted({root[x] for x in cluster if x in nodes[root[x]].core})
             if not children:
                 # outside the guarantees of cleaned input; an empty core would
                 # make an empty part, so the cluster is skipped
                 continue
             nid = len(nodes)
             extended = frozenset().union(*(nodes[c].extended for c in children))
-            nodes.append(ForestNode(level=t + 1, core=cluster.members & extended,
+            nodes.append(ForestNode(level=t + 1, core=cluster & extended,
                                     extended=extended, children=tuple(children)))
             for c in children:
                 nodes[c].parent = nid

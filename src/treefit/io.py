@@ -230,7 +230,8 @@ def write_newick(tree, path: str | Path) -> None:
 
 
 def parse_newick(text: str) -> WeightedTree:
-    """Parse a Newick string into a weighted tree; named nodes become labels."""
+    """Parse a Newick string into a weighted tree; named nodes become labels.
+    Blanks around a name and before a '(' are skipped; blanks inside a name stay."""
     text = text.strip()
     if not text.endswith(";"):
         raise DataError("Newick text must end with ';'")
@@ -244,13 +245,14 @@ def parse_newick(text: str) -> WeightedTree:
     k = 0
     while True:
         if not children:
-            while k < len(body) and body[k] == "(":
-                groups.append([])
+            while k < len(body) and (body[k] == "(" or body[k].isspace()):
+                if body[k] == "(":
+                    groups.append([])
                 k += 1
         name_start = k
         while k < len(body) and body[k] not in ":():,;":
             k += 1
-        name = body[name_start:k]
+        name = body[name_start:k].strip()
         length = None
         if k < len(body) and body[k] == ":":
             k += 1

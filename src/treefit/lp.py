@@ -18,6 +18,8 @@ gives the same points and iteration counts as `linprog` without its input
 handling.
 The binding's extension file is loaded on its own (`_highspy`), so the
 HiGHS path imports neither `scipy.optimize` nor the rest of scipy.
+A fit records the LP behind its bound in its `details["instance"]` and
+`["lp_solution"]`, which `--dump-lp` writes.
 """
 from __future__ import annotations
 

@@ -30,8 +30,6 @@ from .lp import HccInstance
 from .ultrametric import hierarchy_to_ultrametric, slice_levels, star_tree
 
 ULTRAMETRIC_CAP = 7
-HCA_CAP_N = 6
-HCA_CAP_LEVELS = 3
 
 
 @functools.lru_cache(maxsize=8)
@@ -70,14 +68,8 @@ def exact_hcc(inst: HccInstance) -> tuple[HierarchySequence, float]:
 
 def exact_hca(universe: Sequence[str], partitions: Sequence[Partition],
               deltas: Sequence[float]) -> tuple[HierarchySequence, float]:
-    """Exact hierarchical agreement optimum (clique edge sets per level)."""
-    universe = tuple(universe)
-    if len(universe) > HCA_CAP_N:
-        raise ValueError(f"exact agreement solver capped at n={HCA_CAP_N}")
-    if len(partitions) > HCA_CAP_LEVELS:
-        raise ValueError(f"exact agreement solver capped at {HCA_CAP_LEVELS} levels")
-    inst = HccInstance.from_partitions(universe, deltas, partitions)
-    return exact_hcc(inst)
+    """Exact agreement optimum: `exact_hcc` on the partitions' clique edge sets."""
+    return exact_hcc(HccInstance.from_partitions(universe, deltas, partitions))
 
 
 def exact_ultrametric_l1(d: DistanceMatrix) -> tuple[UltrametricTree, float]:

@@ -180,7 +180,8 @@ def fit_tree_metric(d: DistanceMatrix, *, pivot_mode: str = "all",
 
     pivot_mode "all" tries every label as the pivot and keeps the best
     candidate (the approximation guarantee needs this); "fixed" uses one
-    pivot and is faster but forfeits the guarantee.
+    pivot and is faster but forfeits the guarantee. The bound and its record
+    are those of the kept pivot's subproblem (see `fit_ultrametric`).
     """
     check_fit_args(d, strategy, feas_tol)
     if pivot_mode not in ("all", "fixed"):
@@ -208,17 +209,14 @@ def fit_tree_metric(d: DistanceMatrix, *, pivot_mode: str = "all",
     assert best is not None
     err, chosen, tree, sub = best
     # only the winning pivot's bound is reported, so only its LP is solved
-    bound, lp_solution = 0.0, None
-    hcc_result = sub.details.get("hcc")
-    if hcc_result is not None:
-        bound, lp_solution = lp_lower_bound(hcc_result.instance, hcc_result.cost,
-                                            feas_tol=feas_tol)
-        hcc_result.lp_lower_bound, hcc_result.lp_solution = bound, lp_solution
+    inst = sub.details["instance"]
+    bound, lp_solution = (0.0, None) if inst is None else lp_lower_bound(
+        inst, sub.details["hcc_cost"], feas_tol=feas_tol)
     fixed = pseudometric_to_metric(tree, d, 1.0 / len(d.labels))
     final_err = lp_norm_error(fixed, d, 1)
     return FittedTree(kind="tree", tree=fixed, l1_error=final_err,
                       lp_lower_bound=bound,
                       num_levels=sub.num_levels,
                       details={"pivot": chosen, "per_pivot_error": per_pivot,
-                               "pre_fix_error": err, "lp_solution": lp_solution,
-                               "hcc": hcc_result})
+                               "pre_fix_error": err, "instance": inst,
+                               "lp_solution": lp_solution, "hcc": sub.details.get("hcc")})

@@ -163,7 +163,9 @@ def fit_ultrametric(d: DistanceMatrix, *, strategy: str = "pivot-sweep",
 
     When every level is already a union of cliques (and when there is no
     level), those cliques are the hierarchy each strategy finds, at cost 0,
-    so the tree is built from them directly: bound 0, no `hcc` entry.
+    so the tree is built from them directly: bound 0, no `hcc` entry. The LP
+    behind the bound and its point are `details["instance"]` and
+    `["lp_solution"]`, None without levels and without a solve.
     """
     check_fit_args(d, strategy, feas_tol)
     inst, levels = hcc_instance_from_distances(d)
@@ -171,12 +173,14 @@ def fit_ultrametric(d: DistanceMatrix, *, strategy: str = "pivot-sweep",
     if reps is not None:
         # values merged within VALUE_MERGE_TOL still differ from the tree
         tree = levels_to_ultrametric(d.labels, levels, reps)
-        bound, details = 0.0, {"fast_path": True, "hcc_cost": 0.0}
+        bound, details = 0.0, {"fast_path": True, "hcc_cost": 0.0, "lp_solution": None}
     else:
         result = fit_hcc(inst, strategy=strategy, seed=seed,
                          feas_tol=feas_tol, lower_bound=lower_bound)
         tree = hierarchy_to_ultrametric(result.hierarchy, levels)
         bound, details = result.lp_lower_bound, {
-            "fast_path": result.hca.fast_path, "hcc_cost": result.cost, "hcc": result}
+            "fast_path": result.hca.fast_path, "hcc_cost": result.cost, "hcc": result,
+            "lp_solution": result.lp_solution}
+    details["instance"] = inst
     return FittedTree(kind="ultrametric", tree=tree, l1_error=lp_norm_error(tree, d, 1),
                       lp_lower_bound=bound, num_levels=levels.n_levels, details=details)

@@ -395,7 +395,7 @@ def node_cluster(families, node):
     """The cleaned cluster that made an internal forest node: the cluster of
     its level that holds its core, or None. Same-level clusters are disjoint
     and cores are not empty, so at most one does."""
-    return next((c for c in families.levels[node.level - 1] if node.core <= c.members), None)
+    return next((c for c in families.levels[node.level - 1] if node.core <= c), None)
 
 
 def descendant_leaves(forest, k: int) -> frozenset[str]:
@@ -442,8 +442,7 @@ def invariant_violations(result, slack: float = 1e-6) -> list[str]:
     for k, node in enumerate(forest.nodes):
         if node.level == 0:
             continue
-        cluster = node_cluster(families, node)
-        lp_cluster = frozenset() if cluster is None else cluster.members
+        lp_cluster = node_cluster(families, node) or frozenset()
         input_cluster = next((part for part in result.partitions[node.level - 1].parts
                               if node.core <= part), frozenset())
         if not (node.core <= lp_cluster <= input_cluster):

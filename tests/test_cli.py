@@ -11,7 +11,9 @@ import pytest
 from treefit.cli import main
 from treefit.core import DistanceMatrix, lp_norm_error
 from treefit.io import newick_string, parse_newick, write_matrix_csv
-from conftest import planted_ultrametric, random_matrix, random_tree_metric
+from treefit.lp import HccInstance
+from conftest import (planted_ultrametric, random_matrix, random_partition,
+                      random_tree_metric, reference_exact_hcc)
 
 REPORT_KEYS = ["n", "mode", "l1_error", "lp_lower_bound", "num_levels",
                "ratio_to_lp", "tree_newick", "wall_ms"]
@@ -76,6 +78,15 @@ class TestFit:
         assert run_cli("eval", nwk, src, "--json-out", out) == 0
         expected = lp_norm_error(parse_newick(nwk.read_text()), noisy, 1)
         assert json.loads(out.read_text())["l1_error"] == expected
+
+    def test_eval_reads_names_with_blanks_around(self, tmp_path, capsys):
+        d = DistanceMatrix.from_pairs("abc", {("a", "b"): 3.0, ("a", "c"): 4.0,
+                                              ("b", "c"): 5.0})
+        src, nwk, out = tmp_path / "m.csv", tmp_path / "t.nwk", tmp_path / "e.json"
+        write_matrix_csv(d, src)
+        nwk.write_text("((a:1, b:2):1,\n c:2);\n")
+        assert run_cli("eval", nwk, src, "--json-out", out) == 0
+        assert json.loads(out.read_text())["l1_error"] == 0.0
 
     def test_seeded_runs_byte_identical(self, fix123, tmp_path, capsys):
         outs = []
@@ -165,17 +176,30 @@ class TestOtherCommands:
         assert run_cli("oracle", "hca", path) == 2
         assert "positive and finite" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("n, n_levels, message", [
-        (7, 1, "capped at n=6"), (4, 4, "capped at 3 levels")])
-    def test_oracle_hca_over_its_caps(self, n, n_levels, message, tmp_path, capsys):
-        labels = [f"s{k}" for k in range(n)]
+    def test_oracle_hca_over_its_cap(self, tmp_path, capsys):
+        labels = [f"s{k}" for k in range(8)]
         path = tmp_path / "inst.json"
-        path.write_text(json.dumps({"labels": labels, "deltas": [1.0] * n_levels,
-                                    "partitions": [[[lab] for lab in labels]] * n_levels}))
+        path.write_text(json.dumps({"labels": labels, "deltas": [1.0],
+                                    "partitions": [[[lab] for lab in labels]]}))
         assert run_cli("oracle", "hca", path) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("treefit: data error: ") and message in captured.err
+        assert captured.err.startswith("treefit: data error: ")
+        assert "capped at n=7" in captured.err
+
+    def test_oracle_hca_at_its_cap(self, tmp_path, capsys):
+        # 7 labels and 4 levels: the refinement DP's cap, any number of levels
+        rng = random.Random(3)
+        labels = tuple(f"s{k}" for k in range(7))
+        deltas = [1.0, 2.0, 0.5, 1.5]
+        partitions = [random_partition(rng, labels) for _ in deltas]
+        path, out = tmp_path / "inst.json", tmp_path / "r.json"
+        path.write_text(json.dumps({"labels": labels, "deltas": deltas, "partitions": [
+            [sorted(part) for part in q.parts] for q in partitions]}))
+        assert run_cli("oracle", "hca", path, "--json-out", out) == 0
+        want = reference_exact_hcc(HccInstance.from_partitions(labels, deltas, partitions))[1]
+        report = json.loads(out.read_text())
+        assert (report["l1_error"], report["num_levels"]) == (want, 4)
 
     def test_oracle_corrclust(self, fix123, capsys):
         assert run_cli("oracle", "corrclust", fix123, "--threshold", "1") == 0

@@ -184,7 +184,28 @@ class TestPairMaps:
             DistanceMatrix.from_pairs(labels, mapping)
 
 
+    def test_string_keys_are_not_pairs(self):
+        # "ab" is one string, not the pair of the labels "a" and "b"
+        message = "bad pair keys: 'ab' is not a pair of labels"
+        with pytest.raises(ValueError, match=message):
+            DistanceMatrix.from_pairs(("a", "b"), {"ab": 1.0})
+        with pytest.raises(ValueError, match=message):
+            UltrametricTree.from_map(("a", "b"), {"ab": 1.0})
+        with pytest.raises(ValueError, match=message):
+            EdgeSet.from_pairs(("a", "b"), ["ab"])
+        with pytest.raises(ValueError, match=message):
+            is_ultrametric({"ab": 1.0, "ac": 2.0, "bc": 2.0})
+        with pytest.raises(ValueError, match="bad pair keys: 'bc' is not a pair"):
+            is_ultrametric({("a", "b"): 1.0, ("a", "c"): 2.0, "bc": 2.0})
+
+
 class TestUltrametricTree:
+    def test_empty_tree_raises(self):
+        with pytest.raises(ValueError, match="needs at least one label"):
+            UltrametricTree.from_distances((), [])
+        with pytest.raises(ValueError, match="needs at least one label"):
+            UltrametricTree.from_map((), {})
+
     def test_from_map_realizes_input(self, rng):
         labels = tuple(f"s{k}" for k in range(8))
         for _ in range(20):

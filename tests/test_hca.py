@@ -15,7 +15,6 @@ from treefit.hca import (
     ClusterForest,
     ForestNode,
     HcaResult,
-    LpCluster,
     LpClusterFamilies,
     check_hierarchy_friendly,
     derive_hierarchy,
@@ -60,7 +59,7 @@ class TestLpCleaning:
         level = {p: (0.0 if q.same_part(*p) else 1.0) for p in all_pairs(labels)}
         sol = solution_from_maps(labels, [level])
         fams = lp_cleaning([q], sol)
-        assert {c.members for c in fams.levels[0]} == set(q.parts)
+        assert set(fams.levels[0]) == set(q.parts)
 
     def test_far_species_dropped_cluster_kept(self):
         labels = tuple(f"s{k}" for k in range(10))
@@ -72,9 +71,9 @@ class TestLpCleaning:
         q = Partition.from_parts(labels, [set(labels)])
         fams = lp_cleaning([q], sol)
         assert len(fams.levels[0]) == 1
-        survivors = fams.levels[0][0].members
+        survivors = fams.levels[0][0]
         assert survivors == frozenset(labels) - {outlier}
-        assert fams.levels[0][0].input_cluster == frozenset(labels)
+        assert q.parts == (frozenset(labels),)  # the input cluster it came from
 
     def test_two_failures_discard_cluster(self):
         # p1, p2 pass the near-ball test, f1, f2 fail it, 2 < 0.9 * 4
@@ -91,7 +90,7 @@ class TestLpCleaning:
         sol = solution_from_maps(labels, [{("a", "b"): 1.0}])
         q = Partition.singletons(labels)
         fams = lp_cleaning([q], sol)
-        assert {c.members for c in fams.levels[0]} == {frozenset("a"), frozenset("b")}
+        assert set(fams.levels[0]) == {frozenset("a"), frozenset("b")}
 
     def test_all_distances_half_discards_everything(self):
         labels = tuple("abcd")
@@ -104,25 +103,25 @@ class TestLpCleaning:
 class TestClusterFamilies:
     def test_rejects_a_label_outside_the_universe(self):
         with pytest.raises(ValueError, match="label 'z' outside the universe"):
-            LpClusterFamilies(UNI4, ((LpCluster(frozenset("az"), frozenset("az")),),))
+            LpClusterFamilies(UNI4, ((frozenset("az"),),))
 
     def test_rejects_an_empty_cluster(self):
         with pytest.raises(ValueError, match="empty cluster at level 2"):
-            LpClusterFamilies(UNI4, ((), (LpCluster(frozenset(), frozenset("ab")),)))
+            LpClusterFamilies(UNI4, ((), (frozenset(),)))
 
 
 class TestHierarchyFriendly:
     def test_nested_families(self):
         fams = LpClusterFamilies(UNI4, (
-            (LpCluster(frozenset("ab"), frozenset("ab")),),
-            (LpCluster(frozenset("abc"), frozenset("abc")),)))
+            (frozenset("ab"),),
+            (frozenset("abc"),)))
         assert check_hierarchy_friendly(fams)
 
     def test_split_above_violates(self):
         fams = LpClusterFamilies(UNI4, (
-            (LpCluster(frozenset("ab"), frozenset("ab")),),
-            (LpCluster(frozenset("a"), frozenset("a")),
-             LpCluster(frozenset("b"), frozenset("b")))))
+            (frozenset("ab"),),
+            (frozenset("a"),
+             frozenset("b"))))
         assert not check_hierarchy_friendly(fams)
 
     def test_empty_families(self):
@@ -133,16 +132,16 @@ class TestHierarchyFriendly:
 class TestDeriveHierarchy:
     def test_nested_input_passes_through(self):
         fams = LpClusterFamilies(UNI4, (
-            (LpCluster(frozenset("ab"), frozenset("ab")),),
-            (LpCluster(frozenset("abc"), frozenset("abc")),)))
+            (frozenset("ab"),),
+            (frozenset("abc"),)))
         h, _ = derive_hierarchy(UNI4, fams)
         assert parts(h.levels[0]) == [["a", "b"], ["c"], ["d"]]
         assert parts(h.levels[1]) == [["a", "b", "c"], ["d"]]
 
     def test_overlap_extends_by_absorbing_roots(self):
         fams = LpClusterFamilies(UNI4, (
-            (LpCluster(frozenset("ab"), frozenset("ab")),),
-            (LpCluster(frozenset("bc"), frozenset("bc")),)))
+            (frozenset("ab"),),
+            (frozenset("bc"),)))
         h, forest = derive_hierarchy(UNI4, fams)
         assert parts(h.levels[1]) == [["a", "b", "c"], ["d"]]
         top = [nd for nd in forest.internal() if nd.level == 2][0]
@@ -151,9 +150,9 @@ class TestDeriveHierarchy:
 
     def test_removal_branch(self):
         fams = LpClusterFamilies(UNI4, (
-            (LpCluster(frozenset("ab"), frozenset("ab")),),
-            (LpCluster(frozenset("bc"), frozenset("bc")),),
-            (LpCluster(frozenset("ad"), frozenset("ad")),)))
+            (frozenset("ab"),),
+            (frozenset("bc"),),
+            (frozenset("ad"),)))
         h, forest = derive_hierarchy(UNI4, fams)
         assert parts(h.levels[2]) == [["a", "b", "c"], ["d"]]
         top = [nd for nd in forest.internal() if nd.level == 3][0]
@@ -165,9 +164,9 @@ class TestDeriveHierarchy:
 
     def test_rejects_unfriendly_input(self):
         fams = LpClusterFamilies(UNI4, (
-            (LpCluster(frozenset("ab"), frozenset("ab")),),
-            (LpCluster(frozenset("a"), frozenset("a")),
-             LpCluster(frozenset("b"), frozenset("b")))))
+            (frozenset("ab"),),
+            (frozenset("a"),
+             frozenset("b"))))
         with pytest.raises(ValueError):
             derive_hierarchy(UNI4, fams)
 
@@ -204,11 +203,11 @@ class TestDeriveHierarchy:
 
 def reference_check_hierarchy_friendly(families):
     """check_hierarchy_friendly, by intersecting every pair of clusters."""
-    for t_low in range(families.n_levels()):
+    for t_low in range(len(families.levels)):
         for low in families.levels[t_low]:
-            for t_high in range(t_low + 1, families.n_levels()):
+            for t_high in range(t_low + 1, len(families.levels)):
                 hits = sum(1 for high in families.levels[t_high]
-                           if low.members & high.members)
+                           if low & high)
                 if hits >= 2:
                     return False
     return True
@@ -229,17 +228,16 @@ def reference_derive_hierarchy(universe, families):
         root_ids.append(nid)
 
     out_levels = []
-    for t in range(families.n_levels()):
+    for t in range(len(families.levels)):
         fam = tuple(sorted(
-            families.levels[t], key=lambda c: (-len(c.members),
-                                               min(label_pos[x] for x in c.members))))
+            families.levels[t], key=lambda c: (-len(c), min(label_pos[x] for x in c))))
         for cluster in fam:
-            core = set(cluster.members)
+            core = set(cluster)
             removers = []
             children = []
             for rid in root_ids:
                 root = forest.nodes[rid]
-                if root.core & cluster.members:
+                if root.core & cluster:
                     children.append(rid)
                 else:
                     removers.append(rid)
@@ -295,7 +293,7 @@ class TestAssemblyMatchesReference:
                 for part in q.parts:
                     members = frozenset(x for x in part if rng.random() < 0.8)
                     if members and rng.random() < 0.9:
-                        fam.append(LpCluster(members, part))
+                        fam.append(members)
                 rng.shuffle(fam)
                 levels.append(tuple(fam))
             fams = LpClusterFamilies(labels, tuple(levels))
@@ -421,7 +419,7 @@ class TestCleaningMatchesReference:
                 survivors = reference_cleaned_subset(sol, t, cluster)
                 assert cleaned_subset(sol, t, cluster) == survivors
                 if len(survivors) >= KEEP_FRACTION * len(cluster):
-                    level.append(LpCluster(members=survivors, input_cluster=cluster))
+                    level.append(survivors)
             want.append(tuple(level))
         assert lp_cleaning(partitions, sol).levels == tuple(want)
         return sum(len(level) for level in want)

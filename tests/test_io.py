@@ -200,6 +200,15 @@ class TestNewick:
         assert tree.edges == (("@1", "a", 1.0), ("@1", "b", 1.0),
                               ("@2", "@1", 1.0), ("@2", "c", 2.0))
 
+    def test_blanks_around_names_are_skipped(self):
+        tree = parse_newick("((a:1, b:2):1,\n c:2);")
+        assert (tree.labels, tree.edges) == (("a", "b", "c"),
+                                             parse_newick("((a:1,b:2):1,c:2);").edges)
+        # blanks inside a name stay; blanks before a '(' are skipped too
+        tree = parse_newick(" ( (x y:1, z :2) w : 1 ,\n\t(c:2, d:1) );")
+        assert tree.labels == ("x y", "z", "w", "c", "d")
+        assert tree.distance("x y", "c") == 4.0
+
     def test_rejects_unterminated(self):
         with pytest.raises(DataError):
             parse_newick("(a:1,b:1)")

@@ -104,26 +104,26 @@ class TestExactHca:
             _, cc_cost = exact_corr_cluster(labels, edges)
             assert hca_cost == cc_cost
 
-    def test_caps(self):
-        labels = tuple(f"s{k}" for k in range(7))
+    def test_caps(self, rng):
+        # one cap, exact_hcc's: n <= 7, at any number of levels
+        labels = tuple(f"s{k}" for k in range(8))
         with pytest.raises(ValueError):
             exact_hca(labels, [Partition.singletons(labels)], [1.0])
-        small = tuple("abcd")
-        partitions = [Partition.singletons(small)] * 4
-        with pytest.raises(ValueError):
-            exact_hca(small, partitions, [1.0] * 4)
+        small, deltas = labels[:7], [1.0, 2.0, 0.5, 1.5]
+        partitions = [random_partition(rng, small) for _ in deltas]
+        inst = HccInstance.from_partitions(small, deltas, partitions)
+        assert exact_hca(small, partitions, deltas) == reference_exact_hcc(inst)
 
     def test_caps_keep_their_messages(self):
-        # exact_hca checks its own caps first; exact_hcc checks its n=7 one
+        # exact_hca is exact_hcc on clique edge sets, so both name its n=7 cap
         labels = tuple(f"s{k}" for k in range(8))
         inst = HccInstance.from_partitions(labels, [1.0], [Partition.singletons(labels)])
         with pytest.raises(ValueError, match="capped at n=7"):
             exact_hcc(inst)
-        with pytest.raises(ValueError, match="agreement solver capped at n=6"):
-            exact_hca(labels[:7], [Partition.singletons(labels[:7])], [1.0])
+        with pytest.raises(ValueError, match="capped at n=7"):
+            exact_hca(labels, [Partition.singletons(labels)], [1.0])
         small = tuple("abcd")
-        with pytest.raises(ValueError, match="agreement solver capped at 3 levels"):
-            exact_hca(small, [Partition.singletons(small)] * 4, [1.0] * 4)
+        assert exact_hca(small, [Partition.singletons(small)] * 4, [1.0] * 4)[1] == 0.0
 
     def test_dp_matches_explicit_chain_enumeration(self, rng):
         # independent check of the level DP against brute-force chains

@@ -25,7 +25,7 @@ from treefit.corrclust import EXACT_CAP
 from treefit.hcc import fit_hcc
 from treefit.io import newick_string, parse_newick
 from treefit.lp import hierarchy_cost
-from treefit.treemetric import fit_tree_metric
+from treefit.treemetric import fit_tree_metric, gromov_transform, pivot_subproblem
 from treefit.oracle import exact_ultrametric_l1
 from treefit.ultrametric import (
     UltrametricLevels,
@@ -404,9 +404,18 @@ def pipeline_fit(d, strategy, seed):
         levels.n_levels
 
 
+def instance_key(inst):
+    """An HccInstance, or None, as a value that compares with ==."""
+    return None if inst is None else (
+        inst.labels, inst.deltas, [es.mask.tolist() for es in inst.edge_sets])
+
+
 def exact_path_fit(d, strategy, seed):
     fitted = fit_ultrametric(d, strategy=strategy, seed=seed)
-    assert fitted.details == {"fast_path": True, "hcc_cost": 0.0}
+    details = dict(fitted.details)
+    assert instance_key(details.pop("instance")) == \
+        instance_key(hcc_instance_from_distances(d)[0])
+    assert details == {"fast_path": True, "hcc_cost": 0.0, "lp_solution": None}
     return newick_string(fitted.tree), fitted.l1_error, fitted.lp_lower_bound, \
         fitted.num_levels
 
@@ -495,6 +504,44 @@ class TestExactPath:
         fitted = fit_ultrametric(near)
         assert "hcc" in fitted.details and fitted.l1_error > 0
         assert ultrametric.clique_levels(hcc_instance_from_distances(near)[0]) is None
+
+
+class TestFitRecord:
+    """Every fit records the LP behind its bound: the instance, in tree mode
+    the kept pivot's subproblem, and the point reaching the bound."""
+
+    @staticmethod
+    def tables(rng, n):
+        labels = [f"s{x:02d}" for x in range(n)]
+        return (planted_ultrametric(rng, labels, [1.0, 2.0, 4.0]),
+                shuffled(rng, integer_tree_metric(rng, n)),
+                random_matrix(rng, labels, (1.0, 2.0, 3.0, 4.0)),
+                random_matrix(rng, labels, (1.0, 2.5)),
+                DistanceMatrix.from_pairs(labels, dict.fromkeys(all_pairs(labels), 2.0)))
+
+    def test_record_in_both_modes(self):
+        rng = random.Random(29)
+        solved = skipped = 0
+        for n in range(1, 10):
+            for d in self.tables(rng, n):
+                for fitted in (fit_ultrametric(d), fit_tree_metric(d)):
+                    inst, point = fitted.details["instance"], fitted.details["lp_solution"]
+                    sub = d if fitted.kind == "ultrametric" else pivot_subproblem(
+                        gromov_transform(d, fitted.details["pivot"]))
+                    assert instance_key(inst) == instance_key(hcc_instance_from_distances(sub)[0])
+                    assert (0 if inst is None else inst.n_levels) == fitted.num_levels
+                    hcc = fitted.details.get("hcc")
+                    if point is None:
+                        assert fitted.lp_lower_bound == 0.0
+                        skipped += 1
+                    else:
+                        assert point.objective == fitted.lp_lower_bound
+                        solved += 1
+                    if fitted.kind == "ultrametric":
+                        assert hcc is None or hcc.lp_solution is point
+                    else:  # the sub-fit solved no bound, and keeps none
+                        assert hcc is None or (hcc.lp_lower_bound, hcc.lp_solution) == (0.0, None)
+        assert solved > 20 and skipped > 20
 
 
 class TestArgumentChecks:
