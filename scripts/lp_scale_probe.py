@@ -11,9 +11,16 @@ the peak of one fit does not hide the next, and prints one JSON line: `n`,
 `levels` (the fit's level count), `wall_s` (the fit alone), `peak_rss_mb`
 (the interpreter's `ru_maxrss`, imports included), `l1_error` and
 `lp_lower_bound`.
+
+The peak of one fit moves between runs with the heap's layout: with malloc's
+arena count and with the transparent huge pages numpy asks for its large
+arrays, which are counted whole. So each interpreter runs with
+`PINNED_ENV`, one malloc arena and no huge-page advice; a run whose
+environment already pins both fits its one N itself.
 """
 import argparse
 import json
+import os
 import random
 import resource
 import subprocess
@@ -22,6 +29,8 @@ import time
 
 from treefit import DistanceMatrix, fit_ultrametric
 from treefit.core import all_pairs
+
+PINNED_ENV = {"MALLOC_ARENA_MAX": "1", "NUMPY_MADVISE_HUGEPAGE": "0"}
 
 
 def probe_table(n: int, values: int) -> DistanceMatrix:
@@ -50,12 +59,14 @@ def main(argv=None) -> int:
                         help="draw the values from 1..K (default 4)")
     parser.add_argument("n", type=int, nargs="+", metavar="N")
     args = parser.parse_args(argv)
-    if len(args.n) == 1:  # this interpreter has fitted nothing yet
+    pinned = all(os.environ.get(name) == value for name, value in PINNED_ENV.items())
+    if len(args.n) == 1 and pinned:  # this interpreter has fitted nothing yet
         print(json.dumps(fit_one(args.n[0], args.values, args.bound)))
         return 0
     options = ["--values", str(args.values)] + ["--bound"] * args.bound
     for n in args.n:
-        subprocess.run([sys.executable, __file__, *options, str(n)], check=True)
+        subprocess.run([sys.executable, __file__, *options, str(n)], check=True,
+                       env={**os.environ, **PINNED_ENV})
     return 0
 
 

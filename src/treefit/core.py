@@ -220,24 +220,36 @@ def merge_ties(values: np.ndarray) -> tuple[tuple[float, ...], np.ndarray]:
 # Edge sets and partitions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EdgeSet:
     """A set of unordered label pairs over a fixed universe.
 
-    mask[k] is True when the k-th pair of `all_pairs(universe)` is an edge.
+    mask[k] is True when the k-th pair of `all_pairs(universe)` is an edge;
+    it is read-only. Edge sets compare and hash by universe and mask.
     """
 
     universe: tuple[str, ...]
     mask: np.ndarray
 
     def __post_init__(self):
-        if len(set(self.universe)) != len(self.universe):
+        universe = tuple(self.universe)
+        if len(set(universe)) != len(universe):
             raise ValueError("duplicate labels in universe")
-        mask = np.asarray(self.mask, dtype=bool)
-        n = len(self.universe)
+        mask = np.array(self.mask, dtype=bool)
+        n = len(universe)
         if mask.shape != (n * (n - 1) // 2,):
             raise ValueError(f"mask of shape {mask.shape} for {n} labels")
+        mask.flags.writeable = False
+        object.__setattr__(self, "universe", universe)
         object.__setattr__(self, "mask", mask)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, EdgeSet):
+            return NotImplemented
+        return self.universe == other.universe and self.mask.tobytes() == other.mask.tobytes()
+
+    def __hash__(self) -> int:
+        return hash((self.universe, self.mask.tobytes()))
 
     @classmethod
     def from_pairs(cls, universe: Sequence[str], pairs: Iterable) -> "EdgeSet":

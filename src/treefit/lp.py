@@ -238,9 +238,12 @@ class LpSolution:
         a, b = sorted((self.labels.index(i), self.labels.index(j)))
         return float(self.x[t, _condensed(len(self.labels), a, b)])
 
-    def max_violation(self) -> dict[str, float]:
-        """Largest triangle / monotonicity / box violations of this point."""
-        tri = max(0.0, float(_triangle_lhs(len(self.labels), self.x).max(initial=0.0)))
+    def max_violation(self, tri_lhs: np.ndarray | None = None) -> dict[str, float]:
+        """Largest triangle / monotonicity / box violations of this point;
+        tri_lhs holds its triangle rows' left sides when they are known."""
+        if tri_lhs is None:
+            tri_lhs = _triangle_lhs(len(self.labels), self.x)
+        tri = max(0.0, float(tri_lhs.max(initial=0.0)))
         mono = max(0.0, float((self.x[1:] - self.x[:-1]).max(initial=0.0)))
         box = max(0.0, float(np.max(self.x - 1.0)), float(np.max(-self.x)))
         return {"triangle": tri, "monotone": mono, "box": box}
@@ -327,7 +330,7 @@ def solve_lp(lp: LinearProgram, feas_tol: float = DEFAULT_FEAS_TOL, *,
             return x, iterations
 
     try:
-        x, rounds, rows_used, pivots = _solve_lazily(lp, solve_rows, feas_tol)
+        x, rounds, rows_used, pivots, tri_lhs = _solve_lazily(lp, solve_rows, feas_tol)
     except SimplexStall as exc:
         # a stalled point need not meet the rows not yet added, and one
         # stalled in a later round's dual phase not even the rows added
@@ -336,7 +339,8 @@ def solve_lp(lp: LinearProgram, feas_tol: float = DEFAULT_FEAS_TOL, *,
             best = None
         raise SolverError("simplex hit its iteration cap", best) from exc
     sol = _solution(lp, x, backend, rounds, rows_used, pivots)
-    worst = max(sol.max_violation().values())
+    # the last round's triangle sides are those of the solution's point
+    worst = max(sol.max_violation(tri_lhs).values())
     if worst > feas_tol:
         raise SolverError(f"solution infeasible by {worst:.3e}")
     return sol
@@ -358,9 +362,9 @@ def _coupled(lp: LinearProgram, active: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 def _solve_lazily(lp: LinearProgram, solve_rows, feas_tol: float
-                  ) -> tuple[np.ndarray, int, int, int]:
-    """Cutting-plane loop over the triangle rows; returns x, rounds, rows used
-    and pivots.
+                  ) -> tuple[np.ndarray, int, int, int, np.ndarray]:
+    """Cutting-plane loop over the triangle rows; returns x, rounds, rows used,
+    pivots and the left sides of every triangle row at x clipped into [0,1].
 
     solve_rows(active, new) solves the LP restricted to the sorted row
     indices `active`, of which `new` joined in this round (all of them in the
@@ -379,7 +383,7 @@ def _solve_lazily(lp: LinearProgram, solve_rows, feas_tol: float
         lhs = _triangle_lhs(len(lp.labels), np.clip(x, 0.0, 1.0).reshape(lp.n_levels, -1))
         new = np.flatnonzero((lhs.ravel() > feas_tol / 100) & ~in_active[:n_tri])
         if not len(new):
-            return x, rounds, len(active), pivots
+            return x, rounds, len(active), pivots, lhs
         in_active[new] = True
         active = np.flatnonzero(in_active)
 

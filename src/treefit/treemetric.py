@@ -6,15 +6,25 @@ per-point floors beta_i = M - h_i and pins the pivot at gamma = M. The floors
 are enforced after an unrestricted fit by clipping, which neither breaks the
 ultrametric property nor increases the error. Mapping back yields a tree in
 which the pivot's distances are preserved exactly.
+
+Mapping back gives T - D = 2 (U - t) on every pair, U being the clamped
+ultrametric and t the transform, and 0 on the pivot's pairs. So the tree
+error of each pivot is scored in closed form, 2 sum |U - t|, from the pair
+values of its sub-fit, and only the pivots that score within a rounding
+slack of the least are realized as trees. `details["per_pivot_error"]` holds
+those scores; they equal the tree errors on integer and half-integer tables,
+and `pre_fix_error` is the kept pivot's realized tree error.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
+    VALUE_MERGE_TOL,
     DistanceMatrix,
     FittedTree,
     UltrametricTree,
@@ -27,7 +37,10 @@ from .core import (
 )
 from .hcc import lp_lower_bound
 from .lp import DEFAULT_FEAS_TOL
-from .ultrametric import check_fit_args, fit_ultrametric
+from .ultrametric import check_fit_args, fit_levels, level_distances
+# Unused here, but perfbench/layers.py wraps `treemetric.fit_ultrametric` by
+# name: it can go only together with that wrap, in a change to the benchmark.
+from .ultrametric import fit_ultrametric  # noqa: F401
 
 RESTRICTION_TOL = 1e-6
 
@@ -193,30 +206,53 @@ def fit_tree_metric(d: DistanceMatrix, *, pivot_mode: str = "all",
     else:
         pivots = d.labels
 
-    best: tuple[float, str, WeightedTree, FittedTree] | None = None
+    # A score and its tree's error differ by rounding, a few ulps of max D
+    # per pair and per edge on the pair's tree path, which stays below
+    # 1e-9 (sum D) / 2 while n max D / mean D is under about 1e5, and by the
+    # values within VALUE_MERGE_TOL that `restricted_to_tree` merges, at most
+    # 2 VALUE_MERGE_TOL per pair. The slack exceeds twice that gap, so a
+    # pivot scoring more than the least plus the slack has a larger tree
+    # error than the least-scoring pivot, and cannot win.
+    total, merges = float(np.sum(d.values)), 4.0 * VALUE_MERGE_TOL * len(d.values)
+
+    def within(score: float, least: float) -> bool:
+        return score <= least + 1e-9 * (total + least) + merges
+
     per_pivot: dict[str, float] = {}
+    least = math.inf
+    near: list[tuple[float, str, RestrictedInstance, np.ndarray, int, dict]] = []
     for a in pivots:
         r = gromov_transform(d, a)
-        sub = fit_ultrametric(pivot_subproblem(r), strategy=strategy, seed=seed,
-                              feas_tol=feas_tol, lower_bound=False)
-        assert isinstance(sub.tree, UltrametricTree)
-        clamped = clamp_to_restricted(sub.tree.distances_in(d.labels), r)
+        levels, reps, _, details = fit_levels(
+            pivot_subproblem(r), strategy=strategy, seed=seed, feas_tol=feas_tol,
+            lower_bound=False)
+        clamped = clamp_to_restricted(level_distances(d.n, levels, reps), r)
+        score = 2.0 * float(np.abs(clamped - r.transformed.values).sum())
+        per_pivot[a] = score
+        least = min(least, score)
+        # only the pivots still within the slack of the least are held
+        near = [c for c in near if within(c[0], least)]
+        if within(score, least):
+            near.append((score, a, r, clamped, levels.n_levels, details))
+
+    # the first pivot with the least realized tree error wins
+    best: tuple[float, str, WeightedTree, int, dict] | None = None
+    for _, a, r, clamped, num_levels, details in near:
         candidate = restricted_to_tree(clamped, r, d)
         err = lp_norm_error(candidate, d, 1)
-        per_pivot[a] = err
         if best is None or err < best[0]:
-            best = (err, a, candidate, sub)
+            best = (err, a, candidate, num_levels, details)
     assert best is not None
-    err, chosen, tree, sub = best
+    err, chosen, tree, num_levels, sub = best
     # only the winning pivot's bound is reported, so only its LP is solved
-    inst = sub.details["instance"]
+    inst = sub["instance"]
     bound, lp_solution = (0.0, None) if inst is None else lp_lower_bound(
-        inst, sub.details["hcc_cost"], feas_tol=feas_tol)
+        inst, sub["hcc_cost"], feas_tol=feas_tol)
     fixed = pseudometric_to_metric(tree, d, 1.0 / len(d.labels))
     final_err = lp_norm_error(fixed, d, 1)
     return FittedTree(kind="tree", tree=fixed, l1_error=final_err,
                       lp_lower_bound=bound,
-                      num_levels=sub.num_levels,
+                      num_levels=num_levels,
                       details={"pivot": chosen, "per_pivot_error": per_pivot,
                                "pre_fix_error": err, "instance": inst,
-                               "lp_solution": lp_solution, "hcc": sub.details.get("hcc")})
+                               "lp_solution": lp_solution, "hcc": sub.get("hcc")})

@@ -29,6 +29,7 @@ from .core import (
     HierarchySequence,
     UltrametricTree,
     _check_tol,
+    _pair_ends,
     _square,
     lp_norm_error,
     merge_ties,
@@ -156,31 +157,57 @@ def check_fit_args(d: DistanceMatrix, strategy: str, feas_tol: float) -> None:
     check_strategy(strategy, d.n)
 
 
-def fit_ultrametric(d: DistanceMatrix, *, strategy: str = "pivot-sweep",
-                    seed: int | None = None, feas_tol: float = DEFAULT_FEAS_TOL,
-                    lower_bound: bool = True) -> FittedTree:
-    """Fit an ultrametric minimizing total error, reporting the LP lower bound.
+def fit_levels(d: DistanceMatrix, *, strategy: str = "pivot-sweep",
+               seed: int | None = None, feas_tol: float = DEFAULT_FEAS_TOL,
+               lower_bound: bool = True) -> tuple[UltrametricLevels, list, float, dict]:
+    """The fit up to its tree: the levels, each level's first labels (see
+    `levels_to_ultrametric`), the bound and the details of `fit_ultrametric`.
 
     When every level is already a union of cliques (and when there is no
-    level), those cliques are the hierarchy each strategy finds, at cost 0,
-    so the tree is built from them directly: bound 0, no `hcc` entry. The LP
-    behind the bound and its point are `details["instance"]` and
-    `["lp_solution"]`, None without levels and without a solve.
+    level), those cliques are the hierarchy each strategy finds, at cost 0:
+    bound 0, no `hcc` entry. Otherwise `fit_hcc` finds the hierarchy.
     """
     check_fit_args(d, strategy, feas_tol)
     inst, levels = hcc_instance_from_distances(d)
     reps = [] if inst is None else clique_levels(inst)
     if reps is not None:
-        # values merged within VALUE_MERGE_TOL still differ from the tree
-        tree = levels_to_ultrametric(d.labels, levels, reps)
         bound, details = 0.0, {"fast_path": True, "hcc_cost": 0.0, "lp_solution": None}
     else:
         result = fit_hcc(inst, strategy=strategy, seed=seed,
                          feas_tol=feas_tol, lower_bound=lower_bound)
-        tree = hierarchy_to_ultrametric(result.hierarchy, levels)
+        reps = [_first_labels(level.part_of) for level in result.hierarchy.levels]
         bound, details = result.lp_lower_bound, {
             "fast_path": result.hca.fast_path, "hcc_cost": result.cost, "hcc": result,
             "lp_solution": result.lp_solution}
     details["instance"] = inst
+    return levels, reps, bound, details
+
+
+def level_distances(n: int, levels: UltrametricLevels,
+                    reps: Sequence[Sequence[int]]) -> np.ndarray:
+    """The distances of `levels_to_ultrametric` over n labels, in `all_pairs`
+    order and equal to its tree's `distances()` bit for bit: a pair sits on
+    the value of the first level whose parts join it, or on the largest."""
+    i, j = _pair_ends(n)
+    apart = np.array(reps, dtype=np.intp).reshape(len(reps), n)
+    first = np.count_nonzero(apart[:, i] != apart[:, j], axis=0)
+    # the tree halves each value into a height and doubles it back
+    return 2.0 * (np.array(levels.values) / 2.0)[first]
+
+
+def fit_ultrametric(d: DistanceMatrix, *, strategy: str = "pivot-sweep",
+                    seed: int | None = None, feas_tol: float = DEFAULT_FEAS_TOL,
+                    lower_bound: bool = True) -> FittedTree:
+    """Fit an ultrametric minimizing total error, reporting the LP lower bound.
+
+    The tree is built from the parts `fit_levels` finds, straight from the
+    cliques when every level is already a union of them: bound 0, no `hcc`
+    entry. The LP behind the bound and its point are `details["instance"]`
+    and `["lp_solution"]`, None without levels and without a solve.
+    """
+    levels, reps, bound, details = fit_levels(d, strategy=strategy, seed=seed,
+                                              feas_tol=feas_tol, lower_bound=lower_bound)
+    # values merged within VALUE_MERGE_TOL still differ from the tree
+    tree = levels_to_ultrametric(d.labels, levels, reps)
     return FittedTree(kind="ultrametric", tree=tree, l1_error=lp_norm_error(tree, d, 1),
                       lp_lower_bound=bound, num_levels=levels.n_levels, details=details)

@@ -70,6 +70,31 @@ class TestCliqueEdges:
             assert len(clique_edges(p)) == expected
 
 
+class TestEdgeSetEquality:
+    def test_equal_sets_are_equal_and_hash_alike(self):
+        mask = np.array([True, False, True])
+        a, b = EdgeSet(("a", "b", "c"), mask), EdgeSet(list("abc"), mask.copy())
+        assert a == b and not a != b
+        assert hash(a) == hash(b)
+        assert a == edge_set("abc", [("a", "b"), ("b", "c")])
+        assert len({a, b, edge_set("abc", [("c", "b"), ("b", "a")])}) == 1
+
+    def test_unequal_sets(self):
+        a = edge_set("abc", [("a", "b")])
+        assert a != edge_set("abc", [("a", "c")])
+        assert a != edge_set("abd", [("a", "b")])  # same mask, other universe
+        assert a != edge_set("bac", [("a", "b")])  # same edge, other order
+        assert a != frozenset(a.edges) and a != None  # noqa: E711
+
+    def test_mask_is_a_read_only_copy(self):
+        mask = np.array([True, False, True])
+        a = EdgeSet("abc", mask)
+        mask[0] = False
+        assert a.mask.tolist() == [True, False, True]
+        with pytest.raises(ValueError):
+            a.mask[1] = True
+
+
 class TestSymDiff:
     def test_identical(self):
         a = edge_set("abc", [("a", "b")])

@@ -12,7 +12,7 @@ import pytest
 from scipy.optimize import linprog
 from scipy.sparse import csr_matrix
 
-from treefit import DistanceMatrix, fit_tree_metric
+from treefit import DistanceMatrix, fit_tree_metric, fit_ultrametric
 from treefit.core import EdgeSet, HierarchySequence, Partition, all_pairs
 import treefit.lp as lp_module
 from treefit.lp import (
@@ -57,6 +57,22 @@ def random_instance(rng, n, n_levels, universe=None) -> HccInstance:
         sets.append(es(universe, chosen))
     deltas = tuple(rng.uniform(0.3, 2.5) for _ in range(n_levels))
     return HccInstance(universe, deltas, tuple(sets))
+
+
+class TestHccInstanceEquality:
+    def test_instances_compare_by_value(self, rng):
+        inst = random_instance(rng, 5, 3)
+        again = HccInstance(inst.labels, inst.deltas, tuple(
+            EdgeSet(e.universe, e.mask.copy()) for e in inst.edge_sets))
+        assert inst == again and hash(inst) == hash(again)
+        flipped = inst.edge_sets[0].mask.copy()
+        flipped[0] = not flipped[0]
+        assert inst != HccInstance(inst.labels, inst.deltas,
+                                   (EdgeSet(inst.labels, flipped),) + inst.edge_sets[1:])
+        assert inst != HccInstance(inst.labels, (9.0,) + inst.deltas[1:], inst.edge_sets)
+        # the fit's instance of a table equals a fresh slicing of it
+        d = random_matrix(rng, inst.labels, range(1, 5))
+        assert fit_ultrametric(d).details["instance"] == hcc_instance_from_distances(d)[0]
 
 
 class TestBuildLp:
@@ -1000,6 +1016,34 @@ class TestLazyRows:
                                                           rel=1e-9, abs=1e-12)
                     assert max(sol.max_violation().values()) <= 1e-7
 
+    def test_final_check_reuses_the_last_rounds_triangle_sides(self, rng, monkeypatch):
+        # the sides the last round computed are those of the solution's
+        # point, bit for bit, so the final check computes no side again
+        real_lhs, real_lazily = lp_module._triangle_lhs, lp_module._solve_lazily
+        calls, last = [], []
+
+        def counting_lhs(n, x):
+            calls.append(n)
+            return real_lhs(n, x)
+
+        def recording_lazily(*args):
+            out = real_lazily(*args)
+            last.append(out[-1])
+            return out
+
+        monkeypatch.setattr(lp_module, "_triangle_lhs", counting_lhs)
+        monkeypatch.setattr(lp_module, "_solve_lazily", recording_lazily)
+        for n in range(3, 9):
+            for continuous in (False, True):
+                lp = build_lp(table_instance(rng, n, continuous))
+                for backend in ("highs", "simplex"):
+                    calls.clear()
+                    last.clear()
+                    sol = solve_on(backend, lp)
+                    assert len(calls) == sol.rounds
+                    assert last[0].tobytes() == real_lhs(n, sol.x).tobytes()
+                    assert max(sol.max_violation().values()) <= 1e-7
+
     def test_warm_rounds_reach_the_full_and_the_cold_optimum(self, rng, monkeypatch):
         # the simplex continues each later round from the last tableau; its
         # optimum is that of HiGHS on every row and of a cold solve on the
@@ -1147,7 +1191,7 @@ class TestLazyRows:
             calls.append((active.tolist(), new.tolist()))
             return points.pop(0), 0
 
-        _, rounds, rows_used, _ = lp_module._solve_lazily(
+        _, rounds, rows_used, _, _ = lp_module._solve_lazily(
             lp, solve_rows, lp_module.DEFAULT_FEAS_TOL)
         assert (rounds, rows_used) == (2, 1)
         assert calls == [([], []), ([0], [0])]

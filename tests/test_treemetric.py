@@ -22,6 +22,7 @@ from treefit.treemetric import (
     pseudometric_to_metric,
     restricted_to_tree,
 )
+from treefit.io import newick_string
 from treefit.ultrametric import fit_ultrametric
 from conftest import random_matrix, random_tree_metric, random_ultrametric_map
 
@@ -365,18 +366,30 @@ class TestFitTreeMetric:
 
 
 def per_pivot_route(d, pivots):
-    """Every pivot's sub-fit with its own bound, as each pivot was once fitted."""
+    """Every pivot's sub-fit with its own bound and its tree realized, as each
+    pivot was once fitted: the first pivot of least tree error wins. Returns
+    the winner, its bound, every pivot's tree error and the winner's repaired
+    tree with its error."""
     best, per_pivot = None, {}
     for a in pivots:
         r = gromov_transform(d, a)
         sub = fit_ultrametric(
             DistanceMatrix(d.labels, clamp_to_restricted(r.transformed.values, r)))
         clamped = clamp_to_restricted(sub.tree.distances(), r)
-        err = lp_norm_error(restricted_to_tree(clamped, r, d), d, 1)
+        tree = restricted_to_tree(clamped, r, d)
+        err = lp_norm_error(tree, d, 1)
         per_pivot[a] = err
         if best is None or err < best[0]:
-            best = (err, a, sub.lp_lower_bound)
-    return best[1], best[2], per_pivot
+            best = (err, a, sub.lp_lower_bound, tree)
+    _, winner, bound, tree = best
+    fixed = pseudometric_to_metric(tree, d, 1.0 / d.n)
+    return winner, bound, per_pivot, fixed, lp_norm_error(fixed, d, 1)
+
+
+def continuous_matrix(rng, labels):
+    """Distinct values drawn from [1, 9]: every pair its own level."""
+    return DistanceMatrix.from_pairs(
+        labels, {p: rng.uniform(1.0, 9.0) for p in all_pairs(labels)})
 
 
 class TestTreeModeBound:
@@ -389,15 +402,43 @@ class TestTreeModeBound:
                 pivot = rng.choice(labels)
                 fitted = fit_tree_metric(d, pivot_mode=mode, pivot=pivot)
                 pivots = labels if mode == "all" else (pivot,)
-                winner, bound, per_pivot = per_pivot_route(d, pivots)
+                winner, bound, per_pivot, tree, error = per_pivot_route(d, pivots)
                 assert fitted.lp_lower_bound == bound
                 assert fitted.details["pivot"] == winner
+                # on an integer table every score is its tree error exactly
                 assert fitted.details["per_pivot_error"] == per_pivot
+                assert (newick_string(fitted), fitted.l1_error) == (newick_string(tree), error)
                 point = fitted.details["lp_solution"]  # None on the clique shortcut
                 assert (0.0 if point is None else point.objective) == bound
                 assert fitted.lp_lower_bound <= fitted.l1_error + 1e-9
                 bounds.append(bound)
         assert max(bounds) > 0
+
+    @pytest.mark.parametrize("kind", ["continuous", "exact tree metric"])
+    def test_scored_pivots_match_per_pivot_route(self, kind):
+        # continuous values make near ties rare; an exact tree metric scores
+        # every pivot at 0 up to rounding, so its ties decide by tree error
+        rng = random.Random(17)
+        ties = 0
+        for n in (3, 4, 5, 6, 7, 8, 9, 10, 4, 6, 8, 10):
+            labels = tuple(f"s{k}" for k in range(n))
+            if kind == "continuous":
+                d = continuous_matrix(rng, labels)
+            else:
+                d = random_tree_metric(rng, n)[0]
+            fitted = fit_tree_metric(d)
+            winner, bound, per_pivot, tree, error = per_pivot_route(d, d.labels)
+            assert fitted.details["pivot"] == winner
+            assert newick_string(fitted) == newick_string(tree)
+            assert (fitted.l1_error, fitted.lp_lower_bound) == (error, bound)
+            assert fitted.details["pre_fix_error"] == per_pivot[winner]
+            scores = fitted.details["per_pivot_error"]
+            assert list(scores) == list(per_pivot)
+            for a, err in per_pivot.items():
+                assert scores[a] == pytest.approx(err, rel=1e-12, abs=1e-12 * sum(d.values))
+            ties += len(set(per_pivot.values())) < n
+        if kind == "exact tree metric":
+            assert ties  # some tree errors tie exactly
 
 
 class TestEdgeCases:

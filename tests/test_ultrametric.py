@@ -29,9 +29,12 @@ from treefit.treemetric import fit_tree_metric, gromov_transform, pivot_subprobl
 from treefit.oracle import exact_ultrametric_l1
 from treefit.ultrametric import (
     UltrametricLevels,
+    fit_levels,
     fit_ultrametric,
     hcc_instance_from_distances,
     hierarchy_to_ultrametric,
+    level_distances,
+    levels_to_ultrametric,
     slice_levels,
     star_tree,
 )
@@ -464,19 +467,19 @@ class TestExactPath:
     def test_exact_tree_metrics_in_tree_mode(self):
         rng = random.Random(11)
         subfits = 0
-        real = ultrametric.fit_ultrametric
+        real = ultrametric.fit_levels
 
         def counting(*args, **kwargs):
             nonlocal subfits
-            fitted = real(*args, **kwargs)
-            subfits += "hcc" not in fitted.details
-            return fitted
+            levels, reps, bound, details = real(*args, **kwargs)
+            subfits += "hcc" not in details
+            return levels, reps, bound, details
 
         for n in range(2, 13):
             for _ in range(4):
                 d = shuffled(rng, integer_tree_metric(rng, n))
                 strategy, seed = rng.choice(strategies(n, rng))
-                with mock.patch("treefit.treemetric.fit_ultrametric", counting):
+                with mock.patch("treefit.treemetric.fit_levels", counting):
                     fitted = fit_tree_metric(d, strategy=strategy, seed=seed)
                 with mock.patch.object(ultrametric, "clique_levels", lambda inst: None):
                     reference = fit_tree_metric(d, strategy=strategy, seed=seed)
@@ -542,6 +545,43 @@ class TestFitRecord:
                     else:  # the sub-fit solved no bound, and keeps none
                         assert hcc is None or (hcc.lp_lower_bound, hcc.lp_solution) == (0.0, None)
         assert solved > 20 and skipped > 20
+
+
+class TestLevelDistances:
+    """`level_distances` gives the pair values of the tree the fit builds
+    from its levels, bit for bit, on both of `fit_levels`'s routes."""
+
+    @staticmethod
+    def tables(rng):
+        for n in (1, 2):
+            labels = [f"s{x}" for x in range(n)]
+            yield DistanceMatrix.from_pairs(labels, dict.fromkeys(all_pairs(labels), 3.7))
+        for n in range(2, 14):
+            labels = [f"s{x:02d}" for x in range(n)]
+            yield DistanceMatrix.from_pairs(labels, dict.fromkeys(all_pairs(labels), 0.1))
+            planted = planted_ultrametric(rng, labels, [0.1, 0.3, 1.7, 2.2])
+            yield shuffled(rng, planted)
+            # exact up to values merged within the tolerance
+            yield DistanceMatrix(planted.labels, planted.values + np.array(
+                [rng.choice([0.0, 0.7]) * VALUE_MERGE_TOL for _ in planted.values]))
+            yield random_matrix(rng, labels, (1.0, 2.0, 3.5, 4.0))
+            yield DistanceMatrix.from_pairs(
+                labels, {p: rng.uniform(0.1, 9.0) for p in all_pairs(labels)})
+
+    def test_bit_for_bit_the_tree_distances(self):
+        rng = random.Random(30)
+        routes = set()
+        for d in self.tables(rng):
+            levels, reps, bound, details = fit_levels(d, lower_bound=False)
+            got = level_distances(d.n, levels, reps)
+            tree = levels_to_ultrametric(d.labels, levels, reps)
+            assert got.dtype == np.float64
+            assert got.tobytes() == tree.distances().tobytes()
+            fitted = fit_ultrametric(d, lower_bound=False)
+            assert got.tobytes() == fitted.tree.distances().tobytes()
+            assert (bound, fitted.num_levels) == (fitted.lp_lower_bound, levels.n_levels)
+            routes.add("hcc" in details)
+        assert routes == {True, False}
 
 
 class TestArgumentChecks:
