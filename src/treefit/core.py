@@ -10,8 +10,12 @@ the pair of label positions i < j in that list. The same order indexes
 `DistanceMatrix.values`, the trees' `distances()` (over their own labels),
 `EdgeSet.mask`, the columns of `LpSolution.x`, and each level's block of LP
 variables; the LP layer keeps no pair list of its own. Only this module
-turns label pairs into positions. A partition's `part_of[k]` is the index,
-in `parts`, of the part holding the k-th universe label.
+turns label pairs into positions.
+
+Partitions: a partition is its `reps` vector, reps[k] being the position of
+the first label of the part holding the k-th universe label. Clustering,
+refinement, clique edges, the LP levels and the trees all read that vector;
+the label sets `parts` are built only when read.
 
 Tree arrays: both tree types hold one rooted form, built once by their
 constructors. The nodes are in preorder, the root at position 0, so each
@@ -267,54 +271,102 @@ class EdgeSet:
         return int(np.count_nonzero(self.mask))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Partition:
-    """Disjoint nonempty label sets covering the universe.
-
-    `parts` are ordered by their first labels in the universe, and
-    part_of[k] is the index in `parts` of the part holding universe[k].
+    """Disjoint nonempty label sets covering the universe, held as `reps`, a
+    read-only intp vector: reps[k] is the position of the first label of the
+    part holding universe[k], so reps[reps] == reps and reps[k] <= k.
+    Partitions compare and hash by universe and reps. The label sets
+    `parts`, in the order of their first labels, and part_of[k], the index
+    in `parts` of universe[k]'s part, are built from reps when first read.
     """
 
     universe: tuple[str, ...]
-    parts: tuple[frozenset[str], ...]
-    part_of: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    reps: np.ndarray
 
-    def __post_init__(self):
-        idx = {lab: k for k, lab in enumerate(self.universe)}
-        owner = [-1] * len(self.universe)  # index of each label's given part
-        for k, part in enumerate(self.parts):
-            if not part:
-                raise ValueError("empty part")
-            for lab in part:
-                if lab not in idx:
-                    raise ValueError(f"label {lab!r} outside the universe")
-                if owner[idx[lab]] >= 0:
-                    raise ValueError(f"label {lab!r} in two parts")
-                owner[idx[lab]] = k
-        if -1 in owner:
+    def __init__(self, universe: Sequence[str], parts: Iterable[Iterable[str]]):
+        idx = {lab: k for k, lab in enumerate(universe)}
+        reps = [-1] * len(universe)
+        for part in map(tuple, parts):
+            where = [idx.get(lab, -1) for lab in part]
+            if not part or -1 in where:
+                raise ValueError(f"label {part[where.index(-1)]!r} outside the universe"
+                                 if part else "empty part")
+            first = min(where)
+            for k in where:
+                if reps[k] >= 0:
+                    raise ValueError(f"label {universe[k]!r} in two parts")
+                reps[k] = first
+        if -1 in reps:
             raise ValueError("parts do not cover the universe")
-        # renumber the given parts in the order of their first labels
-        rank = {k: r for r, k in enumerate(dict.fromkeys(owner))}
-        object.__setattr__(self, "parts", tuple(self.parts[k] for k in rank))
-        object.__setattr__(self, "part_of", tuple(rank[k] for k in owner))
+        self._set(universe, reps)
+
+    def _set(self, universe: Sequence[str], reps) -> None:
+        """Check reps in O(n), then store it, read-only, and the universe."""
+        universe, reps = tuple(universe), np.array(reps, dtype=np.intp)
+        n = len(universe)
+        if len(set(universe)) != n:
+            raise ValueError("duplicate labels in universe")
+        if reps.shape != (n,):
+            raise ValueError(f"reps of shape {reps.shape} for {n} labels")
+        bad = (reps < 0) | (reps > np.arange(n))
+        if not bad.any():  # reps[reps] needs positions
+            bad = reps[reps] != reps
+        for k in np.flatnonzero(bad)[:1]:
+            raise ValueError(f"reps[{k}] is {reps[k]}, not the position of the first "
+                             f"label of label {k}'s part")
+        reps.flags.writeable = False
+        object.__setattr__(self, "universe", universe)
+        object.__setattr__(self, "reps", reps)
+
+    @classmethod
+    def from_reps(cls, universe: Sequence[str], reps) -> "Partition":
+        """The partition in which the part of universe[k] starts at reps[k]."""
+        p = cls.__new__(cls)
+        p._set(universe, reps)
+        return p
 
     @classmethod
     def from_parts(cls, universe: Sequence[str], parts: Iterable[Iterable[str]]) -> "Partition":
-        return cls(tuple(universe), tuple(frozenset(p) for p in parts))
+        return cls(universe, map(frozenset, parts))
 
     @classmethod
     def singletons(cls, universe: Sequence[str]) -> "Partition":
-        return cls(tuple(universe), tuple(frozenset([x]) for x in universe))
+        return cls.from_reps(universe, range(len(universe)))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Partition):
+            return NotImplemented
+        return self.universe == other.universe and self.reps.tobytes() == other.reps.tobytes()
+
+    def __hash__(self) -> int:
+        return hash((self.universe, self.reps.tobytes()))
+
+    @functools.cached_property
+    def part_of(self) -> tuple[int, ...]:
+        rank = np.cumsum(self.reps == np.arange(len(self.reps))) - 1  # of each first label
+        return tuple(rank[self.reps].tolist())
+
+    @functools.cached_property
+    def parts(self) -> tuple[frozenset[str], ...]:
+        members: dict[int, list[str]] = {}  # a part is met first at its first label
+        for lab, first in zip(self.universe, self.reps.tolist()):
+            members.setdefault(first, []).append(lab)
+        return tuple(map(frozenset, members.values()))
 
     def refines(self, other: "Partition") -> bool:
         """True if every part of self is contained in some part of other."""
         if self.universe != other.universe:
             raise UniverseMismatch("partitions over different universes")
-        host: dict[int, int] = {}
-        return all(host.setdefault(a, b) == b for a, b in zip(self.part_of, other.part_of))
+        return bool((other.reps[self.reps] == other.reps).all())
 
     def same_part(self, i: str, j: str) -> bool:
-        return any(i in part and j in part for part in self.parts)
+        """Whether labels i and j share a part; a ValueError names a label
+        outside the universe."""
+        for lab in (i, j):
+            if lab not in self.universe:
+                raise ValueError(f"label {lab!r} outside the universe")
+        return bool(self.reps[self.universe.index(i)] == self.reps[self.universe.index(j)])
 
 
 @dataclass(frozen=True)
@@ -407,21 +459,25 @@ def partition_disagreements(masks: np.ndarray, n: int) -> np.ndarray:
 
 def partition_of_row(universe: tuple[str, ...], r: int) -> Partition:
     """Row r of `partition_table(len(universe))` as a Partition."""
-    row = partition_table(len(universe))[0][r].tolist()
-    return Partition(universe, tuple(
-        frozenset(lab for lab, k in zip(universe, row) if k == part)
-        for part in range(max(row, default=-1) + 1)))
+    row = partition_table(len(universe))[0][r]
+    # the parts are numbered by first occurrence, so in order of first label
+    return Partition.from_reps(universe, np.unique(row, return_index=True)[1][row])
 
 
 # ---------------------------------------------------------------------------
 # Edge-set algebra
 # ---------------------------------------------------------------------------
 
+def clique_masks(partitions: Sequence[Partition]) -> np.ndarray:
+    """The clique edge masks of partitions of n labels, one row each."""
+    reps = np.stack([p.reps for p in partitions])
+    i, j = _pair_ends(reps.shape[1])
+    return reps[:, i] == reps[:, j]
+
+
 def clique_edges(p: Partition) -> EdgeSet:
     """Union of all within-part pairs of a partition."""
-    part_of = np.array(p.part_of, dtype=np.intp)
-    i, j = _pair_ends(len(part_of))
-    return EdgeSet(p.universe, part_of[i] == part_of[j])
+    return EdgeSet(p.universe, clique_masks([p])[0])
 
 
 def sym_diff_size(a: EdgeSet, b: EdgeSet) -> int:

@@ -132,5 +132,8 @@ def corr_cluster(universe: Sequence[str], edges: EdgeSet, *,
                 best, best_cost = clusters, cost
                 if not cost:
                     break
-    return Partition(universe, tuple(
-        frozenset(universe[v] for v in _members(cluster)) for cluster in best))
+    reps = [0] * n  # a cluster's first label is its lowest bit
+    for cluster in best:
+        for v in _members(cluster):
+            reps[v] = (cluster & -cluster).bit_length() - 1
+    return Partition.from_reps(universe, reps)

@@ -56,17 +56,17 @@ class LpClusterFamilies:
                 seen |= cluster
 
 
-def _ball_tests(sol: LpSolution, t: int, part_of: np.ndarray) -> list[bool]:
+def _ball_tests(sol: LpSolution, t: int, part_of: np.ndarray) -> np.ndarray:
     """Whether each label passes both ball tests at level t in its cluster,
-    part_of[k] being the cluster of sol.labels[k]. The square matrix has a
-    zero diagonal, so a label is near itself, as in LpSolution.value."""
+    part_of[k] >= 0 naming the cluster of sol.labels[k], as `reps` does. The
+    square matrix has a zero diagonal, so a label is near itself, as in
+    LpSolution.value."""
     x = _square(sol.x[t], len(part_of))
     same = part_of[:, None] == part_of
     size = np.bincount(part_of)[part_of]
     near_inside = np.count_nonzero(same & (x < BALL_NEAR), axis=1)
     far_outside = np.count_nonzero(~same & (x < BALL_FAR), axis=1)
-    return ((near_inside > HALF_FRACTION * size)
-            & (far_outside <= OUTSIDE_FRACTION * size)).tolist()
+    return (near_inside > HALF_FRACTION * size) & (far_outside <= OUTSIDE_FRACTION * size)
 
 
 def lp_cleaning(partitions: Sequence[Partition], sol: LpSolution) -> LpClusterFamilies:
@@ -80,12 +80,14 @@ def lp_cleaning(partitions: Sequence[Partition], sol: LpSolution) -> LpClusterFa
     for t, q in enumerate(partitions):
         if q.universe != universe:
             raise ValueError("partitions over different universes")
-        survivors: list[list[str]] = [[] for _ in q.parts]
-        for lab, k, ok in zip(universe, q.part_of, _ball_tests(sol, t, np.array(q.part_of))):
-            if ok:
-                survivors[k].append(lab)
-        levels.append(tuple(frozenset(kept) for cluster, kept in zip(q.parts, survivors)
-                            if len(kept) >= KEEP_FRACTION * len(cluster)))
+        ok = _ball_tests(sol, t, q.reps)
+        # by first label: each cluster's size and how many of its labels pass
+        size, passed = (np.bincount(r, minlength=len(universe)) for r in (q.reps, q.reps[ok]))
+        kept = (size > 0) & (passed >= KEEP_FRACTION * size)
+        members: dict[int, list[str]] = {first: [] for first in np.flatnonzero(kept).tolist()}
+        for k in np.flatnonzero(ok & kept[q.reps]).tolist():
+            members[int(q.reps[k])].append(universe[k])
+        levels.append(tuple(map(frozenset, members.values())))
     return LpClusterFamilies(universe=tuple(universe), levels=tuple(levels))
 
 
@@ -166,8 +168,10 @@ def derive_hierarchy(universe: Sequence[str], families: LpClusterFamilies
             for c in children:
                 nodes[c].parent = nid
             root.update(dict.fromkeys(extended, nid))
-        out_levels.append(Partition(
-            universe, tuple(nodes[r].extended for r in dict.fromkeys(root.values()))))
+        # each label's part starts at the first label below its root
+        first: dict[int, int] = {}
+        out_levels.append(Partition.from_reps(
+            universe, [first.setdefault(root[lab], k) for k, lab in enumerate(universe)]))
     return HierarchySequence(tuple(out_levels)), forest
 
 

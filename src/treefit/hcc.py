@@ -1,10 +1,10 @@
 """Hierarchical correlation clustering driver.
 
 Each level's edge set is first clustered independently; the resulting
-partitions go through the hierarchical cluster agreement solver. The LP of
-the original instance is solved separately so every run reports a true lower
-bound next to the achieved cost. That bound lies between 0 and the cost of
-any hierarchy for the instance, so a fit of cost 0 needs no solve.
+partitions go through the hierarchical cluster agreement solver.
+`lp_lower_bound` solves the LP of the original instance, the true lower
+bound a fit reports next to its cost. That bound lies between 0 and the cost
+of any hierarchy for the instance, so a fit of cost 0 needs no solve.
 """
 from __future__ import annotations
 
@@ -20,8 +20,6 @@ from .lp import DEFAULT_FEAS_TOL, HccInstance, LpSolution, build_lp, hierarchy_c
 class HccResult:
     hierarchy: HierarchySequence
     cost: float
-    lp_lower_bound: float
-    lp_solution: LpSolution | None
     partitions: tuple[Partition, ...]
     hca: HcaResult
     instance: HccInstance
@@ -43,19 +41,13 @@ def lp_lower_bound(inst: HccInstance, cost: float, *,
 
 def fit_hcc(inst: HccInstance, *, strategy: str = "pivot-sweep",
             seed: int | None = None, feas_tol: float = DEFAULT_FEAS_TOL,
-            fast_path: bool = True, lower_bound: bool = True) -> HccResult:
-    """Cluster each level, then reconcile the levels into a hierarchy."""
+            fast_path: bool = True) -> HccResult:
+    """Cluster each level, then reconcile the levels into a hierarchy; the
+    bound is `lp_lower_bound` of the instance and this cost."""
     partitions = tuple(
         corr_cluster(inst.labels, es, strategy=strategy, seed=seed)
         for es in inst.edge_sets)
     hca = fit_hca_report(inst.labels, partitions, inst.deltas,
                          feas_tol=feas_tol, fast_path=fast_path)
-    cost = hierarchy_cost(inst, hca.hierarchy)
-
-    lp_solution = None
-    bound = 0.0
-    if lower_bound:
-        bound, lp_solution = lp_lower_bound(inst, cost, feas_tol=feas_tol)
-    return HccResult(hierarchy=hca.hierarchy, cost=cost, lp_lower_bound=bound,
-                     lp_solution=lp_solution, partitions=partitions,
-                     hca=hca, instance=inst)
+    return HccResult(hierarchy=hca.hierarchy, cost=hierarchy_cost(inst, hca.hierarchy),
+                     partitions=partitions, hca=hca, instance=inst)

@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import EdgeSet, HierarchySequence, all_pairs, clique_edges, sym_diff_size
+from .core import EdgeSet, HierarchySequence, UniverseMismatch, all_pairs, clique_masks
 from .core import _check_tol, _condensed, _pair_ends, _pair_vector
 from .simplex import SimplexResult, SimplexStall, solve_dense
 
@@ -77,7 +77,8 @@ class HccInstance:
                         partitions) -> "HccInstance":
         """Instance whose edge sets are the clique edges of given partitions."""
         return cls(tuple(labels), tuple(float(d) for d in deltas),
-                   tuple(clique_edges(q) for q in partitions))
+                   tuple(EdgeSet(q.universe, mask)
+                         for q, mask in zip(partitions, clique_masks(partitions))))
 
     @property
     def n_levels(self) -> int:
@@ -619,7 +620,11 @@ def hierarchy_cost(inst: HccInstance, hierarchy: HierarchySequence) -> float:
     """Integral objective: sum_t delta^(t) |E^(t) sym-diff cliques(P^(t))|."""
     if len(hierarchy) != inst.n_levels:
         raise ValueError("hierarchy level count does not match the instance")
-    total = 0.0
-    for t, part in enumerate(hierarchy.levels):
-        total += inst.deltas[t] * sym_diff_size(inst.edge_sets[t], clique_edges(part))
+    if hierarchy.universe != inst.labels:
+        raise UniverseMismatch("hierarchy and instance over different universes")
+    masks = np.array([es.mask for es in inst.edge_sets])
+    counts = np.count_nonzero(masks != clique_masks(hierarchy.levels), axis=1)
+    total = 0.0  # summed level by level, in level order
+    for delta, count in zip(inst.deltas, counts.tolist()):
+        total += delta * count
     return total

@@ -35,7 +35,7 @@ from .core import (
     merge_ties,
 )
 from .corrclust import check_strategy
-from .hcc import fit_hcc
+from .hcc import fit_hcc, lp_lower_bound
 from .lp import DEFAULT_FEAS_TOL, HccInstance
 
 
@@ -83,17 +83,10 @@ def hcc_instance_from_distances(d: DistanceMatrix) -> tuple[HccInstance | None, 
     return slice_levels(d.labels, *merge_ties(d.values))
 
 
-def _first_labels(part_of: Sequence[int]) -> list[int]:
-    """The position of the first label of each label's part, part_of[k]
-    being the index of label k's part."""
-    first: dict[int, int] = {}
-    return [first.setdefault(part, k) for k, part in enumerate(part_of)]
-
-
-def clique_levels(inst: HccInstance) -> list[list[int]] | None:
-    """The first labels of every level's parts when each level's edge set is
-    a union of cliques, else None, checked level by level up to the first
-    that is not.
+def clique_levels(inst: HccInstance) -> np.ndarray | None:
+    """The `reps` of every level, a (levels, n) array, when each level's edge
+    set is a union of cliques, else None, checked level by level up to the
+    first that is not.
 
     With joined[a, b] true when level t holds the pair {a, b} or a == b,
     rep[a] is the first label joined to a. The level is a union of cliques
@@ -110,21 +103,21 @@ def clique_levels(inst: HccInstance) -> list[list[int]] | None:
         rep = joined.argmax(axis=1)
         if not np.array_equal(joined, joined[rep]):
             return None
-        reps.append(rep.tolist())
-    return reps
+        reps.append(rep)
+    return np.array(reps, dtype=np.intp)
 
 
 def levels_to_ultrametric(labels: Sequence[str], levels: UltrametricLevels,
-                          reps: Sequence[Sequence[int]]) -> UltrametricTree:
-    """The tree of nested parts given, level by level, as the first label of
-    each label's part (see `_first_labels`): lca on level t means distance
-    D^(t), and labels never joined meet at the largest value.
+                          reps: np.ndarray) -> UltrametricTree:
+    """The tree of nested parts given, level by level, as the `reps` of
+    `core.Partition`, rows of a (levels, n) array: lca on level t means
+    distance D^(t), and labels never joined meet at the largest value.
 
     Level t joins the first label of each part below to the first label of
     the part holding it, which is the first of those it holds.
     """
     steps, firsts = [], range(len(labels))  # the first label of each part below
-    for rep in reps:
+    for rep in reps.tolist():
         steps.append([(rep[k], k) for k in firsts])
         firsts = [k for k in firsts if rep[k] == k]
     steps.append([(0, k) for k in firsts])
@@ -141,11 +134,12 @@ def hierarchy_to_ultrametric(hierarchy: HierarchySequence,
     if len(hierarchy) != levels.n_levels:
         raise ValueError("hierarchy level count does not match the values")
     return levels_to_ultrametric(hierarchy.universe, levels,
-                                 [_first_labels(level.part_of) for level in hierarchy.levels])
+                                 np.array([level.reps for level in hierarchy.levels]))
 
 
 def star_tree(labels: Sequence[str], height_distance: float) -> UltrametricTree:
-    return levels_to_ultrametric(labels, UltrametricLevels((height_distance,)), [])
+    return levels_to_ultrametric(labels, UltrametricLevels((height_distance,)),
+                                 np.empty((0, len(labels)), dtype=np.intp))
 
 
 def check_fit_args(d: DistanceMatrix, strategy: str, feas_tol: float) -> None:
@@ -159,38 +153,39 @@ def check_fit_args(d: DistanceMatrix, strategy: str, feas_tol: float) -> None:
 
 def fit_levels(d: DistanceMatrix, *, strategy: str = "pivot-sweep",
                seed: int | None = None, feas_tol: float = DEFAULT_FEAS_TOL,
-               lower_bound: bool = True) -> tuple[UltrametricLevels, list, float, dict]:
-    """The fit up to its tree: the levels, each level's first labels (see
-    `levels_to_ultrametric`), the bound and the details of `fit_ultrametric`.
+               lower_bound: bool = True
+               ) -> tuple[UltrametricLevels, np.ndarray, float, dict]:
+    """The fit up to its tree: the levels, each level's `reps` as a (levels,
+    n) array (see `levels_to_ultrametric`), the bound and the details of
+    `fit_ultrametric`.
 
     When every level is already a union of cliques (and when there is no
     level), those cliques are the hierarchy each strategy finds, at cost 0:
-    bound 0, no `hcc` entry. Otherwise `fit_hcc` finds the hierarchy.
+    bound 0, no `hcc` entry. Otherwise `fit_hcc` finds the hierarchy and
+    `lp_lower_bound` the bound, unless lower_bound is False (bound 0).
     """
     check_fit_args(d, strategy, feas_tol)
     inst, levels = hcc_instance_from_distances(d)
-    reps = [] if inst is None else clique_levels(inst)
+    reps = np.empty((0, d.n), dtype=np.intp) if inst is None else clique_levels(inst)
     if reps is not None:
         bound, details = 0.0, {"fast_path": True, "hcc_cost": 0.0, "lp_solution": None}
     else:
-        result = fit_hcc(inst, strategy=strategy, seed=seed,
-                         feas_tol=feas_tol, lower_bound=lower_bound)
-        reps = [_first_labels(level.part_of) for level in result.hierarchy.levels]
-        bound, details = result.lp_lower_bound, {
-            "fast_path": result.hca.fast_path, "hcc_cost": result.cost, "hcc": result,
-            "lp_solution": result.lp_solution}
+        result = fit_hcc(inst, strategy=strategy, seed=seed, feas_tol=feas_tol)
+        reps = np.array([level.reps for level in result.hierarchy.levels])
+        bound, lp_solution = (lp_lower_bound(inst, result.cost, feas_tol=feas_tol)
+                              if lower_bound else (0.0, None))
+        details = {"fast_path": result.hca.fast_path, "hcc_cost": result.cost,
+                   "hcc": result, "lp_solution": lp_solution}
     details["instance"] = inst
     return levels, reps, bound, details
 
 
-def level_distances(n: int, levels: UltrametricLevels,
-                    reps: Sequence[Sequence[int]]) -> np.ndarray:
+def level_distances(n: int, levels: UltrametricLevels, reps: np.ndarray) -> np.ndarray:
     """The distances of `levels_to_ultrametric` over n labels, in `all_pairs`
     order and equal to its tree's `distances()` bit for bit: a pair sits on
     the value of the first level whose parts join it, or on the largest."""
     i, j = _pair_ends(n)
-    apart = np.array(reps, dtype=np.intp).reshape(len(reps), n)
-    first = np.count_nonzero(apart[:, i] != apart[:, j], axis=0)
+    first = np.count_nonzero(reps[:, i] != reps[:, j], axis=0)
     # the tree halves each value into a height and doubles it back
     return 2.0 * (np.array(levels.values) / 2.0)[first]
 

@@ -173,7 +173,7 @@ def test_criterion_4_structural_invariants():
                 inst, _ = hcc_instance_from_distances(d)
             except Exception:
                 continue
-            res = fit_hcc(inst, fast_path=False, lower_bound=False).hca
+            res = fit_hcc(inst, fast_path=False).hca
         else:  # random agreement instances
             n = rng.randint(4, 7) if total % 10 else rng.randint(9, 10)
             labels = tuple(f"s{k}" for k in range(n))

@@ -30,11 +30,13 @@ from treefit.io import newick_string, parse_newick
 from conftest import (
     components,
     first_occurrence_strings,
+    iter_partitions,
     nested_components,
     partition_tree,
     path_sum_distances,
     planted_ultrametric,
     random_newick,
+    random_partition,
     random_tree_metric,
     random_ultrametric_map,
     reference_level_steps,
@@ -351,6 +353,115 @@ class TestPartitions:
             Partition.from_parts("abc", [{"a", "b"}])  # missing c
         with pytest.raises(ValueError):
             Partition.from_parts("abc", [{"a", "b"}, {"b", "c"}])  # overlap
+
+    def test_same_part_rejects_unknown_labels(self):
+        p = Partition.from_parts("abc", [{"a", "b"}, {"c"}])
+        assert p.same_part("a", "b") and not p.same_part("a", "c")
+        for i, j, unknown in (("a", "z", "z"), ("z", "a", "z"), ("y", "y", "y")):
+            with pytest.raises(ValueError, match=f"label '{unknown}' outside the universe"):
+                p.same_part(i, j)
+
+
+def reference_form(universe, parts):
+    """The label-set form, by sets alone: the parts in order of their first
+    labels, and the index of each label's part."""
+    ordered = sorted(parts, key=lambda part: min(universe.index(x) for x in part))
+    return (tuple(frozenset(part) for part in ordered),
+            tuple(next(k for k, part in enumerate(ordered) if lab in part) for lab in universe))
+
+
+def partitions_given_as_sets(rng):
+    """Universes of 0 to 7 labels with every partition of each, and random
+    partitions of up to 12 labels, each as (universe, label sets in any order)."""
+    for n in range(8):
+        universe = tuple(f"x{k}" for k in range(n))
+        for parts in iter_partitions(universe):
+            yield universe, [set(part) for part in reversed(parts)]
+    for _ in range(300):
+        universe = tuple(f"x{k}" for k in rng.sample(range(40), rng.randint(1, 12)))
+        parts = [set(part) for part in random_partition(rng, universe).parts]
+        rng.shuffle(parts)
+        yield universe, parts
+
+
+class TestPartitionReps:
+    """A partition is its `reps` vector; every reading of it matches the
+    set-based reference."""
+
+    def test_against_the_set_reference(self):
+        rng = random.Random(31)
+        seen = 0
+        for universe, parts in partitions_given_as_sets(rng):
+            q = Partition(universe, parts)
+            assert q.reps.dtype == np.intp and not q.reps.flags.writeable
+            assert q.reps.tolist() == [min(universe.index(x) for x in part)
+                                       for lab in universe for part in parts if lab in part]
+            again = Partition.from_reps(universe, q.reps.tolist())
+            assert again == q and hash(again) == hash(q)
+            assert (q.parts, q.part_of) == reference_form(universe, parts)
+            assert (again.parts, again.part_of) == (q.parts, q.part_of)
+            same = [any(i in part and j in part for part in parts)
+                    for i, j in all_pairs(universe)]
+            assert [q.same_part(i, j) for i, j in all_pairs(universe)] == same
+            assert clique_edges(q).mask.tolist() == same
+            seen += 1
+        assert seen == sum([1, 1, 2, 5, 15, 52, 203, 877]) + 300
+
+    def test_refines_against_the_set_reference(self):
+        for n in range(6):
+            universe = tuple(f"x{k}" for k in range(n))
+            given = list(iter_partitions(universe))
+            qs = [Partition(universe, parts) for parts in given]
+            for a, fine in zip(given, qs):
+                for b, coarse in zip(given, qs):
+                    want = all(any(part <= host for host in b) for part in a)
+                    assert fine.refines(coarse) == want
+
+    def test_equality_is_by_universe_and_reps(self):
+        p = Partition.from_parts("abc", [{"c"}, {"a", "b"}])
+        assert p == Partition.from_reps("abc", [0, 0, 2]) == Partition.from_reps(
+            tuple("abc"), np.array([0, 0, 2], dtype=np.int8))
+        assert p != Partition.from_reps("abd", [0, 0, 2])
+        assert p != Partition.from_reps("abc", [0, 1, 1])
+        assert len({p, Partition.from_reps("abc", [0, 0, 2]), Partition.singletons("abc")}) == 2
+
+    def test_from_reps_copies_its_vector(self):
+        reps = np.array([0, 0, 2])
+        p = Partition.from_reps("abc", reps)
+        reps[1] = 1
+        assert p.reps.tolist() == [0, 0, 2]
+
+    @pytest.mark.parametrize("reps", [
+        [1, 1, 2],        # reps[0] > 0
+        [0, 2, 2],        # reps[1] > 1
+        [0, 0, 1],        # reps[reps] != reps
+        [0, -1, 2],       # not a position
+        [0, 0],           # one entry short
+    ])
+    def test_from_reps_rejects_bad_vectors(self, reps):
+        with pytest.raises(ValueError, match="reps"):
+            Partition.from_reps("abc", reps)
+
+    def test_from_reps_rejects_random_bad_vectors(self):
+        rng = random.Random(32)
+        for _ in range(300):
+            universe = tuple(f"x{k}" for k in range(rng.randint(2, 10)))
+            reps = random_partition(rng, universe).reps.copy()
+            k = rng.randrange(1, len(reps))
+            later = reps.copy()
+            later[k - 1] = k  # reps[k - 1] > k - 1
+            with pytest.raises(ValueError, match="first label"):
+                Partition.from_reps(universe, later)
+            inner = np.flatnonzero(reps[:k] != np.arange(k))
+            if len(inner):  # point k at a label that is not its part's first
+                broken = reps.copy()
+                broken[k] = inner[0]
+                with pytest.raises(ValueError, match="first label"):
+                    Partition.from_reps(universe, broken)
+
+    def test_from_reps_rejects_duplicate_labels(self):
+        with pytest.raises(ValueError, match="duplicate labels"):
+            Partition.from_reps("aab", [0, 1, 2])
 
 
 class TestDistanceMatrix:

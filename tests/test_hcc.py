@@ -10,7 +10,7 @@ from treefit.core import (
 )
 from treefit.corrclust import EXACT_CAP
 from treefit.hca import is_hierarchical
-from treefit.hcc import fit_hcc
+from treefit.hcc import fit_hcc, lp_lower_bound
 from treefit.lp import HccInstance, build_lp, hierarchy_cost, solve_lp
 from treefit.oracle import exact_corr_cluster, exact_hcc
 from treefit.ultrametric import hcc_instance_from_distances
@@ -63,7 +63,7 @@ class TestFitHcc:
         inst = HccInstance.from_partitions(labels, (1.0, 0.5, 2.0), chain)
         res = fit_hcc(inst)
         assert res.cost == 0.0
-        assert res.lp_lower_bound == 0.0
+        assert lp_lower_bound(inst, res.cost) == (0.0, None)
         assert res.hierarchy.levels == tuple(chain)
 
     def test_single_level_at_least_exact(self, rng):
@@ -87,7 +87,7 @@ class TestFitHcc:
             inst = random_instance(rng, rng.randint(4, 6), rng.randint(1, 2))
             res = fit_hcc(inst)
             _, opt = exact_hcc(inst)
-            assert res.lp_lower_bound <= opt + 1e-6
+            assert lp_lower_bound(inst, res.cost)[0] <= opt + 1e-6
             assert opt <= res.cost + 1e-9
 
     def test_triangle_switch_always_holds(self, rng):
@@ -108,8 +108,9 @@ class TestFitHcc:
         for _ in range(10):
             inst = random_instance(rng, rng.randint(4, 6), rng.randint(1, 2))
             res = fit_hcc(inst)
-            if res.lp_lower_bound > 1e-9:
-                worst = max(worst, res.cost / res.lp_lower_bound)
+            bound = lp_lower_bound(inst, res.cost)[0]
+            if bound > 1e-9:
+                worst = max(worst, res.cost / bound)
             else:
                 assert res.cost <= 1e-9
         assert worst <= 10.0
@@ -166,12 +167,13 @@ class TestBoundShortcut:
                 objective = solve_lp(build_lp(inst)).objective
             for strategy, seed in runs:
                 res = fit_hcc(inst, strategy=strategy, seed=seed)
+                bound, point = lp_lower_bound(inst, res.cost)
                 if want is not None:
                     assert res.hierarchy == want
-                    assert (res.lp_lower_bound, res.lp_solution) == (0.0, None)
+                    assert (bound, point) == (0.0, None)
                 else:
-                    assert res.lp_solution is not None
-                    assert res.lp_lower_bound.hex() == objective.hex()
+                    assert point is not None
+                    assert bound.hex() == objective.hex()
             found += want is not None
             solved += want is None
         assert found >= 150 and solved >= 150

@@ -1340,7 +1340,7 @@ class TestFirstRound:
             "d = DistanceMatrix.from_pairs(labels, {p: float(rng.randint(1, 3))\n"
             "                                       for p in all_pairs(labels)})\n"
             "fit = fit_ultrametric(d)\n"
-            "print(fit.details['hcc'].lp_solution.rounds,\n"
+            "print(fit.details['lp_solution'].rounds,\n"
             "      *[m for m in ('scipy', 'numpy.ma') if m in sys.modules])\n"
         )
         src = Path(__file__).resolve().parents[1] / "src"

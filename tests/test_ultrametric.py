@@ -22,7 +22,7 @@ from treefit.core import (
     sym_diff_size,
 )
 from treefit.corrclust import EXACT_CAP
-from treefit.hcc import fit_hcc
+from treefit.hcc import fit_hcc, lp_lower_bound
 from treefit.io import newick_string, parse_newick
 from treefit.lp import hierarchy_cost
 from treefit.treemetric import fit_tree_metric, gromov_transform, pivot_subproblem
@@ -403,8 +403,8 @@ def pipeline_fit(d, strategy, seed):
     inst, levels = hcc_instance_from_distances(d)
     result = fit_hcc(inst, strategy=strategy, seed=seed)
     tree = hierarchy_to_ultrametric(result.hierarchy, levels)
-    return newick_string(tree), lp_norm_error(tree, d, 1), result.lp_lower_bound, \
-        levels.n_levels
+    return newick_string(tree), lp_norm_error(tree, d, 1), \
+        lp_lower_bound(inst, result.cost)[0], levels.n_levels
 
 
 def instance_key(inst):
@@ -540,11 +540,61 @@ class TestFitRecord:
                     else:
                         assert point.objective == fitted.lp_lower_bound
                         solved += 1
-                    if fitted.kind == "ultrametric":
-                        assert hcc is None or hcc.lp_solution is point
-                    else:  # the sub-fit solved no bound, and keeps none
-                        assert hcc is None or (hcc.lp_lower_bound, hcc.lp_solution) == (0.0, None)
+                    if hcc is not None:
+                        # the record is the one home of the bound: the
+                        # clustering result keeps none, and the recorded
+                        # instance and cost give the reported bound again
+                        assert not hasattr(hcc, "lp_lower_bound")
+                        assert not hasattr(hcc, "lp_solution")
+                        assert hcc.instance is inst
+                        bound, again = lp_lower_bound(inst, hcc.cost)
+                        assert bound == fitted.lp_lower_bound
+                        assert (again is None) == (point is None)
         assert solved > 20 and skipped > 20
+
+
+class TestOnePartitionForm:
+    """A fit keeps each partition as its `reps` from clustering to the tree:
+    it builds no partition from label sets and reads no `parts`."""
+
+    def test_fits_read_no_label_sets(self, monkeypatch):
+        reads = {"parts": 0, "built from sets": 0}
+        parts, init = Partition.__dict__["parts"], Partition.__init__
+
+        def counting_parts(self):
+            reads["parts"] += 1
+            return parts.func(self)
+
+        def counting_init(self, *args, **kwargs):
+            reads["built from sets"] += 1
+            init(self, *args, **kwargs)
+
+        # the clustering runs, and those that went on to cleaning
+        runs = {"clustered": 0, "cleaned": 0}
+        fit_hcc = ultrametric.fit_hcc
+
+        def counting_fit_hcc(*args, **kwargs):
+            result = fit_hcc(*args, **kwargs)
+            runs["clustered"] += 1
+            runs["cleaned"] += not result.hca.fast_path
+            return result
+
+        monkeypatch.setattr(Partition, "parts", property(counting_parts))
+        monkeypatch.setattr(Partition, "__init__", counting_init)
+        monkeypatch.setattr(ultrametric, "fit_hcc", counting_fit_hcc)
+        # the counters see a build and a read
+        assert Partition.from_parts("ab", [{"a", "b"}]).parts == (frozenset("ab"),)
+        assert reads == {"parts": 1, "built from sets": 1}
+        reads.update(dict.fromkeys(reads, 0))
+        rng = random.Random(31)
+        for n in range(4, 10):
+            labels = [f"s{x:02d}" for x in range(n)]
+            for _ in range(3):
+                d = random_matrix(rng, labels, (1.0, 2.0, 3.0, 4.0))
+                assert "hcc" in fit_ultrametric(d).details  # not the clique shortcut
+                fit_tree_metric(d)
+        assert reads == {"parts": 0, "built from sets": 0}
+        assert runs["cleaned"] >= 50 and runs["clustered"] >= 100
 
 
 class TestLevelDistances:
