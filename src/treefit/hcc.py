@@ -5,12 +5,13 @@ partitions go through the hierarchical cluster agreement solver.
 `lp_lower_bound` solves the LP of the original instance, the true lower
 bound a fit reports next to its cost. That bound lies between 0 and the cost
 of any hierarchy for the instance, so a fit of cost 0 needs no solve.
+`lp_lower_bound` alone skips the solve, on no levels or cost 0.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import HierarchySequence, Partition
+from .core import HierarchySequence
 from .corrclust import corr_cluster
 from .hca import HcaResult, fit_hca_report
 from .lp import DEFAULT_FEAS_TOL, HccInstance, LpSolution, build_lp, hierarchy_cost, solve_lp
@@ -18,22 +19,23 @@ from .lp import DEFAULT_FEAS_TOL, HccInstance, LpSolution, build_lp, hierarchy_c
 
 @dataclass
 class HccResult:
+    """The hierarchy, its cost and the agreement solver's report, whose
+    `partitions` are the levels' clusterings."""
+
     hierarchy: HierarchySequence
     cost: float
-    partitions: tuple[Partition, ...]
     hca: HcaResult
-    instance: HccInstance
 
 
-def lp_lower_bound(inst: HccInstance, cost: float, *,
+def lp_lower_bound(inst: HccInstance | None, cost: float, *,
                    feas_tol: float = DEFAULT_FEAS_TOL) -> tuple[float, LpSolution | None]:
     """Optimum of the instance's LP relaxation, and the point reaching it.
 
     cost is that of a hierarchy for the instance. The optimum lies between 0
-    and that cost, so a cost of 0 skips the solve: the bound is 0 and no
-    point is returned.
+    and that cost, so a cost of 0 skips the solve, as does an instance of
+    None (no levels): the bound is 0 and no point is returned.
     """
-    if cost == 0.0:
+    if inst is None or cost == 0.0:
         return 0.0, None
     solution = solve_lp(build_lp(inst), feas_tol)
     return solution.objective, solution
@@ -49,5 +51,4 @@ def fit_hcc(inst: HccInstance, *, strategy: str = "pivot-sweep",
         for es in inst.edge_sets)
     hca = fit_hca_report(inst.labels, partitions, inst.deltas,
                          feas_tol=feas_tol, fast_path=fast_path)
-    return HccResult(hierarchy=hca.hierarchy, cost=hierarchy_cost(inst, hca.hierarchy),
-                     partitions=partitions, hca=hca, instance=inst)
+    return HccResult(hierarchy=hca.hierarchy, cost=hierarchy_cost(inst, hca.hierarchy), hca=hca)

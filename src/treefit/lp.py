@@ -260,8 +260,7 @@ def build_lp(inst: HccInstance) -> LinearProgram:
     return LinearProgram(labels=inst.labels, n_levels=inst.n_levels, c=c, const=const)
 
 
-def solve_lp(lp: LinearProgram, feas_tol: float = DEFAULT_FEAS_TOL, *,
-             iteration_cap: int | None = None) -> LpSolution:
+def solve_lp(lp: LinearProgram, feas_tol: float = DEFAULT_FEAS_TOL) -> LpSolution:
     """Solve to optimality; the result is clamped into [0,1] and re-checked.
 
     The backend is the built-in dense simplex while the tableau of the full
@@ -288,16 +287,16 @@ def solve_lp(lp: LinearProgram, feas_tol: float = DEFAULT_FEAS_TOL, *,
     chain values there is optimal for the round's rows. The simplex's dual
     rounds leave those chains alone too, as they share no column with the
     rows added, so on both backends the pairs that no added row touches
-    hold their chain values.
-    iteration_cap bounds the simplex pivots of each round on the simplex
-    backend only; a first round that needs more stalls at the origin. An LP
-    without pairs (0 or 1 labels) has the empty point.
+    hold their chain values. An LP without pairs (0 or 1 labels) has the
+    empty point. A fit's bound LP is solved only through
+    `hcc.lp_lower_bound`, which alone skips it, on no levels or cost 0.
 
     The solution's `rounds` is the number of solves, the chain round
     counting as one, its `rows_used` the number of rows active in the last
     one (on HiGHS also those of the pairs it left at their chain values) and
-    its `pivots` their pivots summed. A SolverError carries a `best` point
-    only if that point satisfies every row of the full LP.
+    its `pivots` their pivots summed. A later simplex round that reaches
+    `solve_dense`'s iteration cap raises a SolverError, which carries the
+    stalled point as `best` only if it satisfies every row of the full LP.
     """
     _check_tol("feas_tol", feas_tol)
     m = lp.n_rows + lp.n_vars
@@ -312,10 +311,9 @@ def solve_lp(lp: LinearProgram, feas_tol: float = DEFAULT_FEAS_TOL, *,
         def solve_rows(active: np.ndarray, new: np.ndarray) -> tuple[np.ndarray, int]:
             nonlocal last
             if last is None:
-                last = solve_first_round(lp, iteration_cap)
+                last = solve_first_round(lp)
             else:
-                last = solve_dense(lp.c, lp.dense_matrix(new), np.zeros(len(new)),
-                                   iteration_cap=iteration_cap, start=last)
+                last = solve_dense(lp.c, lp.dense_matrix(new), np.zeros(len(new)), start=last)
             return last.x, last.iterations
     else:
         chain_x = None
@@ -333,8 +331,8 @@ def solve_lp(lp: LinearProgram, feas_tol: float = DEFAULT_FEAS_TOL, *,
     try:
         x, rounds, rows_used, pivots, tri_lhs = _solve_lazily(lp, solve_rows, feas_tol)
     except SimplexStall as exc:
-        # a stalled point need not meet the rows not yet added, and one
-        # stalled in a later round's dual phase not even the rows added
+        # a point stalled in a later round need not meet the rows not yet
+        # added, and one stalled in its dual phase not even the rows added
         best = _solution(lp, exc.x, backend)
         if max(best.max_violation().values()) > feas_tol:
             best = None
@@ -389,8 +387,7 @@ def _solve_lazily(lp: LinearProgram, solve_rows, feas_tol: float
         active = np.flatnonzero(in_active)
 
 
-def solve_first_round(lp: LinearProgram, iteration_cap: int | None = None
-                      ) -> SimplexResult:
+def solve_first_round(lp: LinearProgram) -> SimplexResult:
     """The cold simplex solve of lp's monotonicity and box rows.
 
     Those rows split into one chain per pair p: min c_p.x subject to
@@ -404,21 +401,18 @@ def solve_first_round(lp: LinearProgram, iteration_cap: int | None = None
     in another order: over the pairs here, pivot by pivot there.
 
     Pairs with equal costs share one chain solve, cached across calls. The
-    pivots are those of the cold solve; if they exceed iteration_cap (by
-    default 10 per row, as in `solve_dense`), the solve stalls at the origin,
-    which meets every row. Its tableau is bounded as `solve_lp` says.
+    pivots are those of the cold solve. Each chain solve stops at
+    `solve_dense`'s cap of 10 pivots per chain row, so their sum never
+    exceeds 10 per row of the cold solve. Its tableau is bounded as
+    `solve_lp` says.
     """
     n_levels = lp.n_levels
     n_pairs = lp.n_vars // n_levels
     m = (2 * n_levels - 1) * n_pairs  # n_levels - 1 monotonicity rows, n_levels box rows
     ncols = lp.n_vars + m
-    if iteration_cap is None:
-        iteration_cap = 10 * m
 
     chains, group = _chain_groups(lp)
     solved, x, iterations = _solve_chains(chains, group)
-    if iterations > iteration_cap:
-        raise SimplexStall("iteration cap reached", np.zeros(lp.n_vars), 0.0, 0)
 
     pair = np.arange(n_pairs)
     rows = np.arange(2 * n_levels) * n_pairs + pair[:, None]

@@ -194,7 +194,9 @@ def fit_tree_metric(d: DistanceMatrix, *, pivot_mode: str = "all",
     pivot_mode "all" tries every label as the pivot and keeps the best
     candidate (the approximation guarantee needs this); "fixed" uses one
     pivot and is faster but forfeits the guarantee. The bound and its record
-    are those of the kept pivot's subproblem (see `fit_ultrametric`).
+    are those of the kept pivot's subproblem (see `fit_ultrametric`), from
+    one `lp_lower_bound` call, which alone skips the solve, on no levels or
+    cost 0.
     """
     check_fit_args(d, strategy, feas_tol)
     if pivot_mode not in ("all", "fixed"):
@@ -223,9 +225,8 @@ def fit_tree_metric(d: DistanceMatrix, *, pivot_mode: str = "all",
     near: list[tuple[float, str, RestrictedInstance, np.ndarray, int, dict]] = []
     for a in pivots:
         r = gromov_transform(d, a)
-        levels, reps, _, details = fit_levels(
-            pivot_subproblem(r), strategy=strategy, seed=seed, feas_tol=feas_tol,
-            lower_bound=False)
+        levels, reps, details = fit_levels(
+            pivot_subproblem(r), strategy=strategy, seed=seed, feas_tol=feas_tol)
         clamped = clamp_to_restricted(level_distances(d.n, levels, reps), r)
         score = 2.0 * float(np.abs(clamped - r.transformed.values).sum())
         per_pivot[a] = score
@@ -246,8 +247,7 @@ def fit_tree_metric(d: DistanceMatrix, *, pivot_mode: str = "all",
     err, chosen, tree, num_levels, sub = best
     # only the winning pivot's bound is reported, so only its LP is solved
     inst = sub["instance"]
-    bound, lp_solution = (0.0, None) if inst is None else lp_lower_bound(
-        inst, sub["hcc_cost"], feas_tol=feas_tol)
+    bound, lp_solution = lp_lower_bound(inst, sub["hcc_cost"], feas_tol=feas_tol)
     fixed = pseudometric_to_metric(tree, d, 1.0 / len(d.labels))
     final_err = lp_norm_error(fixed, d, 1)
     return FittedTree(kind="tree", tree=fixed, l1_error=final_err,

@@ -114,13 +114,16 @@ def levels_to_ultrametric(labels: Sequence[str], levels: UltrametricLevels,
     distance D^(t), and labels never joined meet at the largest value.
 
     Level t joins the first label of each part below to the first label of
-    the part holding it, which is the first of those it holds.
+    the part holding it, which is the first of those it holds; only the
+    parts that join are passed on, n - 1 pairs over all levels.
     """
-    steps, firsts = [], range(len(labels))  # the first label of each part below
-    for rep in reps.tolist():
-        steps.append([(rep[k], k) for k in firsts])
-        firsts = [k for k in firsts if rep[k] == k]
-    steps.append([(0, k) for k in firsts])
+    steps, firsts = [], np.arange(len(labels))  # the first label of each part below
+    for rep in reps:
+        up = rep[firsts]
+        moved = up != firsts
+        steps.append(list(zip(up[moved].tolist(), firsts[moved].tolist())))
+        firsts = firsts[~moved]
+    steps.append([(0, k) for k in firsts[1:].tolist()])
     return UltrametricTree._from_joins(tuple(labels), levels.values, steps)
 
 
@@ -152,32 +155,29 @@ def check_fit_args(d: DistanceMatrix, strategy: str, feas_tol: float) -> None:
 
 
 def fit_levels(d: DistanceMatrix, *, strategy: str = "pivot-sweep",
-               seed: int | None = None, feas_tol: float = DEFAULT_FEAS_TOL,
-               lower_bound: bool = True
-               ) -> tuple[UltrametricLevels, np.ndarray, float, dict]:
+               seed: int | None = None, feas_tol: float = DEFAULT_FEAS_TOL
+               ) -> tuple[UltrametricLevels, np.ndarray, dict]:
     """The fit up to its tree: the levels, each level's `reps` as a (levels,
-    n) array (see `levels_to_ultrametric`), the bound and the details of
-    `fit_ultrametric`.
+    n) array (see `levels_to_ultrametric`) and the details of
+    `fit_ultrametric` without `lp_solution`.
 
     When every level is already a union of cliques (and when there is no
     level), those cliques are the hierarchy each strategy finds, at cost 0:
-    bound 0, no `hcc` entry. Otherwise `fit_hcc` finds the hierarchy and
-    `lp_lower_bound` the bound, unless lower_bound is False (bound 0).
+    no `hcc` entry. Otherwise `fit_hcc` finds the hierarchy. The bound is
+    left to `lp_lower_bound` of `details["instance"]` and `["hcc_cost"]`,
+    which alone skips the solve, on no levels or cost 0.
     """
     check_fit_args(d, strategy, feas_tol)
     inst, levels = hcc_instance_from_distances(d)
     reps = np.empty((0, d.n), dtype=np.intp) if inst is None else clique_levels(inst)
     if reps is not None:
-        bound, details = 0.0, {"fast_path": True, "hcc_cost": 0.0, "lp_solution": None}
+        details = {"fast_path": True, "hcc_cost": 0.0}
     else:
         result = fit_hcc(inst, strategy=strategy, seed=seed, feas_tol=feas_tol)
         reps = np.array([level.reps for level in result.hierarchy.levels])
-        bound, lp_solution = (lp_lower_bound(inst, result.cost, feas_tol=feas_tol)
-                              if lower_bound else (0.0, None))
-        details = {"fast_path": result.hca.fast_path, "hcc_cost": result.cost,
-                   "hcc": result, "lp_solution": lp_solution}
+        details = {"fast_path": result.hca.fast_path, "hcc_cost": result.cost, "hcc": result}
     details["instance"] = inst
-    return levels, reps, bound, details
+    return levels, reps, details
 
 
 def level_distances(n: int, levels: UltrametricLevels, reps: np.ndarray) -> np.ndarray:
@@ -198,10 +198,13 @@ def fit_ultrametric(d: DistanceMatrix, *, strategy: str = "pivot-sweep",
     The tree is built from the parts `fit_levels` finds, straight from the
     cliques when every level is already a union of them: bound 0, no `hcc`
     entry. The LP behind the bound and its point are `details["instance"]`
-    and `["lp_solution"]`, None without levels and without a solve.
+    and `["lp_solution"]`, None without levels and without a solve; with
+    lower_bound False none is solved and the bound is 0.
     """
-    levels, reps, bound, details = fit_levels(d, strategy=strategy, seed=seed,
-                                              feas_tol=feas_tol, lower_bound=lower_bound)
+    levels, reps, details = fit_levels(d, strategy=strategy, seed=seed, feas_tol=feas_tol)
+    bound, details["lp_solution"] = (
+        lp_lower_bound(details["instance"], details["hcc_cost"], feas_tol=feas_tol)
+        if lower_bound else (0.0, None))
     # values merged within VALUE_MERGE_TOL still differ from the tree
     tree = levels_to_ultrametric(d.labels, levels, reps)
     return FittedTree(kind="ultrametric", tree=tree, l1_error=lp_norm_error(tree, d, 1),

@@ -21,11 +21,11 @@ def es(universe, pairs):
     return EdgeSet.from_pairs(universe, pairs)
 
 
-def triangle_switch_holds(result) -> bool:
+def triangle_switch_holds(inst, result) -> bool:
     """|E sdiff P| <= |E sdiff Q| + |Q sdiff P| per level, always exact."""
-    for t in range(result.instance.n_levels):
-        e = result.instance.edge_sets[t]
-        q = clique_edges(result.partitions[t])
+    for t in range(inst.n_levels):
+        e = inst.edge_sets[t]
+        q = clique_edges(result.hca.partitions[t])
         p = clique_edges(result.hierarchy.levels[t])
         if sym_diff_size(e, p) > sym_diff_size(e, q) + sym_diff_size(q, p):
             return False
@@ -94,7 +94,7 @@ class TestFitHcc:
         for _ in range(10):
             inst = random_instance(rng, rng.randint(4, 7), rng.randint(1, 3))
             res = fit_hcc(inst)
-            assert triangle_switch_holds(res)
+            assert triangle_switch_holds(inst, res)
 
     def test_cost_matches_hierarchy_cost(self, rng):
         inst = random_instance(rng, 6, 2)

@@ -181,33 +181,25 @@ class TestSolveLp:
         with pytest.raises(ValueError, match="feas_tol"):
             solve_lp(build_lp(inst), tol)
 
-    def test_iteration_cap_carries_best_point(self):
-        inst = HccInstance(LABELS3, (1.0,), (es(LABELS3, [("a", "b"), ("b", "c")]),))
-        lp = build_lp(inst)
-        with pytest.raises(SolverError) as err:
-            solve_lp(lp, iteration_cap=0)
-        assert err.value.best is not None
-        assert max(err.value.best.max_violation().values()) <= 1e-7
-
     def test_later_round_stall_keeps_only_a_feasible_best(self, rng, monkeypatch):
-        # iteration_cap bounds each round's pivots, dual and primal together:
-        # under a cap that round 1 meets, the rounds go as without it up to
-        # the first that needs more pivots, which stops after exactly cap of
-        # them. It continues from the last tableau, so its point may violate
-        # the rows it added; it is handed back only if it meets every row of
-        # the full LP. A loose feas_tol lets some stalled points pass.
-        rounds = record_rounds(monkeypatch)
+        # solve_dense's iteration cap bounds a later round's pivots, dual and
+        # primal together: under a smaller cap, set here on the later rounds
+        # only, the rounds go as without it up to the first that needs more
+        # pivots, which stops after exactly cap of them. It continues from
+        # the last tableau, so its point may violate the rows it added; it
+        # is handed back only if it meets every row of the full LP. A loose
+        # feas_tol lets some stalled points pass.
         seen = set()
         for feas_tol in (lp_module.DEFAULT_FEAS_TOL, 0.5):
             for _ in range(20):
                 lp = build_lp(table_instance(rng, rng.randint(5, 8), False))
-                rounds.clear()
+                rounds = record_rounds(monkeypatch)
                 solve_on("simplex", lp, feas_tol)
                 per_round = [pivots for _, pivots in rounds]
                 for cap in range(per_round[0], max(per_round[1:], default=0)):
-                    rounds.clear()
+                    rounds = record_rounds(monkeypatch, cap)
                     with pytest.raises(SolverError) as err:
-                        solve_on("simplex", lp, feas_tol, iteration_cap=cap)
+                        solve_on("simplex", lp, feas_tol)
                     stalled_round = next(k for k, p in enumerate(per_round) if p > cap)
                     assert stalled_round >= 1
                     assert [pivots for _, pivots in rounds] == per_round[:stalled_round]
@@ -937,21 +929,23 @@ def full_row_objective(lp) -> float:
     return float(res.fun + lp.const)
 
 
-def record_rounds(monkeypatch) -> list[tuple[np.ndarray, int]]:
+def record_rounds(monkeypatch, cap: int | None = None) -> list[tuple[np.ndarray, int]]:
     """The rows added and the pivots of each simplex round solved from now
     on: lp.solve_first_round makes the first round and lp.solve_dense, given
-    a start, each later one (the first round's chain solves get no start)."""
+    a start, each later one (the first round's chain solves get no start).
+    A cap is passed to the later rounds' solve_dense as its iteration_cap."""
     rounds = []
 
-    def first_round(lp, iteration_cap=None):
-        res = solve_first_round(lp, iteration_cap)
+    def first_round(lp):
+        res = solve_first_round(lp)
         rounds.append((lp.dense_matrix(np.arange(lp.n_tri, lp.n_rows)), res.iterations))
         return res
 
     def later_round(c, a, b, **kwargs):
-        res = solve_dense(c, a, b, **kwargs)
-        if kwargs.get("start") is not None:
-            rounds.append((a, res.iterations))
+        if kwargs.get("start") is None:
+            return solve_dense(c, a, b, **kwargs)
+        res = solve_dense(c, a, b, iteration_cap=cap, **kwargs)
+        rounds.append((a, res.iterations))
         return res
 
     monkeypatch.setattr(lp_module, "solve_first_round", first_round)
@@ -1280,35 +1274,14 @@ class TestFirstRound:
             misses.append(lp_module._solve_chain.cache_info().misses - before)
         assert misses == [73, 0]
 
-    def test_over_the_cap_stalls_at_the_origin(self, rng):
-        # a first round that needs more pivots than the cap stops at the
-        # origin, which meets every row, so solve_lp hands it back as best
-        stalled = 0
-        for _ in range(20):
-            lp = build_lp(table_instance(rng, rng.randint(4, 8), False))
-            need = solve_first_round(lp).iterations
-            assert solve_first_round(lp, need).iterations == need
-            if not need:
-                continue
-            with pytest.raises(SimplexStall) as err:
-                solve_first_round(lp, need - 1)
-            assert err.value.x.tobytes() == np.zeros(lp.n_vars).tobytes()
-            assert (err.value.objective, err.value.iterations) == (0.0, 0)
-            with pytest.raises(SolverError) as err:
-                solve_on("simplex", lp, iteration_cap=need - 1)
-            assert not err.value.best.x.any()
-            assert err.value.best.objective == lp.const
-            stalled += 1
-        assert stalled >= 15
-
     def test_every_tableau_fits_the_dense_budget(self, rng, monkeypatch):
         # each tableau of a simplex solve holds a subset of the full LP's
         # rows, so on LPs whose full tableau sits just under the budget that
         # picks the simplex, every tableau built stays within it
         sizes = []
 
-        def first_round(lp, iteration_cap=None):
-            res = solve_first_round(lp, iteration_cap)
+        def first_round(lp):
+            res = solve_first_round(lp)
             sizes.append(res.tableau.size)
             return res
 

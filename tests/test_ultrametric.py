@@ -6,6 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from treefit import hcc as hcc_module
 from treefit import ultrametric
 from treefit.core import (
     DEFAULT_TOL,
@@ -42,13 +43,18 @@ from conftest import (partition_tree, planted_ultrametric, random_hierarchy, ran
                       ultrametric_to_hierarchy)
 
 
-def caterpillar(n):
-    """Level t adds x(t+1) to the block of x0..xt, so every pair (xi, xj)
-    with i < j first meets at level j - 1, at distance j."""
+def caterpillar_hierarchy(n):
+    """Level t adds x(t+1) to the block of x0..xt."""
     labels = tuple(f"x{k:04d}" for k in range(n))
-    hierarchy = HierarchySequence(tuple(
+    return labels, HierarchySequence(tuple(
         Partition.from_parts(labels, [labels[:t + 2]] + [[x] for x in labels[t + 2:]])
         for t in range(n - 2)))
+
+
+def caterpillar(n):
+    """Its tree: every pair (xi, xj) with i < j first meets at level j - 1,
+    at distance j."""
+    labels, hierarchy = caterpillar_hierarchy(n)
     levels = UltrametricLevels(tuple(float(t + 1) for t in range(n - 1)))
     return labels, hierarchy_to_ultrametric(hierarchy, levels)
 
@@ -175,6 +181,31 @@ class TestHierarchyToUltrametric:
             assert hierarchy_to_ultrametric(HierarchySequence(tuple(chain)), levels) == expected
             assert star_tree(labels, values[0]) == partition_tree(
                 HierarchySequence((whole,)), values[:1])
+
+    def test_joins_only_the_parts_that_meet(self, rng, monkeypatch):
+        # a hierarchy over n labels joins parts n - 1 times in all, however
+        # many levels it has, so the union-find is handed n - 1 pairs
+        joins = []
+        from_joins = UltrametricTree._from_joins.__func__
+
+        def counting(cls, labels, values, steps):
+            steps = [list(pairs) for pairs in steps]
+            joins.append(sum(map(len, steps)))
+            return from_joins(cls, labels, values, steps)
+
+        monkeypatch.setattr(UltrametricTree, "_from_joins", classmethod(counting))
+        cases = [caterpillar_hierarchy(120)]  # tree equality recurses, so not 1500 deep
+        for _ in range(60):
+            labels = tuple(f"s{k}" for k in range(rng.randint(1, 9)))
+            chain = random_hierarchy(rng, labels, rng.randint(1, 6))
+            cases.append((labels, HierarchySequence(tuple(chain))))
+        for labels, hierarchy in cases:
+            values = tuple(float(t + 1) for t in range(len(hierarchy) + 1))
+            whole = Partition.from_parts(labels, [labels])
+            joins.clear()
+            tree = hierarchy_to_ultrametric(hierarchy, UltrametricLevels(values))
+            assert joins == [len(labels) - 1]
+            assert tree == partition_tree(HierarchySequence(hierarchy.levels + (whole,)), values)
 
     def test_deep_caterpillar(self):
         labels, tree = caterpillar(300)
@@ -471,9 +502,9 @@ class TestExactPath:
 
         def counting(*args, **kwargs):
             nonlocal subfits
-            levels, reps, bound, details = real(*args, **kwargs)
+            levels, reps, details = real(*args, **kwargs)
             subfits += "hcc" not in details
-            return levels, reps, bound, details
+            return levels, reps, details
 
         for n in range(2, 13):
             for _ in range(4):
@@ -541,16 +572,51 @@ class TestFitRecord:
                         assert point.objective == fitted.lp_lower_bound
                         solved += 1
                     if hcc is not None:
-                        # the record is the one home of the bound: the
-                        # clustering result keeps none, and the recorded
-                        # instance and cost give the reported bound again
-                        assert not hasattr(hcc, "lp_lower_bound")
-                        assert not hasattr(hcc, "lp_solution")
-                        assert hcc.instance is inst
+                        # the record is the one home of the bound and of
+                        # its LP: the clustering result keeps neither, and
+                        # the recorded instance and cost give the reported
+                        # bound again
+                        for field in ("lp_lower_bound", "lp_solution", "instance"):
+                            assert not hasattr(hcc, field)
                         bound, again = lp_lower_bound(inst, hcc.cost)
                         assert bound == fitted.lp_lower_bound
                         assert (again is None) == (point is None)
         assert solved > 20 and skipped > 20
+
+
+class TestOneBoundSolve:
+    """`hcc.lp_lower_bound` alone decides whether a fit's bound LP is solved,
+    on no levels or cost 0: `fit_levels` solves none, a fit at most one."""
+
+    def test_bound_solves_per_fit(self, monkeypatch):
+        solves = 0
+        solve_lp = hcc_module.solve_lp
+
+        def counting(*args, **kwargs):
+            nonlocal solves
+            solves += 1
+            return solve_lp(*args, **kwargs)
+
+        monkeypatch.setattr(hcc_module, "solve_lp", counting)
+        assert lp_lower_bound(None, 3.0) == (0.0, None)
+        assert solves == 0
+        rng = random.Random(37)
+        routes, solved = set(), 0
+        for n in range(1, 9):
+            for d in TestFitRecord.tables(rng, n):
+                solves = 0
+                routes.add("hcc" in fit_levels(d)[2])
+                assert solves == 0
+                fitted = fit_ultrametric(d)
+                assert solves == (fitted.details["hcc_cost"] > 0)
+                assert solves == (fitted.details["lp_solution"] is not None)
+                solved += solves
+                solves = 0
+                fit_ultrametric(d, lower_bound=False)
+                assert solves == 0
+                fitted = fit_tree_metric(d)
+                assert solves == (fitted.details["lp_solution"] is not None)  # at most 1
+        assert routes == {True, False} and solved > 10
 
 
 class TestOnePartitionForm:
@@ -622,14 +688,14 @@ class TestLevelDistances:
         rng = random.Random(30)
         routes = set()
         for d in self.tables(rng):
-            levels, reps, bound, details = fit_levels(d, lower_bound=False)
+            levels, reps, details = fit_levels(d)
             got = level_distances(d.n, levels, reps)
             tree = levels_to_ultrametric(d.labels, levels, reps)
             assert got.dtype == np.float64
             assert got.tobytes() == tree.distances().tobytes()
             fitted = fit_ultrametric(d, lower_bound=False)
             assert got.tobytes() == fitted.tree.distances().tobytes()
-            assert (bound, fitted.num_levels) == (fitted.lp_lower_bound, levels.n_levels)
+            assert (0.0, fitted.num_levels) == (fitted.lp_lower_bound, levels.n_levels)
             routes.add("hcc" in details)
         assert routes == {True, False}
 
