@@ -18,7 +18,9 @@ refinement, clique edges, the LP levels and the trees all read that vector;
 the label sets `parts` are built only when read.
 
 Tree arrays: both tree types hold one rooted form, built once by their
-constructors. The nodes are in preorder, the root at position 0, so each
+constructors; a fit writes an ultrametric tree's arrays straight from its
+joins, and the `UltraNode`s of `UltrametricTree.root` are built only when
+`.root` is read. The nodes are in preorder, the root at position 0, so each
 subtree is a slice. `_parent[v]` is the position of v's parent (-1 at the
 root), `_length[v]` the length of the edge to it (0.0 at the root) and
 `_label[v]` the position in `labels` of v's label (-1 for a node without
@@ -513,11 +515,11 @@ class _RootedTree:
     labels: tuple[str, ...]
     _index: dict[str, int]
 
-    def _set_arrays(self, labels: tuple[str, ...], index: dict[str, int], parent: list[int],
-                    length: np.ndarray, label: list[int]) -> None:
+    def _set_arrays(self, labels: tuple[str, ...], index: dict[str, int], parent,
+                    length: np.ndarray, label) -> None:
         for name, value in (("labels", labels), ("_index", index),
-                            ("_parent", np.array(parent, dtype=np.intp)),
-                            ("_length", length), ("_label", np.array(label, dtype=np.intp)),
+                            ("_parent", np.asarray(parent, dtype=np.intp)),
+                            ("_length", length), ("_label", np.asarray(label, dtype=np.intp)),
                             ("_dist", None)):
             object.__setattr__(self, name, value)
 
@@ -541,10 +543,10 @@ class _RootedTree:
     def distances_in(self, labels: Sequence[str]) -> np.ndarray:
         """distances() in `all_pairs(labels)` order, labels being a reordering."""
         labels = tuple(labels)
-        if sorted(labels) != sorted(self.labels):
-            raise UniverseMismatch("tree labels do not match the distance matrix")
         if labels == self.labels:
             return self.distances()
+        if sorted(labels) != sorted(self.labels):
+            raise UniverseMismatch("tree labels do not match the distance matrix")
         pos = np.array([self._index[lab] for lab in labels], dtype=np.intp)
         i, j = _pair_ends(len(pos))
         return _square(self.distances(), len(pos)).reshape(-1)[pos[i] * len(pos) + pos[j]]
@@ -567,40 +569,49 @@ class UltraNode:
         return not self.children
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class UltrametricTree(_RootedTree):
     """Rooted tree; leaves are labels at height 0, dist(i,j) = 2 * height(lca).
 
     Its arrays add `_height`; an edge is as long as its parent's height less
-    its own.
+    its own. Trees compare and hash by their labels and arrays. `root`, the
+    tree as `UltraNode`s, is the one given or is built when first read.
     """
 
     labels: tuple[str, ...]
-    root: UltraNode
 
-    def __post_init__(self):
-        labels = tuple(self.labels)
+    def __init__(self, labels: Sequence[str], root: UltraNode):
+        labels = tuple(labels)
         index = _label_index(labels)
-        nodes, parent = _preorder(self.root, lambda node: node.children)
+        nodes, parent = _preorder(root, lambda node: node.children)
         leaves = [node.label for node in nodes if not node.children]
         if None in leaves:
             raise ValueError("leaf without a label")
         if sorted(leaves) != sorted(labels):  # type: ignore[type-var]
             raise ValueError("tree leaves do not match the label set")
-        heights = [node.height for node in nodes]
-        for v, node in enumerate(nodes):  # the first bad height in preorder
-            if v and not heights[v] < heights[parent[v]]:
-                raise ValueError("heights must strictly increase child to parent")
-            if not node.children and heights[v] != 0.0:
-                raise ValueError("leaves must sit at height 0")
-            if node.children and not heights[v] > 0.0:
-                raise ValueError("internal node height must be positive")
-        height = np.array(heights, dtype=np.float64)
+        object.__setattr__(self, "root", root)
+        self._set_heights(labels, index, parent, [node.height for node in nodes],
+                          [-1 if node.children else index[node.label] for node in nodes])
+
+    def _set_heights(self, labels: tuple[str, ...], index: dict[str, int], parent,
+                     height, label) -> None:
+        """Check the heights, naming the first bad one in preorder, then set
+        the arrays."""
+        parent, label = np.asarray(parent, dtype=np.intp), np.asarray(label, dtype=np.intp)
+        height = np.asarray(height, dtype=np.float64)
+        inner = label < 0
+        rises = height < height[parent]
+        rises[0] = True
+        ok = rises & np.where(inner, height > 0.0, height == 0.0)
+        if not ok.all():
+            v = ok.argmin()
+            raise ValueError("heights must strictly increase child to parent" if not rises[v]
+                             else "internal node height must be positive" if inner[v]
+                             else "leaves must sit at height 0")
         object.__setattr__(self, "_height", height)
         length = height[parent] - height
         length[0] = 0.0
-        self._set_arrays(labels, index, parent, length,
-                         [-1 if node.children else index[node.label] for node in nodes])
+        self._set_arrays(labels, index, parent, length, label)
 
     @classmethod
     def _from_joins(cls, labels: tuple[str, ...], values: Sequence[float],
@@ -611,11 +622,52 @@ class UltrametricTree(_RootedTree):
         their first labels. The steps must join every label."""
         if not labels:
             raise ValueError("an ultrametric tree needs at least one label")
-        node = [UltraNode(0.0, (), lab) for lab in labels]  # of each component, by its root
-        for value, (joined, _) in zip(values, _union_steps(len(labels), steps)):
+        n = len(labels)
+        index = _label_index(labels)
+        # nodes are ints, the leaves 0..n-1 in label order
+        top = list(range(n))  # the node of each component, by its root
+        kids: list[list[int]] = [[] for _ in range(n)]
+        heights = [0.0] * n
+        for value, (joined, _) in zip(values, _union_steps(n, steps)):
             for r, roots in joined.items():
-                node[r] = UltraNode(value / 2.0, tuple(node[k] for k in sorted(roots)))
-        return cls(labels, node[0])
+                node = [top[k] for k in sorted(roots)]
+                top[r] = len(kids)
+                kids.append(node)
+                heights.append(value / 2.0)
+        nodes, parent = _preorder(top[0], kids.__getitem__)
+        order = np.array(nodes, dtype=np.intp)
+        leaf = order < n
+        if np.count_nonzero(leaf) != n:
+            raise ValueError("tree leaves do not match the label set")
+        tree = cls.__new__(cls)
+        tree._set_heights(labels, index, parent, np.array(heights)[order],
+                          np.where(leaf, order, -1))
+        return tree
+
+    @functools.cached_property
+    def root(self) -> UltraNode:
+        """The tree as `UltraNode`s, built from the arrays, children up."""
+        parent, height = self._parent.tolist(), self._height.tolist()
+        names = [self.labels[k] if k >= 0 else None for k in self._label.tolist()]
+        kids: list[list[UltraNode]] = [[] for _ in parent]  # each in reverse
+        for v in reversed(range(len(parent))):
+            node = UltraNode(height[v], tuple(reversed(kids[v])), names[v])
+            kids[parent[v]].append(node)  # the root's goes to kids[-1], unread
+        return node
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, UltrametricTree):
+            return NotImplemented
+        return self.labels == other.labels and all(
+            np.array_equal(getattr(self, a), getattr(other, a))
+            for a in ("_parent", "_label", "_height"))
+
+    def __hash__(self) -> int:
+        return hash((self.labels, self._parent.tobytes(), self._label.tobytes()))
+
+    def __repr__(self) -> str:
+        return (f"UltrametricTree(labels={self.labels!r}, parent={self._parent.tolist()}, "
+                f"height={self._height.tolist()}, label={self._label.tolist()})")
 
     @classmethod
     def from_map(cls, labels: Sequence[str], mapping: Mapping, *,
@@ -668,7 +720,7 @@ class UltrametricTree(_RootedTree):
         return 2.0 * square.reshape(-1)[np.minimum(a, b) * n + np.maximum(a, b)]
 
     def top_distance(self) -> float:
-        return 2.0 * self.root.height
+        return 2.0 * float(self._height[0])
 
 
 @dataclass(frozen=True)
@@ -769,7 +821,9 @@ def lp_norm_error(tree, d: DistanceMatrix, p: float) -> float:
     """(sum |dist_T(i,j) - D(i,j)|^p)^(1/p); max when p is infinite.
 
     tree is a tree over d's labels, in any order, or a vector in
-    `all_pairs(d.labels)` order; the terms are summed one by one in that order.
+    `all_pairs(d.labels)` order; the terms are summed one by one in that
+    order, at p = 1 by `np.add.accumulate`, which is sequential on every
+    Python version (the builtin `sum` compensates from 3.12 on).
     """
     if not p >= 1:  # inf passes, NaN does not
         raise ValueError("p must be >= 1 or inf")
@@ -779,12 +833,14 @@ def lp_norm_error(tree, d: DistanceMatrix, p: float) -> float:
         realized = _pair_vector(tree, d.n)
     else:
         raise TypeError(f"cannot evaluate distances of {type(tree)!r}")
-    diffs = np.abs(realized - d.values).tolist()
+    diffs = np.abs(realized - d.values)
+    if not len(diffs):
+        return 0.0
     if p == math.inf:
-        return max(diffs) if diffs else 0.0
+        return float(diffs.max())
     if p == 1:
-        return sum(diffs, 0.0)
-    return sum(x ** p for x in diffs) ** (1.0 / p)
+        return float(np.add.accumulate(diffs)[-1])
+    return sum(x ** p for x in diffs.tolist()) ** (1.0 / p)
 
 
 def is_ultrametric(mapping: Mapping, tol: float = DEFAULT_TOL) -> bool:

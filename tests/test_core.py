@@ -1,5 +1,7 @@
+import functools
 import itertools
 import math
+import operator
 import random
 import re
 
@@ -727,6 +729,24 @@ class TestLpNormErrorPermuted:
             else:
                 expected = sum(x ** p for x in diffs) ** (1.0 / p)
             assert lp_norm_error(shuffled, noisy, p) == expected
+
+
+class TestLpNormErrorSum:
+    def test_l1_is_the_sequential_sum_in_pair_order(self, rng):
+        # bit for bit the sum from the left, on values across 24 decades,
+        # which a compensated or pairwise sum would round differently
+        for _ in range(40):
+            _, weighted = random_tree_metric(rng, rng.randint(2, 14))
+            labels = list(weighted.labels)
+            d = DistanceMatrix.from_pairs(labels, {
+                p: 10.0 ** rng.uniform(-12.0, 12.0) for p in all_pairs(labels)})
+            rng.shuffle(labels)
+            for tree in (UltrametricTree.from_map(labels, random_ultrametric_map(rng, labels)),
+                         WeightedTree(tuple(labels), weighted.edges)):
+                diffs = [abs(tree.distance(i, j) - v) for i, j, v in d.pairs()]
+                expected = functools.reduce(operator.add, diffs, 0.0)
+                assert lp_norm_error(tree, d, 1) == expected
+                assert lp_norm_error(tree.distances_in(d.labels), d, 1) == expected
 
 
 class TestScale:

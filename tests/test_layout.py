@@ -8,7 +8,10 @@ attribute or a string constant (the benchmark wraps library functions by
 name); an import alone does not count.
 """
 import ast
+import importlib
+import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import treefit
 
@@ -55,3 +58,16 @@ def unused_definitions() -> list[str]:
 def test_every_library_definition_is_reached():
     assert LIBRARY and CALLERS
     assert unused_definitions() == []
+
+
+def test_every_traced_call_resolves(monkeypatch):
+    # the traced benchmark wraps library calls by owner and attribute name,
+    # so a rename would fail only a traced run; install here records them
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    layers = importlib.import_module("layers")
+    wrapped = []
+    recorder = SimpleNamespace(wrap=lambda owner, attr, *rest: wrapped.append((owner, attr)))
+    layers.install(recorder, layers.public_api(treefit))
+    missing = [(owner, attr) for owner, attr in wrapped if not callable(getattr(owner, attr, None))]
+    assert len(wrapped) >= 20 and missing == []

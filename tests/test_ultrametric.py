@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -14,6 +15,7 @@ from treefit.core import (
     DistanceMatrix,
     HierarchySequence,
     Partition,
+    UltraNode,
     UltrametricTree,
     WeightedTree,
     all_pairs,
@@ -40,9 +42,10 @@ from treefit.ultrametric import (
     star_tree,
 )
 from conftest import (partition_tree, planted_ultrametric, random_hierarchy, random_matrix,
-                      ultrametric_to_hierarchy)
+                      random_ultrametric_map, ultrametric_to_hierarchy)
 
 
+@functools.lru_cache(maxsize=2)
 def caterpillar_hierarchy(n):
     """Level t adds x(t+1) to the block of x0..xt."""
     labels = tuple(f"x{k:04d}" for k in range(n))
@@ -194,7 +197,7 @@ class TestHierarchyToUltrametric:
             return from_joins(cls, labels, values, steps)
 
         monkeypatch.setattr(UltrametricTree, "_from_joins", classmethod(counting))
-        cases = [caterpillar_hierarchy(120)]  # tree equality recurses, so not 1500 deep
+        cases = [caterpillar_hierarchy(1500)]
         for _ in range(60):
             labels = tuple(f"s{k}" for k in range(rng.randint(1, 9)))
             chain = random_hierarchy(rng, labels, rng.randint(1, 6))
@@ -231,6 +234,73 @@ class TestHierarchyToUltrametric:
                     depth[nxt] = depth[node] + w
                     stack.append(nxt)
         assert all(depth[lab] == pytest.approx(tree.root.height) for lab in labels)
+
+
+class TestTreeIdentity:
+    """Trees compare and hash by their labels and arrays and print without
+    recursing, at any depth; the `UltraNode` route gives back the same tree."""
+
+    def test_deep_trees_compare_hash_and_print(self):
+        tree, again = caterpillar(1500)[1], caterpillar(1500)[1]
+        assert tree is not again and tree == again and hash(tree) == hash(again)
+        hierarchy = caterpillar_hierarchy(1500)[1]
+        values = [float(t + 1) for t in range(1499)]
+        values[700] += 0.5
+        changed = hierarchy_to_ultrametric(hierarchy, UltrametricLevels(tuple(values)))
+        assert np.count_nonzero(changed._height != tree._height) == 1
+        assert changed != tree and tree != changed
+        assert repr(tree) == repr(again) != repr(changed)
+        assert repr(tree).startswith("UltrametricTree(labels=('x0000', 'x0001'")
+        assert tree != tree.root and {tree, again, changed} == {tree, changed}
+
+    def test_round_trip_through_ultranodes(self, rng):
+        # trees of random hierarchies, of random maps over shuffled labels,
+        # and the caterpillar
+        trees = [caterpillar(1500)[1]]
+        for _ in range(40):
+            labels = [f"s{k}" for k in range(rng.randint(1, 8))]
+            values = tuple(v / 4.0 for v in sorted(rng.sample(range(1, 40), rng.randint(2, 5))))
+            chain = random_hierarchy(rng, labels, len(values) - 1)
+            trees.append(hierarchy_to_ultrametric(HierarchySequence(tuple(chain)),
+                                                  UltrametricLevels(values)))
+            rng.shuffle(labels)
+            trees.append(UltrametricTree.from_map(labels, random_ultrametric_map(rng, labels)))
+        for tree in trees:
+            back = UltrametricTree(tree.labels, tree.root)
+            assert back == tree and hash(back) == hash(tree)
+            for name in ("_parent", "_label", "_height", "_length"):
+                assert getattr(back, name).tobytes() == getattr(tree, name).tobytes()
+            assert newick_string(back) == newick_string(tree)
+            assert back.root is tree.root and back.top_distance() == tree.top_distance()
+
+    @pytest.mark.parametrize("root, message", [
+        (UltraNode(1.0, (UltraNode(0.0, (), "a"), UltraNode(0.0))), "leaf without a label"),
+        (UltraNode(1.0, (UltraNode(0.0, (), "a"), UltraNode(0.0, (), "x"))),
+         "tree leaves do not match the label set"),
+        (UltraNode(1.0, (UltraNode(0.0, (), "a"), UltraNode(1.0, (
+            UltraNode(0.0, (), "b"), UltraNode(0.5, (), "c"))))),
+         "heights must strictly increase child to parent"),
+        (UltraNode(1.0, (UltraNode(0.0, (), "a"), UltraNode(0.5, (), "b"), UltraNode(0.0, (), "c"))),
+         "leaves must sit at height 0"),
+        (UltraNode(1.0, (UltraNode(0.0, (), "a"), UltraNode(-0.5, (
+            UltraNode(0.0, (), "b"), UltraNode(0.0, (), "c"))))),
+         "internal node height must be positive"),
+        (UltraNode(0.0, (UltraNode(0.0, (), "a"), UltraNode(0.0, (), "b"), UltraNode(0.0, (), "c"))),
+         "internal node height must be positive"),
+    ])
+    def test_bad_trees_raise_their_messages(self, root, message):
+        # the first bad node in preorder names the error
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            UltrametricTree(("a", "b", "c"), root)
+
+    @pytest.mark.parametrize("values, steps, message", [
+        ((1.0, 2.0), [[(0, 1)], []], "tree leaves do not match the label set"),
+        ((2.0, 1.0), [[(0, 1)], [(0, 2)]], "heights must strictly increase child to parent"),
+        ((0.0, 1.0), [[(0, 1)], [(0, 2)]], "internal node height must be positive"),
+    ])
+    def test_bad_joins_raise_their_messages(self, values, steps, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            UltrametricTree._from_joins(("a", "b", "c"), values, steps)
 
 
 class TestUltrametricToHierarchy:
@@ -661,6 +731,34 @@ class TestOnePartitionForm:
                 fit_tree_metric(d)
         assert reads == {"parts": 0, "built from sets": 0}
         assert runs["cleaned"] >= 50 and runs["clustered"] >= 100
+
+
+class TestNoUltraNodes:
+    """A fit writes its tree's arrays straight from its joins: no `UltraNode`
+    is built unless `.root` is read."""
+
+    def test_fits_build_no_ultranodes(self, monkeypatch):
+        built = []
+        init = UltraNode.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(UltraNode, "__init__", counting_init)
+        # the counter sees the nodes a read of `.root` builds
+        assert len(star_tree("abc", 2.0).root.children) == 3 and len(built) == 4
+        built.clear()
+        rng = random.Random(41)
+        for n in range(1, 10):
+            labels = [f"s{x:02d}" for x in range(n)]
+            for d in (random_matrix(rng, labels, (1.0, 2.0, 3.0, 4.0)),
+                      planted_ultrametric(rng, labels, [1.0, 2.0, 3.0])):
+                fitted = fit_ultrametric(d)
+                newick_string(fitted)
+                newick_string(fit_tree_metric(d))
+                newick_string(UltrametricTree.from_distances(d.labels, fitted.tree.distances()))
+        assert built == []
 
 
 class TestLevelDistances:
