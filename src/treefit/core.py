@@ -117,12 +117,14 @@ def _pair_vector(values, n: int) -> np.ndarray:
 
 
 def _square(values: np.ndarray, n: int) -> np.ndarray:
-    """The symmetric n x n matrix of a condensed vector, with a zero diagonal."""
-    out = np.zeros(n * n, dtype=values.dtype)
+    """The symmetric n x n matrix of a condensed vector, with a zero diagonal;
+    of each one along the last axis, for a stack of them."""
+    lead = values.shape[:-1]
+    out = np.zeros(lead + (n * n,), dtype=values.dtype)
     upper, lower = _flat_pairs(n)
-    out[upper] = values
-    out[lower] = values
-    return out.reshape(n, n)
+    out[..., upper] = values
+    out[..., lower] = values
+    return out.reshape(lead + (n, n))
 
 
 # ---------------------------------------------------------------------------
@@ -558,8 +560,12 @@ class _RootedTree:
         return float(self.distances()[_pair_position(self._index, i, j)])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class UltraNode:
+    """A node of `UltrametricTree.root`. Nodes compare field by field down
+    the tree, hash consistently with that, and print as the dataclass would,
+    all without recursion, so a tree as deep as its labels are many works."""
+
     height: float
     children: tuple["UltraNode", ...] = ()
     label: str | None = None
@@ -567,6 +573,51 @@ class UltraNode:
     @property
     def is_leaf(self) -> bool:
         return not self.children
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if a.__class__ is not b.__class__ or not isinstance(a, UltraNode):
+                if a != b:
+                    return False
+                continue
+            # fields compare as in a tuple: identical objects are equal
+            if not ((a.height is b.height or a.height == b.height)
+                    and (a.label is b.label or a.label == b.label)
+                    and len(a.children) == len(b.children)):
+                return False
+            stack.extend(zip(a.children, b.children))
+        return True
+
+    def __hash__(self) -> int:
+        nodes, parent = _preorder(self, lambda node: node.children)
+        kids: list[list[int]] = [[] for _ in nodes]  # each in reverse
+        for v in reversed(range(len(nodes))):  # children up
+            h = hash((nodes[v].height, tuple(reversed(kids[v])), nodes[v].label))
+            kids[parent[v]].append(h)  # the root's goes to kids[-1], unread
+        return h
+
+    def __repr__(self) -> str:
+        out: list[str] = []
+        stack: list[tuple[bool, object]] = [(False, self)]  # (is text, item)
+        while stack:
+            text, item = stack.pop()
+            if text or not isinstance(item, UltraNode):
+                out.append(item if text else repr(item))  # type: ignore[arg-type]
+                continue
+            kids = item.children
+            stack.append((True, f"{',' if len(kids) == 1 else ''}), label={item.label!r})"))
+            for k in reversed(range(len(kids))):
+                stack.append((False, kids[k]))
+                if k:
+                    stack.append((True, ", "))
+            stack.append((True, f"{type(item).__qualname__}(height={item.height!r}, children=("))
+        return "".join(out)
 
 
 @dataclass(frozen=True, eq=False, init=False, repr=False)

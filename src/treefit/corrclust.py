@@ -5,12 +5,17 @@ once per choice of first pivot, with later pivots taken in label order, and
 keep the first cheapest run. A seeded randomized pivot variant and exact
 enumeration (small n) are also available.
 
-Pivot runs work on bitmasks over universe positions: nb[v] holds the
-neighbours of label v, and a pivot p still remaining takes the cluster
-(nb[p] & remaining) | bit(p). A run's disagreements are counted without
-building its clique edges, as |E| plus each cluster's cost: s(s-1)/2 minus
-the sum of popcount(nb[v] & cluster) over its labels v (each inside edge
-counted twice). Only the winning run becomes a Partition.
+Pivot runs work on Python int bitmasks over universe positions: nb[v] holds
+the neighbours of label v, and a pivot p still remaining takes the cluster
+(nb[p] & remaining) | bit(p). After the first pivot a sweep run takes pivots
+in label order, so its next pivot is always the lowest bit of remaining, and
+the run ends once remaining is empty. A run's disagreements are counted
+without building its clique edges, as |E| plus each cluster's cost: s(s-1)/2
+minus the sum of popcount(nb[v] & cluster) over its labels v (each inside
+edge counted twice), scored as the run makes the cluster. Only the winning
+run's masks become a Partition, its `reps` written from each mask's lowest
+bit. (Numpy runs for all first pivots at once were measured slower at the
+sizes fits meet.)
 
 The sweep does not repeat work. After its first cluster nb[first] | bit(first)
 a run takes pivots in label order, so first pivots with the same first
@@ -23,7 +28,7 @@ cost more, so that run is the first cheapest one.
 from __future__ import annotations
 
 import random
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -56,27 +61,29 @@ def _members(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _pivot_rounds(nb: list[int], pivot_order: Iterable[int]) -> list[int]:
-    """Cluster masks of the pivot recursion; pivots already taken are skipped."""
+def _pivot_run(nb: list[int], first: int, costs: dict[int, int]) -> tuple[list[int], int]:
+    """The sweep's pivot recursion from pivot first, each later pivot the
+    lowest label not yet taken, until every label is: its cluster masks and
+    the sum of their costs, scored as they are made; costs caches each
+    cluster's cost by its mask."""
     remaining = (1 << len(nb)) - 1
-    clusters = []
-    for p in pivot_order:
-        if remaining >> p & 1:
-            cluster = (nb[p] & remaining) | (1 << p)
-            clusters.append(cluster)
-            remaining &= ~cluster
-    return clusters
-
-
-def _disagreements(nb: list[int], n_edges: int, clusters: list[int],
-                   costs: dict[int, int]) -> int:
-    """Disagreements of a run; costs caches each cluster's cost by its mask."""
-    for c in clusters:
-        if c not in costs:
-            size = c.bit_count()
-            costs[c] = size * (size - 1) // 2 - sum((nb[v] & c).bit_count()
-                                                    for v in _members(c))
-    return n_edges + sum(costs[c] for c in clusters)
+    p, pivot, clusters, total = first, 1 << first, [], 0
+    while remaining:
+        cluster = nb[p] & remaining | pivot
+        clusters.append(cluster)
+        remaining ^= cluster
+        cost = costs.get(cluster)
+        if cost is None:
+            size, inside, rest = cluster.bit_count(), 0, cluster
+            while rest:
+                low = rest & -rest
+                inside += (nb[low.bit_length() - 1] & cluster).bit_count()
+                rest ^= low
+            cost = costs[cluster] = size * (size - 1) // 2 - inside
+        total += cost
+        pivot = remaining & -remaining
+        p = pivot.bit_length() - 1
+    return clusters, total
 
 
 def exact_corr_cluster(universe: Sequence[str], edges: EdgeSet) -> tuple[Partition, int]:
@@ -116,7 +123,11 @@ def corr_cluster(universe: Sequence[str], edges: EdgeSet, *,
         # shuffling positions draws the same permutation as shuffling labels
         order = list(range(n))
         random.Random(seed).shuffle(order)
-        best = _pivot_rounds(nb, order)
+        best, remaining = [], (1 << n) - 1
+        for p in order:
+            if remaining >> p & 1:
+                best.append(nb[p] & remaining | 1 << p)
+                remaining ^= best[-1]
     else:  # pivot-sweep
         # the earliest first pivot of each distinct first cluster; keep the
         # first of the cheapest runs, and stop at a run with no disagreements
@@ -126,14 +137,15 @@ def corr_cluster(universe: Sequence[str], edges: EdgeSet, *,
         n_edges, costs = len(edges), {}
         best, best_cost = [], None
         for first in firsts.values():
-            clusters = _pivot_rounds(nb, [first, *range(n)])
-            cost = _disagreements(nb, n_edges, clusters, costs)
+            clusters, cost = _pivot_run(nb, first, costs)
+            cost += n_edges  # the run's disagreements
             if best_cost is None or cost < best_cost:
                 best, best_cost = clusters, cost
                 if not cost:
                     break
-    reps = [0] * n  # a cluster's first label is its lowest bit
+    reps = [0] * n
     for cluster in best:
+        first = (cluster & -cluster).bit_length() - 1  # a cluster's first label is its lowest bit
         for v in _members(cluster):
-            reps[v] = (cluster & -cluster).bit_length() - 1
+            reps[v] = first
     return Partition.from_reps(universe, reps)

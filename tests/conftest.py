@@ -387,7 +387,8 @@ REMOVED_COST_FACTOR = min(BALL_NEAR * HALF_FRACTION,
 def cleaned_subset(sol, t: int, cluster: frozenset[str]) -> frozenset[str]:
     """Members of one input cluster that pass both ball tests at level t."""
     inside = [lab in cluster for lab in sol.labels]
-    keep = _ball_tests(sol, t, np.array(inside, dtype=np.intp))
+    part_of = np.array([inside], dtype=np.intp)
+    keep = _ball_tests(_square(sol.x[t], len(inside))[None], part_of)[0]
     return frozenset(lab for lab, a, ok in zip(sol.labels, inside, keep) if a and ok)
 
 

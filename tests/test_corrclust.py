@@ -7,7 +7,9 @@ from treefit import corrclust
 from treefit.core import EdgeSet, Partition, all_pairs, clique_edges
 from treefit.corrclust import corr_cluster, corr_cluster_cost
 from treefit.oracle import exact_corr_cluster
-from conftest import iter_partitions, random_hierarchy
+from treefit.treemetric import gromov_transform, pivot_subproblem
+from treefit.ultrametric import hcc_instance_from_distances
+from conftest import iter_partitions, random_hierarchy, random_matrix
 
 
 def es(universe, pairs):
@@ -237,6 +239,20 @@ def planted_level_edge_sets():
             yield universe, EdgeSet(universe, mask)
 
 
+def subfit_level_edge_sets():
+    """The level edge sets of seeded 16-label tables with values 1..4, and
+    of their pivot sub-problems in tree mode, which have more levels."""
+    rng = random.Random(1616)
+    universe = tuple(f"t{k:02d}" for k in range(16))
+    for _ in range(3):
+        d = random_matrix(rng, universe, (1.0, 2.0, 3.0, 4.0))
+        for table in [d, *(pivot_subproblem(gromov_transform(d, p))
+                           for p in rng.sample(universe, 4))]:
+            inst, _ = hcc_instance_from_distances(table)
+            for edges in inst.edge_sets:
+                yield universe, edges
+
+
 def cliques_mask(part_of):
     """Clique edges of the labels with equal part_of entries."""
     return [part_of[a] == part_of[b] for a, b in all_pairs(range(len(part_of)))]
@@ -276,13 +292,13 @@ class TestMatchesReference:
 
     def test_one_run_per_distinct_first_cluster(self, monkeypatch):
         firsts = []
-        real = corrclust._pivot_rounds
+        real = corrclust._pivot_run
 
-        def counting(nb, pivot_order):
-            firsts.append(pivot_order[0])
-            return real(nb, pivot_order)
+        def counting(nb, first, costs):
+            firsts.append(first)
+            return real(nb, first, costs)
 
-        monkeypatch.setattr(corrclust, "_pivot_rounds", counting)
+        monkeypatch.setattr(corrclust, "_pivot_run", counting)
         universe = tuple(f"v{k}" for k in range(12))
         for k in (1, 3, 5, 12):
             # k disjoint cliques: the run from v0 has no disagreements, and
@@ -311,7 +327,8 @@ class TestMatchesReference:
             assert len(firsts) > k
 
     def test_pivot_sweep_matches_reference(self):
-        for universe, e in [*random_edge_sets(), *planted_level_edge_sets()]:
+        for universe, e in [*random_edge_sets(), *planted_level_edge_sets(),
+                            *subfit_level_edge_sets()]:
             assert corr_cluster(universe, e) == reference_sweep(universe, e)
 
     def test_kwik_matches_reference(self):

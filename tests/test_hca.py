@@ -1,9 +1,11 @@
 import dataclasses
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from treefit import hca
 from treefit.core import HierarchySequence, Partition, all_pairs
 from treefit.corrclust import corr_cluster
 from treefit.hca import (
@@ -12,7 +14,6 @@ from treefit.hca import (
     HALF_FRACTION,
     KEEP_FRACTION,
     OUTSIDE_FRACTION,
-    ClusterForest,
     ForestNode,
     HcaResult,
     LpClusterFamilies,
@@ -219,7 +220,7 @@ def reference_derive_hierarchy(universe, families):
     universe = tuple(universe)
     assert reference_check_hierarchy_friendly(families)
     label_pos = {lab: k for k, lab in enumerate(universe)}
-    forest = ClusterForest(universe=universe)
+    forest = SimpleNamespace(universe=universe, nodes=[])
     root_ids = []
     for lab in universe:
         nid = len(forest.nodes)
@@ -273,43 +274,74 @@ def node_records(forest, families):
         for nd in nodes)
 
 
+def check_random_families(rng, sizes, level_counts, draws):
+    """derive_hierarchy against the reference on random families: the levels
+    are a refinement chain half of the time, else unrelated partitions;
+    clusters are dropped and thinned at random, so families that are not
+    hierarchy-friendly and clusters with an empty core, which cleaning does
+    not build, both occur."""
+    unfriendly = skips = 0
+    for _ in range(draws):
+        labels = tuple(f"s{k}" for k in range(rng.randint(*sizes)))
+        n_levels = rng.randint(*level_counts)
+        if rng.random() < 0.5:
+            qs = random_hierarchy(rng, labels, n_levels)
+        else:
+            qs = [random_partition(rng, labels) for _ in range(n_levels)]
+        levels = []
+        for q in qs:
+            fam = []
+            for part in q.parts:
+                members = frozenset(x for x in part if rng.random() < 0.8)
+                if members and rng.random() < 0.9:
+                    fam.append(members)
+            rng.shuffle(fam)
+            levels.append(tuple(fam))
+        fams = LpClusterFamilies(labels, tuple(levels))
+        friendly = check_hierarchy_friendly(fams)
+        assert friendly == reference_check_hierarchy_friendly(fams)
+        if not friendly:
+            unfriendly += 1
+            with pytest.raises(ValueError, match="not hierarchy-friendly"):
+                derive_hierarchy(labels, fams)
+            continue
+        hierarchy, forest = derive_hierarchy(labels, fams)
+        want, want_forest = reference_derive_hierarchy(labels, fams)
+        assert hierarchy == want
+        assert node_records(forest, fams) == node_records(want_forest, fams)
+        skips += len(forest.internal()) < sum(len(fam) for fam in levels)
+    assert unfriendly >= 1 and skips >= 1
+
+
 class TestAssemblyMatchesReference:
     def test_random_families(self, rng):
-        # the levels are a refinement chain half of the time, else unrelated
-        # partitions; clusters are dropped and thinned at random, so families
-        # that are not hierarchy-friendly and clusters with an empty core,
-        # which cleaning does not build, both occur
-        unfriendly = skips = 0
-        for _ in range(3000):
-            labels = tuple(f"s{k}" for k in range(rng.randint(2, 10)))
-            n_levels = rng.randint(1, 4)
+        check_random_families(rng, (2, 10), (1, 4), 3000)
+
+    def test_random_families_at_subfit_shapes(self, rng):
+        # tree-mode sub-fits of 16 labels clean and assemble 5 to 8 levels
+        check_random_families(rng, (11, 20), (5, 8), 600)
+
+    def test_friendliness_check_in_blocks(self, rng, monkeypatch):
+        # many levels, a thinned refinement chain with one level replaced by
+        # an unrelated partition half of the time: the check goes through the
+        # lower levels in blocks of 1 to 4
+        seen = set()
+        for _ in range(60):
+            labels = tuple(f"s{k}" for k in range(rng.randint(2, 12)))
+            qs = random_hierarchy(rng, labels, rng.randint(5, 30))
             if rng.random() < 0.5:
-                qs = random_hierarchy(rng, labels, n_levels)
-            else:
-                qs = [random_partition(rng, labels) for _ in range(n_levels)]
-            levels = []
-            for q in qs:
-                fam = []
-                for part in q.parts:
-                    members = frozenset(x for x in part if rng.random() < 0.8)
-                    if members and rng.random() < 0.9:
-                        fam.append(members)
-                rng.shuffle(fam)
-                levels.append(tuple(fam))
-            fams = LpClusterFamilies(labels, tuple(levels))
-            friendly = check_hierarchy_friendly(fams)
-            assert friendly == reference_check_hierarchy_friendly(fams)
-            if not friendly:
-                unfriendly += 1
-                with pytest.raises(ValueError, match="not hierarchy-friendly"):
-                    derive_hierarchy(labels, fams)
-                continue
-            hierarchy, forest = derive_hierarchy(labels, fams)
-            want, want_forest = reference_derive_hierarchy(labels, fams)
-            assert hierarchy == want
-            assert node_records(forest, fams) == node_records(want_forest, fams)
-            skips += len(forest.internal()) < sum(len(fam) for fam in levels)
-        assert unfriendly >= 1 and skips >= 1
+                qs[rng.randrange(len(qs))] = random_partition(rng, labels)
+            fams = LpClusterFamilies(labels, tuple(
+                tuple(c for c in (frozenset(x for x in part if rng.random() < 0.9)
+                                  for part in q.parts) if c)
+                for q in qs))
+            want = reference_check_hierarchy_friendly(fams)
+            assert check_hierarchy_friendly(fams) == want
+            monkeypatch.setattr(hca, "FRIENDLY_BLOCK", rng.randint(1, 4) * len(qs) * len(labels))
+            assert check_hierarchy_friendly(fams) == want
+            monkeypatch.undo()
+            seen.add(want)
+        assert seen == {True, False}
 
 
 class TestFitHca:
@@ -424,15 +456,15 @@ class TestCleaningMatchesReference:
         assert lp_cleaning(partitions, sol).levels == tuple(want)
         return sum(len(level) for level in want)
 
-    def test_feasible_points(self, rng):
+    def feasible_points(self, rng, sizes, level_counts, draws):
         # clusters: the components of the near pairs of each level, with one
         # label moved to another cluster half of the time, or random parts;
         # half of the points are rounded to twentieths (a monotone map keeps
         # them feasible), so distances sit exactly on the ball radii
         kept = 0
-        for _ in range(80):
-            labels = tuple(f"s{k:02d}" for k in range(rng.randint(2, 16)))
-            maps = feasible_lp_maps(rng, labels, rng.randint(1, 4))
+        for _ in range(draws):
+            labels = tuple(f"s{k:02d}" for k in range(rng.randint(*sizes)))
+            maps = feasible_lp_maps(rng, labels, rng.randint(*level_counts))
             if rng.random() < 0.5:
                 maps = [{p: round(v * 20) / 20 for p, v in level.items()} for level in maps]
             partitions = []
@@ -451,6 +483,13 @@ class TestCleaningMatchesReference:
                 partitions.append(Partition.from_parts(labels, [p for p in parts if p]))
             kept += self.check(partitions, solution_from_maps(labels, maps))
         assert kept > 0
+
+    def test_feasible_points(self, rng):
+        self.feasible_points(rng, (2, 16), (1, 4), 80)
+
+    def test_feasible_points_at_subfit_shapes(self, rng):
+        # tree-mode sub-fits of 16 labels clean 5 to 8 levels
+        self.feasible_points(rng, (11, 20), (5, 8), 40)
 
     def test_agreement_lp_optima(self, rng):
         checked = 0

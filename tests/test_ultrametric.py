@@ -25,6 +25,7 @@ from treefit.core import (
     sym_diff_size,
 )
 from treefit.corrclust import EXACT_CAP
+from treefit.hca import ForestNode, LpClusterFamilies, derive_hierarchy
 from treefit.hcc import fit_hcc, lp_lower_bound
 from treefit.io import newick_string, parse_newick
 from treefit.lp import hierarchy_cost
@@ -41,8 +42,9 @@ from treefit.ultrametric import (
     slice_levels,
     star_tree,
 )
-from conftest import (partition_tree, planted_ultrametric, random_hierarchy, random_matrix,
-                      random_ultrametric_map, ultrametric_to_hierarchy)
+from conftest import (invariant_violations, partition_tree, planted_ultrametric,
+                      random_hierarchy, random_matrix, random_ultrametric_map,
+                      ultrametric_to_hierarchy)
 
 
 @functools.lru_cache(maxsize=2)
@@ -252,6 +254,24 @@ class TestTreeIdentity:
         assert repr(tree) == repr(again) != repr(changed)
         assert repr(tree).startswith("UltrametricTree(labels=('x0000', 'x0001'")
         assert tree != tree.root and {tree, again, changed} == {tree, changed}
+
+    def test_deep_ultranodes_compare_hash_and_print(self):
+        root, again = caterpillar(1500)[1].root, caterpillar(1500)[1].root
+        assert root is not again and root == again and hash(root) == hash(again)
+        hierarchy = caterpillar_hierarchy(1500)[1]
+        values = [float(t + 1) for t in range(1499)]
+        values[700] += 0.5
+        changed = hierarchy_to_ultrametric(hierarchy, UltrametricLevels(tuple(values))).root
+        assert changed != root and root != changed and not root == changed
+        assert repr(root) == repr(again) != repr(changed)
+        assert repr(root).startswith("UltraNode(height=749.5, children=(UltraNode(height=749.0, ")
+        assert {root, again, changed} == {root, changed}
+        # the dataclass's own format
+        leaf = UltraNode(0.0, (), "a")
+        assert repr(UltraNode(1.0, (leaf,))) == (
+            "UltraNode(height=1.0, children=(UltraNode(height=0.0, children=(), label='a'),),"
+            " label=None)")
+        assert UltraNode(1.0, (leaf,)) != UltraNode(1.0, (leaf, leaf)) != leaf != "a"
 
     def test_round_trip_through_ultranodes(self, rng):
         # trees of random hierarchies, of random maps over shuffled labels,
@@ -759,6 +779,53 @@ class TestNoUltraNodes:
                 newick_string(fit_tree_metric(d))
                 newick_string(UltrametricTree.from_distances(d.labels, fitted.tree.distances()))
         assert built == []
+
+
+class TestNoLabelSets:
+    """A fit cleans and assembles on owner vectors and node arrays: it builds
+    no `ForestNode` and no `LpClusterFamilies` from label sets. Read
+    afterwards, the label sets are valid and give the same hierarchy."""
+
+    def test_fits_build_no_label_sets(self, monkeypatch):
+        built = {"ForestNode": 0, "LpClusterFamilies": 0}
+        reports = []
+        inits = {cls: cls.__init__ for cls in (ForestNode, LpClusterFamilies)}
+        fit_hca_report = hcc_module.fit_hca_report
+
+        def counting(cls):
+            def init(self, *args, **kwargs):
+                built[cls.__name__] += 1
+                inits[cls](self, *args, **kwargs)
+            return init
+
+        def collecting_fit_hca_report(*args, **kwargs):
+            reports.append(fit_hca_report(*args, **kwargs))
+            return reports[-1]
+
+        for cls in inits:
+            monkeypatch.setattr(cls, "__init__", counting(cls))
+        monkeypatch.setattr(hcc_module, "fit_hca_report", collecting_fit_hca_report)
+        # the counters see a build of each
+        families = LpClusterFamilies("ab", ((frozenset("ab"),),))
+        assert len(derive_hierarchy("ab", families)[1].nodes) == 3
+        assert built == {"ForestNode": 3, "LpClusterFamilies": 1}
+        built.update(dict.fromkeys(built, 0))
+        rng = random.Random(43)
+        for n in range(1, 17):
+            labels = [f"s{x:02d}" for x in range(n)]
+            for d in (random_matrix(rng, labels, (1.0, 2.0, 3.0, 4.0)),
+                      planted_ultrametric(rng, labels, [1.0, 2.0, 3.0])):
+                fit_ultrametric(d)
+                fit_tree_metric(d)
+        assert built == {"ForestNode": 0, "LpClusterFamilies": 0}
+        monkeypatch.undo()
+        cleaned = [report for report in reports if not report.fast_path]
+        assert len(cleaned) > 50
+        for report in cleaned:
+            assert invariant_violations(report) == []
+            labels = report.hierarchy.universe
+            from_sets = LpClusterFamilies(labels, report.families.levels)
+            assert derive_hierarchy(labels, from_sets)[0] == report.hierarchy
 
 
 class TestLevelDistances:
